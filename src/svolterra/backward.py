@@ -16,7 +16,9 @@ applied) and a blockwise scheme that solves the terminal block first,
 extends Z by representation, folds the remaining tail into a new free
 term through a stochastic Fredholm pass, and recurses on earlier blocks.
 Both converge to the same discrete system, so they agree to solver
-tolerance.
+tolerance.  Weight tables without diagonal cells (the transposed explicit
+schemes of the control and delay adjoints) make the system explicit
+backward substitution, which the global route then solves in one pass.
 """
 from __future__ import annotations
 
@@ -27,8 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import (ANTICAUSAL, Kernel, Partition, find_partition,
-                      make_fractional, script_norm, triangle_l2_norm)
+from .kernels import (ANTICAUSAL, Kernel, KernelClassWarning, Partition,
+                      find_partition, make_fractional, script_norm,
+                      triangle_l2_norm)
 from .lattice import (AdaptedProcess, TerminalField, Tree,
                       TwoParameterProcess)
 from .special import gamma_fn
@@ -40,10 +43,6 @@ class DivergenceError(RuntimeError):
 
 class BlockPartitionError(RuntimeError):
     """No contraction partition available for the block method."""
-
-
-class KernelClassWarning(UserWarning):
-    pass
 
 
 @dataclass
@@ -208,6 +207,15 @@ def _term_weights(problem: BSVIEProblem, tree: Tree) -> list:
     return tables
 
 
+def strictly_upper_weights(tree: Tree) -> np.ndarray:
+    """Weight table with the cell width on every cell after the outer index.
+
+    This is the transpose of an explicit forward scheme, which has no
+    diagonal cell; ``solve_bsvie`` solves such a table in one backward pass.
+    """
+    return np.triu(np.full((tree.N + 1, tree.N), tree.dt), 1)
+
+
 def _outer_pass(tree: Tree, problem: BSVIEProblem, weight_tables, i: int,
                 start_field: np.ndarray, start_depth: int, stop_depth: int,
                 y_at: Callable, z2_at: Callable, keep_levels: bool = False):
@@ -318,6 +326,9 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
     ``partition_budget`` (split evenly between the two), solves the
     terminal block, and folds the tail into earlier blocks through
     stochastic Fredholm passes.  Both produce the same discrete solution.
+    When no weight table has a cell on or below the diagonal, Y(t_r)
+    depends only on later rows and ``fixed_point`` solves the system in
+    one backward pass of one-step blocks, one sweep each.
     """
     tree = tree or problem.tree
     if tree is not problem.tree:
@@ -327,12 +338,15 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
     diag = {"method": method, "tol": tol}
 
     if method == "fixed_point":
-        blocks = [(0, N)]
+        if any(np.tril(w).any() for w in weight_tables):
+            blocks = [(0, N)]
+        else:
+            blocks = [(r, r + 1) for r in range(N)]
     elif method == "block":
         blocks = _bsvie_blocks(problem, tree, partition_budget)
-        diag["blocks"] = blocks
     else:
         raise ValueError(f"unknown method {method!r}")
+    diag["blocks"] = blocks
 
     Y_fields = [None] * (N + 1)
     Z = TwoParameterProcess.zeros(tree, problem.d)

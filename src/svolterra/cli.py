@@ -76,7 +76,10 @@ def _tree_from_config(cfg, default_m=1):
     T = _require(cfg, "tree.T", float, lambda v: v > 0, "positive horizon")
     m = cfg.get("tree", {}).get("m", default_m)
     d = cfg.get("tree", {}).get("d", 1)
-    return Tree(N=N, T=T, m=int(m), d=int(d))
+    try:
+        return Tree(N=N, T=T, m=int(m), d=int(d))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.tree: {exc}") from exc
 
 
 def _config_hash(cfg) -> str:
@@ -360,8 +363,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _load_config(args.config) if args.config is not None else {}
     try:
+        cfg = _load_config(args.config) if args.config is not None else {}
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

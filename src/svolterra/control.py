@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .backward import BSVIEProblem, GeneratorTerm, MSolution, solve_bsvie
+from .backward import (BSVIEProblem, GeneratorTerm, MSolution, solve_bsvie,
+                       strictly_upper_weights)
 from .kernels import Kernel
 from .lattice import AdaptedProcess, TerminalField, Tree
 
@@ -284,42 +285,25 @@ def solve_adjoint(cp: ControlProblem, x_bar: AdaptedProcess,
     Generator b_x(s, t)^T Y(s) + sigma_x(s, t)^T Z(s, t) with coefficients
     frozen at the outer time's state; the drift weight table excludes the
     diagonal cell because the discrete variational operator has no
-    diagonal entry, and the diffusion table matches the dt produced by
-    squaring tree increments.
+    diagonal entry (so ``solve_bsvie`` takes one backward pass), and the
+    diffusion table matches the dt produced by squaring tree increments.
     """
     N, t, dt = tree.N, tree.times, tree.dt
 
-    bx_cache, sx_cache = {}, {}
-
-    def bx(j, r):
-        if (j, r) not in bx_cache:
-            xs = tree.broadcast(x_bar[r], r, j)
-            us = tree.broadcast(u_bar[r], r, j)
-            bx_cache[(j, r)] = np.asarray(
-                cp.b_x(t[j], t[r], xs, us), dtype=float)
-        return bx_cache[(j, r)]
-
-    def sx(j, r):
-        if (j, r) not in sx_cache:
-            xs = tree.broadcast(x_bar[r], r, j)
-            us = tree.broadcast(u_bar[r], r, j)
-            sx_cache[(j, r)] = np.asarray(
-                cp.sigma_x(t[j], t[r], xs, us), dtype=float)
-        return sx_cache[(j, r)]
+    def coefficient(deriv, j, r):
+        xs = tree.broadcast(x_bar[r], r, j)
+        us = tree.broadcast(u_bar[r], r, j)
+        return np.asarray(deriv(t[j], t[r], xs, us), dtype=float)
 
     def fn_b(tt, ss, y, z1, z2):
         j, r = int(round(ss / dt)), int(round(tt / dt))
-        return np.einsum("nab,na->nb", bx(j, r), y)
+        return np.einsum("nab,na->nb", coefficient(cp.b_x, j, r), y)
 
     def fn_s(tt, ss, y, z1, z2):
         j, r = int(round(ss / dt)), int(round(tt / dt))
-        return np.einsum("namb,nam->nb", sx(j, r), z2)
+        return np.einsum("namb,nam->nb", coefficient(cp.sigma_x, j, r), z2)
 
-    weights = np.zeros((N + 1, N))
-    for r in range(N + 1):
-        for j in range(r + 1, N):
-            weights[r, j] = dt
-
+    weights = strictly_upper_weights(tree)
     psi_fields = []
     for r in range(N + 1):
         gx = np.asarray(cp.g_x(t[r], x_bar[r], u_bar[r]), dtype=float)
@@ -328,7 +312,7 @@ def solve_adjoint(cp: ControlProblem, x_bar: AdaptedProcess,
 
     problem = BSVIEProblem(
         psi, [GeneratorTerm(fn_b, weights=weights),
-              GeneratorTerm(fn_s, weights=weights.copy())],
+              GeneratorTerm(fn_s, weights=weights)],
         d=cp.d, m=tree.m, check_zero=False, label="adjoint")
     return solve_bsvie(problem, tree, tol=tol)
 

@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from .backward import BSVIEProblem, GeneratorTerm, MSolution, solve_bsvie
+from .backward import (BSVIEProblem, GeneratorTerm, MSolution, solve_bsvie,
+                       strictly_upper_weights)
 from .control import _fd_probe
 from .lattice import AdaptedProcess, TerminalField, Tree
 
@@ -489,13 +490,10 @@ def solve_delay_adjoint(dp: DelayProblem, traj: DelayTrajectory,
         Cjr = tree.broadcast(aug.C(j, r), r, j)
         return np.einsum("namb,nam->nb", Cjr, z2)
 
-    weights = np.zeros((N + 1, N))
-    for r in range(N + 1):
-        for j in range(r + 1, N):
-            weights[r, j] = dt
+    weights = strictly_upper_weights(tree)
     problem = BSVIEProblem(
         psi, [GeneratorTerm(fn_A, weights=weights),
-              GeneratorTerm(fn_C, weights=weights.copy())],
+              GeneratorTerm(fn_C, weights=weights)],
         d=3 * d, m=tree.m, check_zero=False, label="delay_adjoint")
     sol = solve_bsvie(problem, tree, tol=tol)
 

@@ -248,6 +248,82 @@ class TestVectorState:
         assert B.m_condition_residual(sol, tree) < 1e-13
 
 
+class TestKernelClassCheck:
+    def test_divergent_declared_kernel_warns_with_kernels_category(self):
+        tree = Tree(N=3, T=1.0, m=1)
+        psi = TerminalField(tree, [np.ones((8, 1)) for _ in range(4)])
+        with pytest.warns(K.KernelClassWarning, match="triangle norm"):
+            B.BSVIEProblem(psi, [], L_y=K.make_fractional(
+                0.4, K.ANTICAUSAL, tree.T))
+
+
+class TestSinglePass:
+    """Weight tables with no cell on or below the diagonal (the adjoint
+    shape) are solved by one backward pass of one-step blocks."""
+
+    def strictly_upper_problem(self, tree, seed=0):
+        rng = np.random.default_rng(seed)
+        cy, cz1, cz2 = rng.uniform(-0.6, 0.6, size=3)
+        weights = np.triu(rng.uniform(0.5, 1.5, size=(tree.N + 1, tree.N))
+                          * tree.dt, 1)
+        psi = terminal_from_function(
+            tree, lambda t, w: np.tanh(w[:, 0]) + 0.5 * t)
+        return B.BSVIEProblem(
+            psi, [B.GeneratorTerm(
+                lambda t, s, y, z1, z2:
+                cy * y + cz1 * z1[:, :, 0] + cz2 * z2[:, :, 0],
+                weights=weights)])
+
+    def test_matches_dense_solve(self):
+        from svolterra.acceptance import dense_linear_bsvie_solve
+        tree = Tree(N=5, T=1.0, m=1)
+        for seed in range(3):
+            p = self.strictly_upper_problem(tree, seed)
+            sol = B.solve_bsvie(p, tree)
+            Yd, Zd, fit = dense_linear_bsvie_solve(p, tree)
+            assert fit < 1e-10
+            worst = max(float(np.max(np.abs(sol.Y[i][:, 0] - Yd[i])))
+                        for i in range(6))
+            worst_z = max(float(np.max(np.abs(sol.Z.entry(i, j)[:, 0, 0]
+                                              - Zd[(i, j)])))
+                          for i in range(6) for j in range(5))
+            assert worst <= 1e-10 and worst_z <= 1e-10
+
+    def test_one_sweep_per_one_step_block(self):
+        tree = Tree(N=6, T=1.0, m=1)
+        sol = B.solve_bsvie(self.strictly_upper_problem(tree), tree)
+        diag = sol.diagnostics
+        assert diag["blocks"] == [(r, r + 1) for r in range(6)]
+        assert diag["sweeps"] == [1] * 6
+        assert diag["m_condition_residual"] < 1e-13
+        assert diag["equation_residual"] < 1e-13
+
+    def test_shared_table_is_strictly_upper_cell_width(self):
+        tree = Tree(N=4, T=1.0, m=1)
+        w = B.strictly_upper_weights(tree)
+        assert w.shape == (5, 4)
+        for i in range(5):
+            for j in range(4):
+                assert w[i, j] == (tree.dt if j > i else 0.0)
+
+    def test_diagonal_cells_keep_global_sweep(self):
+        tree = Tree(N=5, T=1.0, m=1)
+        p = linear_problem(tree, c_y=-0.4, c_z1=0.2, c_z2=0.1)
+        sol = B.solve_bsvie(p, tree, tol=1e-13)
+        assert sol.diagnostics["blocks"] == [(0, 5)]
+        assert len(sol.diagnostics["sweeps"]) == 1
+        assert sol.diagnostics["sweeps"][0] > 1
+
+    def test_one_diagonal_table_keeps_global_sweep(self):
+        tree = Tree(N=5, T=1.0, m=1)
+        upper = self.strictly_upper_problem(tree)
+        p = B.BSVIEProblem(upper.psi, upper.terms + [B.GeneratorTerm(
+            lambda t, s, y, z1, z2: -0.3 * y)])
+        sol = B.solve_bsvie(p, tree, tol=1e-13)
+        assert sol.diagnostics["blocks"] == [(0, 5)]
+        assert sol.diagnostics["equation_residual"] < 1e-11
+
+
 class TestMethodAgreement:
     def make_fractional_problem(self, tree, alpha=0.7, z2_coeff=0.7):
         kern = K.make_fractional(alpha, K.ANTICAUSAL, tree.T,

@@ -30,6 +30,20 @@ class TestConfigValidation:
         rc = cli.main(["--config", cfg, "--out", str(tmp_path), "backward"])
         assert rc == 2
 
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        rc = cli.main(["--config", str(tmp_path / "missing.json"),
+                       "--out", str(tmp_path), "backward"])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_tree_storage_budget_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "tree": {"N": 30, "T": 1.0},
+            "backward": {"problem": "fractional_generator"}})
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "backward"])
+        assert rc == 2
+        assert "storage budget" in capsys.readouterr().err
+
 
 class TestKernelCommand:
     def test_report_written(self, tmp_path):

@@ -95,6 +95,20 @@ class TestDuality:
             assert C.duality_gap(cp, u, v, tree) <= 1e-10
 
 
+class TestAdjointSinglePass:
+    def test_residuals_and_gap_at_n10(self, lq):
+        tree = Tree(N=10, T=1.0, m=1)
+        u = random_control(tree, 7)
+        v = random_control(tree, 8)
+        X = C.solve_state(lq, u, tree)
+        adj = C.solve_adjoint(lq, X, u, tree)
+        diag = adj.diagnostics
+        assert diag["sweeps"] == [1] * tree.N
+        assert diag["m_condition_residual"] <= 1e-13
+        assert diag["equation_residual"] <= 1e-13
+        assert C.duality_gap(lq, u, v, tree) <= 1e-12
+
+
 class TestGradientConsistency:
     def test_fd_slope_decays_linearly(self, tree, lq):
         u = C.constant_control(tree, [0.3])

@@ -160,6 +160,17 @@ class TestDelayAdjoint:
         assert margin >= -1e-6
 
 
+class TestDelayAdjointSinglePass:
+    def test_residuals_at_n10(self):
+        tree = Tree(N=10, T=1.0, m=1)
+        dp = R.delay_lq_instance(delta=0.2)
+        traj = D.solve_delay_state(dp, random_control(tree, 3), tree)
+        diag = D.solve_delay_adjoint(dp, traj, tree).solution.diagnostics
+        assert diag["sweeps"] == [1] * tree.N
+        assert diag["m_condition_residual"] <= 1e-13
+        assert diag["equation_residual"] <= 1e-13
+
+
 class TestZeroDelayReduction:
     def test_gradient_matches_delay_free_toolkit(self, tree):
         dp = R.delay_lq_instance(with_delay_terms=False)
