@@ -162,9 +162,15 @@ def cmd_forward(cfg, args):
     name = _require(cfg, "forward.problem", str,
                     lambda v: v in reg.FORWARD_PROBLEMS,
                     f"one of {sorted(reg.FORWARD_PROBLEMS)}")
+    T = _require(cfg, "tree.T", float, lambda v: v > 0, "positive horizon")
     params = {k: v for k, v in cfg["forward"].items() if k != "problem"}
     n_list = params.pop("N_list", None)
-    params.setdefault("horizon", float(cfg["tree"]["T"]))
+    if n_list is not None and not (isinstance(n_list, list) and all(
+            isinstance(N, int) and not isinstance(N, bool) and N >= 1
+            for N in n_list)):
+        raise ConfigError(f"config.forward.N_list: invalid value {n_list!r} "
+                          f"(list of step counts >= 1)")
+    params.setdefault("horizon", T)
     report = _report_skeleton(cfg, args.seed)
     budget = _Budget(args.budget_seconds)
     ok = True
@@ -177,7 +183,7 @@ def cmd_forward(cfg, args):
             if budget.exceeded:
                 report["outputs"]["partial"] = True
                 break
-            tree = Tree(N=int(N), T=cfg["tree"]["T"], m=0)
+            tree = Tree(N=N, T=T, m=0)
             problem = reg.FORWARD_PROBLEMS[name](**params)
             sol = fwd.solve_lattice(problem, tree)
             if name == "fractional_relaxation":

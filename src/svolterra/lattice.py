@@ -5,10 +5,15 @@ probability 1/2, independently across coordinates and steps, so depth ``i``
 carries ``2**(m*i)`` equally likely nodes.  Nodes are path codes: the
 children of code ``c`` are ``c * 2**m + b`` for branch ``b``, i.e. the most
 recent step occupies the low bits.  Conditional expectation is therefore a
-reshape-and-mean, martingale representation a per-step sign projection, and
-both are exact (representation exactness holds for ``m <= 1``; for larger
-``m`` the per-coordinate formula is the L2 projection onto the linear span
-of the step's increments).
+reshape-and-mean over descendants.  The one-step primitives work on the
+strided branch slices ``x[b::2**m]`` (branch ``b`` of every parent at once):
+martingale representation takes the step mean as the sum of the slices over
+``2**m`` and the integrand of coordinate ``k`` as their signed sum over
+``2**m * sqrt(dt)``, and the stochastic integral writes slice ``b`` of the
+next depth as the parent value plus ``sqrt(dt)`` times the signed sum of the
+integrand's coordinates.  Both are exact (representation exactness holds
+for ``m <= 1``; for larger ``m`` the per-coordinate formula is the L2
+projection onto the linear span of the step's increments).
 
 ``m = 0`` gives the deterministic single-path lattice used for large-N
 convergence studies where the binary budget would be exceeded.
@@ -129,32 +134,49 @@ class Tree:
         x = np.asarray(values, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        signs = self.branch_signs
         nb = 1 << self.m
+        scale = nb * self.sqrt_dt
+        coordinate_signs = _coordinate_signs(self.m)
+        every = (True,) * nb
         z = []
-        for j in range(from_depth - 1, to_depth - 1, -1):
-            resh = x.reshape(self.node_count(j), nb, x.shape[1])
-            zj = np.einsum("nbd,bk->ndk", resh, signs) / (nb * self.sqrt_dt) \
-                if self.m > 0 else np.zeros((self.node_count(j), x.shape[1], 0))
+        for _ in range(from_depth - to_depth):
+            branches = [x[b::nb] for b in range(nb)]
+            zj = np.empty(branches[0].shape + (self.m,))
+            for k, positive in enumerate(coordinate_signs):
+                zk = zj[:, :, k]
+                np.divide(_signed_sum(branches, positive, zk), scale, out=zk)
             z.append(zj)
-            x = resh.mean(axis=1)
+            x = np.empty_like(branches[0])
+            np.divide(_signed_sum(branches, every, x), nb, out=x)
         z.reverse()
         return x, z
 
     def stochastic_integral(self, z_list, a: int, b: int) -> np.ndarray:
-        """Accumulate sum_j z_j dW_j along each path from depth a to b."""
+        """Accumulate sum_j z_j dW_j along each path from depth a to b.
+
+        Branch ``br`` and its mirror ``2**m - 1 - br`` carry opposite signs
+        on every coordinate, so each pair shares one signed sum.
+        """
         self._check_depth(a)
         self._check_depth(b)
         if len(z_list) != b - a:
             raise ValueError("need one integrand per step in [a, b)")
-        signs = self.branch_signs
+        nb = 1 << self.m
         d = z_list[0].shape[1] if z_list else self.d
+        pairs = list(enumerate(_branch_sign_rows(self.m)))[nb // 2:]
         acc = np.zeros((self.node_count(a), d))
-        for offset, zj in enumerate(z_list):
-            j = a + offset
-            contrib = self.sqrt_dt * np.einsum("ndk,bk->nbd", zj, signs)
-            acc = (np.repeat(acc, 1 << self.m, axis=0)
-                   + contrib.reshape(self.node_count(j + 1), d))
+        work = np.empty((self.node_count(max(b - 1, a)), d))
+        for zj in z_list:
+            n = acc.shape[0]
+            coords = [zj[:, :, k] for k in range(self.m)]
+            out = np.empty((n * nb, d))
+            step = work[:n]
+            for br, positive in pairs:
+                np.multiply(_signed_sum(coords, positive, step), self.sqrt_dt,
+                            out=step)
+                np.add(acc, step, out=out[br::nb])
+                np.subtract(acc, step, out=out[nb - 1 - br::nb])
+            acc = out
         return acc
 
     def expectation(self, values: np.ndarray) -> np.ndarray:
@@ -170,6 +192,44 @@ def _branch_signs(m: int) -> np.ndarray:
             signs[b, k] = 1.0 if (b >> k) & 1 else -1.0
     signs.setflags(write=False)
     return signs
+
+
+@lru_cache(maxsize=None)
+def _branch_sign_rows(m: int) -> tuple:
+    """Per branch, per coordinate: True where the sign is +1."""
+    return tuple(tuple(bool(s > 0) for s in row) for row in _branch_signs(m))
+
+
+@lru_cache(maxsize=None)
+def _coordinate_signs(m: int) -> tuple:
+    """Per coordinate, per branch: True where the sign is +1."""
+    return tuple(zip(*_branch_sign_rows(m)))
+
+
+def _signed_sum(parts, positive, out):
+    """sum_b +-parts[b], added left to right from zero; ``positive[b]``
+    picks the sign of term b.
+
+    A pending sign stands for the negation of the running sum, which is
+    exact, so -p0 + p1 costs one subtraction p1 - p0.  Returns 0.0 for no
+    parts and the part itself for one positive part; otherwise the sum is
+    written into ``out``.
+    """
+    acc, negated = 0.0, False
+    for b, (part, plus) in enumerate(zip(parts, positive)):
+        if b == 0:
+            acc, negated = part, not plus
+        elif plus != negated:         # acc + p, or -(acc + p)
+            acc = np.add(acc, part, out=out)
+        elif plus:                    # -acc + p
+            acc, negated = np.subtract(part, acc, out=out), False
+        else:                         # acc - p
+            acc = np.subtract(acc, part, out=out)
+    if negated:
+        # not np.negative: numpy 2.4 misreads strided inputs when ``out``
+        # is strided too
+        acc = np.multiply(acc, -1.0, out=out)
+    return acc
 
 
 def ito_isometry_check(tree: Tree, z_list, a: int, b: int) -> float:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,69 @@ class TestSolveBSVIETrivial:
                            psi_fn=lambda t, w: np.cos(w[:, 0]) + t)
         sol = B.solve_bsvie(p, tree, tol=1e-13)
         assert B.equation_residual(sol, p, tree) < 1e-11
+
+
+class TestResidualCheck:
+    def test_detects_a_perturbed_value_field(self):
+        tree = Tree(N=6, T=1.0, m=1)
+        p = linear_problem(tree, c_y=-0.1, c_z1=0.2, c_z2=0.1,
+                           psi_fn=lambda t, w: np.sin(w[:, 0]) + t)
+        sol = B.solve_bsvie(p, tree, tol=1e-13)
+        assert sol.diagnostics["equation_residual"] < 1e-11
+        sol.Y.values[3] = sol.Y[3] + 1e-6
+        assert B.equation_residual(sol, p, tree) == pytest.approx(
+            1e-6, rel=0.1)
+
+    def test_weight_tables_built_once_per_solve(self, monkeypatch):
+        tree = Tree(N=6, T=1.0, m=1)
+        kern = K.make_fractional(0.7, K.ANTICAUSAL, tree.T)
+        p = linear_problem(tree, c_y=-0.4, c_z1=0.2, kernel=kern)
+        builds, cells = [], []
+        term_weights, cell = B._term_weights, K.Kernel.cell
+
+        def counted_weights(*args):
+            builds.append(1)
+            return term_weights(*args)
+
+        def counted_cell(self, *args):
+            cells.append(1)
+            return cell(self, *args)
+
+        monkeypatch.setattr(B, "_term_weights", counted_weights)
+        monkeypatch.setattr(K.Kernel, "cell", counted_cell)
+        sol = B.solve_bsvie(p, tree, tol=1e-13)
+        assert len(builds) == 1
+        assert len(cells) == tree.N * (tree.N + 1) // 2
+        # the public check builds its own tables
+        assert B.equation_residual(sol, p, tree) == \
+            sol.diagnostics["equation_residual"]
+        assert len(builds) == 2
+
+
+class TestInexactRepresentationWarning:
+    def test_two_noise_coordinates_warn_with_both_residuals(self):
+        tree = Tree(N=6, T=1.0, m=2)
+        psi = terminal_from_function(
+            tree, lambda t, w: np.sin(w[:, 0] * w[:, 1]) + t)
+        p = B.BSVIEProblem(psi, [B.GeneratorTerm(
+            lambda t, s, y, z1, z2: -0.5 * y)], m=2)
+        with pytest.warns(B.RepresentationWarning,
+                          match="L2 projection") as record:
+            sol = B.solve_bsvie(p, tree)
+        diag = sol.diagnostics
+        assert diag["m_condition_residual"] > 0.1
+        assert diag["equation_residual"] > 0.1
+        message = str(record[0].message)
+        assert f"{diag['m_condition_residual']:.3e}" in message
+        assert f"{diag['equation_residual']:.3e}" in message
+        assert issubclass(B.RepresentationWarning, UserWarning)
+
+    def test_one_noise_coordinate_does_not_warn(self):
+        tree = Tree(N=5, T=1.0, m=1)
+        p = linear_problem(tree, c_y=-0.4, c_z1=0.2, c_z2=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", B.RepresentationWarning)
+            B.solve_bsvie(p, tree)
 
 
 class TestDenseOracle:

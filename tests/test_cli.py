@@ -45,6 +45,27 @@ class TestConfigValidation:
         assert "storage budget" in capsys.readouterr().err
 
 
+    def test_forward_study_rejects_nonpositive_step_count(self, tmp_path,
+                                                           capsys):
+        cfg = write_config(tmp_path, {
+            "tree": {"N": 8, "T": 1.0},
+            "forward": {"problem": "fractional_relaxation",
+                        "N_list": [16, 0]}})
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "forward"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "N_list" in err
+
+    def test_forward_study_requires_tree_horizon(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "forward": {"problem": "fractional_relaxation",
+                        "N_list": [16, 32]}})
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "forward"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "tree.T" in err
+
+
 class TestKernelCommand:
     def test_report_written(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -114,6 +114,108 @@ class TestMartingaleRepresentation:
         assert np.max(np.abs(recon - x)) < 1e-13
 
 
+def reference_representation(tree, values, from_depth, to_depth):
+    """Reshape/mean/einsum form of the one-step representation, kept here
+    as the reference the strided branch form must reproduce."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    signs = tree.branch_signs
+    nb = 1 << tree.m
+    z = []
+    for j in range(from_depth - 1, to_depth - 1, -1):
+        resh = x.reshape(tree.node_count(j), nb, x.shape[1])
+        zj = np.einsum("nbd,bk->ndk", resh, signs) / (nb * tree.sqrt_dt) \
+            if tree.m > 0 else np.zeros((tree.node_count(j), x.shape[1], 0))
+        z.append(zj)
+        x = resh.mean(axis=1)
+    z.reverse()
+    return x, z
+
+
+def reference_integral(tree, z_list, a, b):
+    """Repeat/einsum form of the stochastic integral (reference copy)."""
+    signs = tree.branch_signs
+    d = z_list[0].shape[1] if z_list else tree.d
+    acc = np.zeros((tree.node_count(a), d))
+    for offset, zj in enumerate(z_list):
+        j = a + offset
+        contrib = tree.sqrt_dt * np.einsum("ndk,bk->nbd", zj, signs)
+        acc = (np.repeat(acc, 1 << tree.m, axis=0)
+               + contrib.reshape(tree.node_count(j + 1), d))
+    return acc
+
+
+class TestStridedBranchForm:
+    """The strided branch slices x[b::2**m] reproduce the reshape/einsum
+    formulas: bit for bit at m <= 2, to the last bits at m = 3."""
+
+    DEPTHS = {0: 7, 1: 7, 2: 4, 3: 3}
+    PAIRS = ((-1, 0), (-1, -2), (-2, 1), (2, 2), (2, 0))
+
+    def cases(self):
+        rng = np.random.default_rng(2024)
+        for m, N in self.DEPTHS.items():
+            tree = Tree(N=N, T=1.3, m=m)
+            for d in (1, 3):
+                for a, b in self.PAIRS:
+                    hi, lo = a % (N + 1), b % (N + 1)
+                    yield m, tree, d, hi, lo, rng
+
+    @staticmethod
+    def agree(m, got, want):
+        if m <= 2:
+            return np.array_equal(got, want)
+        return got.shape == want.shape and \
+            float(np.max(np.abs(got - want), initial=0.0)) <= 1e-14
+
+    def test_representation_matches_reference(self):
+        for m, tree, d, hi, lo, rng in self.cases():
+            x = rng.normal(size=(tree.node_count(hi), d))
+            mean, z = tree.martingale_representation(x, hi, lo)
+            ref_mean, ref_z = reference_representation(tree, x, hi, lo)
+            assert self.agree(m, mean, ref_mean), (m, d, hi, lo)
+            assert len(z) == len(ref_z) == hi - lo
+            for zj, rj in zip(z, ref_z):
+                assert self.agree(m, zj, rj), (m, d, hi, lo)
+
+    def test_integral_matches_reference(self):
+        for m, tree, d, hi, lo, rng in self.cases():
+            z = [rng.normal(size=(tree.node_count(j), d, m))
+                 for j in range(lo, hi)]
+            got = tree.stochastic_integral(z, lo, hi)
+            assert self.agree(m, got, reference_integral(tree, z, lo, hi)), \
+                (m, d, hi, lo)
+
+    def test_signed_sum_every_sign_pattern(self):
+        from itertools import product
+        from svolterra.lattice import _signed_sum
+        x = np.random.default_rng(8).normal(size=(64, 1))
+        x0 = x.copy()
+        for count in range(4):
+            parts = [x[b::8] for b in range(count)]
+            for positive in product((True, False), repeat=count):
+                want = 0.0
+                for part, plus in zip(parts, positive):
+                    want = want + part if plus else want - part
+                out = np.empty((8, 1, 3))[:, :, 1]
+                got = _signed_sum(parts, positive, out)
+                assert np.array_equal(np.broadcast_to(got, (8, 1)),
+                                      np.broadcast_to(want, (8, 1)))
+        assert np.array_equal(x, x0)
+
+    def test_inputs_left_unchanged(self):
+        tree = Tree(N=4, T=1.0, m=2)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(tree.node_count(4), 2))
+        z = [rng.normal(size=(tree.node_count(j), 2, 2)) for j in range(4)]
+        x0, z0 = x.copy(), [zj.copy() for zj in z]
+        tree.martingale_representation(x, 4, 0)
+        tree.stochastic_integral(z, 0, 4)
+        assert np.array_equal(x, x0)
+        assert all(np.array_equal(a, b) for a, b in zip(z, z0))
+
+
 class TestItoIsometry:
     def test_residual_zero_for_random_integrands(self):
         tree = Tree(N=6, T=1.0, m=1)
