@@ -10,7 +10,8 @@ suite     run the acceptance criteria and emit a summary
 
 Configs are JSON documents; every run writes a report whose content is a
 deterministic function of (config, seed) apart from the timing block.
-Exit code 0 means every requested check passed.
+Exit code 0 means every requested check passed, 2 a config error and 3 a
+solver error.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from . import forward as fwd
 from . import kernels as K
 from . import registry as reg
 from .lattice import Tree
-from .special import mittag_leffler
+from .special import MittagLefflerBudgetError, mittag_leffler
 
 
 class ConfigError(ValueError):
@@ -367,6 +368,12 @@ _COMMANDS = {
 }
 
 
+# failures of a solver on a valid config: exit code 3
+SOLVER_ERRORS = (bwd.DivergenceError, bwd.BlockPartitionError,
+                 fwd.PartitionInfeasibleError, fwd.ContractionError,
+                 K.QuadratureError, K.KernelEvalError, MittagLefflerBudgetError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -375,6 +382,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SOLVER_ERRORS as exc:
+        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

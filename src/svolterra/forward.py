@@ -148,19 +148,10 @@ def _drift_weights(problem: SVIEProblem, tree: Tree) -> np.ndarray:
     N = tree.N
     t = tree.times
     kern = problem.drift_kernel
+    cell = kern.cell_fn or kern.cell
     w = np.zeros((N + 1, N))
     for i in range(1, N + 1):
-        a, b = t[:i], t[1:i + 1]
-        if kern.cell_fn is not None:
-            try:
-                row = np.asarray(kern.cell_fn(t[i], a, b), dtype=float)
-                if row.shape == a.shape:
-                    w[i, :i] = row
-                    continue
-            except (TypeError, ValueError):
-                pass
-        w[i, :i] = [kern.cell(t[i], float(x), float(y))
-                    for x, y in zip(a, b)]
+        w[i, :i] = _cells_vectorized(cell, t[i], t[:i], t[1:i + 1])
     return w
 
 

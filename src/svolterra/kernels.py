@@ -44,6 +44,7 @@ DEFAULT_EPS_GRID = (1.0, 0.5, 0.25, 0.125)
 DEFAULT_BREAKPOINT_CAP = 4096
 _GROWTH_FACTOR = 1.5  # refinement growth ratio that flags a divergent integral
 _BISECT_MARGIN = 1e-3  # relative shrink applied to greedy breakpoints
+_FAST_RUN_CAP = 512  # most fast-path breakpoints probed in one batch
 
 
 class KernelEvalError(RuntimeError):
@@ -228,8 +229,8 @@ class Kernel:
 
         return _quad_power_aware(f, a, b, left_exp, 0.0)
 
-    def slice_l2_profile(self, xs: np.ndarray, b: float) -> np.ndarray:
-        """Vector of slice L2 norms slice_l2(x, b) over x in xs."""
+    def slice_l2_profile(self, xs: np.ndarray, b) -> np.ndarray:
+        """Slice L2 norms slice_l2(x, b) over x in xs, b broadcast against xs."""
         xs = np.asarray(xs, dtype=float)
         if self.meta.get("vector_slices"):
             if self.slice_sq_fn is not None:
@@ -239,7 +240,9 @@ class Kernel:
             v = np.asarray(v, dtype=float)
             v = np.where(np.isfinite(v), np.maximum(v, 0.0), np.inf)
             return np.sqrt(v)
-        return np.array([slice_l2(self, float(x), b) for x in xs])
+        xs, bs = np.broadcast_arrays(xs, b)
+        return np.array([slice_l2(self, float(x), float(u))
+                         for x, u in zip(xs.flat, bs.flat)]).reshape(xs.shape)
 
 
 def _quad_power_aware(f, a, b, left_exp=0.0, right_exp=0.0):
@@ -633,56 +636,89 @@ def slice_l2(kernel: Kernel, t: float, b: float) -> float:
     return math.sqrt(val)
 
 
-def _sup_grid(a: float, b: float, n_uniform: int, n_cluster: int) -> np.ndarray:
-    """Interior grid on (a, b), geometrically clustered toward both ends."""
+def _grid_rows(a: np.ndarray, b: np.ndarray, n_uniform: int,
+               n_cluster: int) -> np.ndarray:
+    """One row of interior points on (a_r, b_r) per interval r, clustered
+    geometrically toward both ends; rows are unsorted and may repeat points.
+    """
+    a, b = a[:, None], b[:, None]
     w = b - a
     offs = w * 2.0 ** -np.arange(1.0, n_cluster + 1.0)
-    pts = np.concatenate([a + offs, b - offs,
-                          np.linspace(a, b, n_uniform + 2)[1:-1]])
-    lo = a + 1e-14 * max(w, 1.0)
-    hi = b - 1e-14 * max(w, 1.0)
-    return np.unique(np.clip(pts, lo, hi))
+    # np.linspace(a, b, n_uniform + 2)[1:-1] row by row, without its overhead
+    uniform = np.arange(1.0, n_uniform + 1.0) * (w / (n_uniform + 1)) + a
+    pad = 1e-14 * np.maximum(w, 1.0)
+    return np.clip(np.concatenate([a + offs, b - offs, uniform], axis=1),
+                   a + pad, b - pad)
 
 
-def _sup_slice(kernel: Kernel, a: float, b: float, upper: float,
-               base_uniform: int = 9, base_cluster: int = 9,
-               include_left_endpoint: bool = True) -> float:
-    """Estimated esssup over x in (a, b) of slice_l2(x, upper).
+def _sup_grid(a: float, b: float, n_uniform: int, n_cluster: int) -> np.ndarray:
+    """Sorted interior grid on (a, b), geometrically clustered toward both ends."""
+    return np.unique(_grid_rows(np.array([a]), np.array([b]), n_uniform,
+                                n_cluster))
 
-    Max over a clustered grid, refined once; one Richardson step corrects
-    profiles still increasing under refinement, and growth beyond the
-    divergence factor flags inf.
-    """
-    hi = min(b, upper - 1e-14 * max(upper, 1.0))
-    if hi <= a:
-        return 0.0
-    xs1 = _sup_grid(a, hi, base_uniform, base_cluster)
-    xs2 = _sup_grid(a, hi, 2 * base_uniform, base_cluster + 8)
-    v1 = kernel.slice_l2_profile(xs1, upper)
-    v2 = kernel.slice_l2_profile(xs2, upper)
-    m1, m2 = float(np.max(v1)), float(np.max(v2))
-    if math.isinf(m1) or math.isinf(m2):
-        return math.inf
-    if m1 > 0 and m2 > _GROWTH_FACTOR * m1:
-        return math.inf
-    est = m2 + max(0.0, m2 - m1)
-    if include_left_endpoint and (kernel.slice_sq_fn is not None
-                                  or kernel.cell_sq_fn is not None):
+
+def _edge_slice_l2(kernel: Kernel, x: np.ndarray, upper: np.ndarray):
+    """slice_l2(x_r, upper_r) through the scalar slice hook; nan where the
+    hook cannot be evaluated."""
+    out = np.full(x.shape, np.nan)
+    for r, (xr, ur) in enumerate(zip(x, upper)):
         try:
-            edge = float(kernel.slice_sq(a, a, upper))
+            v = float(kernel.slice_sq(xr, xr, ur))
         except (ValueError, ZeroDivisionError, OverflowError):
-            edge = None
-        if edge is not None:
-            if not math.isfinite(edge):
-                return math.inf
-            est = max(est, math.sqrt(max(edge, 0.0)))
+            continue
+        out[r] = math.sqrt(max(v, 0.0)) if math.isfinite(v) else math.inf
+    return out
+
+
+def _sup_slice(kernel: Kernel, a, b, upper, base_uniform: int = 9,
+               base_cluster: int = 9,
+               include_left_endpoint: bool = True) -> np.ndarray:
+    """Estimated esssup over x in (a_r, b_r) of slice_l2(x, upper_r).
+
+    ``a``, ``b`` and ``upper`` broadcast to one 1-d batch of intervals, and
+    one estimate is returned per interval.  Each is the max over a
+    clustered grid, refined once; one Richardson step corrects profiles
+    still increasing under refinement, and growth beyond the divergence
+    factor flags inf.  Both grids of the whole batch (and, for vectorized
+    slices, the left endpoints) are measured in one profile call.
+    """
+    a, b, upper = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, upper)))
+    hi = np.minimum(b, upper - 1e-14 * np.maximum(upper, 1.0))
+    est = np.zeros(a.shape)
+    live = hi > a
+    if not live.all():
+        if not live.any():
+            return est
+        a, hi, upper = a[live], hi[live], upper[live]
+    cols = [_grid_rows(a, hi, base_uniform, base_cluster),
+            _grid_rows(a, hi, 2 * base_uniform, base_cluster + 8)]
+    edge = include_left_endpoint and (kernel.slice_sq_fn is not None
+                                      or kernel.cell_sq_fn is not None)
+    vector_edge = edge and kernel.meta.get("vector_slices")
+    if vector_edge:
+        cols.append(a[:, None])
+    v = kernel.slice_l2_profile(np.concatenate(cols, axis=1), upper[:, None])
+    n1 = cols[0].shape[1]
+    n2 = n1 + cols[1].shape[1]
+    m1, m2 = v[:, :n1].max(axis=1), v[:, n1:n2].max(axis=1)
+    diverged = np.isinf(m1) | np.isinf(m2) \
+        | ((m1 > 0) & (m2 > _GROWTH_FACTOR * m1))
+    rise = np.subtract(m2, m1, out=np.zeros_like(m2), where=~diverged)
+    sup = m2 + np.maximum(0.0, rise)
+    if edge:
+        left = v[:, -1] if vector_edge else _edge_slice_l2(kernel, a, upper)
+        diverged |= np.isinf(left)
+        sup = np.fmax(sup, left)
+    sup[diverged] = np.inf
+    est[live] = sup
     return est
 
 
 def script_norm(kernel: Kernel, **kw) -> float:
     """esssup over x of the slice L2 norm up to the horizon (condition 1)."""
-    return _sup_slice(kernel, 0.0, kernel.horizon, kernel.horizon,
-                      base_uniform=15, base_cluster=14, **kw)
+    return float(_sup_slice(kernel, 0.0, kernel.horizon, kernel.horizon,
+                            base_uniform=15, base_cluster=14, **kw)[0])
 
 
 def triangle_l2_norm(kernel: Kernel) -> float:
@@ -759,7 +795,7 @@ class PartitionInfeasible:
     measured_sup: float
 
 
-def _block_sup(kernel: Kernel, a: float, b: float, fine: bool = False) -> float:
+def _block_sup(kernel: Kernel, a, b, fine: bool = False) -> np.ndarray:
     base, clus = (25, 16) if fine else (9, 9)
     return _sup_slice(kernel, a, b, b, base_uniform=base, base_cluster=clus)
 
@@ -772,8 +808,12 @@ def find_partition(kernel: Kernel, eps: float,
     Each breakpoint is the (bisected) maximal extension of the current
     interval, shrunk by a small safety margin so the finer re-verification
     grid stays below eps; when the previous width keeps working within a
-    couple of percent it is reused without a full bisection.  Returns a
-    re-verified :class:`Partition` or a :class:`PartitionInfeasible`.
+    couple of percent it is reused without a full bisection.  That fast
+    path depends only on the current breakpoint and width, so the
+    breakpoints it would place are chained ahead and a run of them is
+    probed in one batch; the run doubles while every probe accepts, up to
+    ``_FAST_RUN_CAP``.  Returns a re-verified :class:`Partition` or a
+    :class:`PartitionInfeasible`.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -783,7 +823,7 @@ def find_partition(kernel: Kernel, eps: float,
     min_step = 1e-9 * T
 
     def feasible(a, b):
-        return _block_sup(kernel, a, b) < eps
+        return bool(_block_sup(kernel, a, b)[0] < eps)
 
     def left_edge_infeasible(a):
         # no interval starting at a works at any length: blow-up witness
@@ -801,7 +841,7 @@ def find_partition(kernel: Kernel, eps: float,
         while g > min_step:
             if feasible(T - g, T):
                 return PartitionInfeasible(eps, "budget", a,
-                                           float(_block_sup(kernel, a, T)))
+                                           float(_block_sup(kernel, a, T)[0]))
             g /= 2.0
         xs = _sup_grid(T - max(2 * min_step, T * 2.0 ** -20), T, 15, 12)
         vals = kernel.slice_l2_profile(xs, T)
@@ -809,47 +849,74 @@ def find_partition(kernel: Kernel, eps: float,
         return PartitionInfeasible(eps, "mathematical", float(xs[best[-1]]),
                                    float(np.max(vals)))
 
-    while True:
-        a = breakpoints[-1]
-        if feasible(a, T):
-            breakpoints.append(T)
-            break
-        if len(breakpoints) > cap:
-            return tail_classification(a)
-        # fast path: previous width still nearly maximal
-        b = None
-        if prev_width is not None and a + prev_width < T \
-                and feasible(a, a + prev_width):
-            if a + 1.02 * prev_width >= T \
-                    or not feasible(a, a + 1.02 * prev_width):
-                b = a + prev_width
-        if b is None:
-            # bracket a feasible extension, then bisect
-            guess = prev_width if prev_width else (T - a) / 2.0
-            g = min(guess, (T - a) * 0.5)
-            lo = None
-            while g > min_step:
-                if feasible(a, a + g):
-                    lo = a + g
-                    break
-                g /= 2.0
-            if lo is None:
+    def probe_ends(a, width):
+        # the interval (a, T], then the fast path's (a, a + width] and
+        # (a, a + 1.02 width] while they end before T
+        ends = [T]
+        if width is not None and a + width < T:
+            ends.append(a + width)
+            if a + 1.02 * width < T:
+                ends.append(a + 1.02 * width)
+        return ends
+
+    def extend(a, width):
+        # bracket a feasible extension, then bisect; None when none exists
+        guess = width if width else (T - a) / 2.0
+        g = min(guess, (T - a) * 0.5)
+        lo = None
+        while g > min_step:
+            if feasible(a, a + g):
+                lo = a + g
+                break
+            g /= 2.0
+        if lo is None:
+            return None
+        hi = min(a + 4.0 * (lo - a), T)
+        if feasible(a, hi):
+            lo, hi = hi, T
+        tol = max(breakpoint_rel_tol * T, 0.5e-3 * (lo - a))
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if feasible(a, mid):
+                lo = mid
+            else:
+                hi = mid
+        return a + (1.0 - _BISECT_MARGIN) * (lo - a)
+
+    run = 1
+    while breakpoints[-1] < T:
+        # the breakpoints the fast path would place if it kept accepting
+        chain = [(breakpoints[-1], prev_width)]
+        ends = [probe_ends(*chain[-1])]
+        while len(chain) < run and len(ends[-1]) > 1:
+            a, width = chain[-1]
+            chain.append((a + width, (a + width) - a))
+            ends.append(probe_ends(*chain[-1]))
+        ok = iter(_block_sup(kernel,
+                             [a for (a, _), e in zip(chain, ends) for _ in e],
+                             [b for e in ends for b in e]) < eps)
+        for (a, width), e in zip(chain, ends):
+            reach, *fast = (bool(next(ok)) for _ in e)
+            if reach:
+                breakpoints.append(T)
+                break
+            if len(breakpoints) > cap:
+                return tail_classification(a)
+            # fast path: (a, a + width] passes and (a, a + 1.02 width] fails
+            # or reaches past T
+            accept = fast in ([True], [True, False])
+            b = a + width if accept else extend(a, width)
+            if b is None:
                 return left_edge_infeasible(a)
-            hi = min(a + 4.0 * (lo - a), T)
-            if feasible(a, hi):
-                lo, hi = hi, T
-            tol = max(breakpoint_rel_tol * T, 0.5e-3 * (lo - a))
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if feasible(a, mid):
-                    lo = mid
-                else:
-                    hi = mid
-            b = a + (1.0 - _BISECT_MARGIN) * (lo - a)
-        if b - a < min_step:
-            return tail_classification(a)
-        breakpoints.append(b)
-        prev_width = b - a
+            if b - a < min_step:
+                return tail_classification(a)
+            breakpoints.append(b)
+            prev_width = b - a
+            if not accept:
+                run = 1
+                break
+        else:
+            run = min(2 * run, _FAST_RUN_CAP)
 
     part = Partition(tuple(breakpoints))
     bad = reverify_partition(kernel, part, eps)
@@ -869,12 +936,17 @@ def find_partition(kernel: Kernel, eps: float,
 
 
 def reverify_partition(kernel: Kernel, part: Partition, eps: float):
-    """Remeasure each interval's sup on a finer grid; None when all pass."""
-    for i, (a, b) in enumerate(part.intervals):
-        sup = _block_sup(kernel, a, b, fine=True)
-        if not sup < eps:
-            return i, sup
-    return None
+    """Remeasure every interval's sup on a finer grid, all in one batch.
+
+    Returns None when all pass, else the first failing interval's index
+    and its measured sup.
+    """
+    a, b = np.array(part.intervals).T
+    sups = _block_sup(kernel, a, b, fine=True)
+    bad = np.flatnonzero(~(sups < eps))
+    if bad.size == 0:
+        return None
+    return int(bad[0]), float(sups[bad[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,9 +60,12 @@ class Tree:
     def sqrt_dt(self) -> float:
         return math.sqrt(self.dt)
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.N + 1)
+        """Grid times t_i = i T / N, computed once per tree, read-only."""
+        t = np.linspace(0.0, self.T, self.N + 1)
+        t.setflags(write=False)
+        return t
 
     def node_count(self, depth: int) -> int:
         self._check_depth(depth)

@@ -56,6 +56,18 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error:" in err and "N_list" in err
 
+    def test_solver_failure_exits_three(self, tmp_path, capsys):
+        # the Mittag-Leffler reference of the resolution study runs out of
+        # series budget at lam = -100
+        cfg = write_config(tmp_path, {
+            "tree": {"N": 8, "T": 1.0},
+            "forward": {"problem": "fractional_relaxation", "alpha": 0.5,
+                        "lam": -100, "N_list": [16, 32]}})
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "forward"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: MittagLefflerBudgetError: ")
+
     def test_forward_study_requires_tree_horizon(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "forward": {"problem": "fractional_relaxation",

@@ -100,6 +100,28 @@ class TestSolveLattice:
             assert sol.X[i].shape == (tree.node_count(i), 1)
 
 
+class TestDriftWeights:
+    @pytest.mark.parametrize("kern", [
+        K.make_fractional(0.6, K.CAUSAL),
+        K.make_exp_sum([1.0, 0.5], [2.0, 0.0]),
+        K.make_fbm_full(0.3)], ids=lambda k: k.label)
+    def test_rows_are_the_cell_integrals(self, kern):
+        # closed-form hooks give a whole row at once; kernels without one
+        # integrate cell by cell
+        tree = Tree(N=6, T=1.0, m=1)
+        p = F.SVIEProblem(1.0, lambda t: np.array([1.0]), drift_kernel=kern,
+                          drift_factor=lambda s, x: -x)
+        w = F._drift_weights(p, tree)
+        t = tree.times
+        for i in range(1, tree.N + 1):
+            if kern.cell_fn is not None:
+                row = kern.cell_fn(t[i], t[:i], t[1:i + 1])
+            else:
+                row = [kern.cell(t[i], t[j], t[j + 1]) for j in range(i)]
+            assert np.array_equal(w[i, :i], row)
+            assert not w[i, i:].any()
+
+
 class TestSolvePicard:
     def test_zero_coefficients_single_sweep(self):
         tree = Tree(N=6, T=1.0, m=1)

@@ -352,3 +352,252 @@ class TestKernelInvariants:
         assert mk.orientation == K.CAUSAL
         assert mk(0.7, 0.2) == pytest.approx(float(k(0.2, np.array(0.7))),
                                              rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# batched partition probes against a one-interval-at-a-time reference
+# ---------------------------------------------------------------------------
+
+def ref_sup_grid(a, b, n_uniform, n_cluster):
+    w = b - a
+    offs = w * 2.0 ** -np.arange(1.0, n_cluster + 1.0)
+    pts = np.concatenate([a + offs, b - offs,
+                          np.linspace(a, b, n_uniform + 2)[1:-1]])
+    lo = a + 1e-14 * max(w, 1.0)
+    hi = b - 1e-14 * max(w, 1.0)
+    return np.unique(np.clip(pts, lo, hi))
+
+
+def ref_sup_slice(kernel, a, b, upper, base_uniform=9, base_cluster=9):
+    """One interval per call, one profile call per grid."""
+    hi = min(b, upper - 1e-14 * max(upper, 1.0))
+    if hi <= a:
+        return 0.0
+    xs1 = ref_sup_grid(a, hi, base_uniform, base_cluster)
+    xs2 = ref_sup_grid(a, hi, 2 * base_uniform, base_cluster + 8)
+    m1 = float(np.max(kernel.slice_l2_profile(xs1, upper)))
+    m2 = float(np.max(kernel.slice_l2_profile(xs2, upper)))
+    if math.isinf(m1) or math.isinf(m2):
+        return math.inf
+    if m1 > 0 and m2 > K._GROWTH_FACTOR * m1:
+        return math.inf
+    est = m2 + max(0.0, m2 - m1)
+    if kernel.slice_sq_fn is not None or kernel.cell_sq_fn is not None:
+        try:
+            edge = float(kernel.slice_sq(a, a, upper))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            edge = None
+        if edge is not None:
+            if not math.isfinite(edge):
+                return math.inf
+            est = max(est, math.sqrt(max(edge, 0.0)))
+    return est
+
+
+def ref_block_sup(kernel, a, b, fine=False):
+    base, clus = (25, 16) if fine else (9, 9)
+    return ref_sup_slice(kernel, a, b, b, base, clus)
+
+
+def ref_reverify(kernel, part, eps):
+    for i, (a, b) in enumerate(part.intervals):
+        sup = ref_block_sup(kernel, a, b, fine=True)
+        if not sup < eps:
+            return i, sup
+    return None
+
+
+def ref_find_partition(kernel, eps, cap=K.DEFAULT_BREAKPOINT_CAP,
+                       breakpoint_rel_tol=1e-6):
+    """The greedy loop probing one interval per call."""
+    T = kernel.horizon
+    breakpoints = [0.0]
+    prev_width = None
+    min_step = 1e-9 * T
+
+    def feasible(a, b):
+        return ref_block_sup(kernel, a, b) < eps
+
+    def left_edge_infeasible(a):
+        g = max(2.0 * min_step, (T - a) * 2.0 ** -12)
+        xs = ref_sup_grid(a, a + g, 9, 9)
+        vals = kernel.slice_l2_profile(xs, a + g)
+        idx = int(np.argmax(vals))
+        return K.PartitionInfeasible(eps, "mathematical", float(xs[idx]),
+                                     float(vals[idx]))
+
+    def tail_classification(a):
+        g = T - a
+        while g > min_step:
+            if feasible(T - g, T):
+                return K.PartitionInfeasible(
+                    eps, "budget", a, float(ref_block_sup(kernel, a, T)))
+            g /= 2.0
+        xs = ref_sup_grid(T - max(2 * min_step, T * 2.0 ** -20), T, 15, 12)
+        vals = kernel.slice_l2_profile(xs, T)
+        best = np.flatnonzero(vals >= np.max(vals) - 1e-12)
+        return K.PartitionInfeasible(eps, "mathematical", float(xs[best[-1]]),
+                                     float(np.max(vals)))
+
+    while True:
+        a = breakpoints[-1]
+        if feasible(a, T):
+            breakpoints.append(T)
+            break
+        if len(breakpoints) > cap:
+            return tail_classification(a)
+        b = None
+        if prev_width is not None and a + prev_width < T \
+                and feasible(a, a + prev_width):
+            if a + 1.02 * prev_width >= T \
+                    or not feasible(a, a + 1.02 * prev_width):
+                b = a + prev_width
+        if b is None:
+            guess = prev_width if prev_width else (T - a) / 2.0
+            g = min(guess, (T - a) * 0.5)
+            lo = None
+            while g > min_step:
+                if feasible(a, a + g):
+                    lo = a + g
+                    break
+                g /= 2.0
+            if lo is None:
+                return left_edge_infeasible(a)
+            hi = min(a + 4.0 * (lo - a), T)
+            if feasible(a, hi):
+                lo, hi = hi, T
+            tol = max(breakpoint_rel_tol * T, 0.5e-3 * (lo - a))
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if feasible(a, mid):
+                    lo = mid
+                else:
+                    hi = mid
+            b = a + (1.0 - K._BISECT_MARGIN) * (lo - a)
+        if b - a < min_step:
+            return tail_classification(a)
+        breakpoints.append(b)
+        prev_width = b - a
+
+    part = K.Partition(tuple(breakpoints))
+    bad = ref_reverify(kernel, part, eps)
+    if bad is not None:
+        i, sup = bad
+        bp = list(part.breakpoints)
+        if i + 1 < len(bp) - 1:
+            bp[i + 1] = bp[i] + 0.9 * (bp[i + 1] - bp[i])
+            part = K.Partition(tuple(bp))
+            if ref_reverify(kernel, part, eps) is None:
+                return part
+        raise K.QuadratureError("re-verification failed")
+    return part
+
+
+def _scalar_hook_kernel():
+    # closed-form slice hook that only accepts scalars (no vector_slices)
+    frac = K.make_fractional(0.8, K.ANTICAUSAL)
+
+    def slice_sq(x, a, b):
+        assert np.ndim(x) == 0 and np.ndim(b) == 0
+        return frac.slice_sq_fn(x, a, b)
+
+    return K.Kernel("scalar_hook", K.ANTICAUSAL, 1.0, frac.eval_fn,
+                    frac.singularity_hint, slice_sq_fn=slice_sq)
+
+
+def _numeric_kernel():
+    # no hooks at all: every slice is an adaptive quadrature
+    def ev(t, s):
+        return np.exp(-(np.asarray(s, dtype=float) - t))
+
+    return K.Kernel("exp_numeric", K.ANTICAUSAL, 1.0, ev, (0.0, 0.0))
+
+
+def _log_convolution():
+    def h(r):
+        r = np.maximum(np.asarray(r, dtype=float), 1e-300)
+        return 1.0 / (np.sqrt(r) * np.abs(np.log(r)))
+
+    def h2(r):
+        r = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where(r <= 0.0, 0.0, -1.0 / np.log(r))
+
+    return K.make_convolution(h, 0.5, K.ANTICAUSAL, h_sq_antiderivative=h2,
+                              diag_exponent=0.5)
+
+
+SUP_KERNELS = [
+    K.make_fractional(0.8, K.ANTICAUSAL),
+    K.make_fractional(0.6, K.CAUSAL),
+    K.make_fractional(0.4, K.ANTICAUSAL),
+    K.make_doubly_singular(0.4, 0.0),
+    K.make_doubly_singular(0.3, 0.2, K.CAUSAL),
+    K.make_exp_sum([0.8, 0.4], [3.0, 0.5], orientation=K.ANTICAUSAL),
+    K.make_constant(1.0, orientation=K.ANTICAUSAL),
+    K.make_constant(0.0, horizon=2.0),
+    K.make_counterexample_sup(1.0),
+    K._shifted_inverse_sqrt(1.0),
+    _scalar_hook_kernel(),
+    _numeric_kernel(),
+]
+
+
+class TestBatchedPartitionProbes:
+    @pytest.mark.parametrize("kern", SUP_KERNELS, ids=lambda k: k.label)
+    def test_batched_sup_equals_one_interval_sup(self, kern):
+        T = kern.horizon
+        a = np.array([0.0, 0.0, 0.1, 0.3, 0.3, 0.5, 0.9, 0.99, 0.7]) * T
+        b = np.array([1.0, 0.01, 0.2, 0.3001, 0.8, 1.0, 1.0, 1.0, 0.6]) * T
+        for kw in ({}, {"base_uniform": 25, "base_cluster": 16},
+                   {"base_uniform": 15, "base_cluster": 14}):
+            got = K._sup_slice(kern, a, b, b, **kw)
+            want = [ref_sup_slice(kern, x, y, y, **kw) for x, y in zip(a, b)]
+            assert np.array_equal(got, want)
+        assert K.script_norm(kern) == ref_sup_slice(kern, 0.0, T, T, 15, 14)
+
+    def test_sorted_grid_equals_linspace_grid(self):
+        for a, b in [(0.0, 1.0), (0.25, 0.2500001), (0.3, 7.5)]:
+            for n, c in [(9, 9), (18, 17), (15, 12)]:
+                assert np.array_equal(K._sup_grid(a, b, n, c),
+                                      ref_sup_grid(a, b, n, c))
+
+    @pytest.mark.parametrize("kern, eps", [
+        (K.make_doubly_singular(0.4, 0.0), 1.0),    # 3,136 intervals
+        (K.make_doubly_singular(0.3, 0.2), 1.0),    # fast path breaks
+        (K.make_doubly_singular(0.3, 0.2), 2.0),
+        (K.make_fractional(0.8, K.ANTICAUSAL), 0.125),
+        (_log_convolution(), 0.7),
+        (K.make_counterexample_sup(1.0), 1.0),
+    ], ids=lambda v: getattr(v, "label", repr(v)))
+    def test_partition_equals_one_interval_search(self, kern, eps):
+        assert K.find_partition(kern, eps) == ref_find_partition(kern, eps)
+
+    def test_small_cap_gives_same_infeasibility(self):
+        kern = K.make_doubly_singular(0.4, 0.0)
+        got = K.find_partition(kern, 1.0, cap=40)
+        assert isinstance(got, K.PartitionInfeasible)
+        assert got == ref_find_partition(kern, 1.0, cap=40)
+
+    def test_perturbed_partition_same_first_failure(self):
+        kern = K.make_doubly_singular(0.4, 0.0)
+        bp = list(K.find_partition(kern, 1.0).breakpoints)
+        assert len(bp) > 40
+        bp[30] = bp[29] + 0.999 * (bp[31] - bp[29])   # widen interval 29
+        bp[20] = bp[19] + 0.999 * (bp[21] - bp[19])   # and interval 19
+        part = K.Partition(tuple(bp))
+        got = K.reverify_partition(kern, part, 1.0)
+        assert got is not None and got[0] == 19
+        assert got == ref_reverify(kern, part, 1.0)
+
+    def test_classify_profile_call_count(self, monkeypatch):
+        calls = []
+        profile = K.Kernel.slice_l2_profile
+
+        def counted(self, xs, b):
+            calls.append(1)
+            return profile(self, xs, b)
+
+        monkeypatch.setattr(K.Kernel, "slice_l2_profile", counted)
+        K.classify(K.make_doubly_singular(0.4, 0.0), eps_grid=(2.0, 1.0))
+        assert len(calls) <= 400

@@ -16,6 +16,13 @@ class TestTreeBasics:
     def test_node_counts(self, tree):
         assert [tree.node_count(i) for i in range(4)] == [1, 2, 4, 8]
 
+    def test_times_cached_and_read_only(self, tree):
+        t = tree.times
+        assert np.array_equal(t, np.linspace(0.0, tree.T, tree.N + 1))
+        assert tree.times is t
+        with pytest.raises(ValueError):
+            t[1] = 0.5
+
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             Tree(N=30, T=1.0, m=1)
