@@ -19,6 +19,10 @@ Both converge to the same discrete system, so they agree to solver
 tolerance.  Weight tables without diagonal cells (the transposed explicit
 schemes of the control and delay adjoints) make the system explicit
 backward substitution, which the global route then solves in one pass.
+
+Every pass computes a cell's weighted generator drift, z2 rule included,
+with ``_cell_drift``; the block partition comes from
+:func:`kernels.grid_blocks`.
 """
 from __future__ import annotations
 
@@ -29,9 +33,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import (ANTICAUSAL, Kernel, KernelClassWarning, Partition,
-                      find_partition, make_fractional, script_norm,
-                      triangle_l2_norm)
+from .kernels import (ANTICAUSAL, Kernel, KernelClassWarning, grid_blocks,
+                      make_fractional, script_norm, triangle_l2_norm)
 from .lattice import (AdaptedProcess, TerminalField, Tree,
                       TwoParameterProcess)
 from .special import gamma_fn
@@ -221,32 +224,55 @@ def strictly_upper_weights(tree: Tree) -> np.ndarray:
     return np.triu(np.full((tree.N + 1, tree.N), tree.dt), 1)
 
 
+def _cell_drift(problem: BSVIEProblem, tables, i: int, j: int, acc,
+                y: Optional[np.ndarray], z1: np.ndarray,
+                z2_below: Optional[Callable]):
+    """``acc`` plus the weighted generator drift of cell j in row i.
+
+    The generator reads y = Y(t_j), z1 = Z(t_i, t_j) and z2 = Z(t_j, t_i)
+    at depth j: z1 itself on the diagonal cell, otherwise the depth-i field
+    ``z2_below(j, i)`` repeated onto depth j (None when ``z2_below`` is
+    None).  z2 is fetched once per cell, and only when some weight of the
+    cell is nonzero; terms are added to ``acc`` one at a time, so callers
+    that carry a running sum keep its summation order.
+    """
+    tree = problem.tree
+    t = tree.times
+    live = [(table[i, j], term) for table, term in zip(tables, problem.terms)
+            if table[i, j] != 0.0]
+    if not live:
+        return acc
+    if j == i:
+        z2 = z1
+    elif z2_below is not None:
+        z2 = tree.broadcast(z2_below(j, i), i, j)
+    else:
+        z2 = None
+    for w, term in live:
+        acc = acc + w * np.asarray(term.fn(t[i], t[j], y, z1, z2),
+                                   dtype=float)
+    return acc
+
+
 def _outer_pass(tree: Tree, problem: BSVIEProblem, weight_tables, i: int,
                 start_field: np.ndarray, start_depth: int, stop_depth: int,
-                y_at: Callable, z2_at: Callable, keep_levels: bool = False):
+                y_at: Callable, z2_below: Optional[Callable],
+                keep_levels: bool = False):
     """Backward recursion in the inner time for one outer index i.
 
     Starting from ``start_field`` at ``start_depth``, each step splits off
     the exact representation integrand mu_j, then adds the weighted
-    generator drift; the z1 argument is mu_j itself (pinned before the
-    generator applies) and the z2 argument comes from ``z2_at`` except on
-    the diagonal cell where it coincides with mu_j.
+    generator drift of :func:`_cell_drift` with z1 = mu_j (pinned before
+    the generator applies) and z2 read through ``z2_below``.
     """
-    t = tree.times
     lam = start_field
     mu = {}
     levels = {start_depth: lam} if keep_levels else None
     for j in range(start_depth - 1, stop_depth - 1, -1):
         mean, zs = tree.martingale_representation(lam, j + 1, j)
         mu_j = zs[0]
-        drift = np.zeros_like(mean)
-        for idx, term in enumerate(problem.terms):
-            w = weight_tables[idx][i, j]
-            if w == 0.0:
-                continue
-            z2 = mu_j if j == i else z2_at(j, i)
-            drift = drift + w * np.asarray(
-                term.fn(t[i], t[j], y_at(j), mu_j, z2), dtype=float)
+        drift = _cell_drift(problem, weight_tables, i, j,
+                            np.zeros_like(mean), y_at(j), mu_j, z2_below)
         lam = mean + drift
         mu[j] = mu_j
         if keep_levels:
@@ -283,7 +309,7 @@ def _block_fixed_point(problem: BSVIEProblem, tree: Tree, weight_tables,
             lam, mu_i, _ = _outer_pass(
                 tree, problem, weight_tables, i, psi_fields[i], hi, i,
                 y_at=lambda j: y[j],
-                z2_at=lambda j, ii: tree.broadcast(below[j][ii], ii, j))
+                z2_below=lambda j, ii: below[j][ii])
             new_y[i] = lam
             new_mu[i] = mu_i
         update_sq = 0.0
@@ -348,7 +374,11 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
         else:
             blocks = [(r, r + 1) for r in range(N)]
     elif method == "block":
-        blocks = _bsvie_blocks(problem, tree, partition_budget)
+        if problem.L_z2 is None and problem.L_y is None:
+            raise BlockPartitionError("the block method needs declared "
+                                      "Lipschitz kernels (L_y, L_z2)")
+        blocks = grid_blocks(problem.L_z2, problem.L_y, partition_budget,
+                             N, tree.T, BlockPartitionError)
     else:
         raise ValueError(f"unknown method {method!r}")
     diag["blocks"] = blocks
@@ -368,9 +398,7 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
             for i in outers:
                 lam, mu_i, _ = _outer_pass(
                     tree, problem, weight_tables, i, psi_fields[i], N, hi,
-                    y_at=lambda j: Y_fields[j],
-                    z2_at=lambda j, ii: tree.broadcast(Z.entry(j, ii),
-                                                       ii, j))
+                    y_at=lambda j: Y_fields[j], z2_below=Z.entry)
                 psi_fields[i] = lam
                 for j, m_val in mu_i.items():
                     Z.set_entry(i, j, m_val)
@@ -403,59 +431,6 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
             f"{diag['m_condition_residual']:.3e}, equation_residual = "
             f"{diag['equation_residual']:.3e}", RepresentationWarning)
     return sol
-
-
-def _bsvie_blocks(problem: BSVIEProblem, tree: Tree, budget: float):
-    """Grid blocks keeping the y/z2 coupling below the contraction budget."""
-    if problem.L_z2 is None and problem.L_y is None:
-        raise BlockPartitionError(
-            "the block method needs declared Lipschitz kernels (L_y, L_z2)")
-    half = budget / 2.0
-    T = tree.T
-    if problem.L_z2 is not None:
-        part = find_partition(problem.L_z2, math.sqrt(half))
-        if not isinstance(part, Partition):
-            raise BlockPartitionError(
-                f"z2-kernel partition infeasible: {part.reason}, witness "
-                f"t = {part.witness_t:.4g}")
-        breakpoints = list(part.breakpoints)
-    else:
-        breakpoints = [0.0, T]
-
-    def ly_mass(a, b):
-        if problem.L_y is None:
-            return 0.0
-        xs = np.linspace(a, b, 33)
-        vals = np.array([problem.L_y.slice_sq(float(x), float(x), b)
-                         for x in xs[:-1]])
-        if not np.all(np.isfinite(vals)):
-            return math.inf
-        return float(np.trapezoid(vals, xs[:-1]))
-
-    refined = [0.0]
-    for a, b in zip(breakpoints, breakpoints[1:]):
-        stack, out = [(a, b)], []
-        while stack:
-            lo_t, hi_t = stack.pop()
-            mass = ly_mass(lo_t, hi_t)
-            if mass > half and hi_t - lo_t > 1e-6 * T:
-                mid = 0.5 * (lo_t + hi_t)
-                stack.extend([(mid, hi_t), (lo_t, mid)])
-            elif not math.isfinite(mass):
-                raise BlockPartitionError(
-                    "y-kernel triangle mass diverges on small blocks")
-            else:
-                out.append((lo_t, hi_t))
-        out.sort()
-        refined.extend(h for _, h in out)
-
-    idx = sorted({min(max(int(math.floor(u / tree.dt)), 0), tree.N)
-                  for u in refined})
-    if idx[0] != 0:
-        idx.insert(0, 0)
-    if idx[-1] != tree.N:
-        idx.append(tree.N)
-    return [(a, b) for a, b in zip(idx, idx[1:]) if b > a]
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +467,7 @@ def solve_param_bsde_family(psi: TerminalField, h: Callable, tree: Tree,
     for i in range(S_index, tree.N + 1):
         lam, mu, levels = _outer_pass(
             tree, dummy, tables, i, psi[i], tree.N, R_index,
-            y_at=lambda j: None, z2_at=lambda j, ii: None,
-            keep_levels=True)
+            y_at=lambda j: None, z2_below=None, keep_levels=True)
         lam_all[i] = levels
         mu_all[i] = mu
     return ParamBSDEFamily(lam_all, mu_all)
@@ -521,7 +495,7 @@ def solve_sfie(psi: TerminalField, h: Callable, tree: Tree,
     for i in range(R_index, S_index + 1):
         lam, mu, _ = _outer_pass(
             tree, dummy, tables, i, psi[i], tree.N, S_index,
-            y_at=lambda j: None, z2_at=lambda j, ii: None)
+            y_at=lambda j: None, z2_below=None)
         psi_S[i] = lam
         Z[i] = mu
     return psi_S, Z
@@ -553,22 +527,15 @@ def equation_residual(sol: MSolution, problem: BSVIEProblem, tree: Tree,
     reuses the tables of the solve being checked; by default they are
     built from ``problem``.
     """
-    N, t = tree.N, tree.times
+    N = tree.N
     tables = _term_weights(problem, tree) if weight_tables is None \
         else weight_tables
     worst = 0.0
     for i in range(N + 1):
         drift = np.zeros((tree.node_count(i), problem.d))
         for j in range(i, N):
-            for idx, term in enumerate(problem.terms):
-                w = tables[idx][i, j]
-                if w == 0.0:
-                    continue
-                z2 = sol.Z.entry(i, j) if j == i \
-                    else tree.broadcast(sol.Z.entry(j, i), i, j)
-                drift = drift + w * np.asarray(
-                    term.fn(t[i], t[j], sol.Y[j], sol.Z.entry(i, j), z2),
-                    dtype=float)
+            drift = _cell_drift(problem, tables, i, j, drift, sol.Y[j],
+                                sol.Z.entry(i, j), sol.Z.entry)
             drift = tree.broadcast(drift, j, j + 1)
         rhs = problem.psi[i] + drift
         z_list = [sol.Z.entry(i, j) for j in range(i, N)]
@@ -593,7 +560,6 @@ def stability_gap_bsvie(p: BSVIEProblem, p2: BSVIEProblem,
             lhs_sq += tree.dt ** 2 * float(
                 tree.expectation((dz ** 2).sum(axis=(1, 2))))
 
-    t = tree.times
     tables1 = _term_weights(p, tree)
     tables2 = _term_weights(p2, tree)
     rhs_sq = 0.0
@@ -602,14 +568,10 @@ def stability_gap_bsvie(p: BSVIEProblem, p2: BSVIEProblem,
         rhs_sq += tree.dt * float(tree.expectation((dpsi ** 2).sum(axis=1)))
         gsum = np.zeros(tree.node_count(tree.N))
         for j in range(i, tree.N):
-            z2 = s2.Z.entry(i, j) if j == i \
-                else tree.broadcast(s2.Z.entry(j, i), i, j)
-            g1 = sum(tables1[idx][i, j] * np.asarray(
-                term.fn(t[i], t[j], s2.Y[j], s2.Z.entry(i, j), z2),
-                dtype=float) for idx, term in enumerate(p.terms))
-            g2 = sum(tables2[idx][i, j] * np.asarray(
-                term.fn(t[i], t[j], s2.Y[j], s2.Z.entry(i, j), z2),
-                dtype=float) for idx, term in enumerate(p2.terms))
+            zero = np.zeros((tree.node_count(j), p.d))
+            g1, g2 = (_cell_drift(q, tables, i, j, zero, s2.Y[j],
+                                  s2.Z.entry(i, j), s2.Z.entry)
+                      for q, tables in ((p, tables1), (p2, tables2)))
             gsum = gsum + tree.broadcast(
                 np.linalg.norm(np.asarray(g1 - g2), axis=-1), j, tree.N)
         rhs_sq += tree.dt * float(tree.expectation(gsum ** 2))

@@ -20,6 +20,7 @@ import numpy as np
 
 from .backward import (BSVIEProblem, GeneratorTerm, MSolution, solve_bsvie,
                        strictly_upper_weights)
+from .forward import _volterra_row
 from .kernels import Kernel
 from .lattice import AdaptedProcess, TerminalField, Tree
 
@@ -194,20 +195,17 @@ def solve_state(cp: ControlProblem, u: AdaptedProcess,
     """Forward recursion of the controlled state equation (left-point
     quadrature, one dt weight per cell)."""
     t = tree.times
-    X = [np.tile(np.asarray(cp.phi(0.0), dtype=float).reshape(-1),
-                 (1, 1))]
-    for i in range(1, tree.N + 1):
+    X = []
+    for i in range(tree.N + 1):
+        def cell(j):
+            return (tree.dt * np.asarray(cp.b(t[i], t[j], X[j], u[j]),
+                                         dtype=float),
+                    np.asarray(cp.sigma(t[i], t[j], X[j], u[j]),
+                               dtype=float))
+
         acc = np.tile(np.asarray(cp.phi(t[i]), dtype=float).reshape(-1),
                       (tree.node_count(i), 1))
-        z_list = []
-        for j in range(i):
-            acc += tree.broadcast(
-                tree.dt * np.asarray(cp.b(t[i], t[j], X[j], u[j]),
-                                     dtype=float), j, i)
-            z_list.append(np.asarray(cp.sigma(t[i], t[j], X[j], u[j]),
-                                     dtype=float))
-        acc += tree.stochastic_integral(z_list, 0, i)
-        X.append(acc)
+        X.append(_volterra_row(tree, i, acc, cell))
     return AdaptedProcess(tree, X)
 
 
@@ -228,25 +226,23 @@ def solve_variational(cp: ControlProblem, u_bar: AdaptedProcess,
     """Directional state derivative along v - u_bar (linearized recursion)."""
     X = state if state is not None else solve_state(cp, u_bar, tree)
     t = tree.times
-    X1 = [np.zeros((1, cp.d))]
-    for i in range(1, tree.N + 1):
-        acc = np.zeros((tree.node_count(i), cp.d))
-        z_list = []
-        for j in range(i):
+    X1 = []
+    for i in range(tree.N + 1):
+        def cell(j):
             du = v[j] - u_bar[j]
             bx = np.asarray(cp.b_x(t[i], t[j], X[j], u_bar[j]), dtype=float)
             bu = np.asarray(cp.b_u(t[i], t[j], X[j], u_bar[j]), dtype=float)
-            acc += tree.broadcast(
-                tree.dt * (np.einsum("nab,nb->na", bx, X1[j])
-                           + np.einsum("nau,nu->na", bu, du)), j, i)
             sx = np.asarray(cp.sigma_x(t[i], t[j], X[j], u_bar[j]),
                             dtype=float)
             su = np.asarray(cp.sigma_u(t[i], t[j], X[j], u_bar[j]),
                             dtype=float)
-            z_list.append(np.einsum("namb,nb->nam", sx, X1[j])
-                          + np.einsum("namu,nu->nam", su, du))
-        acc += tree.stochastic_integral(z_list, 0, i)
-        X1.append(acc)
+            return (tree.dt * (np.einsum("nab,nb->na", bx, X1[j])
+                               + np.einsum("nau,nu->na", bu, du)),
+                    np.einsum("namb,nb->nam", sx, X1[j])
+                    + np.einsum("namu,nu->nam", su, du))
+
+        X1.append(_volterra_row(tree, i, np.zeros((tree.node_count(i), cp.d)),
+                                cell))
     return AdaptedProcess(tree, X1)
 
 
@@ -256,20 +252,18 @@ def variational_forcing(cp: ControlProblem, u_bar: AdaptedProcess,
     """The inhomogeneous part of the variational equation (control bumps)."""
     X = state if state is not None else solve_state(cp, u_bar, tree)
     t = tree.times
-    out = [np.zeros((1, cp.d))]
-    for i in range(1, tree.N + 1):
-        acc = np.zeros((tree.node_count(i), cp.d))
-        z_list = []
-        for j in range(i):
+    out = []
+    for i in range(tree.N + 1):
+        def cell(j):
             du = v[j] - u_bar[j]
             bu = np.asarray(cp.b_u(t[i], t[j], X[j], u_bar[j]), dtype=float)
-            acc += tree.broadcast(
-                tree.dt * np.einsum("nau,nu->na", bu, du), j, i)
             su = np.asarray(cp.sigma_u(t[i], t[j], X[j], u_bar[j]),
                             dtype=float)
-            z_list.append(np.einsum("namu,nu->nam", su, du))
-        acc += tree.stochastic_integral(z_list, 0, i)
-        out.append(acc)
+            return (tree.dt * np.einsum("nau,nu->na", bu, du),
+                    np.einsum("namu,nu->nam", su, du))
+
+        out.append(_volterra_row(tree, i, np.zeros((tree.node_count(i), cp.d)),
+                                 cell))
     return AdaptedProcess(tree, out)
 
 

@@ -24,6 +24,7 @@ from scipy.linalg import expm
 from .backward import (BSVIEProblem, GeneratorTerm, MSolution, solve_bsvie,
                        strictly_upper_weights)
 from .control import _fd_probe
+from .forward import _volterra_row
 from .lattice import AdaptedProcess, TerminalField, Tree
 
 
@@ -194,15 +195,13 @@ def solve_delay_state(dp: DelayProblem, u: AdaptedProcess,
 
     drifts, diffs = [], []
     for i in range(tree.N + 1):
-        acc = np.tile(S[i] @ x0, (tree.node_count(i), 1))
-        z_list = []
-        for j in range(i):
-            acc += tree.broadcast(
-                tree.dt * np.einsum("ab,nb->na", S[i - j], drifts[j]), j, i)
-            z_list.append(np.einsum("ab,nbk->nak", S[i - j], diffs[j]))
-        if z_list:
-            acc += tree.stochastic_integral(z_list, 0, i)
-        xs.append(acc)
+        def cell(j):
+            return (tree.dt * np.einsum("ab,nb->na", S[i - j], drifts[j]),
+                    np.einsum("ab,nbk->nak", S[i - j], diffs[j]))
+
+        xs.append(_volterra_row(tree, i,
+                                np.tile(S[i] @ x0, (tree.node_count(i), 1)),
+                                cell))
         ys.append(delayed(i))
         zs.append(window(i))
         mus.append(_control_with_initial(dp, u, tree, i))
@@ -341,19 +340,16 @@ class AugmentedDelaySVIE:
 
     def solve(self) -> AdaptedProcess:
         tree = self.tree
-        X = [np.zeros((1, 3 * self.dp.d))]
-        for i in range(1, tree.N + 1):
-            acc = np.zeros((tree.node_count(i), 3 * self.dp.d))
-            z_list = []
-            for j in range(i):
+        X = []
+        for i in range(tree.N + 1):
+            def cell(j):
                 Bvec, Dmat = self.forcing(i, j)
-                acc += tree.broadcast(
-                    tree.dt * (np.einsum("nab,nb->na", self.A(i, j), X[j])
-                               + Bvec), j, i)
-                z_list.append(np.einsum("namb,nb->nam", self.C(i, j), X[j])
-                              + Dmat)
-            acc += tree.stochastic_integral(z_list, 0, i)
-            X.append(acc)
+                return (tree.dt * (np.einsum("nab,nb->na", self.A(i, j), X[j])
+                                   + Bvec),
+                        np.einsum("namb,nb->nam", self.C(i, j), X[j]) + Dmat)
+
+            X.append(_volterra_row(
+                tree, i, np.zeros((tree.node_count(i), 3 * self.dp.d)), cell))
         return AdaptedProcess(tree, X)
 
 
@@ -528,11 +524,6 @@ def solve_delay_adjoint(dp: DelayProblem, traj: DelayTrajectory,
         q_fields.append(q)
     return DelayAdjoint(eta_bar, zeta, sol, AdaptedProcess(tree, p_fields),
                         q_fields, H_bar)
-
-
-def delay_pq(dp: DelayProblem, adjoint: DelayAdjoint, tree: Tree):
-    """The (p, q) aggregate pair of an already-solved adjoint system."""
-    return adjoint.p, adjoint.q
 
 
 def hamiltonian_G(dp: DelayProblem, t: float, x, y, z, u, mu, p, q):

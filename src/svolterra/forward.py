@@ -5,6 +5,10 @@ on the scenario tree (explicit recursion or blockwise Picard iteration
 mirroring the contraction construction) and by path Monte Carlo, with
 product-integration weights so singular drift kernels are integrated
 exactly over cells touching the diagonal.
+
+Every forward recursion on the tree, here and in ``control`` and ``delay``,
+computes its rows with ``_volterra_row``; the Picard blocks come from
+:func:`kernels.grid_blocks`, as the block BSVIE method's do.
 """
 from __future__ import annotations
 
@@ -16,8 +20,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg import expm
 
-from .kernels import (CAUSAL, Kernel, Partition, find_partition,
-                      make_convolution)
+from .kernels import CAUSAL, Kernel, grid_blocks, make_convolution
 from .lattice import AdaptedProcess, Tree
 from .special import mittag_leffler
 
@@ -165,6 +168,56 @@ def _diffusion_coeff(problem: SVIEProblem, tree: Tree, i: int,
     return float(problem.diffusion_kernel(t[i], np.array(t[j])))
 
 
+def _volterra_row(tree: Tree, i: int, acc: np.ndarray,
+                  cell: Callable) -> np.ndarray:
+    """One forward Volterra row: acc + sum_{j<i} drift_j + sum_{j<i} z_j dW_j.
+
+    ``cell(j)`` returns ``(drift_j, z_j)`` for the depth-j cell, either of
+    which may be None; drifts are repeated onto depth i in j order, then the
+    integrands enter one stochastic integral.  ``acc`` is updated in place.
+    """
+    z_list = []
+    for j in range(i):
+        drift, z = cell(j)
+        if drift is not None:
+            acc += tree.broadcast(drift, j, i)
+        if z is not None:
+            z_list.append(z)
+    if z_list:
+        acc += tree.stochastic_integral(z_list, 0, i)
+    return acc
+
+
+def _rhs(problem: SVIEProblem, tree: Tree, w, i: int, X,
+         factors: dict) -> np.ndarray:
+    """Right-hand side of the discrete equation at t_i from X(t_j), j < i.
+
+    The separable drift factor depends on the inner time only, so
+    ``factors`` carries it per depth across calls on the same X.
+    """
+    t = tree.times
+
+    def cell(j):
+        drift = z = None
+        if problem.drift_kernel is not None:
+            if j not in factors:
+                factors[j] = np.asarray(problem.drift_factor(t[j], X[j]),
+                                        dtype=float)
+            drift = w[i, j] * factors[j]
+        elif problem.drift is not None:
+            drift = tree.dt * np.asarray(problem.drift(t[i], t[j], X[j]),
+                                         dtype=float)
+        if problem.diffusion_kernel is not None:
+            z = np.asarray(_diffusion_coeff(problem, tree, i, j)
+                           * problem.diffusion_factor(t[j], X[j]),
+                           dtype=float)
+        elif problem.diffusion is not None:
+            z = np.asarray(problem.diffusion(t[i], t[j], X[j]), dtype=float)
+        return drift, z
+
+    return _volterra_row(tree, i, problem.phi_field(tree, i).copy(), cell)
+
+
 def solve_lattice(problem: SVIEProblem, tree: Tree) -> SVIESolution:
     """Explicit forward recursion on the tree.
 
@@ -173,47 +226,13 @@ def solve_lattice(problem: SVIEProblem, tree: Tree) -> SVIESolution:
     left-point kernel values (or the L2-matched cell norm behind the
     ``l2_matched_diffusion`` flag).
     """
-    N, t = tree.N, tree.times
     w = _drift_weights(problem, tree) if problem.drift_kernel is not None \
         else None
     if tree.m == 0 and not problem.has_diffusion:
         return _solve_lattice_deterministic(problem, tree, w)
-    factor_cache = {}
-
-    def drift_val(j, xj):
-        # the separable smooth factor only depends on the inner time
-        if j not in factor_cache:
-            factor_cache[j] = np.asarray(
-                problem.drift_factor(t[j], xj), dtype=float)
-        return factor_cache[j]
-
-    X = [problem.phi_field(tree, 0)]
-    for i in range(1, N + 1):
-        acc = problem.phi_field(tree, i).copy()
-        z_list = []
-        for j in range(i):
-            if problem.drift_kernel is not None:
-                dval = w[i, j] * drift_val(j, X[j])
-            elif problem.drift is not None:
-                dval = tree.dt * np.asarray(problem.drift(t[i], t[j], X[j]),
-                                            dtype=float)
-            else:
-                dval = None
-            if dval is not None:
-                acc += tree.broadcast(dval, j, i)
-            if problem.diffusion_kernel is not None:
-                g = _diffusion_coeff(problem, tree, i, j) \
-                    * problem.diffusion_factor(t[j], X[j])
-            elif problem.diffusion is not None:
-                g = problem.diffusion(t[i], t[j], X[j])
-            else:
-                g = None
-            z_list.append(np.asarray(g, dtype=float) if g is not None
-                          else np.zeros((tree.node_count(j), problem.d,
-                                         tree.m)))
-        if problem.has_diffusion:
-            acc += tree.stochastic_integral(z_list, 0, i)
-        X.append(acc)
+    X, factors = [], {}
+    for i in range(tree.N + 1):
+        X.append(_rhs(problem, tree, w, i, X, factors))
     sol = AdaptedProcess(tree, X)
     res = _equation_residual(problem, tree, sol)
     return SVIESolution(sol, {"method": "lattice", "residual": res})
@@ -271,30 +290,11 @@ def _solve_lattice_deterministic(problem: SVIEProblem, tree: Tree,
 def _equation_residual(problem: SVIEProblem, tree: Tree,
                        X: AdaptedProcess) -> float:
     """Max node-wise defect of the discrete equation (re-evaluation pass)."""
-    N, t = tree.N, tree.times
     w = _drift_weights(problem, tree) if problem.drift_kernel is not None \
         else None
-    worst = 0.0
-    for i in range(N + 1):
-        rhs = problem.phi_field(tree, i).copy()
-        z_list = []
-        for j in range(i):
-            if problem.drift_kernel is not None:
-                rhs += tree.broadcast(w[i, j]
-                                      * problem.drift_factor(t[j], X[j]),
-                                      j, i)
-            elif problem.drift is not None:
-                rhs += tree.broadcast(tree.dt
-                                      * problem.drift(t[i], t[j], X[j]),
-                                      j, i)
-            if problem.diffusion_kernel is not None:
-                z_list.append(_diffusion_coeff(problem, tree, i, j)
-                              * problem.diffusion_factor(t[j], X[j]))
-            elif problem.diffusion is not None:
-                z_list.append(np.asarray(problem.diffusion(t[i], t[j], X[j]),
-                                         dtype=float))
-        if z_list:
-            rhs += tree.stochastic_integral(z_list, 0, i)
+    worst, factors = 0.0, {}
+    for i in range(tree.N + 1):
+        rhs = _rhs(problem, tree, w, i, X, factors)
         worst = max(worst, float(np.max(np.abs(X[i] - rhs)))
                     if X[i].size else 0.0)
     return worst
@@ -311,7 +311,8 @@ def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
     """
     K1 = problem.lipschitz_K1 or problem.drift_kernel
     K2 = problem.lipschitz_K2 or problem.diffusion_kernel
-    blocks = _contraction_blocks(tree, K1, K2, budget=0.25)
+    blocks = grid_blocks(K2, K1, 0.25, tree.N, tree.T,
+                         PartitionInfeasibleError)
     t = tree.times
     N = tree.N
     w = _drift_weights(problem, tree) if problem.drift_kernel is not None \
@@ -321,30 +322,6 @@ def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
     ratios = []
     sweeps_per_block = []
 
-    def rhs_for(i, values):
-        acc = problem.phi_field(tree, i).copy()
-        z_list = []
-        for j in range(i):
-            if problem.drift_kernel is not None:
-                acc += tree.broadcast(w[i, j]
-                                      * problem.drift_factor(t[j], values[j]),
-                                      j, i)
-            elif problem.drift is not None:
-                acc += tree.broadcast(
-                    tree.dt * problem.drift(t[i], t[j], values[j]), j, i)
-            if problem.diffusion_kernel is not None:
-                z_list.append(_diffusion_coeff(problem, tree, i, j)
-                              * problem.diffusion_factor(t[j], values[j]))
-            elif problem.diffusion is not None:
-                z_list.append(np.asarray(
-                    problem.diffusion(t[i], t[j], values[j]), dtype=float))
-            else:
-                z_list.append(np.zeros((tree.node_count(j), problem.d,
-                                        tree.m)))
-        if problem.has_diffusion:
-            acc += tree.stochastic_integral(z_list, 0, i)
-        return acc
-
     for (lo, hi) in blocks:
         prev_update = None
         block_ratios = []
@@ -352,7 +329,7 @@ def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
             update_sq = 0.0
             new_vals = {}
             for i in range(max(lo, 1), hi + 1):
-                new = rhs_for(i, X)
+                new = _rhs(problem, tree, w, i, X, {})
                 diff = new - X[i]
                 update_sq += tree.dt * float(
                     tree.expectation((diff ** 2).sum(axis=1)))
@@ -385,63 +362,6 @@ def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
         "sweeps_per_block": sweeps_per_block,
         "residual": res,
     })
-
-
-def _contraction_blocks(tree: Tree, K1: Optional[Kernel],
-                        K2: Optional[Kernel], budget: float):
-    """Grid-aligned blocks keeping both kernel masses below budget/2 each."""
-    T = tree.T
-    half = budget / 2.0
-    if K2 is not None:
-        part = find_partition(K2, math.sqrt(half))
-        if isinstance(part, Partition):
-            breakpoints = list(part.breakpoints)
-        else:
-            raise PartitionInfeasibleError(
-                f"diffusion kernel admits no partition at eps^2 = {half}: "
-                f"{part.reason}, witness t = {part.witness_t:.4g}")
-    else:
-        breakpoints = [0.0, T]
-
-    def k1_mass(a, b):
-        # triangle mass of K1^2 over the block, inf when slices diverge
-        if K1 is None:
-            return 0.0
-        xs = np.linspace(a, b, 33)
-        vals = np.array([K1.slice_sq(float(x), float(x), b)
-                         for x in xs[:-1]])
-        if not np.all(np.isfinite(vals)):
-            return math.inf
-        return float(np.trapezoid(vals, xs[:-1])) if len(xs) > 2 else 0.0
-
-    refined = [breakpoints[0]]
-    for a, b in zip(breakpoints, breakpoints[1:]):
-        stack = [(a, b)]
-        out = []
-        while stack:
-            lo, hi = stack.pop()
-            mass = k1_mass(lo, hi)
-            if mass > half and hi - lo > 1e-6 * T:
-                mid = 0.5 * (lo + hi)
-                stack.extend([(mid, hi), (lo, mid)])
-            elif not math.isfinite(mass):
-                raise PartitionInfeasibleError(
-                    "drift kernel triangle mass diverges on arbitrarily "
-                    "small blocks; the kernel is not square integrable")
-            else:
-                out.append((lo, hi))
-        out.sort()
-        refined.extend(h for _, h in out)
-
-    # snap down to the tree grid, keeping at least one step per block
-    idx = sorted({min(max(int(math.floor(u / tree.dt)), 0), tree.N)
-                  for u in refined})
-    if idx[0] != 0:
-        idx.insert(0, 0)
-    if idx[-1] != tree.N:
-        idx.append(tree.N)
-    blocks = [(a, b) for a, b in zip(idx, idx[1:]) if b > a]
-    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -949,6 +949,69 @@ def reverify_partition(kernel: Kernel, part: Partition, eps: float):
     return int(bad[0]), float(sups[bad[0]])
 
 
+def grid_blocks(slice_kernel: Optional[Kernel], mass_kernel: Optional[Kernel],
+                budget: float, N: int, T: float, error: type) -> list:
+    """Contraction blocks ``(lo, hi)`` on the grid of N steps over [0, T].
+
+    The budget is split evenly: the blocks start from a partition whose
+    sliced sup of ``slice_kernel`` stays below sqrt(budget / 2), are halved
+    until the triangle mass of ``mass_kernel``^2 stays below budget / 2,
+    and are snapped down to the grid keeping at least one step each.  A
+    missing kernel constrains nothing.  Raises ``error`` when the partition
+    does not exist or the mass diverges on arbitrarily small blocks.
+    """
+    half = budget / 2.0
+    if slice_kernel is not None:
+        part = find_partition(slice_kernel, math.sqrt(half))
+        if not isinstance(part, Partition):
+            raise error(
+                f"kernel {slice_kernel.label!r} admits no partition at "
+                f"eps^2 = {half}: {part.reason}, witness t = "
+                f"{part.witness_t:.4g}")
+        breakpoints = list(part.breakpoints)
+    else:
+        breakpoints = [0.0, T]
+
+    def triangle_mass(a, b):
+        # triangle mass of mass_kernel^2 over the block, inf when slices
+        # diverge
+        if mass_kernel is None:
+            return 0.0
+        xs = np.linspace(a, b, 33)
+        vals = np.array([mass_kernel.slice_sq(float(x), float(x), b)
+                         for x in xs[:-1]])
+        if not np.all(np.isfinite(vals)):
+            return math.inf
+        return float(np.trapezoid(vals, xs[:-1]))
+
+    refined = [0.0]
+    for a, b in zip(breakpoints, breakpoints[1:]):
+        stack, out = [(a, b)], []
+        while stack:
+            lo, hi = stack.pop()
+            mass = triangle_mass(lo, hi)
+            if mass > half and hi - lo > 1e-6 * T:
+                mid = 0.5 * (lo + hi)
+                stack.extend([(mid, hi), (lo, mid)])
+            elif not math.isfinite(mass):
+                raise error(
+                    f"kernel {mass_kernel.label!r} has a triangle mass that "
+                    f"diverges on arbitrarily small blocks; it is not square "
+                    f"integrable")
+            else:
+                out.append((lo, hi))
+        out.sort()
+        refined.extend(h for _, h in out)
+
+    dt = T / N
+    idx = sorted({min(max(int(math.floor(u / dt)), 0), N) for u in refined})
+    if idx[0] != 0:
+        idx.insert(0, 0)
+    if idx[-1] != N:
+        idx.append(N)
+    return [(a, b) for a, b in zip(idx, idx[1:]) if b > a]
+
+
 # ---------------------------------------------------------------------------
 # Zhang-type bounded-sliding-slice class
 # ---------------------------------------------------------------------------

@@ -433,6 +433,19 @@ class TestMethodAgreement:
         with pytest.raises(B.BlockPartitionError):
             B.solve_bsvie(p, tree, method="block")
 
+    @pytest.mark.parametrize("kernels", [
+        {"L_z2": K.make_counterexample_sup()},
+        {"L_y": K.make_fractional(0.4, K.CAUSAL)},
+    ], ids=["z2_partition_infeasible", "y_mass_diverges"])
+    def test_block_rejects_unusable_kernels(self, kernels):
+        tree = Tree(N=4, T=1.0, m=1)
+        with warnings.catch_warnings():
+            # the construction's soft class check may flag the kernel
+            warnings.simplefilter("ignore", K.KernelClassWarning)
+            p = linear_problem(tree, c_y=-0.2, **kernels)
+        with pytest.raises(B.BlockPartitionError):
+            B.solve_bsvie(p, tree, method="block")
+
     def test_terminal_block_contraction_ratio(self):
         # at the 1/2 partition budget the terminal block's sweep ratio
         # stays at or below one half (plus measurement slack)

@@ -198,14 +198,12 @@ class TestZeroDelayReduction:
 
 
 class TestPQAccessor:
-    def test_delay_pq_returns_adjoint_aggregates(self, dp, tree):
+    def test_adjoint_pq_shapes(self, dp, tree):
         u = C.constant_control(tree, [0.2])
         traj = D.solve_delay_state(dp, u, tree)
         adj = D.solve_delay_adjoint(dp, traj, tree)
-        p, q = D.delay_pq(dp, adj, tree)
-        assert p is adj.p and q is adj.q
-        assert p[0].shape == (1, dp.d)
-        assert q[0].shape == (1, dp.d, dp.m)
+        assert adj.p[0].shape == (1, dp.d)
+        assert adj.q[0].shape == (1, dp.d, dp.m)
 
 
 class TestHamiltonFunction:

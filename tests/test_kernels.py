@@ -5,6 +5,8 @@ import pytest
 from scipy import integrate
 
 from svolterra import kernels as K
+from svolterra import registry as R
+from svolterra.lattice import Tree
 from svolterra.special import gamma_fn
 
 
@@ -601,3 +603,118 @@ class TestBatchedPartitionProbes:
         monkeypatch.setattr(K.Kernel, "slice_l2_profile", counted)
         K.classify(K.make_doubly_singular(0.4, 0.0), eps_grid=(2.0, 1.0))
         assert len(calls) <= 400
+
+
+# ---------------------------------------------------------------------------
+# one blocking rule: reference copies of the two former per-solver rules
+# ---------------------------------------------------------------------------
+
+def ref_contraction_blocks(N, T, K1, K2, budget):
+    """The forward Picard solver's former rule: K1 mass, K2 slice sup."""
+    dt = T / N
+    half = budget / 2.0
+    if K2 is not None:
+        part = K.find_partition(K2, math.sqrt(half))
+        if isinstance(part, K.Partition):
+            breakpoints = list(part.breakpoints)
+        else:
+            raise RuntimeError("infeasible")
+    else:
+        breakpoints = [0.0, T]
+
+    def k1_mass(a, b):
+        if K1 is None:
+            return 0.0
+        xs = np.linspace(a, b, 33)
+        vals = np.array([K1.slice_sq(float(x), float(x), b)
+                         for x in xs[:-1]])
+        if not np.all(np.isfinite(vals)):
+            return math.inf
+        return float(np.trapezoid(vals, xs[:-1])) if len(xs) > 2 else 0.0
+
+    refined = [breakpoints[0]]
+    for a, b in zip(breakpoints, breakpoints[1:]):
+        stack = [(a, b)]
+        out = []
+        while stack:
+            lo, hi = stack.pop()
+            mass = k1_mass(lo, hi)
+            if mass > half and hi - lo > 1e-6 * T:
+                mid = 0.5 * (lo + hi)
+                stack.extend([(mid, hi), (lo, mid)])
+            elif not math.isfinite(mass):
+                raise RuntimeError("diverges")
+            else:
+                out.append((lo, hi))
+        out.sort()
+        refined.extend(h for _, h in out)
+    idx = sorted({min(max(int(math.floor(u / dt)), 0), N) for u in refined})
+    if idx[0] != 0:
+        idx.insert(0, 0)
+    if idx[-1] != N:
+        idx.append(N)
+    return [(a, b) for a, b in zip(idx, idx[1:]) if b > a]
+
+
+def ref_bsvie_blocks(N, T, L_y, L_z2, budget):
+    """The block BSVIE method's former rule: L_y mass, L_z2 slice sup."""
+    dt = T / N
+    half = budget / 2.0
+    if L_z2 is not None:
+        part = K.find_partition(L_z2, math.sqrt(half))
+        if not isinstance(part, K.Partition):
+            raise RuntimeError("infeasible")
+        breakpoints = list(part.breakpoints)
+    else:
+        breakpoints = [0.0, T]
+
+    def ly_mass(a, b):
+        if L_y is None:
+            return 0.0
+        xs = np.linspace(a, b, 33)
+        vals = np.array([L_y.slice_sq(float(x), float(x), b)
+                         for x in xs[:-1]])
+        if not np.all(np.isfinite(vals)):
+            return math.inf
+        return float(np.trapezoid(vals, xs[:-1]))
+
+    refined = [0.0]
+    for a, b in zip(breakpoints, breakpoints[1:]):
+        stack, out = [(a, b)], []
+        while stack:
+            lo_t, hi_t = stack.pop()
+            mass = ly_mass(lo_t, hi_t)
+            if mass > half and hi_t - lo_t > 1e-6 * T:
+                mid = 0.5 * (lo_t + hi_t)
+                stack.extend([(mid, hi_t), (lo_t, mid)])
+            elif not math.isfinite(mass):
+                raise RuntimeError("diverges")
+            else:
+                out.append((lo_t, hi_t))
+        out.sort()
+        refined.extend(h for _, h in out)
+    idx = sorted({min(max(int(math.floor(u / dt)), 0), N) for u in refined})
+    if idx[0] != 0:
+        idx.insert(0, 0)
+    if idx[-1] != N:
+        idx.append(N)
+    return [(a, b) for a, b in zip(idx, idx[1:]) if b > a]
+
+
+class TestGridBlocks:
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_matches_forward_rule(self, N):
+        mass, slice_ = K.make_fractional(0.7, K.CAUSAL), K.make_constant(0.3)
+        for K1, K2 in [(mass, slice_), (mass, None), (None, slice_)]:
+            got = K.grid_blocks(K2, K1, 0.25, N, 1.0, RuntimeError)
+            assert got == ref_contraction_blocks(N, 1.0, K1, K2, 0.25)
+        assert len(K.grid_blocks(slice_, mass, 0.25, N, 1.0,
+                                 RuntimeError)) > 1
+
+    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("name", ["fractional_generator",
+                                      "fbm_rl_generator", "caputo"])
+    def test_matches_block_method_rule(self, N, name):
+        p = R.BACKWARD_PROBLEMS[name](Tree(N=N, T=1.0, m=1))
+        got = K.grid_blocks(p.L_z2, p.L_y, 0.5, N, 1.0, RuntimeError)
+        assert got == ref_bsvie_blocks(N, 1.0, p.L_y, p.L_z2, 0.5)

@@ -1,0 +1,172 @@
+"""The shared forward Volterra row against hand-written reference rows.
+
+Each reference below spells out its recursion the way the solvers did before
+they shared ``forward._volterra_row``: per cell, repeat the drift onto the
+row's depth and collect the integrand, then add one stochastic integral.
+Forward recursions do no martingale representation, so the comparison is
+exact at m = 2 as well as at m = 1.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from svolterra import control as C
+from svolterra import delay as D
+from svolterra import forward as F
+from svolterra import kernels as K
+from svolterra import registry as R
+from svolterra.lattice import AdaptedProcess, Tree
+
+N = 6
+
+
+def identical(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y)
+                                    for x, y in zip(a, b))
+
+
+def random_control(tree, du, seed):
+    rng = np.random.default_rng(seed)
+    return AdaptedProcess(tree, [0.4 * rng.normal(size=(tree.node_count(i),
+                                                       du))
+                                 for i in range(tree.N + 1)])
+
+
+# -- forward.solve_lattice (tree path) --------------------------------------
+
+def ref_solve_lattice(problem, tree):
+    t = tree.times
+    w = F._drift_weights(problem, tree)
+    X = [problem.phi_field(tree, 0)]
+    for i in range(1, tree.N + 1):
+        acc = problem.phi_field(tree, i).copy()
+        z_list = []
+        for j in range(i):
+            factor = np.asarray(problem.drift_factor(t[j], X[j]),
+                                dtype=float)
+            acc += tree.broadcast(w[i, j] * factor, j, i)
+            z_list.append(np.asarray(problem.diffusion(t[i], t[j], X[j]),
+                                     dtype=float))
+        acc += tree.stochastic_integral(z_list, 0, i)
+        X.append(acc)
+    return X
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_solve_lattice_row(m):
+    tree = Tree(N=N, T=1.0, m=m)
+    loads = np.array([0.3, -0.2][:m])
+    p = F.SVIEProblem(
+        1.0, lambda t: np.array([1.0 + t]), m=m,
+        drift_kernel=K.make_fractional(0.7, K.CAUSAL),
+        drift_factor=lambda s, x: -0.8 * x,
+        diffusion=lambda t, s, x: (x + 0.1 * (t - s))[:, :, None] * loads)
+    sol = F.solve_lattice(p, tree)
+    assert identical(sol.X.values, ref_solve_lattice(p, tree))
+
+
+# -- control.solve_variational ----------------------------------------------
+
+def ref_solve_variational(cp, u_bar, v, tree, X):
+    t = tree.times
+    X1 = [np.zeros((1, cp.d))]
+    for i in range(1, tree.N + 1):
+        acc = np.zeros((tree.node_count(i), cp.d))
+        z_list = []
+        for j in range(i):
+            du = v[j] - u_bar[j]
+            bx = np.asarray(cp.b_x(t[i], t[j], X[j], u_bar[j]), dtype=float)
+            bu = np.asarray(cp.b_u(t[i], t[j], X[j], u_bar[j]), dtype=float)
+            acc += tree.broadcast(
+                tree.dt * (np.einsum("nab,nb->na", bx, X1[j])
+                           + np.einsum("nau,nu->na", bu, du)), j, i)
+            sx = np.asarray(cp.sigma_x(t[i], t[j], X[j], u_bar[j]),
+                            dtype=float)
+            su = np.asarray(cp.sigma_u(t[i], t[j], X[j], u_bar[j]),
+                            dtype=float)
+            z_list.append(np.einsum("namb,nb->nam", sx, X1[j])
+                          + np.einsum("namu,nu->nam", su, du))
+        acc += tree.stochastic_integral(z_list, 0, i)
+        X1.append(acc)
+    return X1
+
+
+def noise_control_problem(m):
+    """The lq instance with m noise coordinates of different loadings."""
+    base = R.lq_instance()
+    sx, su = np.array([0.2, -0.1][:m]), np.array([0.3, 0.15][:m])
+    return dataclasses.replace(
+        base, m=m,
+        sigma=lambda t, s, x, u: (x[:, :, None] * sx
+                                  + u[:, :, None] * su) * (1.0 + t - s),
+        sigma_x=lambda t, s, x, u: np.broadcast_to(
+            (sx * (1.0 + t - s))[None, None, :, None],
+            (x.shape[0], 1, m, 1)).copy(),
+        sigma_u=lambda t, s, x, u: np.broadcast_to(
+            (su * (1.0 + t - s))[None, None, :, None],
+            (x.shape[0], 1, m, 1)).copy())
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_solve_variational_row(m):
+    tree = Tree(N=N, T=1.0, m=m)
+    cp = noise_control_problem(m)
+    u, v = random_control(tree, 1, 1), random_control(tree, 1, 2)
+    X = C.solve_state(cp, u, tree)
+    X1 = C.solve_variational(cp, u, v, tree, state=X)
+    assert identical(X1.values, ref_solve_variational(cp, u, v, tree, X))
+
+
+# -- delay.AugmentedDelaySVIE.solve -----------------------------------------
+
+def ref_augmented_solve(aug):
+    tree = aug.tree
+    X = [np.zeros((1, 3 * aug.dp.d))]
+    for i in range(1, tree.N + 1):
+        acc = np.zeros((tree.node_count(i), 3 * aug.dp.d))
+        z_list = []
+        for j in range(i):
+            Bvec, Dmat = aug.forcing(i, j)
+            acc += tree.broadcast(
+                tree.dt * (np.einsum("nab,nb->na", aug.A(i, j), X[j])
+                           + Bvec), j, i)
+            z_list.append(np.einsum("namb,nb->nam", aug.C(i, j), X[j])
+                          + Dmat)
+        acc += tree.stochastic_integral(z_list, 0, i)
+        X.append(acc)
+    return X
+
+
+def noise_delay_problem(m):
+    """The delay_lq instance with m noise coordinates on x and u and the
+    delay on the N = 6 grid."""
+    base = R.delay_lq_instance(delta=1.0 / 3.0)
+    sx, su = np.array([0.1, 0.05][:m]), np.array([0.25, -0.1][:m])
+
+    def const(vals):
+        return lambda t, x, y, z, u, mu: np.broadcast_to(
+            vals[None, None, :, None], (x.shape[0], 1, m, 1)).copy()
+
+    return dataclasses.replace(
+        base, m=m,
+        sigma=lambda t, x, y, z, u, mu: x[:, :, None] * sx
+        + u[:, :, None] * su,
+        sigma_x=const(sx), sigma_u=const(su), sigma_y=const(0.0 * sx),
+        sigma_z=const(0.0 * sx), sigma_mu=const(0.0 * sx))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_augmented_delay_row(m):
+    tree = Tree(N=N, T=1.0, m=m)
+    dp = noise_delay_problem(m)
+    u, v = random_control(tree, 1, 3), random_control(tree, 1, 4)
+    aug = D.delay_to_svie(dp, u, v, tree)
+    X = aug.solve()
+    assert identical(X.values, ref_augmented_solve(aug))
+    # the first block still matches the independent direct recursion
+    direct = D.solve_delay_variational_direct(dp, u, v, tree,
+                                              traj=aug.traj)
+    gap = max(float(np.max(np.abs(X[i][:, 0:1] - direct[i])))
+              for i in range(tree.N + 1))
+    assert gap <= 1e-12
