@@ -8,17 +8,18 @@ the leaves and for every outer index i,
                       - sum_{j >= i} Z(t_i, t_j) dW_j,
 
 with Z below the diagonal pinned by the martingale-representation
-identity Y(t_i) = E Y(t_i) + sum_{j < i} Z(t_i, t_j) dW_j.  Two solution
-routes are provided: a global sweep iteration (the y and transposed-z
-couplings come from the previous sweep, the within-step integrand is
-pinned exactly by the tree representation before the generator is
-applied) and a blockwise scheme that solves the terminal block first,
-extends Z by representation, folds the remaining tail into a new free
-term through a stochastic Fredholm pass, and recurses on earlier blocks.
-Both converge to the same discrete system, so they agree to solver
-tolerance.  Weight tables without diagonal cells (the transposed explicit
-schemes of the control and delay adjoints) make the system explicit
-backward substitution, which the global route then solves in one pass.
+identity Y(t_i) = E Y(t_i) + sum_{j < i} Z(t_i, t_j) dW_j.  Row i reads
+later rows only through Y(t_j) and Z(t_j, t_i), j > i, which are fixed
+once rows i+1..N are solved, so both solution routes work backward over
+blocks of rows: a Fredholm pass folds the solved tail into each row's
+free term and extends Z there, and a fixed point resolves the block's own
+cells (the within-step integrand is pinned exactly by the tree
+representation before the generator is applied).  ``fixed_point`` takes
+one-step blocks, so its fixed point iterates only the diagonal cell of
+one row (backward substitution, the terminal-first construction of the
+M-solution); ``block`` takes the coarser blocks of a kernel contraction
+partition, the paper's construction and an independent cross-check.
+Both solve the same discrete system, so they agree to solver tolerance.
 
 Every pass computes a cell's weighted generator drift, z2 rule included,
 with ``_cell_drift``; the block partition comes from
@@ -41,7 +42,12 @@ from .special import gamma_fn
 
 
 class DivergenceError(RuntimeError):
-    """Sweep iteration failed to contract."""
+    """Sweep iteration failed to contract on the (lo, hi) ``block`` of rows;
+    ``ratios`` holds its successive update ratios up to the failure."""
+
+    def __init__(self, message: str, block=None, ratios=()):
+        super().__init__(message)
+        self.block, self.ratios = block, list(ratios)
 
 
 class BlockPartitionError(RuntimeError):
@@ -219,7 +225,8 @@ def strictly_upper_weights(tree: Tree) -> np.ndarray:
     """Weight table with the cell width on every cell after the outer index.
 
     This is the transpose of an explicit forward scheme, which has no
-    diagonal cell; ``solve_bsvie`` solves such a table in one backward pass.
+    diagonal cell; ``solve_bsvie`` solves such a table in one backward pass
+    of one sweep per row.
     """
     return np.triu(np.full((tree.N + 1, tree.N), tree.dt), 1)
 
@@ -329,20 +336,22 @@ def _block_fixed_point(problem: BSVIEProblem, tree: Tree, weight_tables,
         update = math.sqrt(update_sq)
         if not math.isfinite(update):
             raise DivergenceError(
-                "sweep produced non-finite values; check the generator "
-                "and its kernel weights")
+                f"sweep produced non-finite values on block [{lo}, {hi}]; "
+                f"check the generator and its kernel weights",
+                (lo, hi), ratios)
         if prev_update is not None and prev_update > 0.0:
             ratios.append(update / prev_update)
             if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
                 raise DivergenceError(
                     f"sweep updates not contracting on block "
-                    f"[{lo}, {hi}]: ratios {ratios[-3:]}")
+                    f"[{lo}, {hi}]: ratios {ratios[-3:]}", (lo, hi), ratios)
         if update <= tol:
             break
         prev_update = update
     else:
-        raise DivergenceError(f"no convergence within {max_sweeps} sweeps "
-                              f"(last update {update:.3e})")
+        raise DivergenceError(f"no convergence on block [{lo}, {hi}] within "
+                              f"{max_sweeps} sweeps (last update "
+                              f"{update:.3e})", (lo, hi), ratios)
     return y, mu, below, {"sweeps": sweeps, "ratios": ratios}
 
 
@@ -352,14 +361,16 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
                 partition_budget: float = 0.5) -> MSolution:
     """Adapted M-solution of the backward Volterra equation.
 
-    ``fixed_point`` iterates the whole system; ``block`` partitions the
-    horizon so the y/z2 coupling strength stays below
-    ``partition_budget`` (split evenly between the two), solves the
-    terminal block, and folds the tail into earlier blocks through
-    stochastic Fredholm passes.  Both produce the same discrete solution.
-    When no weight table has a cell on or below the diagonal, Y(t_r)
-    depends only on later rows and ``fixed_point`` solves the system in
-    one backward pass of one-step blocks, one sweep each.
+    Both methods solve the terminal block first and fold each solved
+    tail into the earlier rows' free terms through stochastic Fredholm
+    passes.  ``fixed_point`` does this row by row (one-step blocks), so
+    each row's fixed point iterates only its diagonal cell, and a table
+    without diagonal cells takes one sweep per row.  ``block`` partitions
+    the horizon so the y/z2 coupling strength of each block stays below
+    ``partition_budget`` (split evenly between the two).  Both produce the
+    same discrete solution.  ``max_sweeps`` caps the sweeps of each block;
+    a block that does not converge raises :class:`DivergenceError` naming
+    it.
     """
     tree = tree or problem.tree
     if tree is not problem.tree:
@@ -369,10 +380,7 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
     diag = {"method": method, "tol": tol}
 
     if method == "fixed_point":
-        if any(np.tril(w).any() for w in weight_tables):
-            blocks = [(0, N)]
-        else:
-            blocks = [(r, r + 1) for r in range(N)]
+        blocks = [(r, r + 1) for r in range(N)]
     elif method == "block":
         if problem.L_z2 is None and problem.L_y is None:
             raise BlockPartitionError("the block method needs declared "

@@ -241,6 +241,7 @@ def cmd_backward(cfg, args):
         sol.diagnostics["m_condition_residual"]
     report["residuals"]["equation"] = sol.diagnostics["equation_residual"]
     report["outputs"]["sweeps"] = sol.diagnostics["sweeps"]
+    report["outputs"]["blocks"] = sol.diagnostics["blocks"]
     report["outputs"]["method"] = method
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -323,8 +323,9 @@ class TestKernelClassCheck:
 
 
 class TestSinglePass:
-    """Weight tables with no cell on or below the diagonal (the adjoint
-    shape) are solved by one backward pass of one-step blocks."""
+    """Every fixed_point solve is one backward pass of one-step blocks;
+    tables with no cell on or below the diagonal (the adjoint shape) need
+    one sweep per block."""
 
     def strictly_upper_problem(self, tree, seed=0):
         rng = np.random.default_rng(seed)
@@ -339,20 +340,23 @@ class TestSinglePass:
                 cy * y + cz1 * z1[:, :, 0] + cz2 * z2[:, :, 0],
                 weights=weights)])
 
-    def test_matches_dense_solve(self):
+    def assert_matches_dense_solve(self, sol, p, tree):
         from svolterra.acceptance import dense_linear_bsvie_solve
+        N = tree.N
+        Yd, Zd, fit = dense_linear_bsvie_solve(p, tree)
+        assert fit < 1e-10
+        worst = max(float(np.max(np.abs(sol.Y[i][:, 0] - Yd[i])))
+                    for i in range(N + 1))
+        worst_z = max(float(np.max(np.abs(sol.Z.entry(i, j)[:, 0, 0]
+                                          - Zd[(i, j)])))
+                      for i in range(N + 1) for j in range(N))
+        assert worst <= 1e-10 and worst_z <= 1e-10
+
+    def test_matches_dense_solve(self):
         tree = Tree(N=5, T=1.0, m=1)
         for seed in range(3):
             p = self.strictly_upper_problem(tree, seed)
-            sol = B.solve_bsvie(p, tree)
-            Yd, Zd, fit = dense_linear_bsvie_solve(p, tree)
-            assert fit < 1e-10
-            worst = max(float(np.max(np.abs(sol.Y[i][:, 0] - Yd[i])))
-                        for i in range(6))
-            worst_z = max(float(np.max(np.abs(sol.Z.entry(i, j)[:, 0, 0]
-                                              - Zd[(i, j)])))
-                          for i in range(6) for j in range(5))
-            assert worst <= 1e-10 and worst_z <= 1e-10
+            self.assert_matches_dense_solve(B.solve_bsvie(p, tree), p, tree)
 
     def test_one_sweep_per_one_step_block(self):
         tree = Tree(N=6, T=1.0, m=1)
@@ -371,22 +375,52 @@ class TestSinglePass:
             for j in range(4):
                 assert w[i, j] == (tree.dt if j > i else 0.0)
 
-    def test_diagonal_cells_keep_global_sweep(self):
+    def test_diagonal_cells_solved_row_by_row(self):
         tree = Tree(N=5, T=1.0, m=1)
         p = linear_problem(tree, c_y=-0.4, c_z1=0.2, c_z2=0.1)
         sol = B.solve_bsvie(p, tree, tol=1e-13)
-        assert sol.diagnostics["blocks"] == [(0, 5)]
-        assert len(sol.diagnostics["sweeps"]) == 1
-        assert sol.diagnostics["sweeps"][0] > 1
+        assert sol.diagnostics["blocks"] == [(r, r + 1) for r in range(5)]
+        # each row iterates its diagonal cell
+        assert len(sol.diagnostics["sweeps"]) == 5
+        assert min(sol.diagnostics["sweeps"]) > 1
+        self.assert_matches_dense_solve(sol, p, tree)
 
-    def test_one_diagonal_table_keeps_global_sweep(self):
+    def test_one_diagonal_table_solved_row_by_row(self):
         tree = Tree(N=5, T=1.0, m=1)
         upper = self.strictly_upper_problem(tree)
         p = B.BSVIEProblem(upper.psi, upper.terms + [B.GeneratorTerm(
             lambda t, s, y, z1, z2: -0.3 * y)])
         sol = B.solve_bsvie(p, tree, tol=1e-13)
-        assert sol.diagnostics["blocks"] == [(0, 5)]
+        assert sol.diagnostics["blocks"] == [(r, r + 1) for r in range(5)]
         assert sol.diagnostics["equation_residual"] < 1e-11
+        self.assert_matches_dense_solve(sol, p, tree)
+
+    def test_registry_solve_stays_row_by_row(self, monkeypatch):
+        # a return to sweeps over the whole horizon costs about four times
+        # the representation calls (1,144 against 294 here)
+        from svolterra import registry
+        calls = []
+        original = Tree.martingale_representation
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tree, "martingale_representation", counting)
+        tree = Tree(N=10, T=1.0, m=1)
+        B.solve_bsvie(
+            registry.BACKWARD_PROBLEMS["fractional_generator"](tree, 0.77),
+            tree)
+        assert len(calls) <= 400
+
+    def test_max_sweeps_failure_names_its_block(self):
+        tree = Tree(N=4, T=1.0, m=1)
+        p = linear_problem(tree, c_y=-0.4, c_z1=0.2, c_z2=0.1)
+        with pytest.raises(B.DivergenceError,
+                           match=r"block \[3, 4\] within 1 sweeps") as info:
+            B.solve_bsvie(p, tree, max_sweeps=1)
+        assert info.value.block == (3, 4)
+        assert info.value.ratios == []
 
 
 class TestMethodAgreement:
@@ -406,26 +440,45 @@ class TestMethodAgreement:
         return B.BSVIEProblem(psi, [B.GeneratorTerm(fn, kernel=kern)],
                               L_y=ly, L_z2=lz2)
 
+    def max_gap(self, a, b, tree):
+        N = tree.N
+        worst = max(float(np.max(np.abs(a.Y[i] - b.Y[i])))
+                    for i in range(N + 1))
+        return max(worst, max(float(np.max(np.abs(a.Z.entry(i, j)
+                                                  - b.Z.entry(i, j))))
+                              for i in range(N + 1) for j in range(N)))
+
     def test_fixed_point_vs_block(self):
         tree = Tree(N=6, T=1.0, m=1)
         p = self.make_fractional_problem(tree)
         s_fp = B.solve_bsvie(p, tree, method="fixed_point", tol=1e-13)
         s_bl = B.solve_bsvie(p, tree, method="block", tol=1e-13)
         assert len(s_bl.diagnostics["blocks"]) > 1
-        worst = max(float(np.max(np.abs(s_fp.Y[i] - s_bl.Y[i])))
-                    for i in range(7))
-        worst_z = max(float(np.max(np.abs(s_fp.Z.entry(i, j)
-                                          - s_bl.Z.entry(i, j))))
-                      for i in range(7) for j in range(6))
-        assert worst <= 1e-8 and worst_z <= 1e-8
+        assert self.max_gap(s_fp, s_bl, tree) <= 1e-8
 
     def test_block_handles_strong_transposed_coupling(self):
-        # coupling too strong for the global sweep contracts blockwise
+        # strong transposed coupling: the partition takes short blocks,
+        # and each of them contracts
         tree = Tree(N=6, T=1.0, m=1)
         p = self.make_fractional_problem(tree, z2_coeff=1.5)
         sol = B.solve_bsvie(p, tree, method="block", tol=1e-12)
         assert B.m_condition_residual(sol, tree) < 1e-12
         assert B.equation_residual(sol, p, tree) < 1e-9
+
+    def test_fixed_point_solves_coupling_beyond_block_partition(self):
+        # row substitution needs no partition: only the diagonal cell
+        # couples a row to itself
+        tree = Tree(N=6, T=1.0, m=1)
+        p = self.make_fractional_problem(tree, z2_coeff=3.0)
+        with pytest.raises(B.BlockPartitionError):
+            B.solve_bsvie(p, tree, method="block")
+        sol = B.solve_bsvie(p, tree, method="fixed_point", tol=1e-12)
+        assert sol.diagnostics["m_condition_residual"] < 1e-12
+        assert sol.diagnostics["equation_residual"] < 1e-9
+        p = self.make_fractional_problem(tree, z2_coeff=1.5)
+        s_fp = B.solve_bsvie(p, tree, method="fixed_point", tol=1e-12)
+        s_bl = B.solve_bsvie(p, tree, method="block", tol=1e-12)
+        assert self.max_gap(s_fp, s_bl, tree) <= 1e-8
 
     def test_block_requires_declared_kernels(self):
         tree = Tree(N=4, T=1.0, m=1)

@@ -104,6 +104,9 @@ class TestBackwardCommand:
         data = json.loads(
             (tmp_path / "backward_fractional_generator.json").read_text())
         assert data["residuals"]["m_condition"] < 1e-10
+        # one row per block, with the sweeps of each
+        assert data["outputs"]["blocks"] == [[r, r + 1] for r in range(4)]
+        assert len(data["outputs"]["sweeps"]) == 4
 
     def test_method_flag(self, tmp_path):
         cfg = write_config(tmp_path, {
