@@ -34,8 +34,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import (ANTICAUSAL, Kernel, KernelClassWarning, grid_blocks,
-                      make_fractional, script_norm, triangle_l2_norm)
+from .kernels import (ANTICAUSAL, Kernel, KernelClassWarning, _cell_table,
+                      grid_blocks, make_fractional, script_norm,
+                      triangle_l2_norm)
 from .lattice import (AdaptedProcess, TerminalField, Tree,
                       TwoParameterProcess)
 from .special import gamma_fn
@@ -204,17 +205,15 @@ def _term_weights(problem: BSVIEProblem, tree: Tree) -> list:
                 raise ValueError(f"weight override must have shape "
                                  f"{(N + 1, N)}, got {w.shape}")
         elif term.kernel is not None:
-            w = np.zeros((N + 1, N))
-            for i in range(N + 1):
-                for j in range(i, N):
-                    w[i, j] = term.kernel.cell(t[i], t[j], t[j + 1])
-                    if not math.isfinite(w[i, j]):
-                        raise ValueError(
-                            f"generator kernel {term.kernel.label!r} has "
-                            f"a divergent cell weight at outer time "
-                            f"t={t[i]:.4g} (cell {j}); the kernel blows "
-                            f"up on the outer boundary - clamp or shift "
-                            f"it before solving")
+            w = _cell_table(term.kernel, t, lower=False)
+            bad = np.argwhere(~np.isfinite(w))
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(
+                    f"generator kernel {term.kernel.label!r} has a divergent "
+                    f"cell weight at outer time t={t[i]:.4g} (cell {j}); the "
+                    f"kernel blows up on the outer boundary - clamp or shift "
+                    f"it before solving")
         else:
             w = np.full((N + 1, N), tree.dt)
         tables.append(w)

@@ -20,7 +20,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg import expm
 
-from .kernels import CAUSAL, Kernel, grid_blocks, make_convolution
+from .kernels import (CAUSAL, Kernel, _cell_table, _cells_vectorized,
+                      grid_blocks, make_convolution)
 from .lattice import AdaptedProcess, Tree
 from .special import mittag_leffler
 
@@ -148,14 +149,7 @@ class SVIESolution:
 
 def _drift_weights(problem: SVIEProblem, tree: Tree) -> np.ndarray:
     """Cell weights w[i, j] = integral of the drift kernel over cell j at t_i."""
-    N = tree.N
-    t = tree.times
-    kern = problem.drift_kernel
-    cell = kern.cell_fn or kern.cell
-    w = np.zeros((N + 1, N))
-    for i in range(1, N + 1):
-        w[i, :i] = _cells_vectorized(cell, t[i], t[:i], t[1:i + 1])
-    return w
+    return _cell_table(problem.drift_kernel, tree.times, lower=True)
 
 
 def _diffusion_coeff(problem: SVIEProblem, tree: Tree, i: int,
@@ -247,7 +241,11 @@ def _solve_lattice_deterministic(problem: SVIEProblem, tree: Tree,
     F = np.zeros((N + 1, d))  # drift values along the path
 
     def phi_at(i):
-        return problem.phi_field(tree, i).reshape(d)
+        # a deterministic phi is read at t_i directly, not tiled onto a
+        # one-node field first
+        if isinstance(problem.phi, AdaptedProcess):
+            return problem.phi[i].reshape(d)
+        return np.asarray(problem.phi(t[i]), dtype=float).reshape(d)
 
     def drift_at(i, j):
         if problem.drift_kernel is not None:
@@ -481,18 +479,6 @@ def stability_gap(p: SVIEProblem, p2: SVIEProblem, tree: Tree) -> float:
     if rhs_sq == 0.0:
         return math.inf
     return math.sqrt(lhs_sq) / math.sqrt(rhs_sq)
-
-
-def _cells_vectorized(fn, ti, a, b):
-    """Evaluate a closed-form cell hook over arrays, looping as a fallback."""
-    try:
-        out = np.asarray(fn(ti, a, b), dtype=float)
-        if out.shape == a.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(ti, float(x), float(y)))
-                     for x, y in zip(a, b)])
 
 
 def resolvent_linear(kernel: Kernel, lam: float, grid) -> np.ndarray:

@@ -13,6 +13,13 @@ exponential sums), product-integration cell weights, slice norms, the
 square-integrability / partitionable-slice / bounded-sliding-slice
 classifications, and JSON-serializable classification reports.
 
+The forward and backward solvers take their (N+1, N) cell-weight tables
+from one builder here.  A kernel that depends on the lag |t - s| alone
+(``Kernel.lag_only``: fractional, Riemann-Liouville, convolution,
+exponential-sum, constant and doubly singular with beta = 0) has a
+Toeplitz table on the uniform tree grid, built from one row in O(N) work
+and bytes; every other kernel is tabulated row by row.
+
 Conventions
 -----------
 The "slice" at a point x always fixes the *smaller* time variable and
@@ -116,6 +123,10 @@ class Kernel:
         causal kernels, anticausal ones reuse ``cell_sq_fn``.  When the
         meta flag ``vector_slices`` is set the hook must accept arrays in
         its first two arguments.
+    meta : dict
+        Family parameters and flags.  ``lag_only`` declares that k(t, s)
+        and every hook depend on the lag |t - s| alone (see
+        :attr:`lag_only`).
     """
 
     label: str
@@ -152,6 +163,12 @@ class Kernel:
 
     def __call__(self, t, s):
         return self.eval_fn(t, s)
+
+    @property
+    def lag_only(self) -> bool:
+        """True when the kernel depends on the lag |t - s| alone, so its
+        cell weights on a uniform grid form a Toeplitz table."""
+        return bool(self.meta.get("lag_only"))
 
     @property
     def diag_exponent(self) -> float:
@@ -229,15 +246,18 @@ class Kernel:
 
         return _quad_power_aware(f, a, b, left_exp, 0.0)
 
+    def _vector_slice_sq(self, xs: np.ndarray, b) -> np.ndarray:
+        """slice_sq(x, x, b) over x in xs in one call of the array hook;
+        only for kernels flagged ``vector_slices``."""
+        hook = self.slice_sq_fn if self.slice_sq_fn is not None \
+            else self.cell_sq_fn
+        return np.asarray(hook(xs, xs, b), dtype=float)
+
     def slice_l2_profile(self, xs: np.ndarray, b) -> np.ndarray:
         """Slice L2 norms slice_l2(x, b) over x in xs, b broadcast against xs."""
         xs = np.asarray(xs, dtype=float)
         if self.meta.get("vector_slices"):
-            if self.slice_sq_fn is not None:
-                v = self.slice_sq_fn(xs, xs, b)
-            else:
-                v = self.cell_sq_fn(xs, xs, b)
-            v = np.asarray(v, dtype=float)
+            v = self._vector_slice_sq(xs, b)
             v = np.where(np.isfinite(v), np.maximum(v, 0.0), np.inf)
             return np.sqrt(v)
         xs, bs = np.broadcast_arrays(xs, b)
@@ -331,7 +351,8 @@ def make_fractional(alpha: float, orientation: str = CAUSAL,
     return Kernel(label or f"fractional(alpha={alpha})", orientation, horizon,
                   ev, hint, cell, cell_sq, cell_m1, slice_sq_fn=slice_sq,
                   meta={"family": "fractional", "alpha": alpha,
-                        "scale": scale, "vector_slices": True})
+                        "scale": scale, "vector_slices": True,
+                        "lag_only": True})
 
 
 def make_doubly_singular(alpha: float, beta: float,
@@ -387,7 +408,8 @@ def make_doubly_singular(alpha: float, beta: float,
                   orientation, horizon, ev, (alpha, beta),
                   slice_sq_fn=slice_sq,
                   meta={"family": "doubly_singular", "alpha": alpha,
-                        "beta": beta, "vector_slices": True},
+                        "beta": beta, "vector_slices": True,
+                        "lag_only": beta == 0.0},
                   **kwargs)
 
 
@@ -436,7 +458,7 @@ def make_convolution(h: Callable, horizon: float = 1.0,
                         "h_sq_antiderivative": h_sq_antiderivative,
                         "diag_exponent": diag_exponent,
                         "square_integrable": bool(square_integrable),
-                        "vector_slices": vector})
+                        "vector_slices": vector, "lag_only": True})
 
 
 def make_exp_sum(weights, rates, horizon: float = 1.0,
@@ -492,7 +514,7 @@ def make_exp_sum(weights, rates, horizon: float = 1.0,
                   meta={"family": "exp_sum",
                         "weights": list(map(float, w)),
                         "rates": list(map(float, lam)),
-                        "vector_slices": True})
+                        "vector_slices": True, "lag_only": True})
 
 
 def make_constant(value: float, horizon: float = 1.0,
@@ -512,7 +534,7 @@ def make_constant(value: float, horizon: float = 1.0,
                   slice_sq_fn=lambda x, a, b: value ** 2 * (np.asarray(b)
                                                             - np.asarray(a)),
                   meta={"family": "constant", "value": value,
-                        "vector_slices": True})
+                        "vector_slices": True, "lag_only": True})
 
 
 def make_counterexample_sup(horizon: float = 1.0) -> Kernel:
@@ -978,8 +1000,11 @@ def grid_blocks(slice_kernel: Optional[Kernel], mass_kernel: Optional[Kernel],
         if mass_kernel is None:
             return 0.0
         xs = np.linspace(a, b, 33)
-        vals = np.array([mass_kernel.slice_sq(float(x), float(x), b)
-                         for x in xs[:-1]])
+        if mass_kernel.meta.get("vector_slices"):
+            vals = mass_kernel._vector_slice_sq(xs[:-1], b)
+        else:
+            vals = np.array([mass_kernel.slice_sq(float(x), float(x), b)
+                             for x in xs[:-1]])
         if not np.all(np.isfinite(vals)):
             return math.inf
         return float(np.trapezoid(vals, xs[:-1]))
@@ -1232,6 +1257,50 @@ def product_weights(kernel: Kernel, t: float, grid) -> np.ndarray:
         raise ValueError("anticausal product weights need grid >= t")
     return np.array([kernel.cell(t, float(a), float(b))
                      for a, b in zip(g[:-1], g[1:])])
+
+
+def _cells_vectorized(fn, ti, a, b):
+    """Evaluate a closed-form cell hook over arrays, looping as a fallback."""
+    try:
+        out = np.asarray(fn(ti, a, b), dtype=float)
+        if out.shape == a.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(fn(ti, float(x), float(y)))
+                     for x, y in zip(a, b)])
+
+
+def _cell_table(kernel: Kernel, times, lower: bool) -> np.ndarray:
+    """(N+1, N) table of cell weights w[i, j] = cell(t_i, t_j, t_{j+1}).
+
+    ``lower`` fills the strictly lower triangle j < i (forward drift),
+    otherwise the upper triangle with its diagonal j >= i (backward
+    terms); the other triangle is zero.  ``times`` is the uniform grid
+    t_0 < ... < t_N.  For a lag kernel w[i, j] = c[i - j], so one hook
+    call on the row holding every lag (row N for the lower triangle, row 0
+    for the upper) fills a zero-padded buffer of length 2N, and the table
+    is a read-only strided view of it: O(N) work and bytes.  Any other
+    kernel is evaluated row by row, O(N^2).
+    """
+    t = np.asarray(times, dtype=float)
+    N = len(t) - 1
+    cell = kernel.cell_fn or kernel.cell
+    if kernel.lag_only:
+        row = _cells_vectorized(cell, t[N] if lower else t[0], t[:-1], t[1:])
+        # buf[N - 1 + i - j] = w[i, j]: lags i - j = 1..N come from row N's
+        # cells j = N - 1..0, lags j - i = 0..N-1 from row 0's cells j
+        buf = np.zeros(2 * N)
+        start = N if lower else 0
+        buf[start:start + N] = row[::-1]
+        return np.lib.stride_tricks.sliding_window_view(buf, N)[:, ::-1]
+    w = np.zeros((N + 1, N))
+    for i in range(N + 1):
+        lo, hi = (0, i) if lower else (i, N)
+        if hi > lo:
+            w[i, lo:hi] = _cells_vectorized(cell, t[i], t[lo:hi],
+                                            t[lo + 1:hi + 1])
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -62,23 +62,24 @@ def mittag_leffler(alpha: float, beta: float, z: float,
     total = 0.0
     comp = 0.0  # Kahan compensation
     sign = 1.0
+    log_budget = math.log(term_budget)
     prev_log_term = math.inf
     passed_peak = False
     for k in range(max_terms):
         log_term = k * log_abs_z - math.lgamma(alpha * k + beta)
-        if log_term > math.log(term_budget):
+        if log_term > log_budget:
             raise MittagLefflerBudgetError(
                 f"series term ~exp({log_term:.1f}) exceeds the cancellation "
                 f"budget at k={k}; reduce |z| (currently {abs(z):.3g})")
         if log_term < prev_log_term:
             passed_peak = True
-        term = sign * math.exp(log_term)
-        y = term - comp
+        magnitude = math.exp(log_term)
+        y = sign * magnitude - comp
         t = total + y
         comp = (t - total) - y
         total = t
         if passed_peak and k > 0 and \
-                math.exp(log_term) <= rel_tol * max(abs(total), 1e-300):
+                magnitude <= rel_tol * max(abs(total), 1e-300):
             return total
         prev_log_term = log_term
         sign *= sign_z

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -189,28 +190,31 @@ class TestResidualCheck:
 
     def test_weight_tables_built_once_per_solve(self, monkeypatch):
         tree = Tree(N=6, T=1.0, m=1)
-        kern = K.make_fractional(0.7, K.ANTICAUSAL, tree.T)
+        rows = []
+        fractional = K.make_fractional(0.7, K.ANTICAUSAL, tree.T)
+
+        def counted_cell_fn(t, a, b):
+            rows.append(np.size(a))
+            return fractional.cell_fn(t, a, b)
+
+        kern = dataclasses.replace(fractional, cell_fn=counted_cell_fn)
         p = linear_problem(tree, c_y=-0.4, c_z1=0.2, kernel=kern)
-        builds, cells = [], []
-        term_weights, cell = B._term_weights, K.Kernel.cell
+        builds, term_weights = [], B._term_weights
 
         def counted_weights(*args):
             builds.append(1)
             return term_weights(*args)
 
-        def counted_cell(self, *args):
-            cells.append(1)
-            return cell(self, *args)
-
         monkeypatch.setattr(B, "_term_weights", counted_weights)
-        monkeypatch.setattr(K.Kernel, "cell", counted_cell)
         sol = B.solve_bsvie(p, tree, tol=1e-13)
         assert len(builds) == 1
-        assert len(cells) == tree.N * (tree.N + 1) // 2
+        # the lag kernel's cell hook is evaluated on one row per table
+        assert rows == [tree.N]
         # the public check builds its own tables
         assert B.equation_residual(sol, p, tree) == \
             sol.diagnostics["equation_residual"]
         assert len(builds) == 2
+        assert rows == [tree.N, tree.N]
 
 
 class TestInexactRepresentationWarning:

@@ -100,14 +100,49 @@ class TestSolveLattice:
             assert sol.X[i].shape == (tree.node_count(i), 1)
 
 
+class TestDeterministicFreeTerm:
+    def test_direct_phi_matches_tiled_field(self):
+        # reference: the recursion and its re-check reading phi through the
+        # one-node field phi_field, as the deterministic path used to
+        tree = Tree(N=64, T=1.0, m=0)
+        p = fractional_relaxation(0.6, -1.0)
+        calls = []
+        phi = p.phi
+
+        def counted_phi(t):
+            calls.append(t)
+            return phi(t) + t
+
+        p.phi = counted_phi
+        sol = F.solve_lattice(p, tree)
+        assert len(calls) == 2 * (tree.N + 1)  # solve and re-check
+        w, t = F._drift_weights(p, tree), tree.times
+        X = np.zeros((tree.N + 1, 1))
+        Fd = np.zeros((tree.N + 1, 1))
+        res = 0.0
+        for i in range(tree.N + 1):
+            X[i] = p.phi_field(tree, i).reshape(1) + (
+                w[i, :i] @ Fd[:i] if i else 0.0)
+            Fd[i] = np.asarray(p.drift_factor(t[i], X[i][None, :]),
+                               dtype=float).reshape(1)
+        for i in range(tree.N + 1):
+            rhs = p.phi_field(tree, i).reshape(1) + (
+                w[i, :i] @ Fd[:i] if i else 0.0)
+            res = max(res, float(np.max(np.abs(X[i] - rhs))))
+        assert np.array_equal(np.concatenate(sol.X.values), X)
+        assert sol.diagnostics["residual"] == res
+
+
 class TestDriftWeights:
     @pytest.mark.parametrize("kern", [
         K.make_fractional(0.6, K.CAUSAL),
         K.make_exp_sum([1.0, 0.5], [2.0, 0.0]),
         K.make_fbm_full(0.3)], ids=lambda k: k.label)
     def test_rows_are_the_cell_integrals(self, kern):
-        # closed-form hooks give a whole row at once; kernels without one
-        # integrate cell by cell
+        # a lag kernel's table reads lag k from row N, where t_N - t_{N-k}
+        # differs from t_i - t_{i-k} by rounding; any other kernel's rows
+        # are its own cell integrals, closed-form rows at once, others cell
+        # by cell
         tree = Tree(N=6, T=1.0, m=1)
         p = F.SVIEProblem(1.0, lambda t: np.array([1.0]), drift_kernel=kern,
                           drift_factor=lambda s, x: -x)
@@ -118,7 +153,10 @@ class TestDriftWeights:
                 row = kern.cell_fn(t[i], t[:i], t[1:i + 1])
             else:
                 row = [kern.cell(t[i], t[j], t[j + 1]) for j in range(i)]
-            assert np.array_equal(w[i, :i], row)
+            if kern.lag_only:
+                np.testing.assert_allclose(w[i, :i], row, rtol=1e-13, atol=0)
+            else:
+                assert np.array_equal(w[i, :i], row)
             assert not w[i, i:].any()
 
 

@@ -1,12 +1,16 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from svolterra import backward as B
+from svolterra import forward as F
 from svolterra import kernels as K
 from svolterra import registry as R
-from svolterra.lattice import Tree
+from svolterra.lattice import TerminalField, Tree
 from svolterra.special import gamma_fn
 
 
@@ -718,3 +722,156 @@ class TestGridBlocks:
         p = R.BACKWARD_PROBLEMS[name](Tree(N=N, T=1.0, m=1))
         got = K.grid_blocks(p.L_z2, p.L_y, 0.5, N, 1.0, RuntimeError)
         assert got == ref_bsvie_blocks(N, 1.0, p.L_y, p.L_z2, 0.5)
+
+
+def lag_families(orientation):
+    """One kernel of every family that declares ``lag_only``."""
+    families = [
+        K.make_fractional(0.6, orientation),
+        K.make_exp_sum([1.0, 0.5], [2.0, 0.0], orientation=orientation),
+        K.make_constant(0.3, orientation=orientation),
+        K.make_convolution(lambda r: np.exp(-np.asarray(r)),
+                           orientation=orientation,
+                           h_antiderivative=lambda r: 1.0 - np.exp(-r)),
+        K.make_doubly_singular(0.3, 0.0, orientation),
+    ]
+    if orientation == K.CAUSAL:
+        families.append(K.make_fbm_rl(0.3))
+    return families
+
+
+LAG_KERNELS = lag_families(K.CAUSAL) + lag_families(K.ANTICAUSAL)
+# every lag kernel in both triangles, except the causal doubly singular
+# one above its domain: its cell is an incomplete-Beta form in b / t and
+# a / t, which reads 0/0 at t = 0 and is not a function of the lag there
+LAG_TABLES = [pytest.param(k, lower, id=f"{k.label}-{k.orientation}-"
+                                        f"{'lower' if lower else 'upper'}")
+              for k in LAG_KERNELS for lower in (True, False)
+              if lower or k.orientation == K.ANTICAUSAL
+              or k.meta["family"] != "doubly_singular"]
+
+
+def cell_loop(kern, t, lower):
+    """Per-cell Kernel.cell reference for one triangle of the table."""
+    N = len(t) - 1
+    w = np.zeros((N + 1, N))
+    for i in range(N + 1):
+        for j in (range(i) if lower else range(i, N)):
+            w[i, j] = kern.cell(t[i], t[j], t[j + 1])
+    return w
+
+
+def outside(N, lower):
+    """Mask of the cells a table of the given triangle leaves at zero."""
+    strictly_lower = np.tri(N + 1, N, -1, dtype=bool)
+    return ~strictly_lower if lower else strictly_lower
+
+
+class TestCellTable:
+    def test_lag_flags(self):
+        assert all(k.lag_only for k in LAG_KERNELS)
+        for k in (K.make_fbm_full(0.3), K.make_doubly_singular(0.3, 0.2),
+                  K.make_counterexample_sup(),
+                  K.mirror_kernel(K.make_fbm_full(0.3))):
+            assert not k.lag_only
+        assert K.mirror_kernel(K.make_fractional(0.6)).lag_only
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            K.make_constant(1.0).lag_only = False
+
+    @pytest.mark.parametrize("N", [8, 12])
+    @pytest.mark.parametrize("kern, lower", LAG_TABLES)
+    def test_lag_table_matches_cell_loop(self, kern, lower, N):
+        # the table reads every lag from one row, so entries differ from
+        # the per-cell loop by the rounding of t_i - t_j only; off the
+        # kernel's own triangle both give the same nan pattern
+        t = Tree(N=N, T=1.0, m=0).times
+        with np.errstate(all="ignore"):
+            got = K._cell_table(kern, t, lower)
+            ref = cell_loop(kern, t, lower)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        assert not got[outside(N, lower)].any()
+
+    @pytest.mark.parametrize("kern", [
+        K.make_fbm_full(0.3), K.make_doubly_singular(0.3, 0.2),
+        K.make_doubly_singular(0.3, 0.2, K.CAUSAL),
+        K.make_counterexample_sup()], ids=lambda k: f"{k.label}-{k.orientation}")
+    def test_other_kernels_match_cell_loop_exactly(self, kern):
+        N = 6
+        t = Tree(N=N, T=1.0, m=0).times
+        lower = kern.orientation == K.CAUSAL
+        with np.errstate(divide="ignore"):
+            got = K._cell_table(kern, t, lower)
+            ref = cell_loop(kern, t, lower)
+        assert np.array_equal(got, ref)
+        assert not got[outside(N, lower)].any()
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_lag_tables_are_read_only(self, lower):
+        w = K._cell_table(K.make_fractional(0.6), Tree(N=8, T=1.0).times, lower)
+        assert w.flags.writeable is False
+        with pytest.raises(ValueError):
+            w[1, 0] = 1.0
+
+    def test_divergent_lag_cell_still_raises(self):
+        # h = 1 on lags below 1/2 and not integrable from there on: the
+        # first divergent cell is the one the per-cell scan meets first
+        tree = Tree(N=8, T=1.0, m=1)
+        kern = K.make_convolution(
+            lambda r: np.ones_like(np.asarray(r, dtype=float)), 1.0,
+            K.ANTICAUSAL,
+            h_antiderivative=lambda r: np.where(np.asarray(r) < 0.5, r,
+                                                np.inf))
+        assert kern.lag_only
+        with np.errstate(invalid="ignore"):
+            ref = cell_loop(kern, tree.times, lower=False)
+        i, j = np.argwhere(~np.isfinite(ref))[0]
+        assert (i, j) == (0, 3)
+        psi = TerminalField(tree, [np.ones((tree.node_count(tree.N), 1))
+                                   for _ in range(tree.N + 1)])
+        p = B.BSVIEProblem(psi, [B.GeneratorTerm(
+            lambda t, s, y, z1, z2: -0.1 * y, kernel=kern)])
+        with pytest.raises(ValueError,
+                           match=r"divergent cell weight at outer time "
+                                 r"t=0 \(cell 3\)"), \
+                np.errstate(invalid="ignore"):
+            B.solve_bsvie(p, tree)
+
+    def test_drift_table_memory_is_linear(self):
+        # the dense (4097, 4096) table the rows used to fill took 134 MB
+        tree = Tree(N=4096, T=1.0, m=0)
+        problem = R.fractional_relaxation(0.6)
+        assert len(tree.times) == 4097  # the grid is cached before tracing
+        tracemalloc.start()
+        try:
+            w = F._drift_weights(problem, tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.shape == (4097, 4096)
+        assert peak < 1 << 20
+
+
+class TestVectorTriangleMass:
+    @pytest.mark.parametrize("name", ["fractional_generator",
+                                      "fbm_rl_generator", "caputo"])
+    def test_one_slice_call_per_mass(self, name):
+        p = R.BACKWARD_PROBLEMS[name](Tree(N=8, T=1.0, m=1))
+        calls = []
+
+        def counted(x, a, b):
+            calls.append(np.size(x))
+            return p.L_y.slice_sq_fn(x, a, b)
+
+        mass = dataclasses.replace(p.L_y, slice_sq_fn=counted)
+        for N in (8, 12, 16):
+            calls.clear()
+            got = K.grid_blocks(p.L_z2, mass, 0.5, N, 1.0, RuntimeError)
+            assert got == ref_bsvie_blocks(N, 1.0, p.L_y, p.L_z2, 0.5)
+            assert calls and set(calls) == {32}
+
+    def test_vector_slices_equal_scalar_slices(self):
+        for kern in (K.make_fractional(0.7), K.make_counterexample_sup(),
+                     K.make_exp_sum([1.0, 0.5], [2.0, 0.0])):
+            xs = np.linspace(0.25, 0.5, 33)[:-1]
+            scalar = [kern.slice_sq(float(x), float(x), 0.5) for x in xs]
+            assert np.array_equal(kern._vector_slice_sq(xs, 0.5), scalar)

@@ -72,3 +72,72 @@ class TestMittagLeffler:
             mittag_leffler(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             mittag_leffler(0.5, -1.0, 1.0)
+
+
+def reference_mittag_leffler(alpha, beta, z, rel_tol=1e-16, max_terms=2048,
+                             term_budget=1e15):
+    """The series loop as it read before the budget log and the term
+    magnitude were computed once per call and once per term."""
+    if z == 0.0:
+        return 1.0 / gamma_fn(beta)
+    if alpha == 1.0 and beta == 1.0:
+        return math.exp(z)
+    log_abs_z = math.log(abs(z))
+    sign_z = 1.0 if z > 0 else -1.0
+    total = comp = 0.0
+    sign = 1.0
+    prev_log_term = math.inf
+    passed_peak = False
+    for k in range(max_terms):
+        log_term = k * log_abs_z - math.lgamma(alpha * k + beta)
+        if log_term > math.log(term_budget):
+            raise MittagLefflerBudgetError(
+                f"series term ~exp({log_term:.1f}) exceeds the cancellation "
+                f"budget at k={k}; reduce |z| (currently {abs(z):.3g})")
+        if log_term < prev_log_term:
+            passed_peak = True
+        term = sign * math.exp(log_term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if passed_peak and k > 0 and \
+                math.exp(log_term) <= rel_tol * max(abs(total), 1e-300):
+            return total
+        prev_log_term = log_term
+        sign *= sign_z
+    raise MittagLefflerBudgetError(
+        f"series did not converge within {max_terms} terms for "
+        f"alpha={alpha}, beta={beta}, z={z}")
+
+
+def assert_same_as_reference(*args, **kw):
+    """Same value, or the same budget error, as the reference loop."""
+    try:
+        expected = reference_mittag_leffler(*args, **kw)
+    except MittagLefflerBudgetError as exc:
+        with pytest.raises(MittagLefflerBudgetError) as got:
+            mittag_leffler(*args, **kw)
+        assert str(got.value) == str(exc)
+    else:
+        assert mittag_leffler(*args, **kw) == expected
+
+
+class TestMittagLefflerLoop:
+    @pytest.mark.parametrize("alpha, beta", [(0.6, 1.0), (0.75, 0.75),
+                                             (0.85, 1.85), (2.0, 1.0)])
+    def test_bit_identical_to_reference_loop(self, alpha, beta):
+        # the lattice check's arguments -t^alpha, then both signs further
+        # out, where the positive ones run into the budget
+        zs = np.concatenate([-np.linspace(0.0, 1.0, 513) ** alpha,
+                             np.linspace(-40.0, 40.0, 161)])
+        for z in zs:
+            assert_same_as_reference(alpha, beta, float(z))
+
+    @pytest.mark.parametrize("kw", [{}, {"max_terms": 5},
+                                    {"term_budget": 10.0}])
+    def test_budget_errors_identical_to_reference_loop(self, kw):
+        with pytest.raises(MittagLefflerBudgetError):
+            mittag_leffler(0.3, 1.0, -40.0, **kw)
+        for args in [(0.3, 1.0, -40.0), (0.75, 1.0, -3.0)]:
+            assert_same_as_reference(*args, **kw)
