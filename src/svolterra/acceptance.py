@@ -230,6 +230,7 @@ def dense_linear_bsvie_solve(problem: bwd.BSVIEProblem, tree: Tree):
 
     rows, rhs = [], []
     for i in range(N + 1):
+        psi_i = problem.psi.at(i, N)
         for leaf in range(L):
             row = np.zeros(off)
             row[yoff[i] + anc(leaf, i)] += 1.0
@@ -246,7 +247,7 @@ def dense_linear_bsvie_solve(problem: bwd.BSVIEProblem, tree: Tree):
                     row[zoff[target] + anc(leaf, depth)] -= w * cz2
                 row[zoff[(i, j)] + anc(leaf, j)] += dW[j, leaf]
             rows.append(row)
-            rhs.append(float(problem.psi[i][leaf, 0]))
+            rhs.append(float(psi_i[leaf, 0]))
         for leaf in range(L):
             row = np.zeros(off)
             row[yoff[i] + anc(leaf, i)] += 1.0

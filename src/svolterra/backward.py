@@ -261,49 +261,72 @@ def _cell_drift(problem: BSVIEProblem, tables, i: int, j: int, acc,
 
 
 def _outer_pass(tree: Tree, problem: BSVIEProblem, weight_tables, i: int,
-                start_field: np.ndarray, start_depth: int, stop_depth: int,
-                y_at: Callable, z2_below: Optional[Callable],
-                keep_levels: bool = False):
+                free: np.ndarray, free_depth: int, start_depth: int,
+                stop_depth: int, y_at: Callable,
+                z2_below: Optional[Callable], keep_levels: bool = False,
+                first_step=None):
     """Backward recursion in the inner time for one outer index i.
 
-    Starting from ``start_field`` at ``start_depth``, each step splits off
-    the exact representation integrand mu_j, then adds the weighted
-    generator drift of :func:`_cell_drift` with z1 = mu_j (pinned before
-    the generator applies) and z2 read through ``z2_below``.
+    The free term ``free`` is measurable at ``free_depth`` <= ``start_depth``.
+    The recursion starts from it at ``start_depth`` when the depths match;
+    otherwise it starts from a zero field and adds the free term where it
+    reaches ``free_depth`` (or, below ``stop_depth``, repeated onto
+    ``stop_depth`` at the end).  This is exact: a field measurable at a
+    shallower depth has zero integrands on the steps below it.  Each step
+    splits off the exact representation integrand mu_j, then adds the
+    weighted generator drift of :func:`_cell_drift` with z1 = mu_j (pinned
+    before the generator applies) and z2 read through ``z2_below``.
+    ``first_step`` is the (mean, mu) of the first step when the caller
+    already has it.
     """
-    lam = start_field
+    if free_depth == start_depth:
+        lam = free
+    else:
+        lam = np.zeros((tree.node_count(start_depth), free.shape[1]))
     mu = {}
     levels = {start_depth: lam} if keep_levels else None
     for j in range(start_depth - 1, stop_depth - 1, -1):
-        mean, zs = tree.martingale_representation(lam, j + 1, j)
-        mu_j = zs[0]
+        if first_step is not None and j == start_depth - 1:
+            mean, mu_j = first_step
+        else:
+            mean, zs = tree.martingale_representation(lam, j + 1, j)
+            mu_j = zs[0]
         drift = _cell_drift(problem, weight_tables, i, j,
                             np.zeros_like(mean), y_at(j), mu_j, z2_below)
         lam = mean + drift
+        if j == free_depth:
+            lam = lam + free
         mu[j] = mu_j
         if keep_levels:
             levels[j] = lam
+    if free_depth < stop_depth:
+        lam = lam + tree.broadcast(free, free_depth, stop_depth)
     return lam, mu, levels
 
 
 def _block_fixed_point(problem: BSVIEProblem, tree: Tree, weight_tables,
-                       lo: int, hi: int, psi_fields: dict, outers,
+                       lo: int, hi: int, free: dict, outers,
                        tol: float, max_sweeps: int):
     """Sweep iteration for the sub-system with outer indices ``outers``,
-    inner cells [i, hi), free terms at depth ``hi``.
+    inner cells [i, hi), free terms ``free[i]`` at depth ``hi``.
 
-    Returns converged (Y, mu, below) fields plus iteration diagnostics;
-    ``below[j][i]`` holds Z(t_j, t_i) for lo <= i < j within the block.
+    Returns converged (Y, mu) fields plus iteration diagnostics.  The
+    sweeps read ``below[j][i]`` = Z(t_j, t_i) for lo <= i < j < hi.  The
+    free terms are fixed, so the first step of each row's outer pass (their
+    representation from hi to hi - 1) is taken once per block, and its
+    integrand is the same array on every sweep.
     """
     # initial guess: conditional expectations of the free terms and their
     # representation integrands
-    y = {}
-    below = {j: {} for j in outers}
+    y, first, below = {}, {}, {}
     for i in outers:
-        y[i] = tree.conditional_expectation(psi_fields[i], hi, i)
-        _, zs = tree.martingale_representation(psi_fields[i], hi, lo)
-        for j_idx, l in enumerate(range(lo, min(i, hi))):
-            below[i][l] = zs[j_idx]
+        y[i] = tree.conditional_expectation(free[i], hi, i)
+        if i < hi:
+            mean, zs = tree.martingale_representation(free[i], hi, hi - 1)
+            first[i] = (mean, zs[0])
+        if lo < i < hi:
+            _, zs = tree.martingale_representation(mean, hi - 1, lo)
+            below[i] = {l: zs[l - lo] for l in range(lo, i)}
     mu = {i: {} for i in outers}
     sweeps = 0
     ratios = []
@@ -313,9 +336,10 @@ def _block_fixed_point(problem: BSVIEProblem, tree: Tree, weight_tables,
         new_y, new_mu = {}, {}
         for i in outers:
             lam, mu_i, _ = _outer_pass(
-                tree, problem, weight_tables, i, psi_fields[i], hi, i,
+                tree, problem, weight_tables, i, free[i], hi, hi, i,
                 y_at=lambda j: y[j],
-                z2_below=lambda j, ii: below[j][ii])
+                z2_below=lambda j, ii: below[j][ii],
+                first_step=first.get(i))
             new_y[i] = lam
             new_mu[i] = mu_i
         update_sq = 0.0
@@ -324,12 +348,13 @@ def _block_fixed_point(problem: BSVIEProblem, tree: Tree, weight_tables,
             update_sq += tree.dt * float(
                 tree.expectation((dy ** 2).sum(axis=1)))
             for j, m_val in new_mu[i].items():
-                if j in mu[i]:
+                # step hi - 1 keeps its integrand: an exact zero update
+                if j in mu[i] and j != hi - 1:
                     dz = m_val - mu[i][j]
                     update_sq += tree.dt ** 2 * float(
                         tree.expectation((dz ** 2).sum(axis=(1, 2))))
         y, mu = new_y, new_mu
-        for i in outers:
+        for i in range(lo + 1, hi):
             _, zs = tree.martingale_representation(y[i], i, lo)
             below[i] = {l: zs[l - lo] for l in range(lo, i)}
         update = math.sqrt(update_sq)
@@ -351,7 +376,7 @@ def _block_fixed_point(problem: BSVIEProblem, tree: Tree, weight_tables,
         raise DivergenceError(f"no convergence on block [{lo}, {hi}] within "
                               f"{max_sweeps} sweeps (last update "
                               f"{update:.3e})", (lo, hi), ratios)
-    return y, mu, below, {"sweeps": sweeps, "ratios": ratios}
+    return y, mu, {"sweeps": sweeps, "ratios": ratios}
 
 
 def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
@@ -393,24 +418,22 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
     Y_fields = [None] * (N + 1)
     Z = TwoParameterProcess.zeros(tree, problem.d)
     sweep_info = []
-    psi_fields = {i: problem.psi[i] for i in range(N + 1)}
+    psi = problem.psi
 
     for (lo, hi) in reversed(blocks):
-        last_block = hi == N
-        outers = list(range(lo, N + 1)) if last_block \
-            else list(range(lo, hi))
-        if not last_block:
-            # Fredholm pass: fold the solved tail into free terms at depth
-            # hi and record the tail integrands Z(t_i, t_j), j >= hi
-            for i in outers:
-                lam, mu_i, _ = _outer_pass(
-                    tree, problem, weight_tables, i, psi_fields[i], N, hi,
-                    y_at=lambda j: Y_fields[j], z2_below=Z.entry)
-                psi_fields[i] = lam
-                for j, m_val in mu_i.items():
-                    Z.set_entry(i, j, m_val)
-        y, mu, below, info = _block_fixed_point(
-            problem, tree, weight_tables, lo, hi, psi_fields, outers,
+        outers = list(range(lo, N + 1)) if hi == N else list(range(lo, hi))
+        # Fredholm pass: fold the solved tail into free terms at depth hi,
+        # bringing psi(t_i) in at its own depth, and record the tail
+        # integrands Z(t_i, t_j), j >= hi
+        free = {}
+        for i in outers:
+            free[i], mu_i, _ = _outer_pass(
+                tree, problem, weight_tables, i, psi[i], psi.depths[i], N,
+                hi, y_at=lambda j: Y_fields[j], z2_below=Z.entry)
+            for j, m_val in mu_i.items():
+                Z.set_entry(i, j, m_val)
+        y, mu, info = _block_fixed_point(
+            problem, tree, weight_tables, lo, hi, free, outers,
             tol, max_sweeps)
         sweep_info.append(info)
         for i in outers:
@@ -473,7 +496,8 @@ def solve_param_bsde_family(psi: TerminalField, h: Callable, tree: Tree,
     lam_all, mu_all = {}, {}
     for i in range(S_index, tree.N + 1):
         lam, mu, levels = _outer_pass(
-            tree, dummy, tables, i, psi[i], tree.N, R_index,
+            tree, dummy, tables, i, psi.at(i, tree.N), tree.N, tree.N,
+            R_index,
             y_at=lambda j: None, z2_below=None, keep_levels=True)
         lam_all[i] = levels
         mu_all[i] = mu
@@ -501,7 +525,8 @@ def solve_sfie(psi: TerminalField, h: Callable, tree: Tree,
     psi_S, Z = {}, {}
     for i in range(R_index, S_index + 1):
         lam, mu, _ = _outer_pass(
-            tree, dummy, tables, i, psi[i], tree.N, S_index,
+            tree, dummy, tables, i, psi.at(i, tree.N), tree.N, tree.N,
+            S_index,
             y_at=lambda j: None, z2_below=None)
         psi_S[i] = lam
         Z[i] = mu
@@ -517,10 +542,8 @@ def m_condition_residual(sol: MSolution, tree: Tree) -> float:
     worst = 0.0
     for i in range(tree.N + 1):
         mean = tree.conditional_expectation(sol.Y[i], i, 0)
-        z_list = [sol.Z.entry(i, j) for j in range(i)]
-        recon = tree.broadcast(mean, 0, i)
-        if z_list:
-            recon = recon + tree.stochastic_integral(z_list, 0, i)
+        recon = tree.stochastic_integral(
+            [sol.Z.entry(i, j) for j in range(i)], 0, i, start=mean)
         worst = max(worst, float(np.max(np.abs(sol.Y[i] - recon))))
     return worst
 
@@ -529,27 +552,30 @@ def equation_residual(sol: MSolution, problem: BSVIEProblem, tree: Tree,
                       weight_tables=None) -> float:
     """Max leaf defect of the discrete backward equation.
 
-    For each outer index the weighted drift is carried down the tree one
-    level at a time, O(2**(m*N)) node work per outer index.  ``weight_tables``
-    reuses the tables of the solve being checked; by default they are
-    built from ``problem``.
+    For each outer index one field is carried from depth i to the leaves:
+    it starts at psi(t_i) - Y(t_i) (or -Y(t_i), taking psi where the carry
+    reaches its depth), and each level adds the cell drift and then steps
+    down by minus the cell's stochastic integral, O(2**(m*N)) node work per
+    outer index.  ``weight_tables`` reuses the tables of the solve being
+    checked; by default they are built from ``problem``.
     """
     N = tree.N
+    psi = problem.psi
     tables = _term_weights(problem, tree) if weight_tables is None \
         else weight_tables
     worst = 0.0
     for i in range(N + 1):
-        drift = np.zeros((tree.node_count(i), problem.d))
+        depth = psi.depths[i]
+        carry = psi.at(i, i) - sol.Y[i] if depth <= i else -sol.Y[i]
         for j in range(i, N):
-            drift = _cell_drift(problem, tables, i, j, drift, sol.Y[j],
-                                sol.Z.entry(i, j), sol.Z.entry)
-            drift = tree.broadcast(drift, j, j + 1)
-        rhs = problem.psi[i] + drift
-        z_list = [sol.Z.entry(i, j) for j in range(i, N)]
-        if z_list:
-            rhs = rhs - tree.stochastic_integral(z_list, i, N)
-        lhs = tree.broadcast(sol.Y[i], i, N)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            z1 = sol.Z.entry(i, j)
+            carry = _cell_drift(problem, tables, i, j, carry, sol.Y[j], z1,
+                                sol.Z.entry)
+            carry = tree.stochastic_integral([z1], j, j + 1, start=carry,
+                                             subtract=True)
+            if j + 1 == depth:
+                carry = carry + psi[i]
+        worst = max(worst, float(np.max(np.abs(carry))))
     return worst
 
 
@@ -571,7 +597,8 @@ def stability_gap_bsvie(p: BSVIEProblem, p2: BSVIEProblem,
     tables2 = _term_weights(p2, tree)
     rhs_sq = 0.0
     for i in range(tree.N + 1):
-        dpsi = p.psi[i] - p2.psi[i]
+        depth = max(p.psi.depths[i], p2.psi.depths[i])
+        dpsi = p.psi.at(i, depth) - p2.psi.at(i, depth)
         rhs_sq += tree.dt * float(tree.expectation((dpsi ** 2).sum(axis=1)))
         gsum = np.zeros(tree.node_count(tree.N))
         for j in range(i, tree.N):

@@ -23,7 +23,7 @@ from scipy.linalg import expm
 
 from .backward import (BSVIEProblem, GeneratorTerm, MSolution, solve_bsvie,
                        strictly_upper_weights)
-from .control import _fd_probe
+from .control import _ancestor_contract, _fd_probe, _shallow_contract
 from .forward import _volterra_row
 from .lattice import AdaptedProcess, TerminalField, Tree
 
@@ -463,28 +463,28 @@ def solve_delay_adjoint(dp: DelayProblem, traj: DelayTrajectory,
             np.asarray(dp.l_y(*theta), dtype=float),
             np.asarray(dp.l_z(*theta), dtype=float)], axis=1)
 
+    # block coefficients of cell (j, r) stay at depth r and are contracted
+    # there: against the deeper fields through the ancestor view, against
+    # Z(t_j, t_r) itself
     psi_fields = []
     for r in range(N + 1):
         base = tree.broadcast(L_bar(r), r, N) if r < N \
             else np.zeros((tree.node_count(N), 3 * d))
         if r < N:
-            A_Nr = tree.broadcast(aug.A(N, r), r, N)
-            base = base + np.einsum("nab,na->nb", A_Nr, H_bar)
-            C_Nr = tree.broadcast(aug.C(N, r), r, N)
-            base = base + np.einsum("namb,nam->nb", C_Nr,
-                                    tree.broadcast(zeta[r], r, N))
+            base = base + _ancestor_contract(tree, "nab,nka->nkb",
+                                             aug.A(N, r), H_bar, N, r)
+            base = base + tree.broadcast(
+                np.einsum("namb,nam->nb", aug.C(N, r), zeta[r]), r, N)
         psi_fields.append(base)
     psi = TerminalField(tree, psi_fields)
 
     def fn_A(tt, ss, y, z1, z2):
         j, r = int(round(ss / dt)), int(round(tt / dt))
-        Ajr = tree.broadcast(aug.A(j, r), r, j)
-        return np.einsum("nab,na->nb", Ajr, y)
+        return _ancestor_contract(tree, "nab,nka->nkb", aug.A(j, r), y, j, r)
 
     def fn_C(tt, ss, y, z1, z2):
         j, r = int(round(ss / dt)), int(round(tt / dt))
-        Cjr = tree.broadcast(aug.C(j, r), r, j)
-        return np.einsum("namb,nam->nb", Cjr, z2)
+        return _shallow_contract(tree, "namb,nam->nb", aug.C(j, r), z2, j, r)
 
     weights = strictly_upper_weights(tree)
     problem = BSVIEProblem(

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -99,10 +100,26 @@ class Tree:
         self._check_depth(to_depth)
         if to_depth > from_depth:
             raise ValueError("conditioning goes from deep to shallow")
-        x = np.asarray(values, dtype=float)
-        block = 1 << (self.m * (from_depth - to_depth))
-        return x.reshape((self.node_count(to_depth), block) + x.shape[1:]) \
-                .mean(axis=1)
+        return self.ancestor_view(np.asarray(values, dtype=float),
+                                  from_depth, to_depth).mean(axis=1)
+
+    def ancestor_view(self, values: np.ndarray, deep: int,
+                      shallow: int) -> np.ndarray:
+        """A depth-``deep`` field as (nodes_shallow, 2**(m*(deep-shallow)),
+        ...): row c holds the descendants of depth-``shallow`` node c.
+
+        Descendants of a node are contiguous because nodes are path codes,
+        so this is a reshape, a view of a contiguous input.  Contracting a
+        depth-``shallow`` coefficient against it gives what contracting
+        the coefficient's :meth:`broadcast` would, without the copy.
+        """
+        self._check_depth(deep)
+        self._check_depth(shallow)
+        if shallow > deep:
+            raise ValueError("ancestors sit at a shallower depth")
+        x = np.asarray(values)
+        return x.reshape((self.node_count(shallow),
+                          1 << (self.m * (deep - shallow))) + x.shape[1:])
 
     def increments(self, step: int) -> np.ndarray:
         """Brownian increment of the given step as a depth-(step+1) field."""
@@ -154,20 +171,28 @@ class Tree:
         z.reverse()
         return x, z
 
-    def stochastic_integral(self, z_list, a: int, b: int) -> np.ndarray:
+    def stochastic_integral(self, z_list, a: int, b: int, start=None,
+                            subtract: bool = False) -> np.ndarray:
         """Accumulate sum_j z_j dW_j along each path from depth a to b.
 
-        Branch ``br`` and its mirror ``2**m - 1 - br`` carry opposite signs
-        on every coordinate, so each pair shares one signed sum.
+        The sum starts from the depth-``a`` field ``start`` (zero when
+        None), which is returned itself when there are no steps;
+        ``subtract`` gives ``start - sum_j z_j dW_j``.  Branch ``br`` and
+        its mirror ``2**m - 1 - br`` carry opposite signs on every
+        coordinate, so each pair shares one signed sum.
         """
         self._check_depth(a)
         self._check_depth(b)
         if len(z_list) != b - a:
             raise ValueError("need one integrand per step in [a, b)")
         nb = 1 << self.m
-        d = z_list[0].shape[1] if z_list else self.d
+        if start is None:
+            d = z_list[0].shape[1] if z_list else self.d
+            acc = np.zeros((self.node_count(a), d))
+        else:
+            acc = start
+            d = acc.shape[1]
         pairs = list(enumerate(_branch_sign_rows(self.m)))[nb // 2:]
-        acc = np.zeros((self.node_count(a), d))
         work = np.empty((self.node_count(max(b - 1, a)), d))
         for zj in z_list:
             n = acc.shape[0]
@@ -175,10 +200,12 @@ class Tree:
             out = np.empty((n * nb, d))
             step = work[:n]
             for br, positive in pairs:
+                plus, minus = (nb - 1 - br, br) if subtract \
+                    else (br, nb - 1 - br)
                 np.multiply(_signed_sum(coords, positive, step), self.sqrt_dt,
                             out=step)
-                np.add(acc, step, out=out[br::nb])
-                np.subtract(acc, step, out=out[nb - 1 - br::nb])
+                np.add(acc, step, out=out[plus::nb])
+                np.subtract(acc, step, out=out[minus::nb])
             acc = out
         return acc
 
@@ -362,24 +389,28 @@ class TwoParameterProcess:
 
 @dataclass
 class TerminalField:
-    """Per-outer-time fields measurable at a fixed depth (default: leaves)."""
+    """Per-outer-time free terms psi(t_i); entry i is measurable at
+    ``depths[i]`` (default: the leaves for every index)."""
 
     tree: Tree
     values: list
-    term_depth: int = field(default=-1)
+    depths: Optional[list] = None
 
     def __post_init__(self):
-        if self.term_depth < 0:
-            self.term_depth = self.tree.N
-        n = self.tree.node_count(self.term_depth)
-        for i, v in enumerate(self.values):
+        if self.depths is None:
+            self.depths = [self.tree.N] * len(self.values)
+        self.depths = [int(p) for p in self.depths]
+        if len(self.depths) != len(self.values):
+            raise ValueError("need one depth per outer index")
+        for i, (v, depth) in enumerate(zip(self.values, self.depths)):
             v = np.asarray(v, dtype=float)
             if v.ndim == 1:
                 v = v[:, None]
+            n = self.tree.node_count(depth)
             if v.shape[0] != n:
                 raise ValueError(
                     f"outer index {i}: expected {n} nodes at depth "
-                    f"{self.term_depth}, got {v.shape[0]}")
+                    f"{depth}, got {v.shape[0]}")
             self.values[i] = v
 
     @property
@@ -387,10 +418,20 @@ class TerminalField:
         return self.values[0].shape[1]
 
     def __getitem__(self, i: int) -> np.ndarray:
+        """psi(t_i) at its own depth ``depths[i]``."""
         return self.values[i]
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def at(self, i: int, depth: int) -> np.ndarray:
+        """psi(t_i) on ``depth``, at or below its own depth: the stored
+        array itself when the depths match, else repeated onto the
+        deeper level."""
+        own = self.depths[i]
+        if depth == own:
+            return self.values[i]
+        return self.tree.broadcast(self.values[i], own, depth)
 
 
 def terminal_from_function(tree: Tree, fn, d: int = None) -> TerminalField:

@@ -417,6 +417,27 @@ class TestSinglePass:
             tree)
         assert len(calls) <= 400
 
+    @pytest.mark.parametrize("method,bound", [("fixed_point", 100),
+                                              ("block", 200)])
+    def test_block_free_terms_represented_once(self, monkeypatch, method,
+                                               bound):
+        # each sweep re-representing its block's fixed free terms and
+        # refilling empty rows costs 294 / 352 calls here
+        from svolterra import registry
+        calls = []
+        original = Tree.martingale_representation
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tree, "martingale_representation", counting)
+        tree = Tree(N=10, T=1.0, m=1)
+        B.solve_bsvie(
+            registry.BACKWARD_PROBLEMS["fractional_generator"](tree, 0.77),
+            tree, method=method)
+        assert len(calls) <= bound
+
     def test_max_sweeps_failure_names_its_block(self):
         tree = Tree(N=4, T=1.0, m=1)
         p = linear_problem(tree, c_y=-0.4, c_z1=0.2, c_z2=0.1)
@@ -425,6 +446,57 @@ class TestSinglePass:
             B.solve_bsvie(p, tree, max_sweeps=1)
         assert info.value.block == (3, 4)
         assert info.value.ratios == []
+
+
+class TestFreeTermDepth:
+    """A free term measurable above the leaves enters the backward pass at
+    its own depth, with the same solution as its repeat onto the leaves."""
+
+    def problem(self, psi):
+        tree = psi.tree
+        kern = K.make_fractional(0.7, K.ANTICAUSAL, tree.T)
+        ly = K.make_fractional(0.7, K.ANTICAUSAL, tree.T, scale=0.4)
+
+        def fn(t, s, y, z1, z2):
+            return -0.4 * y + 0.2 * z1[:, :, 0] + 0.1 * z2[:, :, 0]
+
+        return B.BSVIEProblem(psi, [B.GeneratorTerm(fn, kernel=kern)],
+                              L_y=ly)
+
+    def shallow_and_leaf(self, tree, depth, seed=0):
+        rng = np.random.default_rng(seed)
+        shallow = TerminalField(
+            tree, [rng.normal(size=(tree.node_count(depth), 1))
+                   for _ in range(tree.N + 1)], depths=[depth] * (tree.N + 1))
+        leaf = TerminalField(tree, [shallow.at(i, tree.N)
+                                    for i in range(tree.N + 1)])
+        return self.problem(shallow), self.problem(leaf)
+
+    @pytest.mark.parametrize("method", ["fixed_point", "block"])
+    def test_depth_two_free_term_matches_leaf_repeat(self, method):
+        tree = Tree(N=4, T=1.0, m=1)
+        p, p_leaf = self.shallow_and_leaf(tree, 2)
+        sol = B.solve_bsvie(p, tree, method=method, tol=1e-13)
+        ref = B.solve_bsvie(p_leaf, tree, method=method, tol=1e-13)
+        assert sol.diagnostics["blocks"] == ref.diagnostics["blocks"]
+        for i in range(tree.N + 1):
+            assert np.max(np.abs(sol.Y[i] - ref.Y[i])) <= 1e-14
+            for j in range(tree.N):
+                assert np.max(np.abs(sol.Z.entry(i, j)
+                                     - ref.Z.entry(i, j))) <= 1e-14
+        assert sol.diagnostics["equation_residual"] < 1e-12
+        assert B.equation_residual(sol, p, tree) < 1e-12
+
+    def test_detects_a_perturbed_free_term_at_its_own_depth(self):
+        tree = Tree(N=6, T=1.0, m=1)
+        p, _ = self.shallow_and_leaf(tree, 3, seed=1)
+        sol = B.solve_bsvie(p, tree, tol=1e-13)
+        assert sol.diagnostics["equation_residual"] < 1e-11
+        values = list(p.psi.values)
+        values[2] = values[2] + 1e-6
+        shifted = self.problem(TerminalField(tree, values, p.psi.depths))
+        assert B.equation_residual(sol, shifted, tree) == pytest.approx(
+            1e-6, rel=0.1)
 
 
 class TestMethodAgreement:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from svolterra import control as C
 from svolterra import registry as R
-from svolterra.lattice import AdaptedProcess, Tree
+from svolterra.lattice import AdaptedProcess, TerminalField, Tree
 
 
 @pytest.fixture
@@ -107,6 +109,62 @@ class TestAdjointSinglePass:
         assert diag["m_condition_residual"] <= 1e-13
         assert diag["equation_residual"] <= 1e-13
         assert C.duality_gap(lq, u, v, tree) <= 1e-12
+
+
+class TestAdjointDepths:
+    """The free term g_x(t_r) stays at depth r and the coefficients of cell
+    (j, r) are contracted at depth r."""
+
+    @pytest.mark.parametrize("instance", ["lq", "random"])
+    def test_matches_leaf_repeated_free_term(self, monkeypatch, instance):
+        tree = Tree(N=8, T=1.0, m=1)
+        cp = R.lq_instance() if instance == "lq" \
+            else R.random_linear_instance(7)
+        u = random_control(tree, 3)
+        X = C.solve_state(cp, u, tree)
+        adj = C.solve_adjoint(cp, X, u, tree)
+
+        def leaf_field(tree, values, depths):
+            return TerminalField(tree, [tree.broadcast(v, p, tree.N)
+                                        for v, p in zip(values, depths)])
+
+        monkeypatch.setattr(C, "TerminalField", leaf_field)
+        ref = C.solve_adjoint(cp, X, u, tree)
+        for i in range(tree.N + 1):
+            assert np.max(np.abs(adj.Y[i] - ref.Y[i])) <= 1e-14
+            for j in range(tree.N):
+                assert np.max(np.abs(adj.Z.entry(i, j)
+                                     - ref.Z.entry(i, j))) <= 1e-14
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_contractions_equal_broadcast_contractions(self, d):
+        tree = Tree(N=6, T=1.0, m=1)
+        rng = np.random.default_rng(d)
+        j, r = 5, 2
+        coef_y = rng.normal(size=(tree.node_count(r), d, d))
+        coef_z = rng.normal(size=(tree.node_count(r), d, 1, d))
+        y = rng.normal(size=(tree.node_count(j), d))
+        z2 = tree.broadcast(rng.normal(size=(tree.node_count(r), d, 1)), r, j)
+        assert np.array_equal(
+            C._ancestor_contract(tree, "nab,nka->nkb", coef_y, y, j, r),
+            np.einsum("nab,na->nb", tree.broadcast(coef_y, r, j), y))
+        assert np.array_equal(
+            C._shallow_contract(tree, "namb,nam->nb", coef_z, z2, j, r),
+            np.einsum("namb,nam->nb", tree.broadcast(coef_z, r, j), z2))
+
+    def test_traced_peak_at_n14(self, lq):
+        # leaf copies of the free term and depth-j copies of the state put
+        # this near 5 MB
+        tree = Tree(N=14, T=1.0, m=1)
+        u = random_control(tree, 4)
+        X = C.solve_state(lq, u, tree)
+        tracemalloc.start()
+        try:
+            C.solve_adjoint(lq, X, u, tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6e6
 
 
 class TestGradientConsistency:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svolterra.lattice import (AdaptedProcess, Tree, TwoParameterProcess,
-                               constant_process, ito_isometry_check,
-                               terminal_from_function)
+from svolterra.lattice import (AdaptedProcess, TerminalField, Tree,
+                               TwoParameterProcess, constant_process,
+                               ito_isometry_check, terminal_from_function)
 
 
 @pytest.fixture
@@ -221,6 +221,76 @@ class TestStridedBranchForm:
         tree.stochastic_integral(z, 0, 4)
         assert np.array_equal(x, x0)
         assert all(np.array_equal(a, b) for a, b in zip(z, z0))
+
+
+class TestIntegralFromStartField:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_start_and_subtract(self, m):
+        tree = Tree(N=4, T=1.0, m=m)
+        rng = np.random.default_rng(40 + m)
+        start = rng.normal(size=(tree.node_count(1), 2))
+        z = [rng.normal(size=(tree.node_count(j), 2, m)) for j in range(1, 4)]
+        plain = tree.stochastic_integral(z, 1, 4)
+        base = tree.broadcast(start, 1, 4)
+        added = tree.stochastic_integral(z, 1, 4, start=start)
+        taken = tree.stochastic_integral(z, 1, 4, start=start, subtract=True)
+        assert np.max(np.abs(added - (base + plain))) <= 1e-14
+        assert np.max(np.abs(taken - (base - plain))) <= 1e-14
+        assert tree.stochastic_integral([], 1, 1, start=start) is start
+
+
+class TestAncestorView:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_contraction_equals_broadcast_contraction(self, m, d):
+        tree = Tree(N=4, T=1.0, m=m)
+        rng = np.random.default_rng(10 * m + d)
+        for deep, shallow in ((4, 1), (3, 0), (2, 2)):
+            y = rng.normal(size=(tree.node_count(deep), d))
+            z = rng.normal(size=(tree.node_count(deep), d, m))
+            a = rng.normal(size=(tree.node_count(shallow), d, d))
+            s = rng.normal(size=(tree.node_count(shallow), d, m, d))
+            yv = tree.ancestor_view(y, deep, shallow)
+            zv = tree.ancestor_view(z, deep, shallow)
+            assert np.shares_memory(yv, y) and np.shares_memory(zv, z)
+            got_y = np.einsum("nab,nka->nkb", a, yv).reshape(y.shape)
+            want_y = np.einsum("nab,na->nb",
+                               tree.broadcast(a, shallow, deep), y)
+            got_z = np.einsum("namb,nkam->nkb", s, zv).reshape(y.shape)
+            want_z = np.einsum("namb,nam->nb",
+                               tree.broadcast(s, shallow, deep), z)
+            assert np.array_equal(got_y, want_y), (deep, shallow)
+            assert np.array_equal(got_z, want_z), (deep, shallow)
+
+    def test_rejects_a_deeper_ancestor(self, tree):
+        with pytest.raises(ValueError):
+            tree.ancestor_view(np.zeros((4, 1)), 2, 3)
+
+
+class TestTerminalFieldDepths:
+    def test_default_depth_is_the_leaves(self, tree):
+        psi = terminal_from_function(tree, lambda t, w: w[:, 0])
+        assert psi.depths == [tree.N] * (tree.N + 1)
+        assert psi.at(2, tree.N) is psi[2]
+
+    def test_accessor_repeats_only_onto_deeper_levels(self, tree):
+        rng = np.random.default_rng(6)
+        psi = TerminalField(
+            tree, [rng.normal(size=(tree.node_count(i), 1))
+                   for i in range(tree.N + 1)], depths=range(tree.N + 1))
+        for i in range(tree.N + 1):
+            assert psi.at(i, i) is psi[i]
+        assert np.array_equal(psi.at(2, 5), tree.broadcast(psi[2], 2, 5))
+        with pytest.raises(ValueError):
+            psi.at(4, 2)
+
+    def test_wrong_node_count_names_its_index(self, tree):
+        values = [np.zeros((tree.node_count(2), 1))
+                  for _ in range(tree.N + 1)]
+        values[3] = np.zeros((tree.node_count(3), 1))
+        with pytest.raises(ValueError, match="outer index 3: expected 4 "
+                                             "nodes at depth 2, got 8"):
+            TerminalField(tree, values, depths=[2] * (tree.N + 1))
 
 
 class TestItoIsometry:
