@@ -132,7 +132,7 @@ def criterion_4():
         psi = terminal_from_function(
             tree, lambda t, w: np.sin(w[:, 0] + t) + 0.3 * t)
         p = bwd.BSVIEProblem(psi, [bwd.GeneratorTerm(
-            lambda t, s, y, z1, z2:
+            lambda i, j, y, z1, z2:
             a * y + b * z1[:, :, 0:1].reshape(y.shape)
             + c * z2[:, :, 0:1].reshape(y.shape))])
         sol = bwd.solve_bsvie(p, tree, tol=1e-13)
@@ -154,7 +154,7 @@ def criterion_5():
     psi = terminal_from_function(tree, lambda t, w: np.sin(w[:, 0]))
     cy, cz1 = -0.5, 0.3
     p = bwd.BSVIEProblem(psi, [bwd.GeneratorTerm(
-        lambda t, s, y, z1, z2: cy * y + cz1 * z1[:, :, 0:1].reshape(y.shape))])
+        lambda i, j, y, z1, z2: cy * y + cz1 * z1[:, :, 0:1].reshape(y.shape))])
     sol = bwd.solve_bsvie(p, tree, tol=1e-13)
     Yb, Zb = bwd.solve_bsde(
         psi[0], lambda s, y, z: cy * y + cz1 * z[:, :, 0:1].reshape(y.shape),
@@ -193,7 +193,7 @@ def dense_linear_bsvie_solve(problem: bwd.BSVIEProblem, tree: Tree):
     Scalar state and noise; generators must be affine in (y, z1, z2).
     Returns (Y fields, Z fields, max fit residual).
     """
-    N, t = tree.N, tree.times
+    N = tree.N
     L = tree.node_count(N)
     sizes_y = [tree.node_count(i) for i in range(N + 1)]
     sizes_z = [tree.node_count(j) for j in range(N)]
@@ -218,14 +218,14 @@ def dense_linear_bsvie_solve(problem: bwd.BSVIEProblem, tree: Tree):
 
     tables = bwd._term_weights(problem, tree)
 
-    def coeffs(term, ti, tj):
+    def coeffs(term, i, j):
         one = np.ones((1, 1))
         zero = np.zeros((1, 1))
         z_one = np.ones((1, 1, 1))
         z_zero = np.zeros((1, 1, 1))
-        cy = np.asarray(term.fn(ti, tj, one, z_zero, z_zero)).item()
-        cz1 = np.asarray(term.fn(ti, tj, zero, z_one, z_zero)).item()
-        cz2 = np.asarray(term.fn(ti, tj, zero, z_zero, z_one)).item()
+        cy = np.asarray(term.fn(i, j, one, z_zero, z_zero)).item()
+        cz1 = np.asarray(term.fn(i, j, zero, z_one, z_zero)).item()
+        cz2 = np.asarray(term.fn(i, j, zero, z_zero, z_one)).item()
         return cy, cz1, cz2
 
     rows, rhs = [], []
@@ -239,7 +239,7 @@ def dense_linear_bsvie_solve(problem: bwd.BSVIEProblem, tree: Tree):
                     w = tables[idx][i, j]
                     if w == 0.0:
                         continue
-                    cy, cz1, cz2 = coeffs(term, t[i], t[j])
+                    cy, cz1, cz2 = coeffs(term, i, j)
                     row[yoff[j] + anc(leaf, j)] -= w * cy
                     row[zoff[(i, j)] + anc(leaf, j)] -= w * cz1
                     target = (i, i) if j == i else (j, i)
@@ -278,7 +278,7 @@ def criterion_7():
         psi = terminal_from_function(
             tree, lambda t, w: np.tanh(w[:, 0]) + 0.4 * t)
         p = bwd.BSVIEProblem(psi, [bwd.GeneratorTerm(
-            lambda t, s, y, z1, z2:
+            lambda i, j, y, z1, z2:
             cy * y + cz1 * z1[:, :, 0:1].reshape(y.shape)
             + cz2 * z2[:, :, 0:1].reshape(y.shape))])
         sol = bwd.solve_bsvie(p, tree, tol=1e-13)
@@ -374,7 +374,7 @@ def criterion_11():
         psi = terminal_from_function(tree, lambda t, w: np.sin(w[:, 0]))
         psi2 = terminal_from_function(
             tree, lambda t, w, d=delta: np.sin(w[:, 0]) + d)
-        term = [bwd.GeneratorTerm(lambda t, s, y, z1, z2: -0.5 * y)]
+        term = [bwd.GeneratorTerm(lambda i, j, y, z1, z2: -0.5 * y)]
         pb = bwd.BSVIEProblem(psi, list(term))
         pb2 = bwd.BSVIEProblem(psi2, list(term))
         bratios.append(bwd.stability_gap_bsvie(pb, pb2, tree))

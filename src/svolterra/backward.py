@@ -62,15 +62,17 @@ class RepresentationWarning(UserWarning):
 
 @dataclass
 class GeneratorTerm:
-    """One additive piece of the generator: weight(t, s) * fn(...).
+    """One additive piece of the generator: weight[i, j] * fn(...).
 
-    ``fn(t, s, y, z1, z2)`` receives node arrays ``y`` of shape (n, d) and
-    ``z1``, ``z2`` of shape (n, d, m) and returns (n, d); it must be
-    finite at s = t (the diagonal cell evaluates there).  The quadrature
-    weight over the inner cell [t_j, t_{j+1}] is the exact cell integral
-    of ``kernel`` when given, the plain cell width when not, or the
-    explicit ``weights[i, j]`` override (used by adjoint constructions
-    that transpose a forward discretization).
+    ``fn(i, j, y, z1, z2)`` receives the grid indices of the outer time
+    t_i and of the cell [t_j, t_{j+1}], node arrays ``y`` of shape (n, d)
+    and ``z1``, ``z2`` of shape (n, d, m) at depth j, and returns (n, d);
+    a term that needs times reads them from ``tree.times``.  It must be
+    finite at j = i (the diagonal cell evaluates there).  The quadrature
+    weight of cell j in row i is the exact cell integral of ``kernel``
+    when given, the plain cell width when not, or the explicit
+    ``weights[i, j]`` override (used by adjoint constructions that
+    transpose a forward discretization).
     """
 
     fn: Callable
@@ -80,12 +82,14 @@ class GeneratorTerm:
 
 @dataclass
 class BSVIEProblem:
-    """Free term plus generator terms, with Lipschitz kernel metadata."""
+    """Free term plus generator terms, with Lipschitz kernel metadata.
+
+    The state dimension ``d`` is the free term's and the noise dimension
+    ``m`` the tree's.
+    """
 
     psi: TerminalField
     terms: list
-    d: int = 1
-    m: int = 1
     L_y: Optional[Kernel] = None
     L_z1: Optional[Kernel] = None
     L_z2: Optional[Kernel] = None
@@ -97,16 +101,23 @@ class BSVIEProblem:
             self._probe_zero()
         self._verify_kernel_classes()
 
+    @property
+    def d(self) -> int:
+        return self.psi.d
+
+    @property
+    def m(self) -> int:
+        return self.psi.tree.m
+
     def _probe_zero(self):
-        T = self.psi.tree.T
-        y = np.zeros((1, self.d))
-        z = np.zeros((1, self.d, self.m))
-        for (t, s) in [(0.25 * T, 0.5 * T), (0.5 * T, 0.9 * T)]:
+        """Evaluate every term on zero fields at two grid cells of depth at
+        most N // 2; a term that does not vanish there is rejected."""
+        tree = self.psi.tree
+        for (i, j) in [(tree.N // 4, tree.N // 2), (tree.N // 2, tree.N // 2)]:
+            y = np.zeros((tree.node_count(j), self.d))
+            z = np.zeros((tree.node_count(j), self.d, self.m))
             for term in self.terms:
-                try:
-                    v = np.asarray(term.fn(t, s, y, z, z), dtype=float)
-                except Exception:
-                    continue  # index-bound adjoint terms probe at solve time
+                v = np.asarray(term.fn(i, j, y, z, z), dtype=float)
                 if not np.allclose(v, 0.0, atol=1e-12):
                     raise ValueError(
                         "generator does not vanish at (y, z1, z2) = 0; "
@@ -230,6 +241,44 @@ def strictly_upper_weights(tree: Tree) -> np.ndarray:
     return np.triu(np.full((tree.N + 1, tree.N), tree.dt), 1)
 
 
+def _ancestor_contract(tree: Tree, spec: str, coef: np.ndarray,
+                       values: np.ndarray, deep: int,
+                       shallow: int) -> np.ndarray:
+    """``np.einsum(spec, coef, values)`` for a depth-``shallow`` coefficient
+    and a depth-``deep`` field, read through :meth:`Tree.ancestor_view`
+    (``spec`` names the descendant axis k), so the coefficient is never
+    repeated onto depth ``deep``; returns the depth-``deep`` result."""
+    out = np.einsum(spec, coef, tree.ancestor_view(values, deep, shallow))
+    return out.reshape((values.shape[0],) + out.shape[2:])
+
+
+def _linear_adjoint(psi: TerminalField, coef_y: Callable, coef_z: Callable,
+                    label: str) -> BSVIEProblem:
+    """Linear adjoint equation with generator A(s, t)^T Y(s) + C(s, t)^T
+    Z(s, t) on the :func:`strictly_upper_weights` table.
+
+    ``coef_y(j, r)`` (nodes, d, d) and ``coef_z(j, r)`` (nodes, d, m, d)
+    are the coefficients of cell j in row r at the outer depth r, and are
+    contracted there: against Y(t_j) through the ancestor view, and
+    against Z(t_j, t_r), which is F_{t_r}-measurable, on the first
+    descendants of its depth-j repeat, the result repeated onto depth j.
+    """
+    tree = psi.tree
+
+    def fn_y(r, j, y, z1, z2):
+        return _ancestor_contract(tree, "nab,nka->nkb", coef_y(j, r), y, j, r)
+
+    def fn_z(r, j, y, z1, z2):
+        first = tree.ancestor_view(z2, j, r)[:, 0]
+        return tree.broadcast(np.einsum("namb,nam->nb", coef_z(j, r), first),
+                              r, j)
+
+    weights = strictly_upper_weights(tree)
+    return BSVIEProblem(psi, [GeneratorTerm(fn_y, weights=weights),
+                              GeneratorTerm(fn_z, weights=weights)],
+                        label=label)
+
+
 def _cell_drift(problem: BSVIEProblem, tables, i: int, j: int, acc,
                 y: Optional[np.ndarray], z1: np.ndarray,
                 z2_below: Optional[Callable]):
@@ -243,7 +292,6 @@ def _cell_drift(problem: BSVIEProblem, tables, i: int, j: int, acc,
     that carry a running sum keep its summation order.
     """
     tree = problem.tree
-    t = tree.times
     live = [(table[i, j], term) for table, term in zip(tables, problem.terms)
             if table[i, j] != 0.0]
     if not live:
@@ -255,8 +303,7 @@ def _cell_drift(problem: BSVIEProblem, tables, i: int, j: int, acc,
     else:
         z2 = None
     for w, term in live:
-        acc = acc + w * np.asarray(term.fn(t[i], t[j], y, z1, z2),
-                                   dtype=float)
+        acc = acc + w * np.asarray(term.fn(i, j, y, z1, z2), dtype=float)
     return acc
 
 
@@ -490,8 +537,7 @@ def solve_param_bsde_family(psi: TerminalField, h: Callable, tree: Tree,
     """
     if not 0 <= R_index <= S_index <= tree.N:
         raise ValueError("need 0 <= R_index <= S_index <= N")
-    d = psi.d
-    dummy = _h_problem(psi, h, d, tree.m)
+    dummy = _h_problem(psi, h)
     tables = _term_weights(dummy, tree)
     lam_all, mu_all = {}, {}
     for i in range(S_index, tree.N + 1):
@@ -504,9 +550,10 @@ def solve_param_bsde_family(psi: TerminalField, h: Callable, tree: Tree,
     return ParamBSDEFamily(lam_all, mu_all)
 
 
-def _h_problem(psi, h, d, m):
-    term = GeneratorTerm(fn=lambda t, s, y, z1, z2: h(t, s, z1))
-    return BSVIEProblem(psi, [term], d=d, m=m, check_zero=False)
+def _h_problem(psi, h):
+    t = psi.tree.times
+    term = GeneratorTerm(fn=lambda i, j, y, z1, z2: h(t[i], t[j], z1))
+    return BSVIEProblem(psi, [term], check_zero=False)
 
 
 def solve_sfie(psi: TerminalField, h: Callable, tree: Tree,
@@ -520,7 +567,7 @@ def solve_sfie(psi: TerminalField, h: Callable, tree: Tree,
     """
     if not 0 <= R_index <= S_index <= tree.N:
         raise ValueError("need 0 <= R_index <= S_index <= N")
-    dummy = _h_problem(psi, h, psi.d, tree.m)
+    dummy = _h_problem(psi, h)
     tables = _term_weights(dummy, tree)
     psi_S, Z = {}, {}
     for i in range(R_index, S_index + 1):
@@ -633,23 +680,23 @@ def make_caputo_bsde(alpha: float, A: np.ndarray, f: Optional[Callable],
     if not 0.5 < alpha < 1.0:
         raise ValueError("alpha must lie in (1/2, 1)")
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    d = A.shape[0]
     kern = make_fractional(alpha, ANTICAUSAL, tree.T,
                            scale=1.0 / gamma_fn(alpha))
+    t = tree.times
 
-    def fn(t, s, y, z1, z2):
+    def fn(i, j, y, z1, z2):
         val = -np.einsum("ab,nb->na", A, y)
         if f is not None:
             val = val + np.asarray(
-                f(s, y, (s - t) ** (1.0 - alpha) * z1), dtype=float)
+                f(t[j], y, (t[j] - t[i]) ** (1.0 - alpha) * z1), dtype=float)
         return val
 
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 1:
         xi = xi[:, None]
     psi = TerminalField(tree, [xi.copy() for _ in range(tree.N + 1)])
-    return BSVIEProblem(psi, [GeneratorTerm(fn, kernel=kern)], d=d,
-                        m=tree.m, L_y=kern, L_z1=kern, L_z2=None,
+    return BSVIEProblem(psi, [GeneratorTerm(fn, kernel=kern)],
+                        L_y=kern, L_z1=kern, L_z2=None,
                         label=f"caputo_bsvie(alpha={alpha})",
                         check_zero=f is None)
 
@@ -664,17 +711,18 @@ def make_linear_adjoint(M1: Callable, M2: Callable, S_kernel: Callable,
     scalar kernels multiply the two pieces separately (used for the
     fractional-Brownian and memory-resolvent variants).
     """
-    def fn_y(t, s, y, z1, z2):
-        P = (np.atleast_2d(S_kernel(s - t)) @ np.atleast_2d(M1(t))).T
+    t = psi.tree.times
+
+    def fn_y(i, j, y, z1, z2):
+        P = (np.atleast_2d(S_kernel(t[j] - t[i])) @ np.atleast_2d(M1(t[i]))).T
         return np.einsum("ab,nb->na", P, y)
 
-    def fn_z(t, s, y, z1, z2):
+    def fn_z(i, j, y, z1, z2):
         # noise columns are contracted after the adjoint operator acts
-        P = (np.atleast_2d(S_kernel(s - t)) @ np.atleast_2d(M2(t))).T
+        P = (np.atleast_2d(S_kernel(t[j] - t[i])) @ np.atleast_2d(M2(t[i]))).T
         return np.einsum("ab,nbk->na", P, z2)
 
-    d = psi.d
     terms = [GeneratorTerm(fn_y, kernel=kernel_y),
              GeneratorTerm(fn_z, kernel=kernel_z2)]
-    return BSVIEProblem(psi, terms, d=d, m=psi.tree.m,
-                        L_y=kernel_y, L_z2=kernel_z2, label=label)
+    return BSVIEProblem(psi, terms, L_y=kernel_y, L_z2=kernel_z2,
+                        label=label)

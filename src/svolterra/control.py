@@ -18,8 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .backward import (BSVIEProblem, GeneratorTerm, MSolution, solve_bsvie,
-                       strictly_upper_weights)
+from .backward import MSolution, _linear_adjoint, solve_bsvie
 from .forward import _volterra_row
 from .kernels import Kernel
 from .lattice import AdaptedProcess, TerminalField, Tree
@@ -271,67 +270,31 @@ def variational_forcing(cp: ControlProblem, u_bar: AdaptedProcess,
 # adjoint and duality
 # ---------------------------------------------------------------------------
 
-def _ancestor_contract(tree: Tree, spec: str, coef: np.ndarray,
-                       values: np.ndarray, deep: int,
-                       shallow: int) -> np.ndarray:
-    """``np.einsum(spec, coef, values)`` for a depth-``shallow`` coefficient
-    and a depth-``deep`` field, read through :meth:`Tree.ancestor_view`
-    (``spec`` names the descendant axis k), so the coefficient is never
-    repeated onto depth ``deep``; returns the depth-``deep`` result."""
-    out = np.einsum(spec, coef, tree.ancestor_view(values, deep, shallow))
-    return out.reshape((values.shape[0],) + out.shape[2:])
-
-
-def _shallow_contract(tree: Tree, spec: str, coef: np.ndarray,
-                      values: np.ndarray, deep: int,
-                      shallow: int) -> np.ndarray:
-    """``np.einsum(spec, coef, values)`` for a depth-``shallow`` coefficient
-    and a depth-``deep`` repeat of a depth-``shallow`` field (z2 = Z(s, t)
-    is F_t-measurable): contracted at depth ``shallow`` on the field's
-    first descendants, and the result repeated onto depth ``deep``."""
-    first = tree.ancestor_view(values, deep, shallow)[:, 0]
-    return tree.broadcast(np.einsum(spec, coef, first), shallow, deep)
-
-
 def solve_adjoint(cp: ControlProblem, x_bar: AdaptedProcess,
                   u_bar: AdaptedProcess, tree: Tree,
                   tol: float = 1e-14) -> MSolution:
     """Adjoint backward Volterra equation with exact-transpose weights.
 
     Generator b_x(s, t)^T Y(s) + sigma_x(s, t)^T Z(s, t) with coefficients
-    frozen at the outer time's state; the drift weight table excludes the
-    diagonal cell because the discrete variational operator has no
-    diagonal entry (so ``solve_bsvie`` takes one backward pass), and the
-    diffusion table matches the dt produced by squaring tree increments.
-    Every field stays at the depth where it is measurable: the free term
-    g_x(t_r) at depth r, and the coefficients of cell (j, r) on the depth-r
-    state and control, contracted at the outer depth r against Y(t_j)
-    through the ancestor view and against Z(t_j, t_r) itself.
+    frozen at the outer time's state, built by ``backward._linear_adjoint``:
+    the weight table excludes the diagonal cell because the discrete
+    variational operator has no diagonal entry (so ``solve_bsvie`` takes
+    one backward pass), and the diffusion weight matches the dt produced
+    by squaring tree increments.  Every field stays at the depth where it
+    is measurable: the free term g_x(t_r) at depth r, and the coefficients
+    of cell (j, r) on the depth-r state and control, contracted there.
     """
-    N, t, dt = tree.N, tree.times, tree.dt
+    N, t = tree.N, tree.times
 
-    def coefficient(deriv, j, r):
-        return np.asarray(deriv(t[j], t[r], x_bar[r], u_bar[r]), dtype=float)
+    def coefficient(deriv):
+        return lambda j, r: np.asarray(deriv(t[j], t[r], x_bar[r], u_bar[r]),
+                                       dtype=float)
 
-    def fn_b(tt, ss, y, z1, z2):
-        j, r = int(round(ss / dt)), int(round(tt / dt))
-        return _ancestor_contract(tree, "nab,nka->nkb",
-                                  coefficient(cp.b_x, j, r), y, j, r)
-
-    def fn_s(tt, ss, y, z1, z2):
-        j, r = int(round(ss / dt)), int(round(tt / dt))
-        return _shallow_contract(tree, "namb,nam->nb",
-                                 coefficient(cp.sigma_x, j, r), z2, j, r)
-
-    weights = strictly_upper_weights(tree)
     psi = TerminalField(
         tree, [np.asarray(cp.g_x(t[r], x_bar[r], u_bar[r]), dtype=float)
                for r in range(N + 1)], depths=list(range(N + 1)))
-
-    problem = BSVIEProblem(
-        psi, [GeneratorTerm(fn_b, weights=weights),
-              GeneratorTerm(fn_s, weights=weights)],
-        d=cp.d, m=tree.m, check_zero=False, label="adjoint")
+    problem = _linear_adjoint(psi, coefficient(cp.b_x),
+                              coefficient(cp.sigma_x), "adjoint")
     return solve_bsvie(problem, tree, tol=tol)
 
 

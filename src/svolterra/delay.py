@@ -21,9 +21,9 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from .backward import (BSVIEProblem, GeneratorTerm, MSolution, solve_bsvie,
-                       strictly_upper_weights)
-from .control import _ancestor_contract, _fd_probe, _shallow_contract
+from .backward import (MSolution, _ancestor_contract, _linear_adjoint,
+                       solve_bsvie)
+from .control import _fd_probe
 from .forward import _volterra_row
 from .lattice import AdaptedProcess, TerminalField, Tree
 
@@ -463,9 +463,9 @@ def solve_delay_adjoint(dp: DelayProblem, traj: DelayTrajectory,
             np.asarray(dp.l_y(*theta), dtype=float),
             np.asarray(dp.l_z(*theta), dtype=float)], axis=1)
 
-    # block coefficients of cell (j, r) stay at depth r and are contracted
-    # there: against the deeper fields through the ancestor view, against
-    # Z(t_j, t_r) itself
+    # block coefficients of cell (N, r) stay at depth r and are contracted
+    # there, as ``_linear_adjoint`` does for every cell: against H_bar
+    # through the ancestor view, against zeta[r] itself
     psi_fields = []
     for r in range(N + 1):
         base = tree.broadcast(L_bar(r), r, N) if r < N \
@@ -478,19 +478,7 @@ def solve_delay_adjoint(dp: DelayProblem, traj: DelayTrajectory,
         psi_fields.append(base)
     psi = TerminalField(tree, psi_fields)
 
-    def fn_A(tt, ss, y, z1, z2):
-        j, r = int(round(ss / dt)), int(round(tt / dt))
-        return _ancestor_contract(tree, "nab,nka->nkb", aug.A(j, r), y, j, r)
-
-    def fn_C(tt, ss, y, z1, z2):
-        j, r = int(round(ss / dt)), int(round(tt / dt))
-        return _shallow_contract(tree, "namb,nam->nb", aug.C(j, r), z2, j, r)
-
-    weights = strictly_upper_weights(tree)
-    problem = BSVIEProblem(
-        psi, [GeneratorTerm(fn_A, weights=weights),
-              GeneratorTerm(fn_C, weights=weights)],
-        d=3 * d, m=tree.m, check_zero=False, label="delay_adjoint")
+    problem = _linear_adjoint(psi, aug.A, aug.C, "delay_adjoint")
     sol = solve_bsvie(problem, tree, tol=tol)
 
     # assemble p and q from the component aggregates

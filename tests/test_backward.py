@@ -6,98 +6,14 @@ import pytest
 
 from svolterra import backward as B
 from svolterra import kernels as K
+from svolterra.acceptance import dense_linear_bsvie_solve
 from svolterra.lattice import TerminalField, Tree, terminal_from_function
 from svolterra.special import gamma_fn, mittag_leffler
 
 
-def dense_oracle(problem, tree):
-    """Assemble the full linear system over all node unknowns and solve it.
-
-    Independent of the sweep solvers: every leaf instance of the backward
-    equation and of the representation identity becomes one dense row,
-    and the stacked system goes through a least-squares solve.  Scalar
-    state and noise only.
-    """
-    N = tree.N
-    t = tree.times
-    L = tree.node_count(N)
-    sizes_y = [tree.node_count(i) for i in range(N + 1)]
-    sizes_z = [tree.node_count(j) for j in range(N)]
-    yoff, off = {}, 0
-    for i in range(N + 1):
-        yoff[i] = off
-        off += sizes_y[i]
-    zoff = {}
-    for i in range(N + 1):
-        for j in range(N):
-            zoff[(i, j)] = off
-            off += sizes_z[j]
-    n_unknowns = off
-
-    def anc(leaf, depth):
-        return leaf >> (N - depth)
-
-    dW = np.empty((N, L))
-    for j in range(N):
-        for leaf in range(L):
-            bit = (leaf >> (N - 1 - j)) & 1
-            dW[j, leaf] = tree.sqrt_dt * (1.0 if bit else -1.0)
-
-    tables = B._term_weights(problem, tree)
-
-    def coeffs(term, ti, tj):
-        one = np.ones((1, 1))
-        zero = np.zeros((1, 1))
-        z_one = np.ones((1, 1, 1))
-        z_zero = np.zeros((1, 1, 1))
-        cy = np.asarray(term.fn(ti, tj, one, z_zero, z_zero)).item()
-        cz1 = np.asarray(term.fn(ti, tj, zero, z_one, z_zero)).item()
-        cz2 = np.asarray(term.fn(ti, tj, zero, z_zero, z_one)).item()
-        return cy, cz1, cz2
-
-    rows, rhs = [], []
-    for i in range(N + 1):
-        for leaf in range(L):
-            row = np.zeros(n_unknowns)
-            row[yoff[i] + anc(leaf, i)] += 1.0
-            for j in range(i, N):
-                for idx, term in enumerate(problem.terms):
-                    w = tables[idx][i, j]
-                    if w == 0.0:
-                        continue
-                    cy, cz1, cz2 = coeffs(term, t[i], t[j])
-                    row[yoff[j] + anc(leaf, j)] -= w * cy
-                    row[zoff[(i, j)] + anc(leaf, j)] -= w * cz1
-                    if j == i:
-                        row[zoff[(i, i)] + anc(leaf, i)] -= w * cz2
-                    else:
-                        row[zoff[(j, i)] + anc(leaf, i)] -= w * cz2
-                row[zoff[(i, j)] + anc(leaf, j)] += dW[j, leaf]
-            rows.append(row)
-            rhs.append(float(problem.psi[i][leaf, 0]))
-    for i in range(N + 1):
-        for leaf in range(L):
-            row = np.zeros(n_unknowns)
-            row[yoff[i] + anc(leaf, i)] += 1.0
-            row[yoff[i]:yoff[i] + sizes_y[i]] -= 1.0 / sizes_y[i]
-            for j in range(i):
-                row[zoff[(i, j)] + anc(leaf, j)] -= dW[j, leaf]
-            rows.append(row)
-            rhs.append(0.0)
-
-    A = np.asarray(rows)
-    b = np.asarray(rhs)
-    u, residuals, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    fit = float(np.max(np.abs(A @ u - b)))
-    Y = [u[yoff[i]:yoff[i] + sizes_y[i]] for i in range(N + 1)]
-    Z = {(i, j): u[zoff[(i, j)]:zoff[(i, j)] + sizes_z[j]]
-         for i in range(N + 1) for j in range(N)}
-    return Y, Z, fit
-
-
 def linear_problem(tree, c_y=-0.5, c_z1=0.0, c_z2=0.0, psi_fn=None,
                    kernel=None, L_y=None, L_z2=None):
-    def fn(t, s, y, z1, z2):
+    def fn(i, j, y, z1, z2):
         return c_y * y + c_z1 * z1[:, :, 0] + c_z2 * z2[:, :, 0]
 
     if psi_fn is None:
@@ -223,7 +139,7 @@ class TestInexactRepresentationWarning:
         psi = terminal_from_function(
             tree, lambda t, w: np.sin(w[:, 0] * w[:, 1]) + t)
         p = B.BSVIEProblem(psi, [B.GeneratorTerm(
-            lambda t, s, y, z1, z2: -0.5 * y)], m=2)
+            lambda i, j, y, z1, z2: -0.5 * y)])
         with pytest.warns(B.RepresentationWarning,
                           match="L2 projection") as record:
             sol = B.solve_bsvie(p, tree)
@@ -248,7 +164,7 @@ class TestDenseOracle:
         tree = Tree(N=6, T=1.0, m=1)
         p = linear_problem(tree, c_y=-0.7)
         sol = B.solve_bsvie(p, tree, tol=1e-13)
-        Yd, Zd, fit = dense_oracle(p, tree)
+        Yd, Zd, fit = dense_linear_bsvie_solve(p, tree)
         assert fit < 1e-10
         for i in range(7):
             assert np.max(np.abs(sol.Y[i][:, 0] - Yd[i])) < 1e-10
@@ -266,10 +182,10 @@ class TestDenseOracle:
                 tree, lambda t, w: np.tanh(w[:, 0]) + 0.5 * t)
             p = B.BSVIEProblem(
                 psi, [B.GeneratorTerm(
-                    lambda t, s, y, z1, z2:
+                    lambda i, j, y, z1, z2:
                     cy * y + cz1 * z1[:, :, 0] + cz2 * z2[:, :, 0])])
             sol = B.solve_bsvie(p, tree, tol=1e-13)
-            Yd, Zd, fit = dense_oracle(p, tree)
+            Yd, Zd, fit = dense_linear_bsvie_solve(p, tree)
             assert fit < 1e-10
             worst = max(float(np.max(np.abs(sol.Y[i][:, 0] - Yd[i])))
                         for i in range(6))
@@ -286,7 +202,7 @@ class TestBSDEReduction:
         cy, cz1 = -0.5, 0.3
         p = B.BSVIEProblem(
             psi, [B.GeneratorTerm(
-                lambda t, s, y, z1, z2: cy * y + cz1 * z1[:, :, 0])])
+                lambda i, j, y, z1, z2: cy * y + cz1 * z1[:, :, 0])])
         sol = B.solve_bsvie(p, tree, tol=1e-13)
         Yb, Zb = B.solve_bsde(psi[0], lambda s, y, z:
                               cy * y + cz1 * z[:, :, 0], tree,
@@ -307,7 +223,7 @@ class TestVectorState:
         xi = np.stack([np.sin(w[:, 0]), np.cos(w[:, 0])], axis=1)
         psi = TerminalField(tree, [xi.copy() for _ in range(7)])
         p = B.BSVIEProblem(
-            psi, [B.GeneratorTerm(lambda t, s, y, z1, z2: y @ A.T)], d=2)
+            psi, [B.GeneratorTerm(lambda i, j, y, z1, z2: y @ A.T)])
         sol = B.solve_bsvie(p, tree, tol=1e-13)
         Yb, Zb = B.solve_bsde(xi, lambda s, y, z: y @ A.T, tree,
                               y_scheme="implicit")
@@ -326,6 +242,75 @@ class TestKernelClassCheck:
                 0.4, K.ANTICAUSAL, tree.T))
 
 
+class TestProblemConstruction:
+    """Generator terms see grid indices; the zero probe evaluates them at
+    two real grid cells and lets every failure through."""
+
+    def test_dimensions_come_from_free_term_and_tree(self):
+        tree = Tree(N=4, T=1.0, m=2)
+        psi = TerminalField(tree, [np.zeros((tree.node_count(4), 2))] * 5)
+        calls = []
+
+        def fn(i, j, y, z1, z2):
+            calls.append((i, j, y.shape, z1.shape, z2.shape))
+            return -0.5 * y
+
+        p = B.BSVIEProblem(psi, [B.GeneratorTerm(fn)])
+        assert (p.d, p.m) == (2, 2)
+        with pytest.raises(AttributeError):
+            p.d = 1
+        assert calls == [(1, 2, (16, 2), (16, 2, 2), (16, 2, 2)),
+                         (2, 2, (16, 2), (16, 2, 2), (16, 2, 2))]
+
+    def test_index_bound_term_that_does_not_vanish_is_rejected(self):
+        tree = Tree(N=4, T=1.0, m=1)
+        psi = TerminalField(tree, [np.ones((16, 1))] * 5)
+        table = np.full((tree.N + 1, tree.N), 0.3)
+        with pytest.raises(ValueError, match="does not vanish"):
+            B.BSVIEProblem(psi, [B.GeneratorTerm(
+                lambda i, j, y, z1, z2: y + table[i, j])])
+
+    def test_generator_error_during_probe_propagates(self):
+        tree = Tree(N=4, T=1.0, m=1)
+        psi = TerminalField(tree, [np.ones((16, 1))] * 5)
+
+        def fn(i, j, y, z1, z2):
+            raise RuntimeError("generator failed")
+
+        with pytest.raises(RuntimeError, match="generator failed"):
+            B.BSVIEProblem(psi, [B.GeneratorTerm(fn)])
+
+
+class TestLinearAdjointBuilder:
+    """The control and delay adjoints share one builder, which contracts
+    the cell (j, r) coefficients at the outer depth r."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_contractions_equal_broadcast_contractions(self, d):
+        tree = Tree(N=6, T=1.0, m=1)
+        rng = np.random.default_rng(d)
+        j, r = 5, 2
+        coef_y = [rng.normal(size=(tree.node_count(q), d, d))
+                  for q in range(tree.N + 1)]
+        coef_z = [rng.normal(size=(tree.node_count(q), d, 1, d))
+                  for q in range(tree.N + 1)]
+        y = rng.normal(size=(tree.node_count(j), d))
+        z2 = tree.broadcast(rng.normal(size=(tree.node_count(r), d, 1)), r, j)
+        psi = TerminalField(tree, [np.zeros((tree.node_count(tree.N), d))]
+                            * (tree.N + 1))
+        p = B._linear_adjoint(psi, lambda jj, rr: coef_y[rr],
+                              lambda jj, rr: coef_z[rr], "contractions")
+        assert all(np.array_equal(term.weights, B.strictly_upper_weights(tree))
+                   for term in p.terms)
+        fn_y, fn_z = (term.fn for term in p.terms)
+        assert np.array_equal(
+            fn_y(r, j, y, None, None),
+            np.einsum("nab,na->nb", tree.broadcast(coef_y[r], r, j), y))
+        assert np.array_equal(
+            fn_z(r, j, None, None, z2),
+            np.einsum("namb,nam->nb", tree.broadcast(coef_z[r], r, j), z2))
+
+
 class TestSinglePass:
     """Every fixed_point solve is one backward pass of one-step blocks;
     tables with no cell on or below the diagonal (the adjoint shape) need
@@ -340,12 +325,11 @@ class TestSinglePass:
             tree, lambda t, w: np.tanh(w[:, 0]) + 0.5 * t)
         return B.BSVIEProblem(
             psi, [B.GeneratorTerm(
-                lambda t, s, y, z1, z2:
+                lambda i, j, y, z1, z2:
                 cy * y + cz1 * z1[:, :, 0] + cz2 * z2[:, :, 0],
                 weights=weights)])
 
     def assert_matches_dense_solve(self, sol, p, tree):
-        from svolterra.acceptance import dense_linear_bsvie_solve
         N = tree.N
         Yd, Zd, fit = dense_linear_bsvie_solve(p, tree)
         assert fit < 1e-10
@@ -393,7 +377,7 @@ class TestSinglePass:
         tree = Tree(N=5, T=1.0, m=1)
         upper = self.strictly_upper_problem(tree)
         p = B.BSVIEProblem(upper.psi, upper.terms + [B.GeneratorTerm(
-            lambda t, s, y, z1, z2: -0.3 * y)])
+            lambda i, j, y, z1, z2: -0.3 * y)])
         sol = B.solve_bsvie(p, tree, tol=1e-13)
         assert sol.diagnostics["blocks"] == [(r, r + 1) for r in range(5)]
         assert sol.diagnostics["equation_residual"] < 1e-11
@@ -457,7 +441,7 @@ class TestFreeTermDepth:
         kern = K.make_fractional(0.7, K.ANTICAUSAL, tree.T)
         ly = K.make_fractional(0.7, K.ANTICAUSAL, tree.T, scale=0.4)
 
-        def fn(t, s, y, z1, z2):
+        def fn(i, j, y, z1, z2):
             return -0.4 * y + 0.2 * z1[:, :, 0] + 0.1 * z2[:, :, 0]
 
         return B.BSVIEProblem(psi, [B.GeneratorTerm(fn, kernel=kern)],
@@ -506,7 +490,7 @@ class TestMethodAgreement:
         psi = terminal_from_function(
             tree, lambda t, w: np.cos(w[:, 0] + 2.0 * t))
 
-        def fn(t, s, y, z1, z2):
+        def fn(i, j, y, z1, z2):
             return -0.4 * y + 0.2 * z1[:, :, 0] + z2_coeff * z2[:, :, 0]
 
         lz2 = K.make_fractional(alpha, K.ANTICAUSAL, tree.T,
@@ -666,7 +650,7 @@ class TestCaputoBSVIE:
         sol = B.solve_bsvie(p, tree, tol=1e-13)
         # the z1 rescaling (s-t)^(1-alpha) makes coefficients time-paired
         # but still linear, which the dense assembler probes pointwise
-        Yd, Zd, fit = dense_oracle(p, tree)
+        Yd, Zd, fit = dense_linear_bsvie_solve(p, tree)
         assert fit < 1e-10
         worst = max(float(np.max(np.abs(sol.Y[i][:, 0] - Yd[i])))
                     for i in range(6))
@@ -705,7 +689,7 @@ class TestLinearAdjointConstructor:
         psi = terminal_from_function(tree, lambda t, w: np.cos(w[:, 0]))
         ky = K.mirror_kernel(K.make_fbm_full(0.7))
         p = B.BSVIEProblem(
-            psi, [B.GeneratorTerm(lambda t, s, y, z1, z2: 0.4 * y,
+            psi, [B.GeneratorTerm(lambda i, j, y, z1, z2: 0.4 * y,
                                   kernel=ky)], check_zero=False)
         with pytest.raises(ValueError, match="divergent cell weight"):
             B.solve_bsvie(p, tree, tol=1e-10)
@@ -730,7 +714,7 @@ class TestLinearAdjointConstructor:
                       (0.0, 0.0))
         psi = terminal_from_function(tree, lambda t, w: np.cos(w[:, 0]))
         p = B.BSVIEProblem(
-            psi, [B.GeneratorTerm(lambda t, s, y, z1, z2: 0.2 * y,
+            psi, [B.GeneratorTerm(lambda i, j, y, z1, z2: 0.2 * y,
                                   kernel=ky)], check_zero=False)
         sol = B.solve_bsvie(p, tree, tol=1e-11)
         assert B.m_condition_residual(sol, tree) < 1e-13

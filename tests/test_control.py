@@ -136,22 +136,6 @@ class TestAdjointDepths:
                 assert np.max(np.abs(adj.Z.entry(i, j)
                                      - ref.Z.entry(i, j))) <= 1e-14
 
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_contractions_equal_broadcast_contractions(self, d):
-        tree = Tree(N=6, T=1.0, m=1)
-        rng = np.random.default_rng(d)
-        j, r = 5, 2
-        coef_y = rng.normal(size=(tree.node_count(r), d, d))
-        coef_z = rng.normal(size=(tree.node_count(r), d, 1, d))
-        y = rng.normal(size=(tree.node_count(j), d))
-        z2 = tree.broadcast(rng.normal(size=(tree.node_count(r), d, 1)), r, j)
-        assert np.array_equal(
-            C._ancestor_contract(tree, "nab,nka->nkb", coef_y, y, j, r),
-            np.einsum("nab,na->nb", tree.broadcast(coef_y, r, j), y))
-        assert np.array_equal(
-            C._shallow_contract(tree, "namb,nam->nb", coef_z, z2, j, r),
-            np.einsum("namb,nam->nb", tree.broadcast(coef_z, r, j), z2))
-
     def test_traced_peak_at_n14(self, lq):
         # leaf copies of the free term and depth-j copies of the state put
         # this near 5 MB

@@ -829,7 +829,7 @@ class TestCellTable:
         psi = TerminalField(tree, [np.ones((tree.node_count(tree.N), 1))
                                    for _ in range(tree.N + 1)])
         p = B.BSVIEProblem(psi, [B.GeneratorTerm(
-            lambda t, s, y, z1, z2: -0.1 * y, kernel=kern)])
+            lambda i, j, y, z1, z2: -0.1 * y, kernel=kern)])
         with pytest.raises(ValueError,
                            match=r"divergent cell weight at outer time "
                                  r"t=0 \(cell 3\)"), \
