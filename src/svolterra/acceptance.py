@@ -216,7 +216,7 @@ def dense_linear_bsvie_solve(problem: bwd.BSVIEProblem, tree: Tree):
             dW[j, leaf] = tree.sqrt_dt * (
                 1.0 if (leaf >> (N - 1 - j)) & 1 else -1.0)
 
-    tables = bwd._term_weights(problem, tree)
+    tables = bwd._term_weights(problem.terms, tree)
 
     def coeffs(term, i, j):
         one = np.ones((1, 1))
@@ -416,11 +416,3 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4,
                 criterion_5, criterion_6, criterion_7, criterion_8,
                 criterion_9, criterion_10, criterion_11, criterion_12]
 
-
-def run_all(indices=None):
-    results = []
-    for crit in ALL_CRITERIA:
-        if indices is not None and crit.index not in indices:
-            continue
-        results.append(crit())
-    return results

@@ -94,11 +94,9 @@ class BSVIEProblem:
     L_z1: Optional[Kernel] = None
     L_z2: Optional[Kernel] = None
     label: str = ""
-    check_zero: bool = True
 
     def __post_init__(self):
-        if self.check_zero:
-            self._probe_zero()
+        self._probe_zero()
         self._verify_kernel_classes()
 
     @property
@@ -205,11 +203,11 @@ def solve_bsde(xi: np.ndarray, g: Callable, tree: Tree,
 # the shared backward-pass engine
 # ---------------------------------------------------------------------------
 
-def _term_weights(problem: BSVIEProblem, tree: Tree) -> list:
+def _term_weights(terms: list, tree: Tree) -> list:
     """Per-term (N+1, N) cell weight tables."""
     N, t = tree.N, tree.times
     tables = []
-    for term in problem.terms:
+    for term in terms:
         if term.weights is not None:
             w = np.asarray(term.weights, dtype=float)
             if w.shape != (N + 1, N):
@@ -279,7 +277,7 @@ def _linear_adjoint(psi: TerminalField, coef_y: Callable, coef_z: Callable,
                         label=label)
 
 
-def _cell_drift(problem: BSVIEProblem, tables, i: int, j: int, acc,
+def _cell_drift(tree: Tree, terms: list, tables, i: int, j: int, acc,
                 y: Optional[np.ndarray], z1: np.ndarray,
                 z2_below: Optional[Callable]):
     """``acc`` plus the weighted generator drift of cell j in row i.
@@ -291,8 +289,7 @@ def _cell_drift(problem: BSVIEProblem, tables, i: int, j: int, acc,
     cell is nonzero; terms are added to ``acc`` one at a time, so callers
     that carry a running sum keep its summation order.
     """
-    tree = problem.tree
-    live = [(table[i, j], term) for table, term in zip(tables, problem.terms)
+    live = [(table[i, j], term) for table, term in zip(tables, terms)
             if table[i, j] != 0.0]
     if not live:
         return acc
@@ -307,7 +304,7 @@ def _cell_drift(problem: BSVIEProblem, tables, i: int, j: int, acc,
     return acc
 
 
-def _outer_pass(tree: Tree, problem: BSVIEProblem, weight_tables, i: int,
+def _outer_pass(tree: Tree, terms: list, weight_tables, i: int,
                 free: np.ndarray, free_depth: int, start_depth: int,
                 stop_depth: int, y_at: Callable,
                 z2_below: Optional[Callable], keep_levels: bool = False,
@@ -338,7 +335,7 @@ def _outer_pass(tree: Tree, problem: BSVIEProblem, weight_tables, i: int,
         else:
             mean, zs = tree.martingale_representation(lam, j + 1, j)
             mu_j = zs[0]
-        drift = _cell_drift(problem, weight_tables, i, j,
+        drift = _cell_drift(tree, terms, weight_tables, i, j,
                             np.zeros_like(mean), y_at(j), mu_j, z2_below)
         lam = mean + drift
         if j == free_depth:
@@ -351,7 +348,7 @@ def _outer_pass(tree: Tree, problem: BSVIEProblem, weight_tables, i: int,
     return lam, mu, levels
 
 
-def _block_fixed_point(problem: BSVIEProblem, tree: Tree, weight_tables,
+def _block_fixed_point(terms: list, tree: Tree, weight_tables,
                        lo: int, hi: int, free: dict, outers,
                        tol: float, max_sweeps: int):
     """Sweep iteration for the sub-system with outer indices ``outers``,
@@ -383,7 +380,7 @@ def _block_fixed_point(problem: BSVIEProblem, tree: Tree, weight_tables,
         new_y, new_mu = {}, {}
         for i in outers:
             lam, mu_i, _ = _outer_pass(
-                tree, problem, weight_tables, i, free[i], hi, hi, i,
+                tree, terms, weight_tables, i, free[i], hi, hi, i,
                 y_at=lambda j: y[j],
                 z2_below=lambda j, ii: below[j][ii],
                 first_step=first.get(i))
@@ -447,7 +444,7 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
     if tree is not problem.tree:
         raise ValueError("problem free term lives on a different tree")
     N = tree.N
-    weight_tables = _term_weights(problem, tree)
+    weight_tables = _term_weights(problem.terms, tree)
     diag = {"method": method, "tol": tol}
 
     if method == "fixed_point":
@@ -475,12 +472,12 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
         free = {}
         for i in outers:
             free[i], mu_i, _ = _outer_pass(
-                tree, problem, weight_tables, i, psi[i], psi.depths[i], N,
-                hi, y_at=lambda j: Y_fields[j], z2_below=Z.entry)
+                tree, problem.terms, weight_tables, i, psi[i], psi.depths[i],
+                N, hi, y_at=lambda j: Y_fields[j], z2_below=Z.entry)
             for j, m_val in mu_i.items():
                 Z.set_entry(i, j, m_val)
         y, mu, info = _block_fixed_point(
-            problem, tree, weight_tables, lo, hi, free, outers,
+            problem.terms, tree, weight_tables, lo, hi, free, outers,
             tol, max_sweeps)
         sweep_info.append(info)
         for i in outers:
@@ -537,12 +534,12 @@ def solve_param_bsde_family(psi: TerminalField, h: Callable, tree: Tree,
     """
     if not 0 <= R_index <= S_index <= tree.N:
         raise ValueError("need 0 <= R_index <= S_index <= N")
-    dummy = _h_problem(psi, h)
-    tables = _term_weights(dummy, tree)
+    terms = _h_terms(h, tree)
+    tables = _term_weights(terms, tree)
     lam_all, mu_all = {}, {}
     for i in range(S_index, tree.N + 1):
         lam, mu, levels = _outer_pass(
-            tree, dummy, tables, i, psi.at(i, tree.N), tree.N, tree.N,
+            tree, terms, tables, i, psi.at(i, tree.N), tree.N, tree.N,
             R_index,
             y_at=lambda j: None, z2_below=None, keep_levels=True)
         lam_all[i] = levels
@@ -550,10 +547,10 @@ def solve_param_bsde_family(psi: TerminalField, h: Callable, tree: Tree,
     return ParamBSDEFamily(lam_all, mu_all)
 
 
-def _h_problem(psi, h):
-    t = psi.tree.times
-    term = GeneratorTerm(fn=lambda i, j, y, z1, z2: h(t[i], t[j], z1))
-    return BSVIEProblem(psi, [term], check_zero=False)
+def _h_terms(h, tree):
+    """The one generator term h(t_i, t_j, z1) with cell-width weights."""
+    t = tree.times
+    return [GeneratorTerm(fn=lambda i, j, y, z1, z2: h(t[i], t[j], z1))]
 
 
 def solve_sfie(psi: TerminalField, h: Callable, tree: Tree,
@@ -567,12 +564,12 @@ def solve_sfie(psi: TerminalField, h: Callable, tree: Tree,
     """
     if not 0 <= R_index <= S_index <= tree.N:
         raise ValueError("need 0 <= R_index <= S_index <= N")
-    dummy = _h_problem(psi, h)
-    tables = _term_weights(dummy, tree)
+    terms = _h_terms(h, tree)
+    tables = _term_weights(terms, tree)
     psi_S, Z = {}, {}
     for i in range(R_index, S_index + 1):
         lam, mu, _ = _outer_pass(
-            tree, dummy, tables, i, psi.at(i, tree.N), tree.N, tree.N,
+            tree, terms, tables, i, psi.at(i, tree.N), tree.N, tree.N,
             S_index,
             y_at=lambda j: None, z2_below=None)
         psi_S[i] = lam
@@ -608,7 +605,7 @@ def equation_residual(sol: MSolution, problem: BSVIEProblem, tree: Tree,
     """
     N = tree.N
     psi = problem.psi
-    tables = _term_weights(problem, tree) if weight_tables is None \
+    tables = _term_weights(problem.terms, tree) if weight_tables is None \
         else weight_tables
     worst = 0.0
     for i in range(N + 1):
@@ -616,8 +613,8 @@ def equation_residual(sol: MSolution, problem: BSVIEProblem, tree: Tree,
         carry = psi.at(i, i) - sol.Y[i] if depth <= i else -sol.Y[i]
         for j in range(i, N):
             z1 = sol.Z.entry(i, j)
-            carry = _cell_drift(problem, tables, i, j, carry, sol.Y[j], z1,
-                                sol.Z.entry)
+            carry = _cell_drift(tree, problem.terms, tables, i, j, carry,
+                                sol.Y[j], z1, sol.Z.entry)
             carry = tree.stochastic_integral([z1], j, j + 1, start=carry,
                                              subtract=True)
             if j + 1 == depth:
@@ -640,8 +637,8 @@ def stability_gap_bsvie(p: BSVIEProblem, p2: BSVIEProblem,
             lhs_sq += tree.dt ** 2 * float(
                 tree.expectation((dz ** 2).sum(axis=(1, 2))))
 
-    tables1 = _term_weights(p, tree)
-    tables2 = _term_weights(p2, tree)
+    tables1 = _term_weights(p.terms, tree)
+    tables2 = _term_weights(p2.terms, tree)
     rhs_sq = 0.0
     for i in range(tree.N + 1):
         depth = max(p.psi.depths[i], p2.psi.depths[i])
@@ -650,7 +647,7 @@ def stability_gap_bsvie(p: BSVIEProblem, p2: BSVIEProblem,
         gsum = np.zeros(tree.node_count(tree.N))
         for j in range(i, tree.N):
             zero = np.zeros((tree.node_count(j), p.d))
-            g1, g2 = (_cell_drift(q, tables, i, j, zero, s2.Y[j],
+            g1, g2 = (_cell_drift(tree, q.terms, tables, i, j, zero, s2.Y[j],
                                   s2.Z.entry(i, j), s2.Z.entry)
                       for q, tables in ((p, tables1), (p2, tables2)))
             gsum = gsum + tree.broadcast(
@@ -697,8 +694,7 @@ def make_caputo_bsde(alpha: float, A: np.ndarray, f: Optional[Callable],
     psi = TerminalField(tree, [xi.copy() for _ in range(tree.N + 1)])
     return BSVIEProblem(psi, [GeneratorTerm(fn, kernel=kern)],
                         L_y=kern, L_z1=kern, L_z2=None,
-                        label=f"caputo_bsvie(alpha={alpha})",
-                        check_zero=f is None)
+                        label=f"caputo_bsvie(alpha={alpha})")
 
 
 def make_linear_adjoint(M1: Callable, M2: Callable, S_kernel: Callable,

@@ -20,8 +20,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg import expm
 
-from .kernels import (CAUSAL, Kernel, _cell_table, _cells_vectorized,
-                      grid_blocks, make_convolution)
+from .kernels import (CAUSAL, Kernel, _cell_table, _on_arrays, grid_blocks,
+                      make_convolution)
 from .lattice import AdaptedProcess, Tree
 from .special import mittag_leffler
 
@@ -247,40 +247,25 @@ def _solve_lattice_deterministic(problem: SVIEProblem, tree: Tree,
             return problem.phi[i].reshape(d)
         return np.asarray(problem.phi(t[i]), dtype=float).reshape(d)
 
-    def drift_at(i, j):
+    def rhs(i):
+        # phi(t_i) plus the weighted drift history of X(t_j), j < i
         if problem.drift_kernel is not None:
-            return F[j]
+            return phi_at(i) + w[i, :i] @ F[:i]
         if problem.drift is not None:
-            return np.asarray(problem.drift(t[i], t[j], X[j][None, :]),
-                              dtype=float).reshape(d)
-        return np.zeros(d)
+            return phi_at(i) + tree.dt * sum(
+                np.asarray(problem.drift(t[i], t[j], X[j][None, :]),
+                           dtype=float).reshape(d) for j in range(i))
+        return phi_at(i)
 
-    X[0] = phi_at(0)
-    if problem.drift_kernel is not None:
-        F[0] = np.asarray(problem.drift_factor(t[0], X[0][None, :]),
-                          dtype=float).reshape(d)
-    for i in range(1, N + 1):
-        if problem.drift_kernel is not None:
-            X[i] = phi_at(i) + w[i, :i] @ F[:i]
-        elif problem.drift is not None:
-            X[i] = phi_at(i) + tree.dt * sum(drift_at(i, j)
-                                             for j in range(i))
-        else:
-            X[i] = phi_at(i)
+    for i in range(N + 1):
+        X[i] = rhs(i)
         if problem.drift_kernel is not None:
             F[i] = np.asarray(problem.drift_factor(t[i], X[i][None, :]),
                               dtype=float).reshape(d)
     # residual re-check through the same weighted sums
     res = 0.0
     for i in range(N + 1):
-        if problem.drift_kernel is not None:
-            rhs = phi_at(i) + (w[i, :i] @ F[:i] if i else 0.0)
-        elif problem.drift is not None:
-            rhs = phi_at(i) + tree.dt * sum(drift_at(i, j)
-                                            for j in range(i))
-        else:
-            rhs = phi_at(i)
-        res = max(res, float(np.max(np.abs(X[i] - rhs))))
+        res = max(res, float(np.max(np.abs(X[i] - rhs(i)))))
     sol = AdaptedProcess(tree, [X[i][None, :] for i in range(N + 1)])
     return SVIESolution(sol, {"method": "lattice", "residual": res})
 
@@ -374,11 +359,10 @@ class PathEnsemble:
     mean_stderr: np.ndarray
     n_paths: int
     seed: int
-    paths: Optional[np.ndarray] = None
 
 
 def solve_paths(problem: SVIEProblem, n_paths: int, n_steps: int,
-                seed: int, keep_paths: bool = False) -> PathEnsemble:
+                seed: int) -> PathEnsemble:
     """Euler-Maruyama over independent Gaussian paths.
 
     Drift cells use the same product-integration weights as the lattice
@@ -421,8 +405,7 @@ def solve_paths(problem: SVIEProblem, n_paths: int, n_steps: int,
     mean = X.mean(axis=0)
     var = X.var(axis=0, ddof=1) if n_paths > 1 else np.zeros_like(mean)
     stderr = np.sqrt(var / n_paths)
-    return PathEnsemble(t, mean, var, stderr, n_paths, seed,
-                        X if keep_paths else None)
+    return PathEnsemble(t, mean, var, stderr, n_paths, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +476,14 @@ def resolvent_linear(kernel: Kernel, lam: float, grid) -> np.ndarray:
         raise ValueError("resolvent_linear expects a causal kernel")
     g = np.asarray(grid, dtype=float)
     n = len(g) - 1
-    cell0 = kernel.cell_fn or kernel.cell
-    cell1 = kernel.cell_m1_fn or kernel.cell_m1
     x = np.empty(n + 1)
     x[0] = 1.0
     for i in range(1, n + 1):
         ti = g[i]
         a, b = g[:i], g[1:i + 1]
         h = b - a
-        I0 = _cells_vectorized(cell0, ti, a, b)
-        I1 = _cells_vectorized(cell1, ti, a, b)
+        I0 = _on_arrays(kernel.cell_fn, kernel.cell, ti, a, b)
+        I1 = _on_arrays(kernel.cell_m1_fn, kernel.cell_m1, ti, a, b)
         w_left = (b * I0 - I1) / h
         w_right = (I1 - a * I0) / h
         acc = 1.0 + lam * float(w_left @ x[:i]) \

@@ -52,6 +52,10 @@ DEFAULT_BREAKPOINT_CAP = 4096
 _GROWTH_FACTOR = 1.5  # refinement growth ratio that flags a divergent integral
 _BISECT_MARGIN = 1e-3  # relative shrink applied to greedy breakpoints
 _FAST_RUN_CAP = 512  # most fast-path breakpoints probed in one batch
+_BREAKPOINT_REL_TOL = 1e-6  # bisection resolution, relative to T
+_K0_GRID = 33  # outer times of the K0 slice checks (66 when refined)
+_K0_TOL = 1e-2  # sliding slices this small (relative) count as vanished
+_K0_MIN_SLOPE = 0.05  # least log-log decay slope of the sliding slices
 
 
 class KernelEvalError(RuntimeError):
@@ -120,13 +124,18 @@ class Kernel:
         Closed-form first moment ``int_a^b s * k(t, s) ds``.
     slice_sq_fn : callable, optional
         Closed-form slice integral (see module docstring); only needed for
-        causal kernels, anticausal ones reuse ``cell_sq_fn``.  When the
-        meta flag ``vector_slices`` is set the hook must accept arrays in
-        its first two arguments.
+        causal kernels, anticausal ones reuse ``cell_sq_fn``.
     meta : dict
         Family parameters and flags.  ``lag_only`` declares that k(t, s)
         and every hook depend on the lag |t - s| alone (see
         :attr:`lag_only`).
+
+    Batched evaluations (slice profiles, block masses, cell-weight tables)
+    call a hook once on arrays: the slice hook (``slice_sq_fn``, or
+    ``cell_sq_fn`` for an anticausal kernel) with arrays in all three
+    arguments, the cell hooks with arrays in the cell ends.  A hook that
+    raises ``TypeError`` or ``ValueError`` on arrays, or returns the wrong
+    shape, is called point by point with floats instead.
     """
 
     label: str
@@ -228,16 +237,25 @@ class Kernel:
 
     # -- slice integrals (fix the smaller variable, integrate the larger) --
 
+    @property
+    def _slice_hook(self) -> Optional[Callable]:
+        """Closed-form slice integral: ``slice_sq_fn``, else ``cell_sq_fn``
+        for an anticausal kernel, else None (slices need quadrature)."""
+        if self.slice_sq_fn is not None:
+            return self.slice_sq_fn
+        return self.cell_sq_fn if self.orientation == ANTICAUSAL else None
+
     def slice_sq(self, x: float, a: float, b: float) -> float:
         """Integral of the squared slice at x over [a, b] subset of (x, T]."""
         if b < a:
             raise ValueError("slice_sq requires a <= b")
         if b == a:
             return 0.0
-        if self.slice_sq_fn is not None:
-            return float(self.slice_sq_fn(x, a, b))
+        hook = self._slice_hook
+        if hook is not None:
+            return float(hook(x, a, b))
         if self.orientation == ANTICAUSAL:
-            return self.cell_sq(x, a, b)
+            return self._numeric_cell(x, a, b, power=2)
         p = 2.0 * self.diag_exponent
         left_exp = p if a <= x else 0.0
 
@@ -246,23 +264,33 @@ class Kernel:
 
         return _quad_power_aware(f, a, b, left_exp, 0.0)
 
-    def _vector_slice_sq(self, xs: np.ndarray, b) -> np.ndarray:
-        """slice_sq(x, x, b) over x in xs in one call of the array hook;
-        only for kernels flagged ``vector_slices``."""
-        hook = self.slice_sq_fn if self.slice_sq_fn is not None \
-            else self.cell_sq_fn
-        return np.asarray(hook(xs, xs, b), dtype=float)
-
     def slice_l2_profile(self, xs: np.ndarray, b) -> np.ndarray:
         """Slice L2 norms slice_l2(x, b) over x in xs, b broadcast against xs."""
         xs = np.asarray(xs, dtype=float)
-        if self.meta.get("vector_slices"):
-            v = self._vector_slice_sq(xs, b)
-            v = np.where(np.isfinite(v), np.maximum(v, 0.0), np.inf)
-            return np.sqrt(v)
-        xs, bs = np.broadcast_arrays(xs, b)
-        return np.array([slice_l2(self, float(x), float(u))
-                         for x, u in zip(xs.flat, bs.flat)]).reshape(xs.shape)
+        v = _on_arrays(self._slice_hook, self.slice_sq, xs, xs, b)
+        v = np.where(np.isfinite(v), np.maximum(v, 0.0), np.inf)
+        return np.sqrt(v)
+
+
+def _on_arrays(hook: Optional[Callable], point: Callable, x, a,
+               b) -> np.ndarray:
+    """``hook(x, a, b)`` over the broadcast arrays in one call.
+
+    Falls back to ``point(x, a, b)`` on floats, point by point, when there
+    is no hook or it raises ``TypeError``/``ValueError`` or returns the
+    wrong shape.
+    """
+    shape = np.broadcast(x, a, b).shape
+    if hook is not None:
+        try:
+            out = np.asarray(hook(x, a, b), dtype=float)
+            if out.shape == shape:
+                return out
+        except (TypeError, ValueError):
+            pass
+    pts = zip(*(v.flat for v in np.broadcast_arrays(x, a, b)))
+    return np.array([float(point(float(p), float(q), float(r)))
+                     for p, q, r in pts]).reshape(shape)
 
 
 def _quad_power_aware(f, a, b, left_exp=0.0, right_exp=0.0):
@@ -351,8 +379,7 @@ def make_fractional(alpha: float, orientation: str = CAUSAL,
     return Kernel(label or f"fractional(alpha={alpha})", orientation, horizon,
                   ev, hint, cell, cell_sq, cell_m1, slice_sq_fn=slice_sq,
                   meta={"family": "fractional", "alpha": alpha,
-                        "scale": scale, "vector_slices": True,
-                        "lag_only": True})
+                        "scale": scale, "lag_only": True})
 
 
 def make_doubly_singular(alpha: float, beta: float,
@@ -408,14 +435,12 @@ def make_doubly_singular(alpha: float, beta: float,
                   orientation, horizon, ev, (alpha, beta),
                   slice_sq_fn=slice_sq,
                   meta={"family": "doubly_singular", "alpha": alpha,
-                        "beta": beta, "vector_slices": True,
-                        "lag_only": beta == 0.0},
+                        "beta": beta, "lag_only": beta == 0.0},
                   **kwargs)
 
 
 def make_convolution(h: Callable, horizon: float = 1.0,
                      orientation: str = CAUSAL,
-                     square_integrable: bool = True,
                      h_antiderivative: Callable = None,
                      h_sq_antiderivative: Callable = None,
                      diag_exponent: float = 0.0,
@@ -443,22 +468,18 @@ def make_convolution(h: Callable, horizon: float = 1.0,
                 return h_antiderivative(t - a) - h_antiderivative(t - b)
 
     slice_sq = None
-    vector = False
     if h_sq_antiderivative is not None:
         def slice_sq(x, a, b):
             x_a = np.asarray(x, dtype=float)
             return (np.asarray(h_sq_antiderivative(np.asarray(b) - x_a))
                     - np.asarray(h_sq_antiderivative(np.asarray(a) - x_a)))
-        vector = True
 
     return Kernel(label or "convolution", orientation, horizon, ev,
                   (diag_exponent, 0.0), cell_fn=cell, slice_sq_fn=slice_sq,
                   meta={"family": "convolution", "h": h,
                         "h_antiderivative": h_antiderivative,
                         "h_sq_antiderivative": h_sq_antiderivative,
-                        "diag_exponent": diag_exponent,
-                        "square_integrable": bool(square_integrable),
-                        "vector_slices": vector, "lag_only": True})
+                        "diag_exponent": diag_exponent, "lag_only": True})
 
 
 def make_exp_sum(weights, rates, horizon: float = 1.0,
@@ -513,8 +534,7 @@ def make_exp_sum(weights, rates, horizon: float = 1.0,
                   cell, cell_sq, slice_sq_fn=slice_sq,
                   meta={"family": "exp_sum",
                         "weights": list(map(float, w)),
-                        "rates": list(map(float, lam)),
-                        "vector_slices": True, "lag_only": True})
+                        "rates": list(map(float, lam)), "lag_only": True})
 
 
 def make_constant(value: float, horizon: float = 1.0,
@@ -534,7 +554,7 @@ def make_constant(value: float, horizon: float = 1.0,
                   slice_sq_fn=lambda x, a, b: value ** 2 * (np.asarray(b)
                                                             - np.asarray(a)),
                   meta={"family": "constant", "value": value,
-                        "vector_slices": True, "lag_only": True})
+                        "lag_only": True})
 
 
 def make_counterexample_sup(horizon: float = 1.0) -> Kernel:
@@ -558,9 +578,7 @@ def make_counterexample_sup(horizon: float = 1.0) -> Kernel:
         return (np.asarray(b) - np.asarray(a)) * 2.0 / (T - t_a)
 
     return Kernel("counterexample_sup", ANTICAUSAL, T, ev, None,
-                  cell, cell_sq,
-                  meta={"family": "counterexample_sup",
-                        "vector_slices": True})
+                  cell, cell_sq, meta={"family": "counterexample_sup"})
 
 
 def _fbm_c(H: float) -> float:
@@ -679,30 +697,17 @@ def _sup_grid(a: float, b: float, n_uniform: int, n_cluster: int) -> np.ndarray:
                                 n_cluster))
 
 
-def _edge_slice_l2(kernel: Kernel, x: np.ndarray, upper: np.ndarray):
-    """slice_l2(x_r, upper_r) through the scalar slice hook; nan where the
-    hook cannot be evaluated."""
-    out = np.full(x.shape, np.nan)
-    for r, (xr, ur) in enumerate(zip(x, upper)):
-        try:
-            v = float(kernel.slice_sq(xr, xr, ur))
-        except (ValueError, ZeroDivisionError, OverflowError):
-            continue
-        out[r] = math.sqrt(max(v, 0.0)) if math.isfinite(v) else math.inf
-    return out
-
-
 def _sup_slice(kernel: Kernel, a, b, upper, base_uniform: int = 9,
-               base_cluster: int = 9,
-               include_left_endpoint: bool = True) -> np.ndarray:
+               base_cluster: int = 9) -> np.ndarray:
     """Estimated esssup over x in (a_r, b_r) of slice_l2(x, upper_r).
 
     ``a``, ``b`` and ``upper`` broadcast to one 1-d batch of intervals, and
     one estimate is returned per interval.  Each is the max over a
     clustered grid, refined once; one Richardson step corrects profiles
     still increasing under refinement, and growth beyond the divergence
-    factor flags inf.  Both grids of the whole batch (and, for vectorized
-    slices, the left endpoints) are measured in one profile call.
+    factor flags inf.  Both grids of the whole batch and, for a kernel
+    with a closed-form slice or squared-cell hook, the left endpoints are
+    measured in one profile call.
     """
     a, b, upper = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, upper)))
@@ -715,10 +720,8 @@ def _sup_slice(kernel: Kernel, a, b, upper, base_uniform: int = 9,
         a, hi, upper = a[live], hi[live], upper[live]
     cols = [_grid_rows(a, hi, base_uniform, base_cluster),
             _grid_rows(a, hi, 2 * base_uniform, base_cluster + 8)]
-    edge = include_left_endpoint and (kernel.slice_sq_fn is not None
-                                      or kernel.cell_sq_fn is not None)
-    vector_edge = edge and kernel.meta.get("vector_slices")
-    if vector_edge:
+    edge = kernel.slice_sq_fn is not None or kernel.cell_sq_fn is not None
+    if edge:
         cols.append(a[:, None])
     v = kernel.slice_l2_profile(np.concatenate(cols, axis=1), upper[:, None])
     n1 = cols[0].shape[1]
@@ -729,7 +732,7 @@ def _sup_slice(kernel: Kernel, a, b, upper, base_uniform: int = 9,
     rise = np.subtract(m2, m1, out=np.zeros_like(m2), where=~diverged)
     sup = m2 + np.maximum(0.0, rise)
     if edge:
-        left = v[:, -1] if vector_edge else _edge_slice_l2(kernel, a, upper)
+        left = v[:, -1]
         diverged |= np.isinf(left)
         sup = np.fmax(sup, left)
     sup[diverged] = np.inf
@@ -737,10 +740,10 @@ def _sup_slice(kernel: Kernel, a, b, upper, base_uniform: int = 9,
     return est
 
 
-def script_norm(kernel: Kernel, **kw) -> float:
+def script_norm(kernel: Kernel) -> float:
     """esssup over x of the slice L2 norm up to the horizon (condition 1)."""
     return float(_sup_slice(kernel, 0.0, kernel.horizon, kernel.horizon,
-                            base_uniform=15, base_cluster=14, **kw)[0])
+                            base_uniform=15, base_cluster=14)[0])
 
 
 def triangle_l2_norm(kernel: Kernel) -> float:
@@ -823,8 +826,7 @@ def _block_sup(kernel: Kernel, a, b, fine: bool = False) -> np.ndarray:
 
 
 def find_partition(kernel: Kernel, eps: float,
-                   cap: int = DEFAULT_BREAKPOINT_CAP,
-                   breakpoint_rel_tol: float = 1e-6):
+                   cap: int = DEFAULT_BREAKPOINT_CAP):
     """Greedy left-to-right partition with local slice norms below eps.
 
     Each breakpoint is the (bisected) maximal extension of the current
@@ -896,7 +898,7 @@ def find_partition(kernel: Kernel, eps: float,
         hi = min(a + 4.0 * (lo - a), T)
         if feasible(a, hi):
             lo, hi = hi, T
-        tol = max(breakpoint_rel_tol * T, 0.5e-3 * (lo - a))
+        tol = max(_BREAKPOINT_REL_TOL * T, 0.5e-3 * (lo - a))
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             if feasible(a, mid):
@@ -999,15 +1001,12 @@ def grid_blocks(slice_kernel: Optional[Kernel], mass_kernel: Optional[Kernel],
         # diverge
         if mass_kernel is None:
             return 0.0
-        xs = np.linspace(a, b, 33)
-        if mass_kernel.meta.get("vector_slices"):
-            vals = mass_kernel._vector_slice_sq(xs[:-1], b)
-        else:
-            vals = np.array([mass_kernel.slice_sq(float(x), float(x), b)
-                             for x in xs[:-1]])
+        xs = np.linspace(a, b, 33)[:-1]
+        vals = _on_arrays(mass_kernel._slice_hook, mass_kernel.slice_sq, xs,
+                          xs, b)
         if not np.all(np.isfinite(vals)):
             return math.inf
-        return float(np.trapezoid(vals, xs[:-1]))
+        return float(np.trapezoid(vals, xs))
 
     refined = [0.0]
     for a, b in zip(breakpoints, breakpoints[1:]):
@@ -1041,16 +1040,16 @@ def grid_blocks(slice_kernel: Optional[Kernel], mass_kernel: Optional[Kernel],
 # Zhang-type bounded-sliding-slice class
 # ---------------------------------------------------------------------------
 
-def k0_membership(kernel: Kernel, t_grid_size: int = 33,
-                  eps_sequence=None, tol: float = 1e-2,
-                  min_decay_slope: float = 0.05):
+def k0_membership(kernel: Kernel):
     """Bounded L1 slices plus vanishing sliding slices (numerical check).
 
-    Measures ``sup_t int_0^t k(t, s) ds`` on a fixed grid and the sliding
-    quantity ``max_t int_t^(t+eps) k(t+eps, s) ds`` along a decreasing eps
-    sequence; membership requires the first to stay bounded under grid
-    refinement and the second to decay (below ``tol`` or with fitted
-    log-log slope at least ``min_decay_slope``).
+    Measures ``sup_t int_0^t k(t, s) ds`` on grids of 33 and 66 outer
+    times and the sliding quantity ``max_t int_t^(t+eps) k(t+eps, s) ds``
+    on 33 outer times for eps = 0.1 T * 2**-k, k = 0..7.  Membership
+    requires the first to grow by at most the divergence factor 1.5 under
+    the refinement and the second to decay: its last value at most 1e-2
+    times max(1, sup), or decreasing with fitted log-log slope at least
+    0.05.
 
     Returns ``(member, diagnostics)``.
     """
@@ -1058,21 +1057,20 @@ def k0_membership(kernel: Kernel, t_grid_size: int = 33,
         raise ValueError("the bounded-sliding-slice class is defined for "
                          "causal kernels")
     T = kernel.horizon
-    if eps_sequence is None:
-        eps_sequence = T * 0.1 * 2.0 ** -np.arange(0.0, 8.0)
+    eps_sequence = T * 0.1 * 2.0 ** -np.arange(0.0, 8.0)
 
     def sup_l1(n):
         ts = np.linspace(T / n, T, n)
         vals = [kernel.cell(float(t), 0.0, float(t)) for t in ts]
         return float(np.max(vals))
 
-    sup1 = sup_l1(t_grid_size)
-    sup2 = sup_l1(2 * t_grid_size)
+    sup1 = sup_l1(_K0_GRID)
+    sup2 = sup_l1(2 * _K0_GRID)
     bounded = math.isfinite(sup2) and (sup1 == 0.0
                                        or sup2 <= _GROWTH_FACTOR * sup1)
 
     eps_max = float(np.max(eps_sequence))
-    ts = np.linspace(T / t_grid_size, T - eps_max, t_grid_size)
+    ts = np.linspace(T / _K0_GRID, T - eps_max, _K0_GRID)
     sliding = []
     for eps in eps_sequence:
         vals = [kernel.cell(float(t + eps), float(t), float(t + eps))
@@ -1080,7 +1078,7 @@ def k0_membership(kernel: Kernel, t_grid_size: int = 33,
         sliding.append(float(np.max(vals)))
     sliding = np.asarray(sliding)
 
-    if sliding[-1] <= tol * max(1.0, sup2):
+    if sliding[-1] <= _K0_TOL * max(1.0, sup2):
         vanishes = True
         slope = math.inf
     else:
@@ -1091,7 +1089,7 @@ def k0_membership(kernel: Kernel, t_grid_size: int = 33,
                                      np.log(sliding[pos]), 1)[0])
         else:
             slope = math.inf
-        vanishes = decreasing and slope >= min_decay_slope
+        vanishes = decreasing and slope >= _K0_MIN_SLOPE
 
     member = bounded and vanishes
     diagnostics = {
@@ -1181,7 +1179,6 @@ def mirror_kernel(kernel: Kernel) -> Kernel:
                             T, other, label=kernel.label + "|mirrored")
     if fam == "convolution":
         return make_convolution(kernel.meta["h"], T, other,
-                                kernel.meta.get("square_integrable", True),
                                 kernel.meta.get("h_antiderivative"),
                                 kernel.meta.get("h_sq_antiderivative"),
                                 kernel.meta.get("diag_exponent", 0.0),
@@ -1259,18 +1256,6 @@ def product_weights(kernel: Kernel, t: float, grid) -> np.ndarray:
                      for a, b in zip(g[:-1], g[1:])])
 
 
-def _cells_vectorized(fn, ti, a, b):
-    """Evaluate a closed-form cell hook over arrays, looping as a fallback."""
-    try:
-        out = np.asarray(fn(ti, a, b), dtype=float)
-        if out.shape == a.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(ti, float(x), float(y)))
-                     for x, y in zip(a, b)])
-
-
 def _cell_table(kernel: Kernel, times, lower: bool) -> np.ndarray:
     """(N+1, N) table of cell weights w[i, j] = cell(t_i, t_j, t_{j+1}).
 
@@ -1285,9 +1270,9 @@ def _cell_table(kernel: Kernel, times, lower: bool) -> np.ndarray:
     """
     t = np.asarray(times, dtype=float)
     N = len(t) - 1
-    cell = kernel.cell_fn or kernel.cell
     if kernel.lag_only:
-        row = _cells_vectorized(cell, t[N] if lower else t[0], t[:-1], t[1:])
+        row = _on_arrays(kernel.cell_fn, kernel.cell, t[N] if lower else t[0],
+                         t[:-1], t[1:])
         # buf[N - 1 + i - j] = w[i, j]: lags i - j = 1..N come from row N's
         # cells j = N - 1..0, lags j - i = 0..N-1 from row 0's cells j
         buf = np.zeros(2 * N)
@@ -1298,8 +1283,8 @@ def _cell_table(kernel: Kernel, times, lower: bool) -> np.ndarray:
     for i in range(N + 1):
         lo, hi = (0, i) if lower else (i, N)
         if hi > lo:
-            w[i, lo:hi] = _cells_vectorized(cell, t[i], t[lo:hi],
-                                            t[lo + 1:hi + 1])
+            w[i, lo:hi] = _on_arrays(kernel.cell_fn, kernel.cell, t[i],
+                                     t[lo:hi], t[lo + 1:hi + 1])
     return w
 
 
@@ -1320,8 +1305,7 @@ def _shifted_inverse_sqrt(T: float) -> Kernel:
         with np.errstate(divide="ignore"):
             return np.where(r >= T, np.inf, np.log(T / (T - r)))
 
-    return make_convolution(h, T, ANTICAUSAL, square_integrable=False,
-                            h_sq_antiderivative=h2_anti,
+    return make_convolution(h, T, ANTICAUSAL, h_sq_antiderivative=h2_anti,
                             label="shifted_inverse_sqrt")
 
 

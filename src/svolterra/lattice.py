@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-DEFAULT_MAX_BITS = 22
+MAX_BITS = 22  # storage budget: trees with N * m above it are refused
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class Tree:
     T: float
     m: int = 1
     d: int = 1
-    max_bits: int = DEFAULT_MAX_BITS
 
     def __post_init__(self):
         if self.N < 1:
@@ -48,10 +47,10 @@ class Tree:
             raise ValueError("T must be positive")
         if self.m < 0 or self.d < 1:
             raise ValueError("need m >= 0 and d >= 1")
-        if self.N * self.m > self.max_bits:
+        if self.N * self.m > MAX_BITS:
             raise ValueError(
                 f"storage budget exceeded: N*m = {self.N * self.m} "
-                f"> {self.max_bits}")
+                f"> {MAX_BITS}")
 
     @property
     def dt(self) -> float:

@@ -624,6 +624,14 @@ class TestCaputoBSVIE:
             expected = tree.conditional_expectation(xi, 6, i)
             assert np.allclose(sol.Y[i], expected, atol=1e-12)
 
+    def test_f_that_does_not_vanish_is_rejected(self):
+        # the same zero probe as for terms handed to BSVIEProblem directly
+        tree = Tree(N=4, T=1.0, m=1)
+        xi = np.sin(tree.brownian(4))
+        with pytest.raises(ValueError, match="does not vanish"):
+            B.make_caputo_bsde(0.75, [[0.3]], lambda s, y, z: y + 1.0, xi,
+                               tree)
+
     def test_alpha_near_one_matches_plain_backward(self):
         tree = Tree(N=8, T=1.0, m=1)
         xi = np.cos(tree.brownian(8))
@@ -690,7 +698,7 @@ class TestLinearAdjointConstructor:
         ky = K.mirror_kernel(K.make_fbm_full(0.7))
         p = B.BSVIEProblem(
             psi, [B.GeneratorTerm(lambda i, j, y, z1, z2: 0.4 * y,
-                                  kernel=ky)], check_zero=False)
+                                  kernel=ky)])
         with pytest.raises(ValueError, match="divergent cell weight"):
             B.solve_bsvie(p, tree, tol=1e-10)
 
@@ -715,7 +723,7 @@ class TestLinearAdjointConstructor:
         psi = terminal_from_function(tree, lambda t, w: np.cos(w[:, 0]))
         p = B.BSVIEProblem(
             psi, [B.GeneratorTerm(lambda i, j, y, z1, z2: 0.2 * y,
-                                  kernel=ky)], check_zero=False)
+                                  kernel=ky)])
         sol = B.solve_bsvie(p, tree, tol=1e-11)
         assert B.m_condition_residual(sol, tree) < 1e-13
         assert B.equation_residual(sol, p, tree) < 1e-8

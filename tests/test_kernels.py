@@ -500,11 +500,12 @@ def ref_find_partition(kernel, eps, cap=K.DEFAULT_BREAKPOINT_CAP,
 
 
 def _scalar_hook_kernel():
-    # closed-form slice hook that only accepts scalars (no vector_slices)
+    # closed-form slice hook that only accepts scalars
     frac = K.make_fractional(0.8, K.ANTICAUSAL)
 
     def slice_sq(x, a, b):
-        assert np.ndim(x) == 0 and np.ndim(b) == 0
+        if np.ndim(x) or np.ndim(b):
+            raise TypeError("scalars only")
         return frac.slice_sq_fn(x, a, b)
 
     return K.Kernel("scalar_hook", K.ANTICAUSAL, 1.0, frac.eval_fn,
@@ -870,8 +871,49 @@ class TestVectorTriangleMass:
             assert calls and set(calls) == {32}
 
     def test_vector_slices_equal_scalar_slices(self):
-        for kern in (K.make_fractional(0.7), K.make_counterexample_sup(),
-                     K.make_exp_sum([1.0, 0.5], [2.0, 0.0])):
-            xs = np.linspace(0.25, 0.5, 33)[:-1]
+        def h(r):
+            return np.exp(-np.asarray(r, dtype=float))
+
+        def h_anti(r):
+            return 1.0 - np.exp(-np.asarray(r, dtype=float))
+
+        def h_sq_anti(r):
+            return 0.5 * (1.0 - np.exp(-2.0 * np.asarray(r, dtype=float)))
+
+        # (kernel, has a closed-form slice hook): every built-in
+        # constructor in both orientations, then all of their mirrors
+        cases = [(K.make_counterexample_sup(), True),
+                 (K._shifted_inverse_sqrt(1.0), True),
+                 (K.make_fbm_rl(0.3), True), (K.make_fbm_full(0.7), False)]
+        for o in (K.CAUSAL, K.ANTICAUSAL):
+            cases += [
+                (K.make_fractional(0.7, o), True),
+                (K.make_fractional(1.3, o), True),
+                (K.make_doubly_singular(0.4, 0.0, o), True),
+                (K.make_doubly_singular(0.3, 0.2, o), True),
+                (K.make_doubly_singular(0.6, 0.1, o), True),
+                (K.make_exp_sum([1.0, 0.5], [2.0, 0.0], orientation=o), True),
+                (K.make_constant(0.5, orientation=o), True),
+                (K.make_convolution(h, orientation=o,
+                                    h_sq_antiderivative=h_sq_anti), True),
+                (K.make_convolution(h, orientation=o,
+                                    h_antiderivative=h_anti), False)]
+        rebuilt = ("fractional", "doubly_singular", "constant", "exp_sum",
+                   "convolution")
+        cases += [(K.mirror_kernel(k), hook and k.meta["family"] in rebuilt)
+                  for k, hook in cases]
+        assert len(cases) == 44
+        for kern, hook in cases:
+            assert (kern._slice_hook is not None) == hook, kern.label
+            xs = np.linspace(0.25, 0.5, 33 if hook else 5)[:-1]
             scalar = [kern.slice_sq(float(x), float(x), 0.5) for x in xs]
-            assert np.array_equal(kern._vector_slice_sq(xs, 0.5), scalar)
+            if hook:
+                on_arrays = kern._slice_hook(xs, xs, 0.5)
+                assert np.array_equal(on_arrays, scalar), kern.label
+            got = K._on_arrays(kern._slice_hook, kern.slice_sq, xs, xs, 0.5)
+            assert np.array_equal(got, scalar), kern.label
+        # a hook that takes scalars only is called point by point
+        kern = _scalar_hook_kernel()
+        xs = np.linspace(0.0, 0.5, 33)[:-1]
+        assert np.array_equal(kern.slice_l2_profile(xs, 0.5),
+                              [K.slice_l2(kern, float(x), 0.5) for x in xs])
