@@ -16,6 +16,7 @@ solver error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -42,6 +43,10 @@ class ConfigError(ValueError):
     pass
 
 
+METHODS = ("fixed_point", "block")
+_MISSING = object()
+
+
 def _load_config(path):
     try:
         text = Path(path).read_text()
@@ -54,12 +59,16 @@ def _load_config(path):
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
 
 
-def _require(cfg, path, typ, predicate=None, what=""):
+def _require(cfg, path, typ, predicate=None, what="", default=_MISSING):
+    """The config value at dotted ``path``, checked; ``default`` when the
+    field is missing and a default is given."""
     node = cfg
     for part in path.split(".")[:-1]:
         node = node.get(part, {}) if isinstance(node, dict) else {}
     key = path.split(".")[-1]
     if not isinstance(node, dict) or key not in node:
+        if default is not _MISSING:
+            return default
         raise ConfigError(f"config.{path}: missing ({what or typ.__name__})")
     val = node[key]
     if typ is float and isinstance(val, int):
@@ -72,15 +81,34 @@ def _require(cfg, path, typ, predicate=None, what=""):
     return val
 
 
+@contextlib.contextmanager
+def _config_block(name):
+    """Turn a TypeError or ValueError raised while building objects from
+    config block ``name`` into a ConfigError naming the block."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.{name}: {exc}") from exc
+
+
+def _out_dir(path):
+    """The output directory ``path``, created if needed; a path that cannot
+    be one is a ConfigError naming ``--out``."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: {exc}") from exc
+    return out
+
+
 def _tree_from_config(cfg, default_m=1):
     N = _require(cfg, "tree.N", int, lambda v: v >= 1, "positive step count")
     T = _require(cfg, "tree.T", float, lambda v: v > 0, "positive horizon")
     m = cfg.get("tree", {}).get("m", default_m)
     d = cfg.get("tree", {}).get("d", 1)
-    try:
+    with _config_block("tree"):
         return Tree(N=N, T=T, m=int(m), d=int(d))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.tree: {exc}") from exc
 
 
 def _config_hash(cfg) -> str:
@@ -101,9 +129,7 @@ def _report_skeleton(cfg, seed):
 
 
 def _write_report(report, out_dir, name):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
+    path = _out_dir(out_dir) / name
     path.write_text(json.dumps(report, indent=2, sort_keys=True,
                                default=_json_default) + "\n")
     return path
@@ -143,13 +169,15 @@ class _Budget:
 
 def cmd_kernel(cfg, args):
     spec = _require(cfg, "kernel.name", str)
-    kern = K.kernel_from_config(cfg["kernel"])
-    eps_grid = cfg["kernel"].get("eps_grid", list(K.DEFAULT_EPS_GRID))
-    cap = cfg["kernel"].get("cap", K.DEFAULT_BREAKPOINT_CAP)
+    with _config_block("kernel"):
+        kern = K.kernel_from_config(cfg["kernel"])
+        eps_grid = tuple(float(eps) for eps in cfg["kernel"].get(
+            "eps_grid", K.DEFAULT_EPS_GRID))
+        cap = int(cfg["kernel"].get("cap", K.DEFAULT_BREAKPOINT_CAP))
     report = _report_skeleton(cfg, args.seed)
     budget = _Budget(args.budget_seconds)
     t0 = time.perf_counter()
-    rep = K.classify(kern, eps_grid=tuple(eps_grid), cap=int(cap))
+    rep = K.classify(kern, eps_grid=eps_grid, cap=cap)
     report["timings"]["classify_s"] = time.perf_counter() - t0
     report["outputs"]["classification"] = rep.to_dict()
     if budget.exceeded:
@@ -185,7 +213,8 @@ def cmd_forward(cfg, args):
                 report["outputs"]["partial"] = True
                 break
             tree = Tree(N=N, T=T, m=0)
-            problem = reg.FORWARD_PROBLEMS[name](**params)
+            with _config_block("forward"):
+                problem = reg.FORWARD_PROBLEMS[name](**params)
             sol = fwd.solve_lattice(problem, tree)
             if name == "fractional_relaxation":
                 alpha = params.get("alpha", 0.75)
@@ -201,19 +230,16 @@ def cmd_forward(cfg, args):
                 if prev_err is not None and not err < prev_err:
                     ok = False
                 prev_err = err
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / f"forward_{name}_convergence.csv",
+        _write_csv(_out_dir(args.out) / f"forward_{name}_convergence.csv",
                    ["N", "sup_error"], rows)
         report["outputs"]["convergence"] = {str(n): e for n, e in rows}
     else:
         tree = _tree_from_config(cfg)
-        problem = reg.FORWARD_PROBLEMS[name](**params)
+        with _config_block("forward"):
+            problem = reg.FORWARD_PROBLEMS[name](**params)
         sol = fwd.solve_lattice(problem, tree)
         report["residuals"]["equation"] = sol.diagnostics["residual"]
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        sol.X.dump_csv(out / f"forward_{name}_solution.csv")
+        sol.X.dump_csv(_out_dir(args.out) / f"forward_{name}_solution.csv")
 
     _write_report(report, args.out, f"forward_{name}.json")
     print(f"forward {name}: {'ok' if ok else 'NOT monotone'}")
@@ -227,13 +253,17 @@ def cmd_backward(cfg, args):
     tree = _tree_from_config(cfg)
     params = {k: v for k, v in cfg["backward"].items()
               if k not in ("problem", "method", "tol")}
-    method = args.method or cfg["backward"].get("method", "fixed_point")
-    tol = args.tol or cfg["backward"].get("tol", 1e-12)
-    problem = reg.BACKWARD_PROBLEMS[name](tree, **params)
+    method = args.method or _require(
+        cfg, "backward.method", str, lambda v: v in METHODS,
+        f"one of {list(METHODS)}", default="fixed_point")
+    tol = args.tol or _require(cfg, "backward.tol", float, lambda v: v > 0,
+                               "positive tolerance", default=1e-12)
+    with _config_block("backward"):
+        problem = reg.BACKWARD_PROBLEMS[name](tree, **params)
     report = _report_skeleton(cfg, args.seed)
     budget = _Budget(args.budget_seconds)
     t0 = time.perf_counter()
-    sol = bwd.solve_bsvie(problem, tree, method=method, tol=float(tol))
+    sol = bwd.solve_bsvie(problem, tree, method=method, tol=tol)
     report["timings"]["solve_s"] = time.perf_counter() - t0
     if budget.exceeded:
         report["outputs"]["partial"] = True
@@ -243,8 +273,7 @@ def cmd_backward(cfg, args):
     report["outputs"]["sweeps"] = sol.diagnostics["sweeps"]
     report["outputs"]["blocks"] = sol.diagnostics["blocks"]
     report["outputs"]["method"] = method
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     sol.Y.dump_csv(out / f"backward_{name}_Y.csv")
     sol.Z.dump_csv(out / f"backward_{name}_Z.csv")
     _write_report(report, args.out, f"backward_{name}.json")
@@ -260,23 +289,29 @@ def cmd_control(cfg, args):
                     f"one of {sorted(reg.CONTROL_INSTANCES)}")
     tree = _tree_from_config(cfg)
     block = cfg["control"]
+    steps, rate, probes = (200, 0.5, 16) if name == "lq" else (120, 0.4, 8)
+    with _config_block("control"):
+        u0 = float(block.get("u0", 0.3))
+        steps = int(block.get("steps", steps))
+        rate = float(block.get("rate", rate))
+        probes = int(block.get("probes", probes))
+        if name == "lq":
+            cp = reg.lq_instance()
+        else:
+            dp = reg.delay_lq_instance(delta=float(block.get("delta", 0.25)))
     report = _report_skeleton(cfg, args.seed)
     budget = _Budget(args.budget_seconds)
     rng = np.random.default_rng(args.seed)
+    u = ctl.constant_control(tree, [u0])
     ok = True
 
     if name == "lq":
-        cp = reg.lq_instance()
-        u = ctl.constant_control(tree, [block.get("u0", 0.3)])
         v = ctl.AdaptedProcess(tree, [0.5 * rng.normal(
             size=(tree.node_count(i), 1)) for i in range(tree.N + 1)])
         gap = ctl.duality_gap(cp, u, v, tree)
-        u_bar, trace = ctl.projected_gradient_search(
-            cp, u, tree, steps=int(block.get("steps", 200)),
-            rate=float(block.get("rate", 0.5)))
-        margin = ctl.check_stationarity(cp, u_bar, tree,
-                                        probe_count=int(
-                                            block.get("probes", 16)),
+        u_bar, trace = ctl.projected_gradient_search(cp, u, tree, steps=steps,
+                                                     rate=rate)
+        margin = ctl.check_stationarity(cp, u_bar, tree, probe_count=probes,
                                         seed=args.seed)
         report["outputs"].update({
             "duality_gap": gap,
@@ -286,13 +321,9 @@ def cmd_control(cfg, args):
         })
         ok = gap <= 1e-10 and margin >= -1e-6
     else:
-        dp = reg.delay_lq_instance(delta=block.get("delta", 0.25))
-        u = ctl.constant_control(tree, [block.get("u0", 0.3)])
         u_star, trace = dly.delay_projected_gradient_search(
-            dp, u, tree, steps=int(block.get("steps", 120)),
-            rate=float(block.get("rate", 0.4)))
-        margin = dly.delay_mp_check(dp, u_star, tree,
-                                    probe_count=int(block.get("probes", 8)),
+            dp, u, tree, steps=steps, rate=rate)
+        margin = dly.delay_mp_check(dp, u_star, tree, probe_count=probes,
                                     seed=args.seed)
         report["outputs"].update({
             "stationarity_margin": margin,
@@ -350,7 +381,7 @@ def build_parser():
     parser.add_argument("--budget-seconds", type=float, default=None,
                         help="soft runtime budget; runs exceeding it "
                              "emit partial-result reports")
-    parser.add_argument("--method", choices=["fixed_point", "block"],
+    parser.add_argument("--method", choices=METHODS,
                         default=None, help="backward solver method")
     parser.add_argument("--tol", type=float, default=None,
                         help="solver tolerance override")

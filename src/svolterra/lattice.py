@@ -20,7 +20,6 @@ convergence studies where the binary budget would be exceeded.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -310,14 +309,8 @@ class AdaptedProcess:
                    for v in self.values)
 
     def dump_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["depth", "node", "component", "value"])
-            for depth, v in enumerate(self.values):
-                for node in range(v.shape[0]):
-                    for comp in range(v.shape[1]):
-                        writer.writerow([depth, node, comp,
-                                         repr(float(v[node, comp]))])
+        _write_table(path, ("depth", "node", "component", "value"),
+                     (((depth,), v) for depth, v in enumerate(self.values)))
 
 
 def constant_process(tree: Tree, fn, depths=None) -> AdaptedProcess:
@@ -370,20 +363,47 @@ class TwoParameterProcess:
         return total
 
     def dump_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["outer", "inner", "node", "component",
-                             "noise", "value"])
-            for i, row in enumerate(self.values):
-                for j, z in enumerate(row):
-                    if z is None:
-                        continue
-                    for node in range(z.shape[0]):
-                        for comp in range(z.shape[1]):
-                            for k in range(z.shape[2]):
-                                writer.writerow(
-                                    [i, j, node, comp, k,
-                                     repr(float(z[node, comp, k]))])
+        _write_table(path, ("outer", "inner", "node", "component", "noise",
+                            "value"),
+                     (((i, j), z) for i, row in enumerate(self.values)
+                      for j, z in enumerate(row) if z is not None))
+
+
+def _write_table(path, header, blocks):
+    """Write a CSV table: the header, then one row per scalar of each block.
+
+    ``blocks`` yields ``(lead, array)``; the rows of a block are the
+    leading indices, the scalar's index in the array and ``repr`` of its
+    value, in C order, each ending in CR LF as ``csv.writer`` ends them.
+    Each distinct bit pattern of a block is formatted once (so -0.0 stays
+    apart from 0.0), and each block is one write.
+    """
+    index_text = {}
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lead, a in blocks:
+            a = np.ascontiguousarray(a, dtype=np.float64)
+            if a.size == 0:
+                continue
+            if a.shape not in index_text:
+                index_text[a.shape] = _index_text(a.shape)
+            bits, inverse = np.unique(a.reshape(-1).view(np.uint64),
+                                      return_inverse=True)
+            text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                            dtype=object)
+            prefix = "".join(f"{k}," for k in lead)
+            fh.write(prefix + ("\r\n" + prefix).join(
+                map(str.__add__, index_text[a.shape],
+                    text[inverse].tolist())) + "\r\n")
+
+
+def _index_text(shape):
+    """``"i,j,...,"`` for every index of an array of ``shape``, in C order."""
+    text = [""]
+    for n in shape:
+        digits = [f"{k}," for k in range(n)]
+        text = [head + tail for head in text for tail in digits]
+    return text
 
 
 @dataclass

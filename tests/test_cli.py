@@ -78,6 +78,63 @@ class TestConfigValidation:
         assert "config error:" in err and "tree.T" in err
 
 
+class TestConfigErrorsExitTwo:
+    """Unusable --out paths and wrongly typed or unknown fields are config
+    errors: exit 2 with a `config error:` line, not a traceback."""
+
+    TREE = {"N": 4, "T": 1.0}
+
+    @staticmethod
+    def run(tmp_path, capsys, command, cfg, out=None):
+        path = write_config(tmp_path, cfg)
+        rc = cli.main(["--config", path, "--out", str(out or tmp_path),
+                       command])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("backward", {"tree": TREE, "backward": {
+            "problem": "fractional_generator", "alpha": "x"}}),
+        ("backward", {"tree": TREE, "backward": {
+            "problem": "fractional_generator", "bogus": 1}}),
+        ("forward", {"tree": TREE, "forward": {
+            "problem": "linear_noisy", "bogus": 1}}),
+        ("backward", {"tree": TREE, "backward": {
+            "problem": "fractional_generator", "tol": "abc"}}),
+        ("backward", {"tree": TREE, "backward": {
+            "problem": "fractional_generator", "method": "zzz"}}),
+        ("control", {"tree": TREE, "control": {
+            "instance": "lq", "steps": "x"}}),
+        ("control", {"tree": TREE, "control": {
+            "instance": "delay_lq", "delta": "x"}}),
+        ("kernel", {"kernel": {
+            "name": "doubly_singular", "alpha": "x", "beta": 0.0}}),
+        ("kernel", {"kernel": {
+            "name": "doubly_singular", "alpha": 0.2, "beta": 0.0,
+            "eps_grid": "x"}}),
+        ("kernel", {"kernel": {
+            "name": "doubly_singular", "alpha": 0.2, "beta": 0.0,
+            "cap": "x"}}),
+    ], ids=["backward.alpha", "backward.bogus", "forward.bogus",
+            "backward.tol", "backward.method", "control.steps",
+            "control.delta", "kernel.alpha", "kernel.eps_grid",
+            "kernel.cap"])
+    def test_bad_field(self, tmp_path, capsys, command, cfg):
+        rc, err = self.run(tmp_path, capsys, command, cfg)
+        assert rc == 2
+        assert err.startswith("config error:")
+        assert f"config.{command}" in err
+
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc, err = self.run(tmp_path, capsys, "backward", {
+            "tree": self.TREE,
+            "backward": {"problem": "fractional_generator"}}, out=out)
+        assert rc == 2
+        assert err.startswith("config error:")
+        assert "--out" in err
+
+
 class TestKernelCommand:
     def test_report_written(self, tmp_path):
         cfg = write_config(tmp_path, {

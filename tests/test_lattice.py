@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,6 +348,85 @@ class TestProcessContainers:
         assert lines[0] == "depth,node,component,value"
         assert len(lines) == 1 + sum(tree.node_count(i)
                                      for i in range(tree.N + 1))
+
+
+def csv_writer_adapted(p, path):
+    """The csv.writer loop the adapted table was first written with."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["depth", "node", "component", "value"])
+        for depth, v in enumerate(p.values):
+            for node in range(v.shape[0]):
+                for comp in range(v.shape[1]):
+                    writer.writerow([depth, node, comp,
+                                     repr(float(v[node, comp]))])
+
+
+def csv_writer_two_parameter(p, path):
+    """The csv.writer loop the two-parameter table was first written with."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["outer", "inner", "node", "component",
+                         "noise", "value"])
+        for i, row in enumerate(p.values):
+            for j, z in enumerate(row):
+                if z is None:
+                    continue
+                for node in range(z.shape[0]):
+                    for comp in range(z.shape[1]):
+                        for k in range(z.shape[2]):
+                            writer.writerow([i, j, node, comp, k,
+                                             repr(float(z[node, comp, k]))])
+
+
+class TestCsvBytes:
+    """dump_csv writes the bytes of the csv.writer loops, value for value."""
+
+    @staticmethod
+    def assert_same_bytes(p, oracle, tmp_path):
+        p.dump_csv(tmp_path / "table.csv")
+        oracle(p, tmp_path / "oracle.csv")
+        got = (tmp_path / "table.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+        assert got.endswith(b"\r\n")
+        assert got.count(b"\n") == got.count(b"\r\n")
+        return got
+
+    def test_solved_bsvie(self, tmp_path):
+        from svolterra import backward, registry
+        tree = Tree(N=6, T=1.0)
+        sol = backward.solve_bsvie(
+            registry.BACKWARD_PROBLEMS["fractional_generator"](tree), tree)
+        self.assert_same_bytes(sol.Y, csv_writer_adapted, tmp_path)
+        self.assert_same_bytes(sol.Z, csv_writer_two_parameter, tmp_path)
+
+    def test_special_values_and_missing_entry(self, tmp_path):
+        tree = Tree(N=3, T=1.0, m=2, d=2)
+        special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324,
+                            -5e-324, 1e-300, 0.1, 1.0 / 3.0])
+        rng = np.random.default_rng(3)
+        z = TwoParameterProcess.zeros(tree)
+        for i, row in enumerate(z.values):
+            for j, cell in enumerate(row):
+                z.set_entry(i, j, rng.choice(special, cell.shape))
+        z.values[2][1] = None
+        got = self.assert_same_bytes(z, csv_writer_two_parameter, tmp_path)
+        text = got.decode()
+        for value in ("-0.0", "nan", "inf", "-inf", "5e-324"):
+            assert f",{value}\r\n" in text
+        assert "\r\n2,1," not in text
+
+    def test_no_noise_coordinates(self, tmp_path):
+        z = TwoParameterProcess.zeros(Tree(N=3, T=1.0, m=0))
+        got = self.assert_same_bytes(z, csv_writer_two_parameter, tmp_path)
+        assert got == b"outer,inner,node,component,noise,value\r\n"
+
+    def test_all_negative_zero(self, tree, tmp_path):
+        p = AdaptedProcess(tree, [np.full((tree.node_count(i), 1), -0.0)
+                                  for i in range(tree.N + 1)])
+        got = self.assert_same_bytes(p, csv_writer_adapted, tmp_path)
+        assert got.count(b",-0.0\r\n") == sum(
+            tree.node_count(i) for i in range(tree.N + 1))
 
 
 class TestDeterministicLattice:
