@@ -129,7 +129,7 @@ def _report_skeleton(cfg, seed):
 
 
 def _write_report(report, out_dir, name):
-    path = _out_dir(out_dir) / name
+    path = out_dir / name
     path.write_text(json.dumps(report, indent=2, sort_keys=True,
                                default=_json_default) + "\n")
     return path
@@ -230,7 +230,7 @@ def cmd_forward(cfg, args):
                 if prev_err is not None and not err < prev_err:
                     ok = False
                 prev_err = err
-        _write_csv(_out_dir(args.out) / f"forward_{name}_convergence.csv",
+        _write_csv(args.out / f"forward_{name}_convergence.csv",
                    ["N", "sup_error"], rows)
         report["outputs"]["convergence"] = {str(n): e for n, e in rows}
     else:
@@ -239,7 +239,7 @@ def cmd_forward(cfg, args):
             problem = reg.FORWARD_PROBLEMS[name](**params)
         sol = fwd.solve_lattice(problem, tree)
         report["residuals"]["equation"] = sol.diagnostics["residual"]
-        sol.X.dump_csv(_out_dir(args.out) / f"forward_{name}_solution.csv")
+        sol.X.dump_csv(args.out / f"forward_{name}_solution.csv")
 
     _write_report(report, args.out, f"forward_{name}.json")
     print(f"forward {name}: {'ok' if ok else 'NOT monotone'}")
@@ -273,9 +273,8 @@ def cmd_backward(cfg, args):
     report["outputs"]["sweeps"] = sol.diagnostics["sweeps"]
     report["outputs"]["blocks"] = sol.diagnostics["blocks"]
     report["outputs"]["method"] = method
-    out = _out_dir(args.out)
-    sol.Y.dump_csv(out / f"backward_{name}_Y.csv")
-    sol.Z.dump_csv(out / f"backward_{name}_Z.csv")
+    sol.Y.dump_csv(args.out / f"backward_{name}_Y.csv")
+    sol.Z.dump_csv(args.out / f"backward_{name}_Z.csv")
     _write_report(report, args.out, f"backward_{name}.json")
     ok = report["residuals"]["m_condition"] < 1e-10
     print(f"backward {name} [{method}]: m-residual "
@@ -410,6 +409,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config is not None else {}
+        # an unusable --out fails here, before any solve
+        args.out = _out_dir(args.out)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,8 +20,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg import expm
 
-from .kernels import (CAUSAL, Kernel, _cell_table, _on_arrays, grid_blocks,
-                      make_convolution)
+from .kernels import (CAUSAL, Kernel, _cell_table, _history_sum, _on_arrays,
+                      grid_blocks, make_convolution)
 from .lattice import AdaptedProcess, Tree
 from .special import mittag_leffler
 
@@ -234,38 +234,46 @@ def solve_lattice(problem: SVIEProblem, tree: Tree) -> SVIESolution:
 
 def _solve_lattice_deterministic(problem: SVIEProblem, tree: Tree,
                                  w) -> SVIESolution:
-    """Single-path recursion: the weighted history sum is one dot product."""
+    """Single-path recursion: the weighted history sum is one dot product.
+
+    The residual re-checks a separable drift through an independent history
+    sum (``kernels._history_sum``, an FFT convolution for a lag kernel);
+    a raw drift is re-evaluated, and without drift X is phi itself.
+    """
     N, t = tree.N, tree.times
     d = problem.d
     X = np.zeros((N + 1, d))
     F = np.zeros((N + 1, d))  # drift values along the path
-
-    def phi_at(i):
+    P = np.zeros((N + 1, d))  # phi(t_i), read once per row
+    for i in range(N + 1):
         # a deterministic phi is read at t_i directly, not tiled onto a
         # one-node field first
-        if isinstance(problem.phi, AdaptedProcess):
-            return problem.phi[i].reshape(d)
-        return np.asarray(problem.phi(t[i]), dtype=float).reshape(d)
+        v = problem.phi[i] if isinstance(problem.phi, AdaptedProcess) \
+            else problem.phi(t[i])
+        P[i] = np.asarray(v, dtype=float).reshape(d)
 
-    def rhs(i):
-        # phi(t_i) plus the weighted drift history of X(t_j), j < i
-        if problem.drift_kernel is not None:
-            return phi_at(i) + w[i, :i] @ F[:i]
-        if problem.drift is not None:
-            return phi_at(i) + tree.dt * sum(
-                np.asarray(problem.drift(t[i], t[j], X[j][None, :]),
-                           dtype=float).reshape(d) for j in range(i))
-        return phi_at(i)
+    def raw_history(i):
+        return tree.dt * sum(
+            np.asarray(problem.drift(t[i], t[j], X[j][None, :]),
+                       dtype=float).reshape(d) for j in range(i))
 
     for i in range(N + 1):
-        X[i] = rhs(i)
         if problem.drift_kernel is not None:
+            X[i] = P[i] + w[i, :i] @ F[:i]
             F[i] = np.asarray(problem.drift_factor(t[i], X[i][None, :]),
                               dtype=float).reshape(d)
-    # residual re-check through the same weighted sums
-    res = 0.0
-    for i in range(N + 1):
-        res = max(res, float(np.max(np.abs(X[i] - rhs(i)))))
+        elif problem.drift is not None:
+            X[i] = P[i] + raw_history(i)
+        else:
+            X[i] = P[i]
+    if problem.drift_kernel is not None:
+        H = _history_sum(problem.drift_kernel, w, F)
+    else:
+        H = np.zeros((N + 1, d))
+        if problem.drift is not None:
+            for i in range(N + 1):
+                H[i] = raw_history(i)
+    res = float(np.max(np.abs(X - P - H)))
     sol = AdaptedProcess(tree, [X[i][None, :] for i in range(N + 1)])
     return SVIESolution(sol, {"method": "lattice", "residual": res})
 

@@ -1288,6 +1288,25 @@ def _cell_table(kernel: Kernel, times, lower: bool) -> np.ndarray:
     return w
 
 
+def _history_sum(kernel: Kernel, w: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """H[i] = sum_{j<i} w[i, j] F[j] for the lower table ``w`` of ``kernel``.
+
+    ``w`` is ``_cell_table(kernel, times, lower=True)``, shape (N+1, N), and
+    ``F`` has shape (N+1, d); its last row enters no sum.  For a lag kernel
+    w[i, j] = c[i - j] with c = w[:, 0] and c[0] = 0, so H is the causal
+    convolution c * F, taken with one real FFT of length >= 2N: O(N log N)
+    work and O(N) bytes, with a summation order of its own.  Any other
+    kernel's table is dense already, and H = w @ F.
+    """
+    N = w.shape[1]
+    if not kernel.lag_only:
+        return w @ F[:N]
+    n = 1 << (2 * N - 1).bit_length()
+    c_hat = np.fft.rfft(w[:, 0], n)[:, None]
+    return np.fft.irfft(c_hat * np.fft.rfft(F[:N], n, axis=0), n,
+                        axis=0)[:N + 1]
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------

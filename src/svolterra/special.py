@@ -7,6 +7,7 @@ compensated summation.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 
@@ -29,6 +30,20 @@ def gamma_fn(x: float) -> float:
         return math.gamma(x)
     except OverflowError:
         return math.inf
+
+
+@functools.lru_cache(maxsize=32)
+def _lgammas(alpha: float, beta: float, n: int) -> tuple:
+    """lgamma(alpha * k + beta) for k < n: the series' log denominators.
+
+    The series asks for n = 32, 64, 128, ... as it goes; each table extends
+    the cached one of half its length, so a call reuses what every earlier
+    call with the same (alpha, beta) computed.  The cache holds at most 32
+    tables, each at most twice as long as the longest series that used it.
+    """
+    head = _lgammas(alpha, beta, n // 2) if n > 32 else ()
+    return head + tuple(math.lgamma(alpha * k + beta)
+                        for k in range(len(head), n))
 
 
 def mittag_leffler(alpha: float, beta: float, z: float,
@@ -65,8 +80,11 @@ def mittag_leffler(alpha: float, beta: float, z: float,
     log_budget = math.log(term_budget)
     prev_log_term = math.inf
     passed_peak = False
+    lgammas = ()
     for k in range(max_terms):
-        log_term = k * log_abs_z - math.lgamma(alpha * k + beta)
+        if k == len(lgammas):
+            lgammas = _lgammas(alpha, beta, max(32, 2 * k))
+        log_term = k * log_abs_z - lgammas[k]
         if log_term > log_budget:
             raise MittagLefflerBudgetError(
                 f"series term ~exp({log_term:.1f}) exceeds the cancellation "

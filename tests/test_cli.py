@@ -134,6 +134,25 @@ class TestConfigErrorsExitTwo:
         assert err.startswith("config error:")
         assert "--out" in err
 
+    @pytest.mark.parametrize("command", ["suite", "backward"])
+    def test_out_naming_a_file_starts_no_solve(self, tmp_path, capsys,
+                                               monkeypatch, command):
+        # the unusable --out is found before the criteria or the solver run
+        def boom(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(cli.acc, "ALL_CRITERIA", [boom])
+        monkeypatch.setattr(cli.bwd, "solve_bsvie", boom)
+        out = tmp_path / "taken"
+        out.write_text("")
+        cfg = write_config(tmp_path, {
+            "tree": self.TREE,
+            "backward": {"problem": "fractional_generator"}})
+        rc = cli.main(["--config", cfg, "--out", str(out), command])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--out" in err
+
 
 class TestKernelCommand:
     def test_report_written(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special as sps
 
-from svolterra.special import (MittagLefflerBudgetError, gamma_fn,
+from svolterra.special import (MittagLefflerBudgetError, _lgammas, gamma_fn,
                                mittag_leffler)
 
 
@@ -141,3 +141,44 @@ class TestMittagLefflerLoop:
             mittag_leffler(0.3, 1.0, -40.0, **kw)
         for args in [(0.3, 1.0, -40.0), (0.75, 1.0, -3.0)]:
             assert_same_as_reference(*args, **kw)
+
+
+class TestLogGammaTable:
+    """The per-(alpha, beta) lgamma tables change no value and no error."""
+
+    CALLS = [
+        (0.6, 1.0, -0.01),           # short series: the table of 32
+        (0.6, 1.0, 5.0),             # long one, same pair: 64, then 128
+        (0.6, 1.0, -0.01),           # short again after the long one
+        (2.0, 1.0, 30.0),            # interleaved pairs
+        (0.75, 0.75, -1.0),
+        (2.0, 1.0, 0.2),
+        (0.75, 0.75, 18.0),
+        (0.6, 1.0, -0.5),
+        (0.6, 1.6, -2.0),            # same alpha, another beta
+        (0.75, 1.0, -1.0),
+        (0.3, 1.0, -40.0),           # budget error on a cold table
+        (0.3, 1.0, -0.1),
+        (0.3, 1.0, -40.0),           # the same error on a warm table
+        (0.6, 1.0, 60.0),            # budget error on a long table
+    ]
+
+    def test_warm_tables_match_reference_loop(self):
+        _lgammas.cache_clear()
+        assert_same_as_reference(*self.CALLS[0])
+        assert _lgammas.cache_info().misses == 1
+        assert_same_as_reference(*self.CALLS[1])
+        assert _lgammas.cache_info().misses == 3  # extended twice
+        for args in self.CALLS:
+            assert_same_as_reference(*args)
+        for kw in ({"max_terms": 5}, {"max_terms": 40},
+                   {"term_budget": 10.0}, {"rel_tol": 1e-8}):
+            for args in self.CALLS:
+                assert_same_as_reference(*args, **kw)
+
+    def test_cache_is_bounded(self):
+        _lgammas.cache_clear()
+        for k in range(100):
+            assert_same_as_reference(0.5 + k / 200, 1.0, -0.5)
+        info = _lgammas.cache_info()
+        assert info.currsize <= info.maxsize == 32
