@@ -152,14 +152,17 @@ def _drift_weights(problem: SVIEProblem, tree: Tree) -> np.ndarray:
     return _cell_table(problem.drift_kernel, tree.times, lower=True)
 
 
-def _diffusion_coeff(problem: SVIEProblem, tree: Tree, i: int,
-                     j: int) -> float:
-    """Scalar diffusion weight for cell j seen from time t_i (separable)."""
-    t = tree.times
-    if problem.l2_matched_diffusion:
-        cs = problem.diffusion_kernel.cell_sq(t[i], t[j], t[j + 1])
-        return math.sqrt(cs / tree.dt)
-    return float(problem.diffusion_kernel(t[i], np.array(t[j])))
+def _cell_tables(problem: SVIEProblem, tree: Tree) -> tuple:
+    """The cell tables of one solve: drift weights ``_drift_weights`` and,
+    for an L2-matched diffusion, coefficients sqrt(cell_sq / dt) per cell;
+    each is None when the problem does not use it."""
+    w = _drift_weights(problem, tree) if problem.drift_kernel is not None \
+        else None
+    c = None
+    if problem.l2_matched_diffusion and problem.diffusion_kernel is not None:
+        c = np.sqrt(_cell_table(problem.diffusion_kernel, tree.times,
+                                lower=True, square=True) / tree.dt)
+    return w, c
 
 
 def _volterra_row(tree: Tree, i: int, acc: np.ndarray,
@@ -182,14 +185,16 @@ def _volterra_row(tree: Tree, i: int, acc: np.ndarray,
     return acc
 
 
-def _rhs(problem: SVIEProblem, tree: Tree, w, i: int, X,
+def _rhs(problem: SVIEProblem, tree: Tree, tables: tuple, i: int, X,
          factors: dict) -> np.ndarray:
     """Right-hand side of the discrete equation at t_i from X(t_j), j < i.
 
-    The separable drift factor depends on the inner time only, so
-    ``factors`` carries it per depth across calls on the same X.
+    ``tables`` is ``_cell_tables(problem, tree)``.  The separable drift
+    factor depends on the inner time only, so ``factors`` carries it per
+    depth across calls on the same X.
     """
     t = tree.times
+    w, c = tables
 
     def cell(j):
         drift = z = None
@@ -202,8 +207,9 @@ def _rhs(problem: SVIEProblem, tree: Tree, w, i: int, X,
             drift = tree.dt * np.asarray(problem.drift(t[i], t[j], X[j]),
                                          dtype=float)
         if problem.diffusion_kernel is not None:
-            z = np.asarray(_diffusion_coeff(problem, tree, i, j)
-                           * problem.diffusion_factor(t[j], X[j]),
+            coeff = c[i, j] if c is not None \
+                else float(problem.diffusion_kernel(t[i], np.array(t[j])))
+            z = np.asarray(coeff * problem.diffusion_factor(t[j], X[j]),
                            dtype=float)
         elif problem.diffusion is not None:
             z = np.asarray(problem.diffusion(t[i], t[j], X[j]), dtype=float)
@@ -220,15 +226,14 @@ def solve_lattice(problem: SVIEProblem, tree: Tree) -> SVIESolution:
     left-point kernel values (or the L2-matched cell norm behind the
     ``l2_matched_diffusion`` flag).
     """
-    w = _drift_weights(problem, tree) if problem.drift_kernel is not None \
-        else None
+    tables = _cell_tables(problem, tree)
     if tree.m == 0 and not problem.has_diffusion:
-        return _solve_lattice_deterministic(problem, tree, w)
+        return _solve_lattice_deterministic(problem, tree, tables[0])
     X, factors = [], {}
     for i in range(tree.N + 1):
-        X.append(_rhs(problem, tree, w, i, X, factors))
+        X.append(_rhs(problem, tree, tables, i, X, factors))
     sol = AdaptedProcess(tree, X)
-    res = _equation_residual(problem, tree, sol)
+    res = _equation_residual(problem, tree, sol, tables)
     return SVIESolution(sol, {"method": "lattice", "residual": res})
 
 
@@ -279,16 +284,15 @@ def _solve_lattice_deterministic(problem: SVIEProblem, tree: Tree,
 
 
 def _equation_residual(problem: SVIEProblem, tree: Tree,
-                       X: AdaptedProcess) -> float:
-    """Max node-wise defect of the discrete equation (re-evaluation pass)."""
-    w = _drift_weights(problem, tree) if problem.drift_kernel is not None \
-        else None
+                       X: AdaptedProcess, tables: tuple) -> float:
+    """Max node-wise defect of the discrete equation (re-evaluation pass
+    over the solve's ``tables``); nan when any row is nan."""
     worst, factors = 0.0, {}
     for i in range(tree.N + 1):
-        rhs = _rhs(problem, tree, w, i, X, factors)
-        worst = max(worst, float(np.max(np.abs(X[i] - rhs)))
-                    if X[i].size else 0.0)
-    return worst
+        rhs = _rhs(problem, tree, tables, i, X, factors)
+        if X[i].size:
+            worst = np.maximum(worst, np.max(np.abs(X[i] - rhs)))
+    return float(worst)
 
 
 def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
@@ -306,8 +310,7 @@ def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
                          PartitionInfeasibleError)
     t = tree.times
     N = tree.N
-    w = _drift_weights(problem, tree) if problem.drift_kernel is not None \
-        else None
+    tables = _cell_tables(problem, tree)
 
     X = [problem.phi_field(tree, i) for i in range(N + 1)]
     ratios = []
@@ -320,7 +323,7 @@ def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
             update_sq = 0.0
             new_vals = {}
             for i in range(max(lo, 1), hi + 1):
-                new = _rhs(problem, tree, w, i, X, {})
+                new = _rhs(problem, tree, tables, i, X, {})
                 diff = new - X[i]
                 update_sq += tree.dt * float(
                     tree.expectation((diff ** 2).sum(axis=1)))
@@ -345,7 +348,7 @@ def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
         ratios.append(max(block_ratios) if block_ratios else 0.0)
 
     sol = AdaptedProcess(tree, X)
-    res = _equation_residual(problem, tree, sol)
+    res = _equation_residual(problem, tree, sol, tables)
     return SVIESolution(sol, {
         "method": "picard",
         "blocks": [(t[lo], t[hi]) for lo, hi in blocks],

@@ -14,9 +14,10 @@ square-integrability / partitionable-slice / bounded-sliding-slice
 classifications, and JSON-serializable classification reports.
 
 The forward and backward solvers take their (N+1, N) cell-weight tables
-from one builder here.  A kernel that depends on the lag |t - s| alone
+from one builder here.  A kernel of the lag |t - s| alone
 (``Kernel.lag_only``: fractional, Riemann-Liouville, convolution,
-exponential-sum, constant and doubly singular with beta = 0) has a
+exponential-sum, constant and doubly singular with beta = 0) is built from
+one lag profile, which gives every hook in both orientations, and has a
 Toeplitz table on the uniform tree grid, built from one row in O(N) work
 and bytes; every other kernel is tabulated row by row.
 
@@ -35,7 +36,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -126,16 +127,17 @@ class Kernel:
         Closed-form slice integral (see module docstring); only needed for
         causal kernels, anticausal ones reuse ``cell_sq_fn``.
     meta : dict
-        Family parameters and flags.  ``lag_only`` declares that k(t, s)
-        and every hook depend on the lag |t - s| alone (see
-        :attr:`lag_only`).
+        Family parameters.  A kernel built from a lag profile keeps it
+        under ``lag``, so k(t, s) and every hook depend on the lag
+        |t - s| alone (see :attr:`lag_only`).
 
     Batched evaluations (slice profiles, block masses, cell-weight tables)
     call a hook once on arrays: the slice hook (``slice_sq_fn``, or
     ``cell_sq_fn`` for an anticausal kernel) with arrays in all three
-    arguments, the cell hooks with arrays in the cell ends.  A hook that
-    raises ``TypeError`` or ``ValueError`` on arrays, or returns the wrong
-    shape, is called point by point with floats instead.
+    arguments, the cell hooks with arrays in the cell ends (and in the
+    outer time for the K0 check).  A hook that raises ``TypeError`` or
+    ``ValueError`` on arrays, or returns the wrong shape, is called point
+    by point with floats instead.
     """
 
     label: str
@@ -177,7 +179,7 @@ class Kernel:
     def lag_only(self) -> bool:
         """True when the kernel depends on the lag |t - s| alone, so its
         cell weights on a uniform grid form a Toeplitz table."""
-        return bool(self.meta.get("lag_only"))
+        return "lag" in self.meta
 
     @property
     def diag_exponent(self) -> float:
@@ -308,13 +310,15 @@ def _quad_power_aware(f, a, b, left_exp=0.0, right_exp=0.0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         if left_exp != 0.0 or right_exp != 0.0:
+            # f times the compensating powers is smooth up to the boundary;
+            # evaluate it a hair inside, at least one ulp, so the quadrature
+            # never forms inf * 0 at the endpoints themselves
             guard = (b - a) * 1e-15
+            lo = float(max(a + guard, np.nextafter(a, b)))
+            hi = float(min(b - guard, np.nextafter(b, a)))
 
             def phi(x):
-                # f times the compensating powers is smooth up to the
-                # boundary; evaluate it a hair inside so the quadrature
-                # never forms inf * 0 at the endpoints themselves
-                x = min(max(x, a + guard), b - guard)
+                x = min(max(x, lo), hi)
                 return f(x) * (x - a) ** left_exp * (b - x) ** right_exp
 
             val, _ = integrate.quad(phi, a, b, weight="alg",
@@ -330,6 +334,67 @@ def _quad_power_aware(f, a, b, left_exp=0.0, right_exp=0.0):
 # constructors
 # ---------------------------------------------------------------------------
 
+def _lag_kernel(label: str, orientation: str, horizon: float, h: Callable,
+                hint: tuple, meta: dict, int1: Callable = None,
+                int2: Callable = None, moment1: Callable = None) -> Kernel:
+    """Kernel h(lag), lag = |t - s|, with every hook taken from the lag.
+
+    ``int1(lo, hi)``, ``int2(lo, hi)`` and ``moment1(lo, hi)`` integrate
+    h, h^2 and r h(r) over lag intervals [lo, hi], vectorized, and
+    ``moment1`` is read only with ``int1``.  A cell [a, b] at outer time t
+    covers the lags [a - t, b - t] (anticausal) or [t - b, t - a] (causal),
+    and a slice at x covers [a - x, b - x] in both orientations.  A missing
+    integral leaves its hooks to quadrature.  The profile is kept in
+    ``meta["lag"]`` as this builder with h, hint and the integrals bound: it
+    makes the kernel :attr:`Kernel.lag_only` and lets :func:`mirror_kernel`
+    rebuild it in the other orientation.
+    """
+    anticausal = orientation == ANTICAUSAL
+
+    def lags(t, a, b):
+        if anticausal:
+            return np.asarray(a) - t, np.asarray(b) - t
+        return t - np.asarray(b), t - np.asarray(a)
+
+    def ev(t, s):
+        return h(np.asarray(s) - t if anticausal else t - np.asarray(s))
+
+    def on_cells(integral):
+        if integral is None:
+            return None
+        return lambda t, a, b: integral(*lags(t, a, b))
+
+    def cell_m1(t, a, b):
+        # s = t + lag (anticausal) or s = t - lag (causal)
+        lo, hi = lags(t, a, b)
+        m0 = t * int1(lo, hi)
+        return m0 + moment1(lo, hi) if anticausal else m0 - moment1(lo, hi)
+
+    def slice_sq(x, a, b):
+        x_a = np.asarray(x, dtype=float)
+        return int2(np.asarray(a) - x_a, np.asarray(b) - x_a)
+
+    profile = partial(_lag_kernel, h=h, hint=hint, int1=int1, int2=int2,
+                      moment1=moment1)
+    return Kernel(label, orientation, horizon, ev, hint, on_cells(int1),
+                  on_cells(int2), cell_m1 if moment1 else None,
+                  slice_sq if int2 else None, dict(meta, lag=profile))
+
+
+def _power_kernel(label: str, orientation: str, horizon: float,
+                  scale: float, q: float, meta: dict) -> Kernel:
+    """Lag kernel scale * lag**q with exact power integrals."""
+    def h(r):
+        with np.errstate(divide="ignore"):
+            return scale * np.power(r, q)
+
+    return _lag_kernel(
+        label, orientation, horizon, h, (max(-q, 0.0), 0.0), meta,
+        int1=lambda lo, hi: scale * _power_integral(q, lo, hi),
+        int2=lambda lo, hi: scale ** 2 * _power_integral(2.0 * q, lo, hi),
+        moment1=lambda lo, hi: scale * _power_integral(q + 1.0, lo, hi))
+
+
 def make_fractional(alpha: float, orientation: str = CAUSAL,
                     horizon: float = 1.0, scale: float = 1.0,
                     label: str = None) -> Kernel:
@@ -341,45 +406,10 @@ def make_fractional(alpha: float, orientation: str = CAUSAL,
         raise ValueError("alpha must be positive")
     if scale < 0.0:
         raise ValueError("scale must be nonnegative")
-    anticausal = orientation == ANTICAUSAL
-
-    def ev(t, s):
-        lag = (np.asarray(s) - t) if anticausal else (t - np.asarray(s))
-        with np.errstate(divide="ignore"):
-            return scale * np.power(lag, alpha - 1.0)
-
-    def lag_bounds(t, a, b):
-        if anticausal:
-            return a - t, b - t
-        return t - b, t - a
-
-    def cell(t, a, b):
-        lo, hi = lag_bounds(t, a, b)
-        return scale * _power_integral(alpha - 1.0, lo, hi)
-
-    def cell_sq(t, a, b):
-        lo, hi = lag_bounds(t, a, b)
-        return scale ** 2 * _power_integral(2.0 * alpha - 2.0, lo, hi)
-
-    def cell_m1(t, a, b):
-        # int s * lag^(alpha-1) ds expressed through lag moments
-        lo, hi = lag_bounds(t, a, b)
-        m0 = _power_integral(alpha - 1.0, lo, hi)
-        m1 = _power_integral(alpha, lo, hi)
-        return scale * (t * m0 + m1) if anticausal else scale * (t * m0 - m1)
-
-    def slice_sq(x, a, b):
-        # slices run along the lag in both orientations
-        x_a = np.asarray(x, dtype=float)
-        return scale ** 2 * _power_integral(2.0 * alpha - 2.0,
-                                            np.asarray(a) - x_a,
-                                            np.asarray(b) - x_a)
-
-    hint = (max(1.0 - alpha, 0.0), 0.0)
-    return Kernel(label or f"fractional(alpha={alpha})", orientation, horizon,
-                  ev, hint, cell, cell_sq, cell_m1, slice_sq_fn=slice_sq,
-                  meta={"family": "fractional", "alpha": alpha,
-                        "scale": scale, "lag_only": True})
+    return _power_kernel(label or f"fractional(alpha={alpha})", orientation,
+                         horizon, scale, alpha - 1.0,
+                         {"family": "fractional", "alpha": alpha,
+                          "scale": scale})
 
 
 def make_doubly_singular(alpha: float, beta: float,
@@ -388,6 +418,10 @@ def make_doubly_singular(alpha: float, beta: float,
     """Kernel lag**(-alpha) * x**(-beta) with x the smaller time variable."""
     if not (0.0 <= alpha < 1.0 and 0.0 <= beta < 1.0):
         raise ValueError("alpha, beta must lie in [0, 1)")
+    label = label or f"doubly_singular(alpha={alpha},beta={beta})"
+    meta = {"family": "doubly_singular", "alpha": alpha, "beta": beta}
+    if beta == 0.0:
+        return _power_kernel(label, orientation, horizon, 1.0, -alpha, meta)
     anticausal = orientation == ANTICAUSAL
 
     def ev(t, s):
@@ -410,7 +444,7 @@ def make_doubly_singular(alpha: float, beta: float,
     kwargs = {}
     if anticausal:
         def cell(t, a, b):
-            if t == 0.0 and beta > 0.0:
+            if t == 0.0:
                 return math.inf
             return t ** -beta * _power_integral(-alpha, a - t, b - t)
 
@@ -431,12 +465,8 @@ def make_doubly_singular(alpha: float, beta: float,
 
         kwargs = dict(cell_fn=cell, cell_sq_fn=cell_sq)
 
-    return Kernel(label or f"doubly_singular(alpha={alpha},beta={beta})",
-                  orientation, horizon, ev, (alpha, beta),
-                  slice_sq_fn=slice_sq,
-                  meta={"family": "doubly_singular", "alpha": alpha,
-                        "beta": beta, "lag_only": beta == 0.0},
-                  **kwargs)
+    return Kernel(label, orientation, horizon, ev, (alpha, beta),
+                  slice_sq_fn=slice_sq, meta=meta, **kwargs)
 
 
 def make_convolution(h: Callable, horizon: float = 1.0,
@@ -453,33 +483,15 @@ def make_convolution(h: Callable, horizon: float = 1.0,
     the squared one must accept numpy arrays.  ``diag_exponent`` hints the
     blow-up of h at lag 0 for the numeric path.
     """
-    def ev(t, s):
-        lag = (np.asarray(s) - t) if orientation == ANTICAUSAL \
-            else (t - np.asarray(s))
-        return h(lag)
+    def between(H):
+        if H is None:
+            return None
+        return lambda lo, hi: np.asarray(H(hi)) - np.asarray(H(lo))
 
-    cell = None
-    if h_antiderivative is not None:
-        if orientation == ANTICAUSAL:
-            def cell(t, a, b):
-                return h_antiderivative(b - t) - h_antiderivative(a - t)
-        else:
-            def cell(t, a, b):
-                return h_antiderivative(t - a) - h_antiderivative(t - b)
-
-    slice_sq = None
-    if h_sq_antiderivative is not None:
-        def slice_sq(x, a, b):
-            x_a = np.asarray(x, dtype=float)
-            return (np.asarray(h_sq_antiderivative(np.asarray(b) - x_a))
-                    - np.asarray(h_sq_antiderivative(np.asarray(a) - x_a)))
-
-    return Kernel(label or "convolution", orientation, horizon, ev,
-                  (diag_exponent, 0.0), cell_fn=cell, slice_sq_fn=slice_sq,
-                  meta={"family": "convolution", "h": h,
-                        "h_antiderivative": h_antiderivative,
-                        "h_sq_antiderivative": h_sq_antiderivative,
-                        "diag_exponent": diag_exponent, "lag_only": True})
+    return _lag_kernel(label or "convolution", orientation, horizon, h,
+                       (diag_exponent, 0.0), {"family": "convolution"},
+                       int1=between(h_antiderivative),
+                       int2=between(h_sq_antiderivative))
 
 
 def make_exp_sum(weights, rates, horizon: float = 1.0,
@@ -491,10 +503,8 @@ def make_exp_sum(weights, rates, horizon: float = 1.0,
         raise ValueError("weights and rates must be 1-d of equal length")
     if np.any(w < 0):
         raise ValueError("completely monotone representation needs w_i >= 0")
-    anticausal = orientation == ANTICAUSAL
 
-    def ev(t, s):
-        lag = (np.asarray(s) - t) if anticausal else (t - np.asarray(s))
+    def h(lag):
         lag = np.asarray(lag, dtype=float)
         return np.einsum("i,i...->...", w,
                          np.exp(-np.multiply.outer(lam, lag)))
@@ -504,57 +514,31 @@ def make_exp_sum(weights, rates, horizon: float = 1.0,
             return hi - lo
         return (np.exp(-c * np.asarray(lo)) - np.exp(-c * np.asarray(hi))) / c
 
-    def lag_bounds(t, a, b):
-        if anticausal:
-            return np.asarray(a) - t, np.asarray(b) - t
-        return t - np.asarray(b), t - np.asarray(a)
-
-    def cell(t, a, b):
-        lo, hi = lag_bounds(t, a, b)
+    def int1(lo, hi):
         return sum(w[i] * _exp_integral(lam[i], lo, hi) for i in range(len(w)))
 
-    def _sq_between(lo, hi):
-        total = 0.0
-        for i in range(len(w)):
-            for j in range(len(w)):
-                total = total + w[i] * w[j] * _exp_integral(lam[i] + lam[j],
-                                                            lo, hi)
-        return total
+    def int2(lo, hi):
+        return sum(w[i] * w[j] * _exp_integral(lam[i] + lam[j], lo, hi)
+                   for i in range(len(w)) for j in range(len(w)))
 
-    def cell_sq(t, a, b):
-        lo, hi = lag_bounds(t, a, b)
-        return _sq_between(lo, hi)
-
-    def slice_sq(x, a, b):
-        # slices are lag integrals regardless of orientation
-        x_a = np.asarray(x, dtype=float)
-        return _sq_between(np.asarray(a) - x_a, np.asarray(b) - x_a)
-
-    return Kernel(label or "exp_sum", orientation, horizon, ev, (0.0, 0.0),
-                  cell, cell_sq, slice_sq_fn=slice_sq,
-                  meta={"family": "exp_sum",
-                        "weights": list(map(float, w)),
-                        "rates": list(map(float, lam)), "lag_only": True})
+    return _lag_kernel(label or "exp_sum", orientation, horizon, h,
+                       (0.0, 0.0),
+                       {"family": "exp_sum", "weights": list(map(float, w)),
+                        "rates": list(map(float, lam))},
+                       int1=int1, int2=int2)
 
 
 def make_constant(value: float, horizon: float = 1.0,
                   orientation: str = CAUSAL, label: str = None) -> Kernel:
     if value < 0:
         raise ValueError("constant kernels must be nonnegative")
-
-    def ev(t, s):
-        return np.full_like(np.asarray(s, dtype=float), value)
-
-    return Kernel(label or f"constant({value})", orientation, horizon, ev,
-                  (0.0, 0.0),
-                  cell_fn=lambda t, a, b: value * (b - a),
-                  cell_sq_fn=lambda t, a, b: value ** 2 * (np.asarray(b)
-                                                           - np.asarray(a)),
-                  cell_m1_fn=lambda t, a, b: value * (b * b - a * a) / 2.0,
-                  slice_sq_fn=lambda x, a, b: value ** 2 * (np.asarray(b)
-                                                            - np.asarray(a)),
-                  meta={"family": "constant", "value": value,
-                        "lag_only": True})
+    return _lag_kernel(
+        label or f"constant({value})", orientation, horizon,
+        lambda r: np.full_like(np.asarray(r, dtype=float), value), (0.0, 0.0),
+        {"family": "constant", "value": value},
+        int1=lambda lo, hi: value * (hi - lo),
+        int2=lambda lo, hi: value ** 2 * (hi - lo),
+        moment1=lambda lo, hi: value * (hi * hi - lo * lo) / 2.0)
 
 
 def make_counterexample_sup(horizon: float = 1.0) -> Kernel:
@@ -1059,10 +1043,12 @@ def k0_membership(kernel: Kernel):
     T = kernel.horizon
     eps_sequence = T * 0.1 * 2.0 ** -np.arange(0.0, 8.0)
 
+    def max_cell(t, a, b):
+        return float(np.max(_on_arrays(kernel.cell_fn, kernel.cell, t, a, b)))
+
     def sup_l1(n):
         ts = np.linspace(T / n, T, n)
-        vals = [kernel.cell(float(t), 0.0, float(t)) for t in ts]
-        return float(np.max(vals))
+        return max_cell(ts, 0.0, ts)
 
     sup1 = sup_l1(_K0_GRID)
     sup2 = sup_l1(2 * _K0_GRID)
@@ -1071,12 +1057,8 @@ def k0_membership(kernel: Kernel):
 
     eps_max = float(np.max(eps_sequence))
     ts = np.linspace(T / _K0_GRID, T - eps_max, _K0_GRID)
-    sliding = []
-    for eps in eps_sequence:
-        vals = [kernel.cell(float(t + eps), float(t), float(t + eps))
-                for t in ts]
-        sliding.append(float(np.max(vals)))
-    sliding = np.asarray(sliding)
+    sliding = np.array([max_cell(ts + eps, ts, ts + eps)
+                        for eps in eps_sequence])
 
     if sliding[-1] <= _K0_TOL * max(1.0, sup2):
         vanishes = True
@@ -1161,28 +1143,14 @@ class KernelClassReport:
 def mirror_kernel(kernel: Kernel) -> Kernel:
     """Swap the time arguments, flipping the domain orientation."""
     other = CAUSAL if kernel.orientation == ANTICAUSAL else ANTICAUSAL
-    fam = kernel.meta.get("family")
     T = kernel.horizon
-    if fam == "fractional":
-        return make_fractional(kernel.meta["alpha"], other, T,
-                               kernel.meta["scale"],
-                               label=kernel.label + "|mirrored")
-    if fam == "doubly_singular":
+    label = kernel.label + "|mirrored"
+    if kernel.lag_only:
+        return kernel.meta["lag"](label, other, T, meta=kernel.meta)
+    if kernel.meta.get("family") == "doubly_singular":
         return make_doubly_singular(kernel.meta["alpha"],
                                     kernel.meta["beta"], other, T,
-                                    label=kernel.label + "|mirrored")
-    if fam == "constant":
-        return make_constant(kernel.meta["value"], T, other,
-                             label=kernel.label + "|mirrored")
-    if fam == "exp_sum":
-        return make_exp_sum(kernel.meta["weights"], kernel.meta["rates"],
-                            T, other, label=kernel.label + "|mirrored")
-    if fam == "convolution":
-        return make_convolution(kernel.meta["h"], T, other,
-                                kernel.meta.get("h_antiderivative"),
-                                kernel.meta.get("h_sq_antiderivative"),
-                                kernel.meta.get("diag_exponent", 0.0),
-                                label=kernel.label + "|mirrored")
+                                    label=label)
 
     def ev(t, s):
         s_arr = np.asarray(s, dtype=float)
@@ -1190,8 +1158,8 @@ def mirror_kernel(kernel: Kernel) -> Kernel:
                            for si in np.atleast_1d(s_arr)], dtype=float)
         return flat.reshape(s_arr.shape) if s_arr.ndim else flat[0]
 
-    return Kernel(kernel.label + "|mirrored", other, T, ev,
-                  kernel.singularity_hint, meta={"family": "mirrored"})
+    return Kernel(label, other, T, ev, kernel.singularity_hint,
+                  meta={"family": "mirrored"})
 
 
 def classify(kernel: Kernel, eps_grid=DEFAULT_EPS_GRID,
@@ -1256,8 +1224,10 @@ def product_weights(kernel: Kernel, t: float, grid) -> np.ndarray:
                      for a, b in zip(g[:-1], g[1:])])
 
 
-def _cell_table(kernel: Kernel, times, lower: bool) -> np.ndarray:
-    """(N+1, N) table of cell weights w[i, j] = cell(t_i, t_j, t_{j+1}).
+def _cell_table(kernel: Kernel, times, lower: bool,
+                square: bool = False) -> np.ndarray:
+    """(N+1, N) table of cell weights w[i, j] = cell(t_i, t_j, t_{j+1}),
+    or of ``cell_sq`` when ``square``.
 
     ``lower`` fills the strictly lower triangle j < i (forward drift),
     otherwise the upper triangle with its diagonal j >= i (backward
@@ -1270,9 +1240,10 @@ def _cell_table(kernel: Kernel, times, lower: bool) -> np.ndarray:
     """
     t = np.asarray(times, dtype=float)
     N = len(t) - 1
+    hook, point = (kernel.cell_sq_fn, kernel.cell_sq) if square \
+        else (kernel.cell_fn, kernel.cell)
     if kernel.lag_only:
-        row = _on_arrays(kernel.cell_fn, kernel.cell, t[N] if lower else t[0],
-                         t[:-1], t[1:])
+        row = _on_arrays(hook, point, t[N] if lower else t[0], t[:-1], t[1:])
         # buf[N - 1 + i - j] = w[i, j]: lags i - j = 1..N come from row N's
         # cells j = N - 1..0, lags j - i = 0..N-1 from row 0's cells j
         buf = np.zeros(2 * N)
@@ -1283,8 +1254,8 @@ def _cell_table(kernel: Kernel, times, lower: bool) -> np.ndarray:
     for i in range(N + 1):
         lo, hi = (0, i) if lower else (i, N)
         if hi > lo:
-            w[i, lo:hi] = _on_arrays(kernel.cell_fn, kernel.cell, t[i],
-                                     t[lo:hi], t[lo + 1:hi + 1])
+            w[i, lo:hi] = _on_arrays(hook, point, t[i], t[lo:hi],
+                                     t[lo + 1:hi + 1])
     return w
 
 

@@ -91,6 +91,15 @@ class TestSolveLattice:
         for i in range(8):
             assert float(np.var(sol.X[i][:, 0])) < 1e-30
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_nan_rows_give_a_nan_residual(self, m):
+        # rows past t = 1/2 are nan; the residual reports nan on the tree
+        # as on the single path, never 0
+        p = F.SVIEProblem(1.0, lambda t: np.array([math.nan if t > 0.5
+                                                   else 1.0]), m=m)
+        sol = F.solve_lattice(p, Tree(N=4, T=1.0, m=m))
+        assert math.isnan(sol.diagnostics["residual"])
+
     def test_adaptedness_by_storage(self):
         tree = Tree(N=5, T=1.0, m=1)
         p = F.SVIEProblem(1.0, lambda t: np.array([1.0]),
@@ -424,6 +433,34 @@ class TestNamedExamples:
         assert np.all(np.isfinite(sol.X[-1]))
         # mild solution stays positive for this data
         assert sol.X[-1][0, 0] > 0
+
+    @pytest.mark.parametrize("N", [8, 10])
+    def test_caputo_example_l2_matched_diffusion(self, N, monkeypatch):
+        # the L2-matched coefficients come from one squared-cell table per
+        # solve, which the residual reads again: a lag kernel takes one
+        # cell_sq quadrature per lag, not one per cell and pass
+        p = F.make_caputo_example(0.75, -1.0, lambda s, x: -0.5 * x,
+                                  lambda s, x: (0.2 * x)[:, :, None],
+                                  x0=1.0, m=1)
+        kern, tree = p.diffusion_kernel, Tree(N=N, T=1.0, m=1)
+        t = tree.times
+        ref = np.zeros((N + 1, N))
+        for i in range(N + 1):
+            for j in range(i):
+                ref[i, j] = kern.cell_sq(t[i], t[j], t[j + 1])
+        got = K._cell_table(kern, t, lower=True, square=True)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        calls = []
+        cell_sq = K.Kernel.cell_sq
+
+        def counted(self, *args):
+            calls.append(args)
+            return cell_sq(self, *args)
+
+        monkeypatch.setattr(K.Kernel, "cell_sq", counted)
+        sol = F.solve_lattice(p, tree)
+        assert len(calls) == N
+        assert sol.diagnostics["residual"] <= 1e-12
 
     def test_lipschitz_warning_on_violation(self):
         small = K.make_constant(0.01)

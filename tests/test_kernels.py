@@ -243,6 +243,15 @@ class TestK0Membership:
         member, _ = K.k0_membership(K.make_constant(0.0))
         assert member
 
+    def test_quadrature_cells_at_the_singular_ends_stay_finite(self):
+        # 2 beta >= 1 leaves the causal doubly singular kernel without a
+        # closed-form cell; its sliding cells are quadratures whose clamp
+        # must stay inside the cell, or they read inf and the check fails
+        member, diag = K.k0_membership(
+            K.make_doubly_singular(0.2, 0.6, K.CAUSAL))
+        assert all(math.isfinite(v) for v in diag["sliding_values"])
+        assert member
+
     def test_anticausal_rejected(self):
         with pytest.raises(ValueError):
             K.k0_membership(K.make_constant(1.0, orientation=K.ANTICAUSAL))
@@ -276,6 +285,28 @@ class TestFbmKernels:
                 vals = k(t, np.linspace(0.05, t - 0.05, 9))
                 assert np.all(np.isfinite(vals))
                 assert np.all(vals > 0)
+
+    def test_full_kernel_cells_next_to_the_diagonal_are_finite(
+            self, monkeypatch):
+        # at t = 13/24 the guard of the diagonal cell's quadrature is below
+        # half an ulp, so an unguarded clamp lands on the singular end and
+        # reads inf; the N = 24 drift table then has 12 such cells
+        kern = K.make_fbm_full(0.3)
+        assert math.isfinite(kern.cell(13 / 24, 12 / 24, 13 / 24))
+        tables = []
+
+        def recorded(*args, **kwargs):
+            tables.append(K._cell_table(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(F, "_cell_table", recorded)
+        p = F.SVIEProblem(1.0, lambda t: np.array([1.0]), m=0,
+                          drift_kernel=kern, drift_factor=lambda s, x: -x)
+        sol = F.solve_lattice(p, Tree(N=24, T=1.0, m=0))
+        assert len(tables) == 1 and tables[0].shape == (25, 24)
+        assert np.all(np.isfinite(tables[0]))
+        assert all(np.all(np.isfinite(sol.X[i])) for i in range(25))
+        assert math.isfinite(sol.diagnostics["residual"])
 
     def test_full_kernel_against_lower_limit_integral_form(self):
         # for H > 1/2 the same kernel has the independent representation
@@ -742,14 +773,10 @@ def lag_families(orientation):
 
 
 LAG_KERNELS = lag_families(K.CAUSAL) + lag_families(K.ANTICAUSAL)
-# every lag kernel in both triangles, except the causal doubly singular
-# one above its domain: its cell is an incomplete-Beta form in b / t and
-# a / t, which reads 0/0 at t = 0 and is not a function of the lag there
+# every lag kernel in both triangles
 LAG_TABLES = [pytest.param(k, lower, id=f"{k.label}-{k.orientation}-"
                                         f"{'lower' if lower else 'upper'}")
-              for k in LAG_KERNELS for lower in (True, False)
-              if lower or k.orientation == K.ANTICAUSAL
-              or k.meta["family"] != "doubly_singular"]
+              for k in LAG_KERNELS for lower in (True, False)]
 
 
 def cell_loop(kern, t, lower):
@@ -850,6 +877,48 @@ class TestCellTable:
             tracemalloc.stop()
         assert w.shape == (4097, 4096)
         assert peak < 1 << 20
+
+
+def hook_values(kern, N=8):
+    """eval, cell, cell_sq and cell_m1 over the kernel's own triangle of
+    the N-step grid, the cell tables of both triangles, slice profiles."""
+    t = Tree(N=N, T=1.0, m=0).times
+    anticausal = kern.orientation == K.ANTICAUSAL
+    rows = [(t[i], t[i:N], t[i + 1:]) if anticausal
+            else (t[i], t[:i], t[1:i + 1]) for i in range(N + 1)]
+    vals = []
+    with np.errstate(all="ignore"):
+        for x, a, b in rows:
+            vals.append(np.asarray(kern(x, b if anticausal else a),
+                                   dtype=float))
+            for hook, point in ((kern.cell_fn, kern.cell),
+                                (kern.cell_sq_fn, kern.cell_sq),
+                                (kern.cell_m1_fn, kern.cell_m1)):
+                vals.append(K._on_arrays(hook, point, x, a, b))
+        vals += [K._cell_table(kern, t, lower, square)
+                 for lower in (True, False) for square in (False, True)]
+        vals += [kern.slice_l2_profile(t[:-1], 1.0),
+                 kern.slice_l2_profile(t[:-1], t[:-1] + 0.25)]
+    return vals
+
+
+class TestLagBuilder:
+    @pytest.mark.parametrize(
+        "kern, other",
+        [(k, o) for pair in zip(lag_families(K.CAUSAL),
+                                lag_families(K.ANTICAUSAL))
+         for k, o in (pair, pair[::-1])],
+        ids=lambda k: f"{k.label}-{k.orientation}")
+    def test_mirror_is_the_other_orientation(self, kern, other):
+        # a lag kernel's mirror is rebuilt from its stored profile, so it is
+        # the same constructor called with the other orientation
+        mirror = K.mirror_kernel(kern)
+        assert mirror.orientation == other.orientation
+        assert mirror.lag_only and other.lag_only
+        assert mirror.meta["family"] == other.meta["family"]
+        for got, want in zip(hook_values(mirror), hook_values(other),
+                             strict=True):
+            assert np.array_equal(got, want, equal_nan=True), kern.label
 
 
 class TestVectorTriangleMass:
