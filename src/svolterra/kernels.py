@@ -52,8 +52,7 @@ DEFAULT_EPS_GRID = (1.0, 0.5, 0.25, 0.125)
 DEFAULT_BREAKPOINT_CAP = 4096
 _GROWTH_FACTOR = 1.5  # refinement growth ratio that flags a divergent integral
 _BISECT_MARGIN = 1e-3  # relative shrink applied to greedy breakpoints
-_FAST_RUN_CAP = 512  # most fast-path breakpoints probed in one batch
-_BREAKPOINT_REL_TOL = 1e-6  # bisection resolution, relative to T
+_BREAKPOINT_REL_TOL = 1e-6  # bisection resolution, relative to T or lag width
 _K0_GRID = 33  # outer times of the K0 slice checks (66 when refined)
 _K0_TOL = 1e-2  # sliding slices this small (relative) count as vanished
 _K0_MIN_SLOPE = 0.05  # least log-log decay slope of the sliding slices
@@ -811,17 +810,19 @@ def _block_sup(kernel: Kernel, a, b, fine: bool = False) -> np.ndarray:
 
 def find_partition(kernel: Kernel, eps: float,
                    cap: int = DEFAULT_BREAKPOINT_CAP):
-    """Greedy left-to-right partition with local slice norms below eps.
+    """Partition of [0, T] with local slice norms below eps (condition 2).
 
-    Each breakpoint is the (bisected) maximal extension of the current
-    interval, shrunk by a small safety margin so the finer re-verification
-    grid stays below eps; when the previous width keeps working within a
-    couple of percent it is reused without a full bisection.  That fast
-    path depends only on the current breakpoint and width, so the
-    breakpoints it would place are chained ahead and a run of them is
-    probed in one batch; the run doubles while every probe accepts, up to
-    ``_FAST_RUN_CAP``.  Returns a re-verified :class:`Partition` or a
-    :class:`PartitionInfeasible`.
+    A lag kernel with an h^2 integral (:attr:`Kernel.lag_only` with
+    ``slice_sq_fn``) has the sliced sup sqrt(H2(b - a)) on (a, b], with
+    H2(w) = int_0^w h^2 nondecreasing, so its partition is uniform: the
+    root of H2(w) = eps^2, bisected geometrically and shrunk by a small
+    safety margin, is the width, and nothing is probed.  Any other kernel
+    is partitioned greedily: each breakpoint is the (bisected) maximal
+    extension of the current interval, shrunk by the same margin, or the
+    previous width when that still works within a couple of percent.
+    Returns a :class:`Partition` re-verified on a finer grid, or a
+    :class:`PartitionInfeasible`: "mathematical" when no interval at the
+    left edge works, "budget" when over ``cap`` intervals would be needed.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -857,16 +858,6 @@ def find_partition(kernel: Kernel, eps: float,
         return PartitionInfeasible(eps, "mathematical", float(xs[best[-1]]),
                                    float(np.max(vals)))
 
-    def probe_ends(a, width):
-        # the interval (a, T], then the fast path's (a, a + width] and
-        # (a, a + 1.02 width] while they end before T
-        ends = [T]
-        if width is not None and a + width < T:
-            ends.append(a + width)
-            if a + 1.02 * width < T:
-                ends.append(a + 1.02 * width)
-        return ends
-
     def extend(a, width):
         # bracket a feasible extension, then bisect; None when none exists
         guess = width if width else (T - a) / 2.0
@@ -891,40 +882,42 @@ def find_partition(kernel: Kernel, eps: float,
                 hi = mid
         return a + (1.0 - _BISECT_MARGIN) * (lo - a)
 
-    run = 1
+    if kernel.lag_only and kernel.slice_sq_fn is not None:
+        def short(w):
+            return kernel.slice_sq_fn(0.0, 0.0, w) < eps * eps
+
+        if not short(min_step):
+            return left_edge_infeasible(0.0)
+        lo, hi, w = min_step, T, T
+        if not short(T):
+            while hi - lo > _BREAKPOINT_REL_TOL * lo:
+                mid = math.sqrt(lo * hi)
+                lo, hi = (mid, hi) if short(mid) else (lo, mid)
+            w = (1.0 - _BISECT_MARGIN) * lo
+        n = math.ceil(T / w)
+        if n > cap:
+            return tail_classification(cap * w)
+        breakpoints = [k * w for k in range(n) if k * w < T] + [T]
+
     while breakpoints[-1] < T:
-        # the breakpoints the fast path would place if it kept accepting
-        chain = [(breakpoints[-1], prev_width)]
-        ends = [probe_ends(*chain[-1])]
-        while len(chain) < run and len(ends[-1]) > 1:
-            a, width = chain[-1]
-            chain.append((a + width, (a + width) - a))
-            ends.append(probe_ends(*chain[-1]))
-        ok = iter(_block_sup(kernel,
-                             [a for (a, _), e in zip(chain, ends) for _ in e],
-                             [b for e in ends for b in e]) < eps)
-        for (a, width), e in zip(chain, ends):
-            reach, *fast = (bool(next(ok)) for _ in e)
-            if reach:
-                breakpoints.append(T)
-                break
-            if len(breakpoints) > cap:
-                return tail_classification(a)
-            # fast path: (a, a + width] passes and (a, a + 1.02 width] fails
-            # or reaches past T
-            accept = fast in ([True], [True, False])
-            b = a + width if accept else extend(a, width)
-            if b is None:
-                return left_edge_infeasible(a)
-            if b - a < min_step:
-                return tail_classification(a)
-            breakpoints.append(b)
-            prev_width = b - a
-            if not accept:
-                run = 1
-                break
-        else:
-            run = min(2 * run, _FAST_RUN_CAP)
+        a = breakpoints[-1]
+        if feasible(a, T):
+            breakpoints.append(T)
+            break
+        if len(breakpoints) > cap:
+            return tail_classification(a)
+        # fast path: (a, a + w] passes and (a, a + 1.02 w] fails or reaches
+        # past T
+        w = prev_width
+        fast = w is not None and a + w < T and feasible(a, a + w) and (
+            a + 1.02 * w >= T or not feasible(a, a + 1.02 * w))
+        b = a + w if fast else extend(a, w)
+        if b is None:
+            return left_edge_infeasible(a)
+        if b - a < min_step:
+            return tail_classification(a)
+        breakpoints.append(b)
+        prev_width = b - a
 
     part = Partition(tuple(breakpoints))
     bad = reverify_partition(kernel, part, eps)
@@ -1028,12 +1021,13 @@ def k0_membership(kernel: Kernel):
     """Bounded L1 slices plus vanishing sliding slices (numerical check).
 
     Measures ``sup_t int_0^t k(t, s) ds`` on grids of 33 and 66 outer
-    times and the sliding quantity ``max_t int_t^(t+eps) k(t+eps, s) ds``
-    on 33 outer times for eps = 0.1 T * 2**-k, k = 0..7.  Membership
-    requires the first to grow by at most the divergence factor 1.5 under
-    the refinement and the second to decay: its last value at most 1e-2
-    times max(1, sup), or decreasing with fitted log-log slope at least
-    0.05.
+    times and at t = T * 2**-k, k = 0..20, and the sliding quantity
+    ``max_t int_t^(t+eps) k(t+eps, s) ds`` on 33 outer times for
+    eps = 0.1 T * 2**-k, k = 0..7.  Membership requires the first to grow
+    by at most the divergence factor 1.5 under the refinement, with every
+    dyadic value finite and at most 1.5 times the refined sup, and the
+    second to decay: its last value at most 1e-2 times max(1, sup), or
+    decreasing with fitted log-log slope at least 0.05.
 
     Returns ``(member, diagnostics)``.
     """
@@ -1052,8 +1046,13 @@ def k0_membership(kernel: Kernel):
 
     sup1 = sup_l1(_K0_GRID)
     sup2 = sup_l1(2 * _K0_GRID)
-    bounded = math.isfinite(sup2) and (sup1 == 0.0
-                                       or sup2 <= _GROWTH_FACTOR * sup1)
+    # dyadic outer times toward 0 catch a slice diverging there too slowly
+    # for the two grids to tell (nan fails the comparison)
+    ts = T * 2.0 ** -np.arange(0.0, 21.0)
+    dyadic = float(np.max(_on_arrays(kernel.cell_fn, kernel.cell, ts, 0.0,
+                                     ts)))
+    bounded = math.isfinite(sup2) and dyadic <= _GROWTH_FACTOR * sup2 \
+        and (sup1 == 0.0 or sup2 <= _GROWTH_FACTOR * sup1)
 
     eps_max = float(np.max(eps_sequence))
     ts = np.linspace(T / _K0_GRID, T - eps_max, _K0_GRID)
@@ -1077,6 +1076,7 @@ def k0_membership(kernel: Kernel):
     diagnostics = {
         "sup_l1_slice": sup2,
         "sup_l1_slice_coarse": sup1,
+        "sup_l1_slice_dyadic": dyadic,
         "sliding_eps": [float(e) for e in eps_sequence],
         "sliding_values": [float(v) for v in sliding],
         "decay_slope": slope if math.isfinite(slope) else None,

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from svolterra import backward as B
 from svolterra import forward as F
@@ -255,6 +255,22 @@ class TestK0Membership:
     def test_anticausal_rejected(self):
         with pytest.raises(ValueError):
             K.k0_membership(K.make_constant(1.0, orientation=K.ANTICAUSAL))
+
+    @pytest.mark.parametrize("alpha, beta, bounded", [
+        # sup_t int_0^t (t - s)^-alpha s^-beta ds grows like
+        # t^(1 - alpha - beta) as t -> 0: unbounded once alpha + beta > 1,
+        # however slowly
+        (0.6, 0.6, False), (0.55, 0.5, False),
+        (0.5, 0.5, True), (0.2, 0.6, True), (0.6, 0.2, True),
+        (0.45, 0.45, True), (0.3, 0.3, True),
+    ])
+    def test_slowly_diverging_l1_slice_is_unbounded(self, alpha, beta,
+                                                    bounded):
+        member, diag = K.k0_membership(
+            K.make_doubly_singular(alpha, beta, K.CAUSAL))
+        assert diag["bounded"] is bounded
+        if not bounded:
+            assert not member
 
 
 class TestFbmKernels:
@@ -530,6 +546,21 @@ def ref_find_partition(kernel, eps, cap=K.DEFAULT_BREAKPOINT_CAP,
     return part
 
 
+def ref_lag_partition(kernel, eps):
+    """Closed-form breakpoints of a lag kernel with an H2 hook: the uniform
+    width (1 - margin) w*, H2(w*) = eps^2 by Brent's method, closed at T."""
+    T = kernel.horizon
+
+    def excess(w):
+        return float(kernel.slice_sq_fn(0.0, 0.0, w)) - eps * eps
+
+    if excess(T) < 0.0:
+        return (0.0, T)
+    root = optimize.brentq(excess, 1e-9 * T, T, xtol=1e-15, rtol=1e-14)
+    w = (1.0 - K._BISECT_MARGIN) * root
+    return tuple(k * w for k in range(math.ceil(T / w))) + (T,)
+
+
 def _scalar_hook_kernel():
     # closed-form slice hook that only accepts scalars
     frac = K.make_fractional(0.8, K.ANTICAUSAL)
@@ -601,21 +632,34 @@ class TestBatchedPartitionProbes:
                                       ref_sup_grid(a, b, n, c))
 
     @pytest.mark.parametrize("kern, eps", [
-        (K.make_doubly_singular(0.4, 0.0), 1.0),    # 3,136 intervals
         (K.make_doubly_singular(0.3, 0.2), 1.0),    # fast path breaks
         (K.make_doubly_singular(0.3, 0.2), 2.0),
-        (K.make_fractional(0.8, K.ANTICAUSAL), 0.125),
-        (_log_convolution(), 0.7),
         (K.make_counterexample_sup(1.0), 1.0),
     ], ids=lambda v: getattr(v, "label", repr(v)))
     def test_partition_equals_one_interval_search(self, kern, eps):
         assert K.find_partition(kern, eps) == ref_find_partition(kern, eps)
 
-    def test_small_cap_gives_same_infeasibility(self):
+    @pytest.mark.parametrize("kern, eps", [
+        (K.make_doubly_singular(0.4, 0.0), 1.0),    # 3,129 intervals
+        (K.make_fractional(0.8, K.ANTICAUSAL), 0.125),
+        (_log_convolution(), 0.7),
+    ], ids=lambda v: getattr(v, "label", repr(v)))
+    def test_lag_partition_equals_closed_form(self, kern, eps):
+        got = K.find_partition(kern, eps)
+        want = ref_lag_partition(kern, eps)
+        assert isinstance(got, K.Partition) and len(got) == len(want) - 1
+        assert got.breakpoints[-1] == kern.horizon
+        np.testing.assert_allclose(got.breakpoints, want, rtol=0.0,
+                                   atol=1e-6 * kern.horizon)
+
+    def test_small_cap_gives_budget_at_the_closed_form_width(self):
         kern = K.make_doubly_singular(0.4, 0.0)
         got = K.find_partition(kern, 1.0, cap=40)
+        want = ref_lag_partition(kern, 1.0)
         assert isinstance(got, K.PartitionInfeasible)
-        assert got == ref_find_partition(kern, 1.0, cap=40)
+        assert got.reason == "budget"
+        assert got.witness_t == pytest.approx(want[40], rel=1e-5)
+        assert got.measured_sup == ref_block_sup(kern, got.witness_t, 1.0)
 
     def test_perturbed_partition_same_first_failure(self):
         kern = K.make_doubly_singular(0.4, 0.0)
@@ -639,6 +683,63 @@ class TestBatchedPartitionProbes:
         monkeypatch.setattr(K.Kernel, "slice_l2_profile", counted)
         K.classify(K.make_doubly_singular(0.4, 0.0), eps_grid=(2.0, 1.0))
         assert len(calls) <= 400
+
+
+def _power_convolution():
+    h = lambda r: np.power(np.maximum(r, 1e-300), -0.1)
+    h2 = lambda r: np.maximum(r, 0.0) ** 0.8 / 0.8
+    return K.make_convolution(h, 1.0, K.CAUSAL, h_sq_antiderivative=h2,
+                              diag_exponent=0.1)
+
+
+CLOSED_FORM_KERNELS = [
+    K.make_fractional(0.9, K.CAUSAL),
+    K.make_fractional(0.9, K.ANTICAUSAL),
+    K.make_doubly_singular(0.15, 0.0),
+    K.make_exp_sum([0.8, 0.4], [3.0, 0.5], orientation=K.ANTICAUSAL),
+    K.make_constant(1.0),
+    _power_convolution(),
+    K._shifted_inverse_sqrt(1.0),
+    K.make_fbm_rl(0.4),
+]
+
+
+class TestLagPartition:
+    @pytest.mark.parametrize("kern", CLOSED_FORM_KERNELS,
+                             ids=lambda k: f"{k.label}-{k.orientation}")
+    def test_verified_and_close_to_greedy(self, kern):
+        assert kern.lag_only and kern.slice_sq_fn is not None
+        for eps in K.DEFAULT_EPS_GRID:
+            part = K.find_partition(kern, eps)
+            assert isinstance(part, K.Partition)
+            assert K.reverify_partition(kern, part, eps) is None
+            greedy = ref_find_partition(kern, eps)
+            assert abs(len(part) - len(greedy)) <= 0.01 * len(greedy)
+
+    def test_budget_without_probing(self, monkeypatch):
+        calls = []
+        profile = K.Kernel.slice_l2_profile
+
+        def counted(self, xs, b):
+            calls.append(1)
+            return profile(self, xs, b)
+
+        monkeypatch.setattr(K.Kernel, "slice_l2_profile", counted)
+        res = K.find_partition(K.make_doubly_singular(0.4, 0.0), 0.5)
+        assert isinstance(res, K.PartitionInfeasible)
+        assert res.reason == "budget"
+        assert len(calls) < 40
+
+    def test_divergent_h2_is_mathematical(self):
+        res = K.find_partition(K.make_fractional(0.5), 1.0)
+        assert isinstance(res, K.PartitionInfeasible)
+        assert res.reason == "mathematical"
+
+    def test_lag_kernel_without_h2_stays_greedy(self):
+        kern = K.make_convolution(lambda r: np.exp(-np.asarray(r)),
+                                  h_antiderivative=lambda r: 1.0 - np.exp(-r))
+        assert kern.lag_only and kern.slice_sq_fn is None
+        assert K.find_partition(kern, 0.5) == ref_find_partition(kern, 0.5)
 
 
 # ---------------------------------------------------------------------------
