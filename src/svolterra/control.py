@@ -13,13 +13,13 @@ gradient search) into exactly checkable identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .backward import MSolution, _linear_adjoint, solve_bsvie
-from .forward import _volterra_row
+from .forward import _linear_rows, _volterra_row
 from .kernels import Kernel
 from .lattice import AdaptedProcess, TerminalField, Tree
 
@@ -219,30 +219,37 @@ def cost(cp: ControlProblem, u: AdaptedProcess, tree: Tree,
     return total
 
 
+def _coefficient(deriv: Callable, X: AdaptedProcess, u: AdaptedProcess,
+                 tree: Tree) -> Callable:
+    """Cell coefficient (a, b) -> deriv(t_a, t_b, X(t_b), u(t_b)), frozen at
+    the inner depth b; the variational rows and the adjoint read the same
+    maps, one with (a, b) = (i, j), the other with (j, r)."""
+    t = tree.times
+    return lambda a, b: np.asarray(deriv(t[a], t[b], X[b], u[b]), dtype=float)
+
+
+def _bumps(cp: ControlProblem, X: AdaptedProcess, u_bar: AdaptedProcess,
+           v: AdaptedProcess, tree: Tree) -> Callable:
+    """Forcing of cell (i, j): b_u (v - u_bar) and sigma_u (v - u_bar)."""
+    b_u = _coefficient(cp.b_u, X, u_bar, tree)
+    sigma_u = _coefficient(cp.sigma_u, X, u_bar, tree)
+
+    def forcing(i, j):
+        du = v[j] - u_bar[j]
+        return (np.einsum("nau,nu->na", b_u(i, j), du),
+                np.einsum("namu,nu->nam", sigma_u(i, j), du))
+
+    return forcing
+
+
 def solve_variational(cp: ControlProblem, u_bar: AdaptedProcess,
                       v: AdaptedProcess, tree: Tree,
                       state: AdaptedProcess = None) -> AdaptedProcess:
     """Directional state derivative along v - u_bar (linearized recursion)."""
     X = state if state is not None else solve_state(cp, u_bar, tree)
-    t = tree.times
-    X1 = []
-    for i in range(tree.N + 1):
-        def cell(j):
-            du = v[j] - u_bar[j]
-            bx = np.asarray(cp.b_x(t[i], t[j], X[j], u_bar[j]), dtype=float)
-            bu = np.asarray(cp.b_u(t[i], t[j], X[j], u_bar[j]), dtype=float)
-            sx = np.asarray(cp.sigma_x(t[i], t[j], X[j], u_bar[j]),
-                            dtype=float)
-            su = np.asarray(cp.sigma_u(t[i], t[j], X[j], u_bar[j]),
-                            dtype=float)
-            return (tree.dt * (np.einsum("nab,nb->na", bx, X1[j])
-                               + np.einsum("nau,nu->na", bu, du)),
-                    np.einsum("namb,nb->nam", sx, X1[j])
-                    + np.einsum("namu,nu->nam", su, du))
-
-        X1.append(_volterra_row(tree, i, np.zeros((tree.node_count(i), cp.d)),
-                                cell))
-    return AdaptedProcess(tree, X1)
+    return _linear_rows(tree, cp.d, _coefficient(cp.b_x, X, u_bar, tree),
+                        _coefficient(cp.sigma_x, X, u_bar, tree),
+                        _bumps(cp, X, u_bar, v, tree))
 
 
 def variational_forcing(cp: ControlProblem, u_bar: AdaptedProcess,
@@ -250,20 +257,7 @@ def variational_forcing(cp: ControlProblem, u_bar: AdaptedProcess,
                         state: AdaptedProcess = None) -> AdaptedProcess:
     """The inhomogeneous part of the variational equation (control bumps)."""
     X = state if state is not None else solve_state(cp, u_bar, tree)
-    t = tree.times
-    out = []
-    for i in range(tree.N + 1):
-        def cell(j):
-            du = v[j] - u_bar[j]
-            bu = np.asarray(cp.b_u(t[i], t[j], X[j], u_bar[j]), dtype=float)
-            su = np.asarray(cp.sigma_u(t[i], t[j], X[j], u_bar[j]),
-                            dtype=float)
-            return (tree.dt * np.einsum("nau,nu->na", bu, du),
-                    np.einsum("namu,nu->nam", su, du))
-
-        out.append(_volterra_row(tree, i, np.zeros((tree.node_count(i), cp.d)),
-                                 cell))
-    return AdaptedProcess(tree, out)
+    return _linear_rows(tree, cp.d, None, None, _bumps(cp, X, u_bar, v, tree))
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +279,12 @@ def solve_adjoint(cp: ControlProblem, x_bar: AdaptedProcess,
     of cell (j, r) on the depth-r state and control, contracted there.
     """
     N, t = tree.N, tree.times
-
-    def coefficient(deriv):
-        return lambda j, r: np.asarray(deriv(t[j], t[r], x_bar[r], u_bar[r]),
-                                       dtype=float)
-
     psi = TerminalField(
         tree, [np.asarray(cp.g_x(t[r], x_bar[r], u_bar[r]), dtype=float)
                for r in range(N + 1)], depths=list(range(N + 1)))
-    problem = _linear_adjoint(psi, coefficient(cp.b_x),
-                              coefficient(cp.sigma_x), "adjoint")
+    problem = _linear_adjoint(psi, _coefficient(cp.b_x, x_bar, u_bar, tree),
+                              _coefficient(cp.sigma_x, x_bar, u_bar, tree),
+                              "adjoint")
     return solve_bsvie(problem, tree, tol=tol)
 
 
@@ -329,17 +319,17 @@ def mp_gradient(cp: ControlProblem, u_bar: AdaptedProcess, tree: Tree,
     adj = adjoint if adjoint is not None else solve_adjoint(cp, X, u_bar,
                                                             tree)
     t, dt = tree.times, tree.dt
+    b_u = _coefficient(cp.b_u, X, u_bar, tree)
+    sigma_u = _coefficient(cp.sigma_u, X, u_bar, tree)
     grads = []
     for r in range(tree.N):
         gu = np.asarray(cp.g_u(t[r], X[r], u_bar[r]), dtype=float)
         acc = gu.copy()
         for j in range(r + 1, tree.N):
-            bu = np.asarray(cp.b_u(t[j], t[r], X[r], u_bar[r]), dtype=float)
             ce_y = tree.conditional_expectation(adj.Y[j], j, r)
-            acc += dt * np.einsum("nau,na->nu", bu, ce_y)
-            su = np.asarray(cp.sigma_u(t[j], t[r], X[r], u_bar[r]),
-                            dtype=float)
-            acc += dt * np.einsum("namu,nam->nu", su, adj.Z.entry(j, r))
+            acc += dt * np.einsum("nau,na->nu", b_u(j, r), ce_y)
+            acc += dt * np.einsum("namu,nam->nu", sigma_u(j, r),
+                                  adj.Z.entry(j, r))
         grads.append(acc)
     grads.append(np.zeros((tree.node_count(tree.N), cp.du)))
     return AdaptedProcess(tree, grads)

@@ -24,7 +24,7 @@ from scipy.linalg import expm
 from .backward import (MSolution, _ancestor_contract, _linear_adjoint,
                        solve_bsvie)
 from .control import _fd_probe
-from .forward import _volterra_row
+from .forward import _linear_rows, _volterra_row
 from .lattice import AdaptedProcess, TerminalField, Tree
 
 
@@ -146,15 +146,12 @@ class DelayTrajectory:
         return (self.x[i], self.y[i], self.z[i], self.u[i], self.mu[i])
 
 
-def _control_with_initial(dp: DelayProblem, u: AdaptedProcess, tree: Tree,
-                          i: int) -> np.ndarray:
-    """mu(t_i) = u(t_i - delta), falling back to the initial control."""
-    k = dp.delay_steps(tree)
-    if i >= k:
-        return tree.broadcast(u[i - k], i - k, i)
-    return np.tile(np.asarray(dp.eta(tree.times[i] - dp.delta),
-                              dtype=float).reshape(-1),
-                   (tree.node_count(i), 1))
+def _delayed(tree: Tree, values, i: int, k: int,
+             before: Callable) -> np.ndarray:
+    """values[i - k] repeated onto depth i, or ``before()`` while i < k."""
+    if i < k:
+        return before()
+    return tree.broadcast(values[i - k], i - k, i)
 
 
 def solve_delay_state(dp: DelayProblem, u: AdaptedProcess,
@@ -163,8 +160,9 @@ def solve_delay_state(dp: DelayProblem, u: AdaptedProcess,
 
     x(t_i) = S(t_i) xi(0) + sum_{j<i} dt S(t_i - t_j) b_j
                           + sum_{j<i} S(t_i - t_j) sigma_j dW_j,
-    with the delayed value read from the buffer (or the initial
-    trajectory) and the window average from the exact-weight rule.
+    with the delayed value and control read from the buffers (or the
+    initial trajectories xi, eta) and the window average from the
+    exact-weight rule.
     """
     k = dp.delay_steps(tree)
     S = dp.semigroup(tree)
@@ -174,12 +172,10 @@ def solve_delay_state(dp: DelayProblem, u: AdaptedProcess,
 
     xs, ys, zs, mus = [], [], [], []
 
-    def delayed(i):
-        if i >= k:
-            return tree.broadcast(xs[i - k], i - k, i)
-        return np.tile(np.asarray(dp.xi(t[i] - dp.delta),
-                                  dtype=float).reshape(-1),
-                       (tree.node_count(i), 1))
+    def initial(fn, i):
+        return lambda: np.tile(np.asarray(fn(t[i] - dp.delta),
+                                          dtype=float).reshape(-1),
+                               (tree.node_count(i), 1))
 
     def window(i):
         acc = np.zeros((tree.node_count(i), dp.d))
@@ -202,9 +198,9 @@ def solve_delay_state(dp: DelayProblem, u: AdaptedProcess,
         xs.append(_volterra_row(tree, i,
                                 np.tile(S[i] @ x0, (tree.node_count(i), 1)),
                                 cell))
-        ys.append(delayed(i))
+        ys.append(_delayed(tree, xs, i, k, initial(dp.xi, i)))
         zs.append(window(i))
-        mus.append(_control_with_initial(dp, u, tree, i))
+        mus.append(_delayed(tree, u, i, k, initial(dp.eta, i)))
         theta = (t[i], xs[i], ys[i], zs[i], u[i], mus[i])
         drifts.append(np.asarray(dp.b(*theta), dtype=float))
         diffs.append(np.asarray(dp.sigma(*theta), dtype=float))
@@ -252,68 +248,50 @@ class AugmentedDelaySVIE:
         self.S = self.dp.semigroup(self.tree)
         self.gamma = self.dp.window_weights(self.tree)
         self.k = self.dp.delay_steps(self.tree)
-        t = self.tree.times
+        dp, t = self.dp, self.tree.times
         self._coef = {}
         for j in range(self.tree.N + 1):
             theta = (t[j],) + self.traj.theta(j)
+
+            def ev(fn):
+                return np.asarray(fn(*theta), dtype=float)
+
             self._coef[j] = {
-                "bx": np.asarray(self.dp.b_x(*theta), dtype=float),
-                "by": np.asarray(self.dp.b_y(*theta), dtype=float),
-                "bz": np.asarray(self.dp.b_z(*theta), dtype=float),
-                "bu": np.asarray(self.dp.b_u(*theta), dtype=float),
-                "bmu": np.asarray(self.dp.b_mu(*theta), dtype=float),
-                "sx": np.asarray(self.dp.sigma_x(*theta), dtype=float),
-                "sy": np.asarray(self.dp.sigma_y(*theta), dtype=float),
-                "sz": np.asarray(self.dp.sigma_z(*theta), dtype=float),
-                "su": np.asarray(self.dp.sigma_u(*theta), dtype=float),
-                "smu": np.asarray(self.dp.sigma_mu(*theta), dtype=float),
+                # the (x, y, z) blocks side by side in the last axis
+                "b": np.concatenate([ev(dp.b_x), ev(dp.b_y), ev(dp.b_z)],
+                                    axis=-1),
+                "s": np.concatenate([ev(dp.sigma_x), ev(dp.sigma_y),
+                                     ev(dp.sigma_z)], axis=-1),
+                "bu": ev(dp.b_u), "bmu": ev(dp.b_mu),
+                "su": ev(dp.sigma_u), "smu": ev(dp.sigma_mu),
             }
 
-    def _lagged(self, i, j):
-        # semigroup lag for the delayed row; None outside the indicator
+    def _rows(self, i, j, value):
+        """The tripled rows of a depth-j cell value: S(t_i - t_j) value in
+        the x part and, past the delay (i - j > k), the lagged semigroup
+        S(t_i - t_j - delta) value in the delayed part."""
+        d = self.dp.d
+        out = np.zeros(value.shape[:1] + (3 * d,) + value.shape[2:])
+        out[:, 0:d] = np.einsum("ab,nb...->na...", self.S[i - j], value)
         if i - j > self.k:
-            return self.S[i - j - self.k]
-        return None
+            out[:, d:2 * d] = np.einsum("ab,nb...->na...",
+                                        self.S[i - j - self.k], value)
+        return out
 
     def A(self, i: int, j: int) -> np.ndarray:
         d, tree = self.dp.d, self.tree
-        n = tree.node_count(j)
-        c = self._coef[j]
-        out = np.zeros((n, 3 * d, 3 * d))
-        row1 = [np.einsum("ab,nbc->nac", self.S[i - j], c[key])
-                for key in ("bx", "by", "bz")]
-        for blk, mat in enumerate(row1):
-            out[:, 0:d, blk * d:(blk + 1) * d] = mat
-        lag = self._lagged(i, j)
-        if lag is not None:
-            for blk, key in enumerate(("bx", "by", "bz")):
-                out[:, d:2 * d, blk * d:(blk + 1) * d] = \
-                    np.einsum("ab,nbc->nac", lag, c[key])
+        out = self._rows(i, j, self._coef[j]["b"])
         # window row: exact cell weight over [t_j, t_{j+1}], scaled to a
         # dt-weighted Volterra entry
         if 0 < i - j <= self.k:
             w = self.gamma[self.k - (i - j)] / tree.dt
-            out[:, 2 * d:3 * d, 0:d] = w * np.tile(np.eye(d), (n, 1, 1))
+            out[:, 2 * d:3 * d, 0:d] = w * np.eye(d)
         return out
 
     def C(self, i: int, j: int) -> np.ndarray:
-        d, m, tree = self.dp.d, self.dp.m, self.tree
-        n = tree.node_count(j)
-        c = self._coef[j]
-        out = np.zeros((n, 3 * d, m, 3 * d))
-        for blk, key in enumerate(("sx", "sy", "sz")):
-            out[:, 0:d, :, blk * d:(blk + 1) * d] = \
-                np.einsum("ab,nbmc->namc", self.S[i - j], c[key])
-        lag = self._lagged(i, j)
-        if lag is not None:
-            for blk, key in enumerate(("sx", "sy", "sz")):
-                out[:, d:2 * d, :, blk * d:(blk + 1) * d] = \
-                    np.einsum("ab,nbmc->namc", lag, c[key])
-        return out
+        return self._rows(i, j, self._coef[j]["s"])
 
     def forcing(self, i: int, j: int):
-        d = self.dp.d
-        n = self.tree.node_count(j)
         c = self._coef[j]
         du = self.du_field[j]
         dmu = self.dmu_field(j)
@@ -321,36 +299,17 @@ class AugmentedDelaySVIE:
             + np.einsum("nau,nu->na", c["bmu"], dmu)
         ds = np.einsum("namu,nu->nam", c["su"], du) \
             + np.einsum("namu,nu->nam", c["smu"], dmu)
-        Bvec = np.zeros((n, 3 * d))
-        Dmat = np.zeros((n, 3 * d, self.dp.m))
-        Bvec[:, 0:d] = np.einsum("ab,nb->na", self.S[i - j], db)
-        Dmat[:, 0:d] = np.einsum("ab,nbm->nam", self.S[i - j], ds)
-        lag = self._lagged(i, j)
-        if lag is not None:
-            Bvec[:, d:2 * d] = np.einsum("ab,nb->na", lag, db)
-            Dmat[:, d:2 * d] = np.einsum("ab,nbm->nam", lag, ds)
-        return Bvec, Dmat
+        return self._rows(i, j, db), self._rows(i, j, ds)
 
     def dmu_field(self, j):
         # control variation arriving through the delayed channel
-        if j >= self.k:
-            return self.tree.broadcast(self.du_field[j - self.k],
-                                       j - self.k, j)
-        return np.zeros((self.tree.node_count(j), self.dp.du))
+        return _delayed(self.tree, self.du_field, j, self.k,
+                        lambda: np.zeros((self.tree.node_count(j),
+                                          self.dp.du)))
 
     def solve(self) -> AdaptedProcess:
-        tree = self.tree
-        X = []
-        for i in range(tree.N + 1):
-            def cell(j):
-                Bvec, Dmat = self.forcing(i, j)
-                return (tree.dt * (np.einsum("nab,nb->na", self.A(i, j), X[j])
-                                   + Bvec),
-                        np.einsum("namb,nb->nam", self.C(i, j), X[j]) + Dmat)
-
-            X.append(_volterra_row(
-                tree, i, np.zeros((tree.node_count(i), 3 * self.dp.d)), cell))
-        return AdaptedProcess(tree, X)
+        return _linear_rows(self.tree, 3 * self.dp.d, self.A, self.C,
+                            self.forcing)
 
 
 def delay_to_svie(dp: DelayProblem, u_bar: AdaptedProcess,
@@ -482,8 +441,7 @@ def solve_delay_adjoint(dp: DelayProblem, traj: DelayTrajectory,
     sol = solve_bsvie(problem, tree, tol=tol)
 
     # assemble p and q from the component aggregates
-    hx = np.asarray(dp.h_x(traj.x[N], traj.y[N], traj.z[N]), dtype=float)
-    hy = np.asarray(dp.h_y(traj.x[N], traj.y[N], traj.z[N]), dtype=float)
+    hx, hy = H_bar[:, 0:d], H_bar[:, d:2 * d]
     p_fields, q_fields = [], []
     for r in range(N + 1):
         p = np.einsum("ba,nb->na", S[N - r],

@@ -7,7 +7,8 @@ product-integration weights so singular drift kernels are integrated
 exactly over cells touching the diagonal.
 
 Every forward recursion on the tree, here and in ``control`` and ``delay``,
-computes its rows with ``_volterra_row``; the Picard blocks come from
+computes its rows with ``_volterra_row``, the linear variational ones
+through ``_linear_rows``; the Picard blocks come from
 :func:`kernels.grid_blocks`, as the block BSVIE method's do.
 """
 from __future__ import annotations
@@ -183,6 +184,31 @@ def _volterra_row(tree: Tree, i: int, acc: np.ndarray,
     if z_list:
         acc += tree.stochastic_integral(z_list, 0, i)
     return acc
+
+
+def _linear_rows(tree: Tree, d: int, coef_a: Optional[Callable],
+                 coef_c: Optional[Callable],
+                 forcing: Callable) -> AdaptedProcess:
+    """Linear forward equation X(t_i) = sum_{j<i} dt (A(i, j) X_j + b(i, j))
+    + sum_{j<i} (C(i, j) X_j + s(i, j)) dW_j, the forward twin of
+    ``backward._linear_adjoint``.
+
+    ``coef_a(i, j)`` (nodes, d, d) and ``coef_c(i, j)`` (nodes, d, m, d)
+    act at depth j; both are None for the forcing alone.  ``forcing(i, j)``
+    returns the pair (b, s) of cell j in row i.
+    """
+    X = []
+    for i in range(tree.N + 1):
+        def cell(j):
+            b, s = forcing(i, j)
+            if coef_a is not None:
+                b = np.einsum("nab,nb->na", coef_a(i, j), X[j]) + b
+                s = np.einsum("namb,nb->nam", coef_c(i, j), X[j]) + s
+            return tree.dt * b, s
+
+        X.append(_volterra_row(tree, i, np.zeros((tree.node_count(i), d)),
+                               cell))
+    return AdaptedProcess(tree, X)
 
 
 def _rhs(problem: SVIEProblem, tree: Tree, tables: tuple, i: int, X,

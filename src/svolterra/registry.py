@@ -252,60 +252,27 @@ def matched_volterra_instance(dp: dly.DelayProblem, horizon: float = 1.0):
             cache[key] = expm(key * M)
         return cache[key]
 
-    zeros_d = lambda n: np.zeros((n, dp.d))
-
-    def wrap(t, s, x, u):
-        zn = zeros_d(x.shape[0])
-        zu = np.zeros((x.shape[0], dp.du))
-        return dp.b(s, x, zn, zn, u, zu)
-
-    def b(t, s, x, u):
-        return np.einsum("ab,nb->na", S(t - s), wrap(t, s, x, u))
-
-    def b_x(t, s, x, u):
-        zn = zeros_d(x.shape[0])
-        zu = np.zeros((x.shape[0], dp.du))
-        inner = np.asarray(dp.b_x(s, x, zn, zn, u, zu), dtype=float)
-        return np.einsum("ab,nbc->nac", S(t - s), inner)
-
-    def b_u(t, s, x, u):
-        zn = zeros_d(x.shape[0])
-        zu = np.zeros((x.shape[0], dp.du))
-        inner = np.asarray(dp.b_u(s, x, zn, zn, u, zu), dtype=float)
-        return np.einsum("ab,nbc->nac", S(t - s), inner)
-
-    def sigma(t, s, x, u):
-        zn = zeros_d(x.shape[0])
-        zu = np.zeros((x.shape[0], dp.du))
-        inner = np.asarray(dp.sigma(s, x, zn, zn, u, zu), dtype=float)
-        return np.einsum("ab,nbk->nak", S(t - s), inner)
-
-    def sigma_x(t, s, x, u):
-        zn = zeros_d(x.shape[0])
-        zu = np.zeros((x.shape[0], dp.du))
-        inner = np.asarray(dp.sigma_x(s, x, zn, zn, u, zu), dtype=float)
-        return np.einsum("ab,nbmc->namc", S(t - s), inner)
-
-    def sigma_u(t, s, x, u):
-        zn = zeros_d(x.shape[0])
-        zu = np.zeros((x.shape[0], dp.du))
-        inner = np.asarray(dp.sigma_u(s, x, zn, zn, u, zu), dtype=float)
-        return np.einsum("ab,nbmc->namc", S(t - s), inner)
-
-    def deco(fn):
+    def frozen(fn):
+        # fn(t, x, u) with the delayed state, window and control at zero
         def out(t, x, u):
-            zn = zeros_d(x.shape[0])
-            zu = np.zeros((x.shape[0], dp.du))
-            return fn(t, x, zn, zn, u, zu)
+            zn = np.zeros((x.shape[0], dp.d))
+            return np.asarray(fn(t, x, zn, zn, u,
+                                 np.zeros((x.shape[0], dp.du))), dtype=float)
         return out
+
+    def lift(fn):
+        # the mild-form Volterra coefficient S(t - s) fn(s, x, u)
+        inner = frozen(fn)
+        return lambda t, s, x, u: np.einsum("ab,nb...->na...", S(t - s),
+                                            inner(s, x, u))
 
     return ctl.ControlProblem(
         horizon=horizon,
         phi=lambda t: (S(t) @ np.asarray(dp.xi(0.0),
                                          dtype=float).reshape(-1)),
-        b=b, sigma=sigma, b_x=b_x, b_u=b_u,
-        sigma_x=sigma_x, sigma_u=sigma_u,
-        g=deco(dp.l), g_x=deco(dp.l_x), g_u=deco(dp.l_u),
+        b=lift(dp.b), sigma=lift(dp.sigma), b_x=lift(dp.b_x),
+        b_u=lift(dp.b_u), sigma_x=lift(dp.sigma_x), sigma_u=lift(dp.sigma_u),
+        g=frozen(dp.l), g_x=frozen(dp.l_x), g_u=frozen(dp.l_u),
         control_set=dp.control_set, d=dp.d, m=dp.m,
         label="matched_volterra")
 

@@ -118,6 +118,38 @@ def test_solve_variational_row(m):
     assert identical(X1.values, ref_solve_variational(cp, u, v, tree, X))
 
 
+# -- control.variational_forcing --------------------------------------------
+
+def ref_variational_forcing(cp, u_bar, v, tree, X):
+    t = tree.times
+    out = [np.zeros((1, cp.d))]
+    for i in range(1, tree.N + 1):
+        acc = np.zeros((tree.node_count(i), cp.d))
+        z_list = []
+        for j in range(i):
+            du = v[j] - u_bar[j]
+            bu = np.asarray(cp.b_u(t[i], t[j], X[j], u_bar[j]), dtype=float)
+            acc += tree.broadcast(
+                tree.dt * np.einsum("nau,nu->na", bu, du), j, i)
+            su = np.asarray(cp.sigma_u(t[i], t[j], X[j], u_bar[j]),
+                            dtype=float)
+            z_list.append(np.einsum("namu,nu->nam", su, du))
+        acc += tree.stochastic_integral(z_list, 0, i)
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_variational_forcing_row(m):
+    tree = Tree(N=N, T=1.0, m=m)
+    cp = noise_control_problem(m)
+    u, v = random_control(tree, 1, 5), random_control(tree, 1, 6)
+    X = C.solve_state(cp, u, tree)
+    forcing = C.variational_forcing(cp, u, v, tree, state=X)
+    assert identical(forcing.values,
+                     ref_variational_forcing(cp, u, v, tree, X))
+
+
 # -- delay.AugmentedDelaySVIE.solve -----------------------------------------
 
 def ref_augmented_solve(aug):
@@ -168,5 +200,101 @@ def test_augmented_delay_row(m):
     direct = D.solve_delay_variational_direct(dp, u, v, tree,
                                               traj=aug.traj)
     gap = max(float(np.max(np.abs(X[i][:, 0:1] - direct[i])))
+              for i in range(tree.N + 1))
+    assert gap <= 1e-12
+
+
+# -- delay.AugmentedDelaySVIE blocks at d = 2 --------------------------------
+
+def linear_delay_problem(d=2, m=1):
+    """A linear delay problem with constant coefficient matrices, the delay
+    on the N = 6 grid and a quadratic cost."""
+    rng = np.random.default_rng(8)
+    bx, by, bz = (0.3 * rng.normal(size=(d, d)) for _ in range(3))
+    bu, bmu = (0.3 * rng.normal(size=(d, 1)) for _ in range(2))
+    sx, sy, sz = (0.2 * rng.normal(size=(d, m, d)) for _ in range(3))
+    su, smu = (0.2 * rng.normal(size=(d, m, 1)) for _ in range(2))
+
+    def const(mat):
+        return lambda t, x, y, z, u, mu: np.broadcast_to(
+            mat, (x.shape[0],) + mat.shape).copy()
+
+    def b(t, x, y, z, u, mu):
+        return x @ bx.T + y @ by.T + z @ bz.T + u @ bu.T + mu @ bmu.T
+
+    def sigma(t, x, y, z, u, mu):
+        return sum(np.einsum("amc,nc->nam", mat, arg) for mat, arg in
+                   [(sx, x), (sy, y), (sz, z), (su, u), (smu, mu)])
+
+    def zero(t, x, y, z, u, mu):
+        return np.zeros_like(x)
+
+    return D.DelayProblem(
+        horizon=1.0, M=np.array([[-0.5, 0.2], [0.1, -0.3]]),
+        delta=1.0 / 3.0, lam=0.3, b=b, sigma=sigma,
+        b_x=const(bx), b_y=const(by), b_z=const(bz), b_u=const(bu),
+        b_mu=const(bmu), sigma_x=const(sx), sigma_y=const(sy),
+        sigma_z=const(sz), sigma_u=const(su), sigma_mu=const(smu),
+        l=lambda t, x, y, z, u, mu: 0.5 * ((x ** 2).sum(axis=1)
+                                           + (u ** 2).sum(axis=1)),
+        l_x=lambda t, x, y, z, u, mu: x, l_y=zero, l_z=zero,
+        l_u=lambda t, x, y, z, u, mu: u,
+        l_mu=lambda t, x, y, z, u, mu: np.zeros_like(mu),
+        h=lambda x, y, z: 0.5 * (x ** 2).sum(axis=1),
+        h_x=lambda x, y, z: x, h_y=lambda x, y, z: 0.0 * y,
+        h_z=lambda x, y, z: 0.0 * z,
+        xi=lambda t: np.array([1.0 + 0.5 * t, -0.5 * t]),
+        eta=lambda t: np.array([0.1]),
+        control_set=C.BoxControlSet((-5.0,), (5.0,)), d=d, m=m)
+
+
+def ref_augmented_blocks(aug, i, j):
+    """A(i, j), C(i, j) and the forcing pair written one (d, d) block at a
+    time."""
+    dp, tree, d, k = aug.dp, aug.tree, aug.dp.d, aug.k
+    n, m = tree.node_count(j), dp.m
+    theta = (tree.times[j],) + aug.traj.theta(j)
+    du = aug.du_field[j]
+    dmu = tree.broadcast(aug.du_field[j - k], j - k, j) if j >= k \
+        else np.zeros((n, dp.du))
+    db = np.einsum("nau,nu->na", dp.b_u(*theta), du) \
+        + np.einsum("nau,nu->na", dp.b_mu(*theta), dmu)
+    ds = np.einsum("namu,nu->nam", dp.sigma_u(*theta), du) \
+        + np.einsum("namu,nu->nam", dp.sigma_mu(*theta), dmu)
+    A = np.zeros((n, 3 * d, 3 * d))
+    Cm = np.zeros((n, 3 * d, m, 3 * d))
+    B = np.zeros((n, 3 * d))
+    Dm = np.zeros((n, 3 * d, m))
+    lags = [(0, aug.S[i - j])]
+    if i - j > k:
+        lags.append((1, aug.S[i - j - k]))
+    for row, lag in lags:
+        r = slice(row * d, (row + 1) * d)
+        for blk, (fb, fs) in enumerate([(dp.b_x, dp.sigma_x),
+                                        (dp.b_y, dp.sigma_y),
+                                        (dp.b_z, dp.sigma_z)]):
+            c = slice(blk * d, (blk + 1) * d)
+            A[:, r, c] = np.einsum("ab,nbc->nac", lag, fb(*theta))
+            Cm[:, r, :, c] = np.einsum("ab,nbmc->namc", lag, fs(*theta))
+        B[:, r] = np.einsum("ab,nb->na", lag, db)
+        Dm[:, r] = np.einsum("ab,nbm->nam", lag, ds)
+    if 0 < i - j <= k:
+        A[:, 2 * d:3 * d, 0:d] = aug.gamma[k - (i - j)] / tree.dt * np.eye(d)
+    return A, Cm, B, Dm
+
+
+def test_augmented_delay_blocks_d2():
+    tree = Tree(N=N, T=1.0, m=1)
+    dp = linear_delay_problem()
+    u, v = random_control(tree, 1, 7), random_control(tree, 1, 9)
+    aug = D.delay_to_svie(dp, u, v, tree)
+    for i in range(1, tree.N + 1):
+        for j in range(i):
+            built = (aug.A(i, j), aug.C(i, j)) + aug.forcing(i, j)
+            for got, ref in zip(built, ref_augmented_blocks(aug, i, j)):
+                np.testing.assert_allclose(got, ref, rtol=1e-15, atol=1e-15)
+    X = aug.solve()
+    direct = D.solve_delay_variational_direct(dp, u, v, tree, traj=aug.traj)
+    gap = max(float(np.max(np.abs(X[i][:, 0:2] - direct[i])))
               for i in range(tree.N + 1))
     assert gap <= 1e-12
