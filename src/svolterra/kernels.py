@@ -449,18 +449,17 @@ def make_doubly_singular(alpha: float, beta: float,
 
         kwargs = dict(cell_fn=cell, cell_sq_fn=slice_sq)
     elif max(2.0 * alpha, 2.0 * beta) < 1.0:
-        # incomplete-Beta closed forms for the causal variant, on arrays
+        # incomplete-Beta closed forms for the causal variant
         def cell(t, a, b):
             base = t ** (1.0 - alpha - beta) * sps.beta(1.0 - beta, 1.0 - alpha)
-            return base * (sps.betainc(1.0 - beta, 1.0 - alpha,
-                                       np.minimum(b / t, 1.0))
+            return base * (sps.betainc(1.0 - beta, 1.0 - alpha, min(b / t, 1.0))
                            - sps.betainc(1.0 - beta, 1.0 - alpha, a / t))
 
         def cell_sq(t, a, b):
             base = t ** (1.0 - 2 * alpha - 2 * beta) \
                 * sps.beta(1.0 - 2 * beta, 1.0 - 2 * alpha)
             return base * (sps.betainc(1 - 2 * beta, 1 - 2 * alpha,
-                                       np.minimum(b / t, 1.0))
+                                       min(b / t, 1.0))
                            - sps.betainc(1 - 2 * beta, 1 - 2 * alpha, a / t))
 
         kwargs = dict(cell_fn=cell, cell_sq_fn=cell_sq)

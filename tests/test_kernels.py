@@ -256,28 +256,6 @@ class TestK0Membership:
         with pytest.raises(ValueError):
             K.k0_membership(K.make_constant(1.0, orientation=K.ANTICAUSAL))
 
-    def test_causal_closed_form_cells_take_arrays(self, monkeypatch):
-        # the incomplete-Beta cells of the causal doubly singular kernel
-        # run on whole arrays: no point-by-point Kernel.cell fallback
-        k = K.make_doubly_singular(0.3, 0.2, K.CAUSAL)
-        cell, cell_sq = K.Kernel.cell, K.Kernel.cell_sq
-        calls = []
-
-        def counted(self, *args):
-            calls.append(args)
-            return cell(self, *args)
-
-        monkeypatch.setattr(K.Kernel, "cell", counted)
-        K.k0_membership(k)
-        assert calls == []
-        ts = np.linspace(0.05, 1.0, 20)
-        for a, b in [(0.0 * ts, ts), (0.2 * ts, 0.7 * ts), (0.5 * ts, ts)]:
-            for hook, point in [(k.cell_fn, cell), (k.cell_sq_fn, cell_sq)]:
-                ref = [point(k, float(t), float(x), float(y))
-                       for t, x, y in zip(ts, a, b)]
-                np.testing.assert_allclose(hook(ts, a, b), ref, rtol=1e-15,
-                                           atol=0.0)
-
     @pytest.mark.parametrize("alpha, beta, bounded", [
         # sup_t int_0^t (t - s)^-alpha s^-beta ds grows like
         # t^(1 - alpha - beta) as t -> 0: unbounded once alpha + beta > 1,
