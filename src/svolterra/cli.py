@@ -202,7 +202,7 @@ def cmd_forward(cfg, args):
     params.setdefault("horizon", T)
     report = _report_skeleton(cfg, args.seed)
     budget = _Budget(args.budget_seconds)
-    ok = True
+    ok, failure = True, "NOT monotone"
 
     if n_list:
         # resolution study on the deterministic lattice
@@ -238,11 +238,14 @@ def cmd_forward(cfg, args):
         with _config_block("forward"):
             problem = reg.FORWARD_PROBLEMS[name](**params)
         sol = fwd.solve_lattice(problem, tree)
-        report["residuals"]["equation"] = sol.diagnostics["residual"]
+        res = sol.diagnostics["residual"]
+        report["residuals"]["equation"] = res
         sol.X.dump_csv(args.out / f"forward_{name}_solution.csv")
+        ok = res <= 1e-10  # false for a nan residual
+        failure = f"equation residual {res:.3g} fails the 1e-10 bound"
 
     _write_report(report, args.out, f"forward_{name}.json")
-    print(f"forward {name}: {'ok' if ok else 'NOT monotone'}")
+    print(f"forward {name}: {'ok' if ok else failure}")
     return 0 if ok else 1
 
 

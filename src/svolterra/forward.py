@@ -9,7 +9,9 @@ exactly over cells touching the diagonal.
 Every forward recursion on the tree, here and in ``control`` and ``delay``,
 computes its rows with ``_volterra_row``, the linear variational ones
 through ``_linear_rows``; the Picard blocks come from
-:func:`kernels.grid_blocks`, as the block BSVIE method's do.
+:func:`kernels.grid_blocks`, as the block BSVIE method's do.  Every cell's
+drift and diffusion, on the tree, the paths and in ``stability_gap``, come
+from one cell map, ``_cell_map``.
 """
 from __future__ import annotations
 
@@ -153,17 +155,53 @@ def _drift_weights(problem: SVIEProblem, tree: Tree) -> np.ndarray:
     return _cell_table(problem.drift_kernel, tree.times, lower=True)
 
 
-def _cell_tables(problem: SVIEProblem, tree: Tree) -> tuple:
-    """The cell tables of one solve: drift weights ``_drift_weights`` and,
-    for an L2-matched diffusion, coefficients sqrt(cell_sq / dt) per cell;
-    each is None when the problem does not use it."""
-    w = _drift_weights(problem, tree) if problem.drift_kernel is not None \
-        else None
+def _cell_tables(problem: SVIEProblem, times: np.ndarray) -> tuple:
+    """The cell tables of one solve on the uniform grid ``times``: drift
+    weights w[i, j] = cell(t_i, t_j, t_{j+1}) and diffusion coefficients
+    c[i, j], the left-point kernel value k(t_i, t_j) or, for an L2-matched
+    diffusion, sqrt(cell_sq / dt); each is None when the problem has no
+    such kernel."""
+    kd, ks = problem.drift_kernel, problem.diffusion_kernel
+    w = _cell_table(kd, times, lower=True) if kd is not None else None
     c = None
-    if problem.l2_matched_diffusion and problem.diffusion_kernel is not None:
-        c = np.sqrt(_cell_table(problem.diffusion_kernel, tree.times,
-                                lower=True, square=True) / tree.dt)
+    if ks is not None and problem.l2_matched_diffusion:
+        c = np.sqrt(_cell_table(ks, times, lower=True, square=True)
+                    / (times[1] - times[0]))
+    elif ks is not None:
+        c = np.zeros((len(times), len(times) - 1))
+        for i in range(1, len(times)):
+            c[i, :i] = ks(times[i], times[:i])
     return w, c
+
+
+def _cell_map(problem: SVIEProblem, times: np.ndarray) -> Callable:
+    """The forward cell rule on the uniform grid ``times``, read from its
+    ``_cell_tables``: ``cell(i, j, x, factors)`` returns (drift, z) of cell j
+    in row i for x = X(t_j) at any leading shape.  The drift is the cell
+    weight times the factor, else dt times the raw drift; z is the diffusion
+    coefficient times the factor, else the raw diffusion; either is None
+    without that term.  ``factors`` caches the drift factor per depth j
+    while X(t_j) stays fixed."""
+    t, dt = times, times[1] - times[0]
+    w, c = _cell_tables(problem, times)
+
+    def cell(i, j, x, factors):
+        drift = z = None
+        if w is not None:
+            if j not in factors:
+                factors[j] = np.asarray(problem.drift_factor(t[j], x),
+                                        dtype=float)
+            drift = w[i, j] * factors[j]
+        elif problem.drift is not None:
+            drift = dt * np.asarray(problem.drift(t[i], t[j], x), dtype=float)
+        if c is not None:
+            z = np.asarray(c[i, j] * problem.diffusion_factor(t[j], x),
+                           dtype=float)
+        elif problem.diffusion is not None:
+            z = np.asarray(problem.diffusion(t[i], t[j], x), dtype=float)
+        return drift, z
+
+    return cell
 
 
 def _volterra_row(tree: Tree, i: int, acc: np.ndarray,
@@ -211,37 +249,15 @@ def _linear_rows(tree: Tree, d: int, coef_a: Optional[Callable],
     return AdaptedProcess(tree, X)
 
 
-def _rhs(problem: SVIEProblem, tree: Tree, tables: tuple, i: int, X,
+def _rhs(problem: SVIEProblem, tree: Tree, cell: Callable, i: int, X,
          factors: dict) -> np.ndarray:
     """Right-hand side of the discrete equation at t_i from X(t_j), j < i.
 
-    ``tables`` is ``_cell_tables(problem, tree)``.  The separable drift
-    factor depends on the inner time only, so ``factors`` carries it per
-    depth across calls on the same X.
+    ``cell`` is ``_cell_map(problem, tree.times)``; ``factors`` carries the
+    separable drift factor per depth across calls on the same X.
     """
-    t = tree.times
-    w, c = tables
-
-    def cell(j):
-        drift = z = None
-        if problem.drift_kernel is not None:
-            if j not in factors:
-                factors[j] = np.asarray(problem.drift_factor(t[j], X[j]),
-                                        dtype=float)
-            drift = w[i, j] * factors[j]
-        elif problem.drift is not None:
-            drift = tree.dt * np.asarray(problem.drift(t[i], t[j], X[j]),
-                                         dtype=float)
-        if problem.diffusion_kernel is not None:
-            coeff = c[i, j] if c is not None \
-                else float(problem.diffusion_kernel(t[i], np.array(t[j])))
-            z = np.asarray(coeff * problem.diffusion_factor(t[j], X[j]),
-                           dtype=float)
-        elif problem.diffusion is not None:
-            z = np.asarray(problem.diffusion(t[i], t[j], X[j]), dtype=float)
-        return drift, z
-
-    return _volterra_row(tree, i, problem.phi_field(tree, i).copy(), cell)
+    return _volterra_row(tree, i, problem.phi_field(tree, i).copy(),
+                         lambda j: cell(i, j, X[j], factors))
 
 
 def solve_lattice(problem: SVIEProblem, tree: Tree) -> SVIESolution:
@@ -252,19 +268,19 @@ def solve_lattice(problem: SVIEProblem, tree: Tree) -> SVIESolution:
     left-point kernel values (or the L2-matched cell norm behind the
     ``l2_matched_diffusion`` flag).
     """
-    tables = _cell_tables(problem, tree)
     if tree.m == 0 and not problem.has_diffusion:
-        return _solve_lattice_deterministic(problem, tree, tables[0])
+        return _solve_lattice_deterministic(problem, tree)
+    cell = _cell_map(problem, tree.times)
     X, factors = [], {}
     for i in range(tree.N + 1):
-        X.append(_rhs(problem, tree, tables, i, X, factors))
+        X.append(_rhs(problem, tree, cell, i, X, factors))
     sol = AdaptedProcess(tree, X)
-    res = _equation_residual(problem, tree, sol, tables)
+    res = _equation_residual(problem, tree, sol, cell)
     return SVIESolution(sol, {"method": "lattice", "residual": res})
 
 
-def _solve_lattice_deterministic(problem: SVIEProblem, tree: Tree,
-                                 w) -> SVIESolution:
+def _solve_lattice_deterministic(problem: SVIEProblem,
+                                 tree: Tree) -> SVIESolution:
     """Single-path recursion: the weighted history sum is one dot product.
 
     The residual re-checks a separable drift through an independent history
@@ -273,6 +289,7 @@ def _solve_lattice_deterministic(problem: SVIEProblem, tree: Tree,
     """
     N, t = tree.N, tree.times
     d = problem.d
+    w, _ = _cell_tables(problem, t)  # no diffusion here
     X = np.zeros((N + 1, d))
     F = np.zeros((N + 1, d))  # drift values along the path
     P = np.zeros((N + 1, d))  # phi(t_i), read once per row
@@ -310,12 +327,12 @@ def _solve_lattice_deterministic(problem: SVIEProblem, tree: Tree,
 
 
 def _equation_residual(problem: SVIEProblem, tree: Tree,
-                       X: AdaptedProcess, tables: tuple) -> float:
+                       X: AdaptedProcess, cell: Callable) -> float:
     """Max node-wise defect of the discrete equation (re-evaluation pass
-    over the solve's ``tables``); nan when any row is nan."""
+    through the solve's cell map); nan when any row is nan."""
     worst, factors = 0.0, {}
     for i in range(tree.N + 1):
-        rhs = _rhs(problem, tree, tables, i, X, factors)
+        rhs = _rhs(problem, tree, cell, i, X, factors)
         if X[i].size:
             worst = np.maximum(worst, np.max(np.abs(X[i] - rhs)))
     return float(worst)
@@ -336,7 +353,7 @@ def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
                          PartitionInfeasibleError)
     t = tree.times
     N = tree.N
-    tables = _cell_tables(problem, tree)
+    cell = _cell_map(problem, t)
 
     X = [problem.phi_field(tree, i) for i in range(N + 1)]
     ratios = []
@@ -349,7 +366,7 @@ def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
             update_sq = 0.0
             new_vals = {}
             for i in range(max(lo, 1), hi + 1):
-                new = _rhs(problem, tree, tables, i, X, {})
+                new = _rhs(problem, tree, cell, i, X, {})
                 diff = new - X[i]
                 update_sq += tree.dt * float(
                     tree.expectation((diff ** 2).sum(axis=1)))
@@ -374,7 +391,7 @@ def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
         ratios.append(max(block_ratios) if block_ratios else 0.0)
 
     sol = AdaptedProcess(tree, X)
-    res = _equation_residual(problem, tree, sol, tables)
+    res = _equation_residual(problem, tree, sol, cell)
     return SVIESolution(sol, {
         "method": "picard",
         "blocks": [(t[lo], t[hi]) for lo, hi in blocks],
@@ -402,45 +419,29 @@ def solve_paths(problem: SVIEProblem, n_paths: int, n_steps: int,
                 seed: int) -> PathEnsemble:
     """Euler-Maruyama over independent Gaussian paths.
 
-    Drift cells use the same product-integration weights as the lattice
-    solver; the run is reproducible for a fixed seed.
+    The cells follow the lattice solver's rule (``_cell_map``) on the
+    path grid; the run is reproducible for a fixed seed.
     """
-    T = problem.horizon
-    dt = T / n_steps
-    t = np.linspace(0.0, T, n_steps + 1)
+    if isinstance(problem.phi, AdaptedProcess):
+        raise ValueError("path Monte Carlo needs a deterministic free term")
+    t = np.linspace(0.0, problem.horizon, n_steps + 1)
     rng = np.random.default_rng(seed)
-    dW = rng.normal(scale=math.sqrt(dt), size=(n_paths, n_steps, problem.m))
-    d = problem.d
-    X = np.zeros((n_paths, n_steps + 1, d))
-
-    def phi_at(i):
-        if isinstance(problem.phi, AdaptedProcess):
-            raise ValueError("path Monte Carlo needs a deterministic free "
-                             "term")
-        return np.asarray(problem.phi(t[i]), dtype=float).reshape(-1)
-
-    X[:, 0] = phi_at(0)
+    dW = rng.normal(scale=math.sqrt(t[1]), size=(n_paths, n_steps, problem.m))
+    # time-major, so each row X[i] is one contiguous block of paths
+    X = np.zeros((n_steps + 1, n_paths, problem.d))
+    X[:] = np.array([np.asarray(problem.phi(s), dtype=float).reshape(-1)
+                     for s in t])[:, None]
+    cell, factors = _cell_map(problem, t), {}
     for i in range(1, n_steps + 1):
-        acc = np.tile(phi_at(i), (n_paths, 1))
         for j in range(i):
-            if problem.drift_kernel is not None:
-                wij = problem.drift_kernel.cell(t[i], t[j], t[j + 1])
-                acc += wij * problem.drift_factor(t[j], X[:, j])
-            elif problem.drift is not None:
-                acc += dt * problem.drift(t[i], t[j], X[:, j])
-            if problem.diffusion_kernel is not None:
-                coef = float(problem.diffusion_kernel(t[i], np.array(t[j])))
-                g = coef * problem.diffusion_factor(t[j], X[:, j])
-            elif problem.diffusion is not None:
-                g = np.asarray(problem.diffusion(t[i], t[j], X[:, j]))
-            else:
-                g = None
-            if g is not None:
-                acc += np.einsum("ndk,nk->nd", g, dW[:, j])
-        X[:, i] = acc
+            drift, z = cell(i, j, X[j], factors)
+            if drift is not None:
+                X[i] += drift
+            if z is not None:
+                X[i] += np.einsum("ndk,nk->nd", z, dW[:, j])
 
-    mean = X.mean(axis=0)
-    var = X.var(axis=0, ddof=1) if n_paths > 1 else np.zeros_like(mean)
+    mean = X.mean(axis=1)
+    var = X.var(axis=1, ddof=1) if n_paths > 1 else np.zeros_like(mean)
     stderr = np.sqrt(var / n_paths)
     return PathEnsemble(t, mean, var, stderr, n_paths, seed)
 
@@ -453,30 +454,15 @@ def stability_gap(p: SVIEProblem, p2: SVIEProblem, tree: Tree) -> float:
     """Ratio of the solution gap to the coefficient gap (C = 1 normalized).
 
     Solves both problems and evaluates the two sides of the stability
-    estimate; a 0/0 gap is reported as exactly zero.
+    estimate, the coefficient gap on the cells the solves use
+    (``_cell_map``); a 0/0 gap is reported as exactly zero.
     """
     X = solve_lattice(p, tree).X
     X2 = solve_lattice(p2, tree).X
-    t = tree.times
     lhs_sq = sum(tree.dt * float(tree.expectation(
         ((X[i] - X2[i]) ** 2).sum(axis=1))) for i in range(tree.N + 1))
 
-    def coeff(problem, which, ti, tj, x):
-        if which == "drift":
-            if problem.drift_kernel is not None:
-                # cell-averaged value, exact for separable coefficients
-                w = problem.drift_kernel.cell(ti, tj, tj + tree.dt) / tree.dt
-                return w * problem.drift_factor(tj, x)
-            if problem.drift is not None:
-                return problem.drift(ti, tj, x)
-            return np.zeros_like(x)
-        if problem.diffusion_kernel is not None:
-            c = float(problem.diffusion_kernel(ti, np.array(tj)))
-            return c * problem.diffusion_factor(tj, x)
-        if problem.diffusion is not None:
-            return np.asarray(problem.diffusion(ti, tj, x))
-        return np.zeros((x.shape[0], p.d, tree.m))
-
+    cells = [(_cell_map(q, tree.times), {}) for q in (p, p2)]
     rhs_sq = 0.0
     for i in range(tree.N + 1):
         dphi = p.phi_field(tree, i) - p2.phi_field(tree, i)
@@ -484,14 +470,14 @@ def stability_gap(p: SVIEProblem, p2: SVIEProblem, tree: Tree) -> float:
         drift_gap = np.zeros(tree.node_count(i))
         diff_gap = 0.0
         for j in range(i):
-            da = coeff(p, "drift", t[i], t[j], X2[j]) \
-                - coeff(p2, "drift", t[i], t[j], X2[j])
-            drift_gap += tree.broadcast(
-                tree.dt * np.linalg.norm(np.asarray(da), axis=-1), j, i)
-            db = coeff(p, "diff", t[i], t[j], X2[j]) \
-                - coeff(p2, "diff", t[i], t[j], X2[j])
-            diff_gap += tree.dt * float(tree.expectation(
-                (np.asarray(db) ** 2).sum(axis=(1, 2))))
+            (a, z), (a2, z2) = (cell(i, j, X2[j], factors)
+                                for cell, factors in cells)
+            da, dz = _difference(a, a2), _difference(z, z2)
+            if da is not None:
+                drift_gap += tree.broadcast(np.linalg.norm(da, axis=-1), j, i)
+            if dz is not None:
+                diff_gap += tree.dt * float(tree.expectation(
+                    (dz ** 2).sum(axis=(1, 2))))
         rhs_sq += tree.dt * float(tree.expectation(drift_gap ** 2))
         rhs_sq += tree.dt * diff_gap
     if lhs_sq == 0.0:
@@ -499,6 +485,13 @@ def stability_gap(p: SVIEProblem, p2: SVIEProblem, tree: Tree) -> float:
     if rhs_sq == 0.0:
         return math.inf
     return math.sqrt(lhs_sq) / math.sqrt(rhs_sq)
+
+
+def _difference(a, b):
+    """a - b for two cell values, either of which may be None (no term)."""
+    if a is None:
+        return None if b is None else -b
+    return a if b is None else a - b
 
 
 def resolvent_linear(kernel: Kernel, lam: float, grid) -> np.ndarray:
@@ -604,7 +597,7 @@ def make_caputo_example(q: float, a: float, f: Optional[Callable],
     def phi(t):
         return np.array([mittag_leffler(q, 1.0, a * t ** q) * x0])
 
-    problem = SVIEProblem(
+    return SVIEProblem(
         horizon, phi, d=1, m=m,
         drift_kernel=kern if f is not None else None,
         drift_factor=(lambda s, x: f(s, x)) if f is not None else None,
@@ -612,4 +605,3 @@ def make_caputo_example(q: float, a: float, f: Optional[Callable],
         diffusion_factor=(lambda s, x: g(s, x)) if g is not None else None,
         l2_matched_diffusion=g is not None,
         label=f"caputo(q={q})")
-    return problem

@@ -1220,8 +1220,7 @@ def product_weights(kernel: Kernel, t: float, grid) -> np.ndarray:
         raise ValueError("causal product weights need grid <= t")
     if kernel.orientation == ANTICAUSAL and g[0] < t - 1e-12:
         raise ValueError("anticausal product weights need grid >= t")
-    return np.array([kernel.cell(t, float(a), float(b))
-                     for a, b in zip(g[:-1], g[1:])])
+    return _on_arrays(kernel.cell_fn, kernel.cell, t, g[:-1], g[1:])
 
 
 def _cell_table(kernel: Kernel, times, lower: bool,

@@ -207,6 +207,21 @@ class TestForwardCommand:
         assert lines[0] == "N,sup_error"
         assert len(lines) == 3
 
+    def test_nan_residual_exits_one(self, tmp_path, monkeypatch, capsys):
+        solve = cli.fwd.solve_lattice
+
+        def nan_residual(problem, tree):
+            sol = solve(problem, tree)
+            sol.diagnostics["residual"] = float("nan")
+            return sol
+
+        monkeypatch.setattr(cli.fwd, "solve_lattice", nan_residual)
+        cfg = write_config(tmp_path, {"tree": {"N": 4, "T": 1.0},
+                                      "forward": {"problem": "linear_noisy"}})
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "forward"])
+        assert rc == 1
+        assert "equation residual nan" in capsys.readouterr().out
+
 
 class TestDeterminism:
     def test_reports_identical_modulo_timings(self, tmp_path):

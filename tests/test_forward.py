@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -334,6 +335,24 @@ class TestSolvePaths:
                              for i in range(9)])
         assert np.max(np.abs(ens.mean[:, 0] - lat_mean)) < 0.05
 
+    def test_l2_matched_diffusion_variance_matches_lattice(self):
+        # for a linear problem the tree and the Gaussian Euler scheme share
+        # their first two moments, so the path variance of X(1) estimates
+        # the lattice variance (0.0163 with the L2-matched cells, 0.0083
+        # with left-point kernel values)
+        tree = Tree(N=8, T=1.0, m=1)
+        p = caputo_l2_example()
+        x1 = F.solve_lattice(p, tree).X[8][:, 0]
+        lat_var = float(tree.expectation((x1 - tree.expectation(x1)) ** 2))
+        ens = F.solve_paths(p, 4000, 8, seed=3)
+        assert abs(ens.variance[-1, 0] - lat_var) < 0.1 * lat_var
+
+
+def caputo_l2_example():
+    return F.make_caputo_example(0.75, -1.0, lambda s, x: -0.5 * x,
+                                 lambda s, x: (0.5 * x)[:, :, None], 1.0,
+                                 m=1)
+
 
 class TestStability:
     def test_identical_problems_zero_gap(self):
@@ -366,6 +385,15 @@ class TestStability:
                                  -x + d * np.ones_like(x))
             ratios.append(F.stability_gap(base, pert, tree))
         assert max(ratios) < 5.0
+
+    def test_l2_matched_diffusion_is_the_measured_coefficient(self):
+        # the two problems differ only in the diffusion cells the solve
+        # uses (L2-matched against left-point), so the coefficient gap is
+        # that difference and the ratio is finite
+        tree = Tree(N=6, T=1.0, m=1)
+        p = caputo_l2_example()
+        p_point = dataclasses.replace(p, l2_matched_diffusion=False)
+        assert 0.0 < F.stability_gap(p, p_point, tree) < 5.0
 
 
 class TestResolventLinear:

@@ -375,6 +375,17 @@ class TestProductWeights:
         w = K.product_weights(k, 0.5, np.linspace(0.5, 1.0, 6))
         assert w.sum() == pytest.approx(0.5 ** 0.75 / 0.75, rel=1e-12)
 
+    @pytest.mark.parametrize("kernel", [
+        K.make_fractional(0.6, K.CAUSAL),
+        K.make_doubly_singular(0.3, 0.2, K.CAUSAL),  # scalar-only hook
+        K.make_exp_sum([1.0, 0.5], [2.0, 0.0])])
+    def test_one_row_equals_scalar_cells(self, kernel):
+        t, grid = 0.875, np.linspace(0.0, 0.875, 9)
+        w = K.product_weights(kernel, t, grid)
+        ref = [kernel.cell(t, a, b) for a, b in zip(grid[:-1], grid[1:])]
+        assert w.shape == (8,)
+        assert np.allclose(w, ref, rtol=1e-13, atol=0.0)
+
 
 class TestConfigParsing:
     def test_known_names(self):
