@@ -3,7 +3,7 @@
 Subpackages
 -----------
 kernels   singular two-parameter kernels, quadrature and classification
-lattice   exact discrete filtered probability space (binary scenario tree)
+lattice   exact discrete filtered probability space ((m+1)-branch simplex tree)
 forward   forward Volterra equation solvers (lattice, Picard, Monte Carlo)
 backward  backward Volterra equations and adapted M-solutions
 control   maximum-principle toolkit for controlled Volterra systems

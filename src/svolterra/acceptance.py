@@ -190,10 +190,13 @@ def dense_linear_bsvie_solve(problem: bwd.BSVIEProblem, tree: Tree):
     """Assemble every leaf instance of the equation and the representation
     identity into one dense linear system and solve it by least squares.
 
-    Scalar state and noise; generators must be affine in (y, z1, z2).
-    Returns (Y fields, Z fields, max fit residual).
+    Scalar state, m >= 1 noise coordinates; generators must be affine in
+    (y, z1, z2), with coefficients probed per coordinate.  A leaf's
+    ancestors and increments come from the base-(m+1) digits of its code
+    and ``tree.branches``, not from the tree's own integral.  Returns
+    (Y fields, Z fields of shape (nodes_j, m), max fit residual).
     """
-    N = tree.N
+    N, m, nb = tree.N, tree.m, tree.m + 1
     L = tree.node_count(N)
     sizes_y = [tree.node_count(i) for i in range(N + 1)]
     sizes_z = [tree.node_count(j) for j in range(N)]
@@ -205,47 +208,49 @@ def dense_linear_bsvie_solve(problem: bwd.BSVIEProblem, tree: Tree):
     for i in range(N + 1):
         for j in range(N):
             zoff[(i, j)] = off
-            off += sizes_z[j]
+            off += sizes_z[j] * m
 
     def anc(leaf, depth):
-        return leaf >> (N - depth)
+        return leaf // nb ** (N - depth)
 
-    dW = np.empty((N, L))
+    def zs(cell, leaf, depth):
+        start = zoff[cell] + anc(leaf, depth) * m
+        return slice(start, start + m)
+
+    # step j's increment is the simplex row of digit j of the leaf code
+    dW = np.empty((N, L, m))
     for j in range(N):
         for leaf in range(L):
-            dW[j, leaf] = tree.sqrt_dt * (
-                1.0 if (leaf >> (N - 1 - j)) & 1 else -1.0)
+            dW[j, leaf] = tree.sqrt_dt * tree.branches[anc(leaf, j + 1) % nb]
 
     tables = bwd._term_weights(problem.terms, tree)
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+    z_zero, units = np.zeros((1, 1, m)), np.eye(m).reshape(m, 1, 1, m)
 
     def coeffs(term, i, j):
-        one = np.ones((1, 1))
-        zero = np.zeros((1, 1))
-        z_one = np.ones((1, 1, 1))
-        z_zero = np.zeros((1, 1, 1))
         cy = np.asarray(term.fn(i, j, one, z_zero, z_zero)).item()
-        cz1 = np.asarray(term.fn(i, j, zero, z_one, z_zero)).item()
-        cz2 = np.asarray(term.fn(i, j, zero, z_zero, z_one)).item()
+        cz1 = np.array([np.asarray(term.fn(i, j, zero, e, z_zero)).item()
+                        for e in units])
+        cz2 = np.array([np.asarray(term.fn(i, j, zero, z_zero, e)).item()
+                        for e in units])
         return cy, cz1, cz2
 
     rows, rhs = [], []
     for i in range(N + 1):
         psi_i = problem.psi.at(i, N)
+        cells = [(j, [(tables[idx][i, j], coeffs(term, i, j))
+                      for idx, term in enumerate(problem.terms)
+                      if tables[idx][i, j] != 0.0]) for j in range(i, N)]
         for leaf in range(L):
             row = np.zeros(off)
             row[yoff[i] + anc(leaf, i)] += 1.0
-            for j in range(i, N):
-                for idx, term in enumerate(problem.terms):
-                    w = tables[idx][i, j]
-                    if w == 0.0:
-                        continue
-                    cy, cz1, cz2 = coeffs(term, i, j)
+            for j, live in cells:
+                target = (i, i) if j == i else (j, i)
+                for w, (cy, cz1, cz2) in live:
                     row[yoff[j] + anc(leaf, j)] -= w * cy
-                    row[zoff[(i, j)] + anc(leaf, j)] -= w * cz1
-                    target = (i, i) if j == i else (j, i)
-                    depth = i
-                    row[zoff[target] + anc(leaf, depth)] -= w * cz2
-                row[zoff[(i, j)] + anc(leaf, j)] += dW[j, leaf]
+                    row[zs((i, j), leaf, j)] -= w * cz1
+                    row[zs(target, leaf, i)] -= w * cz2
+                row[zs((i, j), leaf, j)] += dW[j, leaf]
             rows.append(row)
             rhs.append(float(psi_i[leaf, 0]))
         for leaf in range(L):
@@ -253,7 +258,7 @@ def dense_linear_bsvie_solve(problem: bwd.BSVIEProblem, tree: Tree):
             row[yoff[i] + anc(leaf, i)] += 1.0
             row[yoff[i]:yoff[i] + sizes_y[i]] -= 1.0 / sizes_y[i]
             for j in range(i):
-                row[zoff[(i, j)] + anc(leaf, j)] -= dW[j, leaf]
+                row[zs((i, j), leaf, j)] -= dW[j, leaf]
             rows.append(row)
             rhs.append(0.0)
 
@@ -262,8 +267,8 @@ def dense_linear_bsvie_solve(problem: bwd.BSVIEProblem, tree: Tree):
     u = np.linalg.lstsq(A, b, rcond=None)[0]
     fit = float(np.max(np.abs(A @ u - b)))
     Y = [u[yoff[i]:yoff[i] + sizes_y[i]] for i in range(N + 1)]
-    Z = {(i, j): u[zoff[(i, j)]:zoff[(i, j)] + sizes_z[j]]
-         for i in range(N + 1) for j in range(N)}
+    Z = {(i, j): u[zoff[(i, j)]:zoff[(i, j)] + sizes_z[j] * m].reshape(
+        sizes_z[j], m) for i in range(N + 1) for j in range(N)}
     return Y, Z, fit
 
 
@@ -288,7 +293,7 @@ def criterion_7():
             worst = max(worst, float(np.max(np.abs(sol.Y[i][:, 0] - Yd[i]))))
             for j in range(tree.N):
                 worst = max(worst, float(np.max(np.abs(
-                    sol.Z.entry(i, j)[:, 0, 0] - Zd[(i, j)]))))
+                    sol.Z.entry(i, j)[:, 0] - Zd[(i, j)]))))
     return worst <= 1e-10, {"max_discrepancy": worst,
                             "assembler_fit": max(fits)}
 

@@ -55,11 +55,6 @@ class BlockPartitionError(RuntimeError):
     """No contraction partition available for the block method."""
 
 
-class RepresentationWarning(UserWarning):
-    """The tree's martingale representation is inexact (m >= 2), so a
-    returned pair need not satisfy its own residual checks."""
-
-
 @dataclass
 class GeneratorTerm:
     """One additive piece of the generator: weight[i, j] * fn(...).
@@ -497,13 +492,6 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
     diag["m_condition_residual"] = m_condition_residual(sol, tree)
     diag["equation_residual"] = equation_residual(sol, problem, tree,
                                                   weight_tables)
-    if tree.m >= 2:
-        warnings.warn(
-            f"with m = {tree.m} noise coordinates the tree's martingale "
-            f"representation is only an L2 projection, so the pair need not "
-            f"solve the equation: m_condition_residual = "
-            f"{diag['m_condition_residual']:.3e}, equation_residual = "
-            f"{diag['equation_residual']:.3e}", RepresentationWarning)
     return sol
 
 
@@ -599,7 +587,7 @@ def equation_residual(sol: MSolution, problem: BSVIEProblem, tree: Tree,
     For each outer index one field is carried from depth i to the leaves:
     it starts at psi(t_i) - Y(t_i) (or -Y(t_i), taking psi where the carry
     reaches its depth), and each level adds the cell drift and then steps
-    down by minus the cell's stochastic integral, O(2**(m*N)) node work per
+    down by minus the cell's stochastic integral, O((m+1)**N) node work per
     outer index.  ``weight_tables`` reuses the tables of the solve being
     checked; by default they are built from ``problem``.
     """

@@ -202,12 +202,14 @@ def cmd_forward(cfg, args):
     params.setdefault("horizon", T)
     report = _report_skeleton(cfg, args.seed)
     budget = _Budget(args.budget_seconds)
-    ok, failure = True, "NOT monotone"
 
     if n_list:
-        # resolution study on the deterministic lattice
+        # resolution study on the deterministic lattice; every solve must
+        # pass its residual check, and the sup error against the
+        # Mittag-Leffler reference (nan without one) must be finite and fall
         rows = []
         prev_err = None
+        residuals, failures = [], []
         for N in n_list:
             if budget.exceeded:
                 report["outputs"]["partial"] = True
@@ -216,23 +218,32 @@ def cmd_forward(cfg, args):
             with _config_block("forward"):
                 problem = reg.FORWARD_PROBLEMS[name](**params)
             sol = fwd.solve_lattice(problem, tree)
+            res = sol.diagnostics["residual"]
+            residuals.append(res)
+            if not res <= 1e-10:
+                failures.append(f"N={N}: equation residual {res:.3g} fails "
+                                f"the 1e-10 bound")
             if name == "fractional_relaxation":
                 alpha = params.get("alpha", 0.75)
                 lam = params.get("lam", -1.0)
-                err = max(abs(sol.X[i][0, 0]
-                              - mittag_leffler(alpha, 1.0,
-                                               lam * tree.times[i] ** alpha))
-                          for i in range(tree.N + 1))
+                ref = [mittag_leffler(alpha, 1.0, lam * t ** alpha)
+                       for t in tree.times]
+                err = float(np.max(np.abs(
+                    np.array([x[0, 0] for x in sol.X]) - ref)))
+                if not math.isfinite(err):
+                    failures.append(f"N={N}: sup error {err}")
+                elif prev_err is not None and not err < prev_err:
+                    failures.append(f"N={N}: NOT monotone")
+                prev_err = err
             else:
                 err = float("nan")
             rows.append([N, err])
-            if math.isfinite(err):
-                if prev_err is not None and not err < prev_err:
-                    ok = False
-                prev_err = err
         _write_csv(args.out / f"forward_{name}_convergence.csv",
                    ["N", "sup_error"], rows)
         report["outputs"]["convergence"] = {str(n): e for n, e in rows}
+        if residuals:
+            report["residuals"]["equation"] = float(np.max(residuals))
+        ok, failure = not failures, "; ".join(failures)
     else:
         tree = _tree_from_config(cfg)
         with _config_block("forward"):
@@ -279,9 +290,11 @@ def cmd_backward(cfg, args):
     sol.Y.dump_csv(args.out / f"backward_{name}_Y.csv")
     sol.Z.dump_csv(args.out / f"backward_{name}_Z.csv")
     _write_report(report, args.out, f"backward_{name}.json")
-    ok = report["residuals"]["m_condition"] < 1e-10
-    print(f"backward {name} [{method}]: m-residual "
-          f"{report['residuals']['m_condition']:.2e}")
+    res = report["residuals"]
+    # false for a nan residual
+    ok = res["m_condition"] < 1e-10 and res["equation"] <= 1e-10
+    print(f"backward {name} [{method}]: m-residual {res['m_condition']:.2e}, "
+          f"equation residual {res['equation']:.2e}")
     return 0 if ok else 1
 
 

@@ -1,22 +1,25 @@
-"""Exact discrete filtered probability space on a binary scenario tree.
+"""Exact discrete filtered probability space on an (m+1)-branch scenario tree.
 
-Each of the ``m`` noise coordinates moves by +-sqrt(dt) per step with
-probability 1/2, independently across coordinates and steps, so depth ``i``
-carries ``2**(m*i)`` equally likely nodes.  Nodes are path codes: the
-children of code ``c`` are ``c * 2**m + b`` for branch ``b``, i.e. the most
-recent step occupies the low bits.  Conditional expectation is therefore a
-reshape-and-mean over descendants.  The one-step primitives work on the
-strided branch slices ``x[b::2**m]`` (branch ``b`` of every parent at once):
-martingale representation takes the step mean as the sum of the slices over
-``2**m`` and the integrand of coordinate ``k`` as their signed sum over
-``2**m * sqrt(dt)``, and the stochastic integral writes slice ``b`` of the
-next depth as the parent value plus ``sqrt(dt)`` times the signed sum of the
-integrand's coordinates.  Both are exact (representation exactness holds
-for ``m <= 1``; for larger ``m`` the per-coordinate formula is the L2
-projection onto the linear span of the step's increments).
+Each step splits every node into ``m + 1`` equally likely branches whose
+Brownian increments are sqrt(dt) times the rows v_b of a centred regular
+simplex (He 1990, the complete-market multinomial lattice): the Helmert
+matrix whose column k (1-based) holds -c_k on branches b < k, k c_k on
+branch k and 0 after it, c_k = sqrt((m + 1) / (k (k + 1))).  So
+sum_b v_b = 0 and sum_b v_b v_b^T = (m + 1) I, the increments have mean 0
+and covariance dt I, and the vectors (1, v_b) form a basis: every one-step
+field is its mean plus a stochastic integral, exactly, for every ``m``.  At
+``m = 1`` the branches are -+sqrt(dt), the binary tree.
+
+Depth ``i`` carries ``(m + 1)**i`` nodes.  Nodes are path codes: the
+children of code ``c`` are ``c * (m + 1) + b`` for branch ``b``, i.e. the
+most recent step is the lowest base-(m + 1) digit.  Conditional expectation
+is therefore a reshape-and-mean over descendants.  Because the simplex is
+triangular, the one-step primitives work in place on the strided branch
+slices ``x[b::m + 1]`` (branch ``b`` of every parent at once) with one
+running prefix or suffix sum.
 
 ``m = 0`` gives the deterministic single-path lattice used for large-N
-convergence studies where the binary budget would be exceeded.
+convergence studies where the node budget would be exceeded.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-MAX_BITS = 22  # storage budget: trees with N * m above it are refused
+MAX_NODES = 1 << 22  # storage budget: trees with more leaves are refused
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,10 @@ class Tree:
             raise ValueError("T must be positive")
         if self.m < 0 or self.d < 1:
             raise ValueError("need m >= 0 and d >= 1")
-        if self.N * self.m > MAX_BITS:
+        if (self.m + 1) ** self.N > MAX_NODES:
             raise ValueError(
-                f"storage budget exceeded: N*m = {self.N * self.m} "
-                f"> {MAX_BITS}")
+                f"storage budget exceeded: (m+1)**N = {self.m + 1}**{self.N}"
+                f" > {MAX_NODES} leaves")
 
     @property
     def dt(self) -> float:
@@ -68,16 +71,16 @@ class Tree:
 
     def node_count(self, depth: int) -> int:
         self._check_depth(depth)
-        return 1 << (self.m * depth)
+        return (self.m + 1) ** depth
 
     def _check_depth(self, depth):
         if not 0 <= depth <= self.N:
             raise ValueError(f"depth {depth} outside [0, {self.N}]")
 
     @property
-    def branch_signs(self) -> np.ndarray:
-        """(2**m, m) matrix of +-1: sign of coordinate k on branch b."""
-        return _branch_signs(self.m)
+    def branches(self) -> np.ndarray:
+        """(m + 1, m) simplex: unit increment of coordinate k on branch b."""
+        return _simplex(self.m)
 
     # -- measure-preserving maps between depths --
 
@@ -88,7 +91,7 @@ class Tree:
         self._check_depth(to_depth)
         if to_depth < from_depth:
             raise ValueError("broadcast goes from shallow to deep")
-        reps = 1 << (self.m * (to_depth - from_depth))
+        reps = (self.m + 1) ** (to_depth - from_depth)
         return np.repeat(np.asarray(values), reps, axis=0)
 
     def conditional_expectation(self, values: np.ndarray, from_depth: int,
@@ -103,7 +106,7 @@ class Tree:
 
     def ancestor_view(self, values: np.ndarray, deep: int,
                       shallow: int) -> np.ndarray:
-        """A depth-``deep`` field as (nodes_shallow, 2**(m*(deep-shallow)),
+        """A depth-``deep`` field as (nodes_shallow, (m+1)**(deep-shallow),
         ...): row c holds the descendants of depth-``shallow`` node c.
 
         Descendants of a node are contiguous because nodes are path codes,
@@ -117,13 +120,13 @@ class Tree:
             raise ValueError("ancestors sit at a shallower depth")
         x = np.asarray(values)
         return x.reshape((self.node_count(shallow),
-                          1 << (self.m * (deep - shallow))) + x.shape[1:])
+                          (self.m + 1) ** (deep - shallow)) + x.shape[1:])
 
     def increments(self, step: int) -> np.ndarray:
         """Brownian increment of the given step as a depth-(step+1) field."""
         if not 0 <= step < self.N:
             raise ValueError(f"step {step} outside [0, {self.N})")
-        return np.tile(self.branch_signs * self.sqrt_dt,
+        return np.tile(self.branches * self.sqrt_dt,
                        (self.node_count(step), 1))
 
     def brownian(self, depth: int) -> np.ndarray:
@@ -131,7 +134,7 @@ class Tree:
         self._check_depth(depth)
         w = np.zeros((1, self.m))
         for j in range(depth):
-            w = np.repeat(w, 1 << self.m, axis=0) + self.increments(j)
+            w = np.repeat(w, self.m + 1, axis=0) + self.increments(j)
         return w
 
     # -- martingale calculus --
@@ -143,7 +146,10 @@ class Tree:
         Returns ``(mean, z)`` with ``mean`` at ``to_depth`` and ``z`` a list
         of per-step integrands, ``z[j - to_depth]`` of shape (nodes_j, d, m)
         for steps ``j`` in ``[to_depth, from_depth)``; reconstruction
-        ``mean + sum_j z_j dW_j`` is exact for m <= 1.
+        ``mean + sum_j z_j dW_j`` is exact.  One running prefix sum
+        P_k = x_0 + ... + x_{k-1} of the branch slices gives coordinate k as
+        (k x_k - P_k) c_k / ((m + 1) sqrt(dt)) and the step mean as
+        P_{m+1} / (m + 1).
         """
         self._check_depth(from_depth)
         self._check_depth(to_depth)
@@ -152,20 +158,21 @@ class Tree:
         x = np.asarray(values, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        nb = 1 << self.m
+        nb = self.m + 1
         scale = nb * self.sqrt_dt
-        coordinate_signs = _coordinate_signs(self.m)
-        every = (True,) * nb
+        c = -self.branches[0]
         z = []
         for _ in range(from_depth - to_depth):
-            branches = [x[b::nb] for b in range(nb)]
-            zj = np.empty(branches[0].shape + (self.m,))
-            for k, positive in enumerate(coordinate_signs):
-                zk = zj[:, :, k]
-                np.divide(_signed_sum(branches, positive, zk), scale, out=zk)
+            total = x[0::nb]
+            zj = np.empty(total.shape + (self.m,))
+            for k in range(1, nb):
+                xk, zk = x[k::nb], zj[:, :, k - 1]
+                np.subtract(xk if k == 1 else np.multiply(xk, k, out=zk),
+                            total, out=zk)
+                np.divide(zk, scale / c[k - 1], out=zk)
+                total = np.add(total, xk, out=total if k > 1 else None)
             z.append(zj)
-            x = np.empty_like(branches[0])
-            np.divide(_signed_sum(branches, every, x), nb, out=x)
+            x = np.divide(total, nb, out=total if nb > 1 else None)
         z.reverse()
         return x, z
 
@@ -175,35 +182,41 @@ class Tree:
 
         The sum starts from the depth-``a`` field ``start`` (zero when
         None), which is returned itself when there are no steps;
-        ``subtract`` gives ``start - sum_j z_j dW_j``.  Branch ``br`` and
-        its mirror ``2**m - 1 - br`` carry opposite signs on every
-        coordinate, so each pair shares one signed sum.
+        ``subtract`` gives ``start - sum_j z_j dW_j``.  With
+        w_k = +-sqrt(dt) c_k z_k, branch ``br`` of the next depth is the
+        parent value plus br w_br minus the suffix sum of w_k over k > br.
         """
         self._check_depth(a)
         self._check_depth(b)
         if len(z_list) != b - a:
             raise ValueError("need one integrand per step in [a, b)")
-        nb = 1 << self.m
+        nb = self.m + 1
         if start is None:
             d = z_list[0].shape[1] if z_list else self.d
             acc = np.zeros((self.node_count(a), d))
         else:
             acc = start
             d = acc.shape[1]
-        pairs = list(enumerate(_branch_sign_rows(self.m)))[nb // 2:]
-        work = np.empty((self.node_count(max(b - 1, a)), d))
+        sign = 1.0 if subtract else -1.0  # row 0 of the simplex is -c
+        steps = sign * self.sqrt_dt * self.branches[0]
+        # row 0 holds w_m and then the suffix sum, row 1 each w_k, k < m
+        work = np.empty((min(self.m, 2), self.node_count(max(b - 1, a)), d))
         for zj in z_list:
             n = acc.shape[0]
-            coords = [zj[:, :, k] for k in range(self.m)]
             out = np.empty((n * nb, d))
-            step = work[:n]
-            for br, positive in pairs:
-                plus, minus = (nb - 1 - br, br) if subtract \
-                    else (br, nb - 1 - br)
-                np.multiply(_signed_sum(coords, positive, step), self.sqrt_dt,
-                            out=step)
-                np.add(acc, step, out=out[plus::nb])
-                np.subtract(acc, step, out=out[minus::nb])
+            suffix = 0.0  # sum of w_k over k > br, from k = m down
+            for k in range(self.m, 0, -1):
+                ok = out[k::nb]
+                w = np.multiply(zj[:, :, k - 1], steps[k - 1],
+                                out=work[0 if k == self.m else 1, :n])
+                np.add(acc, w if k == 1 else np.multiply(w, k, out=ok),
+                       out=ok)
+                if k == self.m:
+                    suffix = w
+                else:
+                    np.subtract(ok, suffix, out=ok)
+                    np.add(suffix, w, out=suffix)
+            np.subtract(acc, suffix, out=out[0::nb])
             acc = out
         return acc
 
@@ -213,51 +226,16 @@ class Tree:
 
 
 @lru_cache(maxsize=None)
-def _branch_signs(m: int) -> np.ndarray:
-    signs = np.empty((1 << m, m))
-    for b in range(1 << m):
-        for k in range(m):
-            signs[b, k] = 1.0 if (b >> k) & 1 else -1.0
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=None)
-def _branch_sign_rows(m: int) -> tuple:
-    """Per branch, per coordinate: True where the sign is +1."""
-    return tuple(tuple(bool(s > 0) for s in row) for row in _branch_signs(m))
-
-
-@lru_cache(maxsize=None)
-def _coordinate_signs(m: int) -> tuple:
-    """Per coordinate, per branch: True where the sign is +1."""
-    return tuple(zip(*_branch_sign_rows(m)))
-
-
-def _signed_sum(parts, positive, out):
-    """sum_b +-parts[b], added left to right from zero; ``positive[b]``
-    picks the sign of term b.
-
-    A pending sign stands for the negation of the running sum, which is
-    exact, so -p0 + p1 costs one subtraction p1 - p0.  Returns 0.0 for no
-    parts and the part itself for one positive part; otherwise the sum is
-    written into ``out``.
-    """
-    acc, negated = 0.0, False
-    for b, (part, plus) in enumerate(zip(parts, positive)):
-        if b == 0:
-            acc, negated = part, not plus
-        elif plus != negated:         # acc + p, or -(acc + p)
-            acc = np.add(acc, part, out=out)
-        elif plus:                    # -acc + p
-            acc, negated = np.subtract(part, acc, out=out), False
-        else:                         # acc - p
-            acc = np.subtract(acc, part, out=out)
-    if negated:
-        # not np.negative: numpy 2.4 misreads strided inputs when ``out``
-        # is strided too
-        acc = np.multiply(acc, -1.0, out=out)
-    return acc
+def _simplex(m: int) -> np.ndarray:
+    """(m + 1, m) Helmert simplex: column k - 1 holds -c_k above row k,
+    k c_k on row k and 0 below it, so row 0 is -c."""
+    v = np.zeros((m + 1, m))
+    for k in range(1, m + 1):
+        c = math.sqrt((m + 1) / (k * (k + 1)))
+        v[:k, k - 1] = -c
+        v[k, k - 1] = k * c
+    v.setflags(write=False)
+    return v
 
 
 def ito_isometry_check(tree: Tree, z_list, a: int, b: int) -> float:

@@ -133,29 +133,30 @@ class TestResidualCheck:
         assert rows == [tree.N, tree.N]
 
 
-class TestInexactRepresentationWarning:
-    def test_two_noise_coordinates_warn_with_both_residuals(self):
-        tree = Tree(N=6, T=1.0, m=2)
+class TestMultiNoiseExactness:
+    """The simplex tree represents exactly at every m, so a multi-noise
+    pair passes both of its own checks and nothing warns."""
+
+    @pytest.mark.parametrize("m, N", [(2, 6), (3, 5)])
+    def test_several_noise_coordinates_solve_to_rounding(self, m, N):
+        tree = Tree(N=N, T=1.0, m=m)
         psi = terminal_from_function(
             tree, lambda t, w: np.sin(w[:, 0] * w[:, 1]) + t)
         p = B.BSVIEProblem(psi, [B.GeneratorTerm(
             lambda i, j, y, z1, z2: -0.5 * y)])
-        with pytest.warns(B.RepresentationWarning,
-                          match="L2 projection") as record:
-            sol = B.solve_bsvie(p, tree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = B.solve_bsvie(p, tree, tol=1e-13)
         diag = sol.diagnostics
-        assert diag["m_condition_residual"] > 0.1
-        assert diag["equation_residual"] > 0.1
-        message = str(record[0].message)
-        assert f"{diag['m_condition_residual']:.3e}" in message
-        assert f"{diag['equation_residual']:.3e}" in message
-        assert issubclass(B.RepresentationWarning, UserWarning)
+        assert diag["m_condition_residual"] <= 1e-13
+        assert diag["equation_residual"] <= 1e-13
+        assert sol.Y[N].shape == (tree.node_count(N), 1) == ((m + 1) ** N, 1)
 
     def test_one_noise_coordinate_does_not_warn(self):
         tree = Tree(N=5, T=1.0, m=1)
         p = linear_problem(tree, c_y=-0.4, c_z1=0.2, c_z2=0.1)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", B.RepresentationWarning)
+            warnings.simplefilter("error")
             B.solve_bsvie(p, tree)
 
 
@@ -170,7 +171,7 @@ class TestDenseOracle:
             assert np.max(np.abs(sol.Y[i][:, 0] - Yd[i])) < 1e-10
         for i in range(7):
             for j in range(6):
-                assert np.max(np.abs(sol.Z.entry(i, j)[:, 0, 0]
+                assert np.max(np.abs(sol.Z.entry(i, j)[:, 0]
                                      - Zd[(i, j)])) < 1e-10
 
     def test_full_coupling_matches_dense_solve_random_seeds(self):
@@ -189,10 +190,29 @@ class TestDenseOracle:
             assert fit < 1e-10
             worst = max(float(np.max(np.abs(sol.Y[i][:, 0] - Yd[i])))
                         for i in range(6))
-            worst_z = max(float(np.max(np.abs(sol.Z.entry(i, j)[:, 0, 0]
+            worst_z = max(float(np.max(np.abs(sol.Z.entry(i, j)[:, 0]
                                               - Zd[(i, j)])))
                           for i in range(6) for j in range(5))
             assert worst < 1e-10 and worst_z < 1e-10
+
+
+    def test_two_noise_coordinates_match_dense_solve(self):
+        # per-coordinate z1 and z2 coefficients on the simplex tree; the
+        # oracle reads ancestry and increments from base-3 leaf digits
+        tree = Tree(N=3, T=1.0, m=2)
+        psi = terminal_from_function(
+            tree, lambda t, w: np.sin(w[:, 0] * w[:, 1]) + t)
+        p = B.BSVIEProblem(psi, [B.GeneratorTerm(
+            lambda i, j, y, z1, z2: -0.5 * y + 0.3 * z1[:, :, 0]
+            - 0.2 * z1[:, :, 1] + 0.1 * z2[:, :, 1])])
+        sol = B.solve_bsvie(p, tree, tol=1e-13)
+        Yd, Zd, fit = dense_linear_bsvie_solve(p, tree)
+        assert fit < 1e-10
+        assert max(float(np.max(np.abs(sol.Y[i][:, 0] - Yd[i])))
+                   for i in range(4)) < 1e-10
+        assert Zd[(3, 2)].shape == (9, 2)
+        assert max(float(np.max(np.abs(sol.Z.entry(i, j)[:, 0] - Zd[(i, j)])))
+                   for i in range(4) for j in range(3)) < 1e-10
 
 
 class TestBSDEReduction:
@@ -259,8 +279,8 @@ class TestProblemConstruction:
         assert (p.d, p.m) == (2, 2)
         with pytest.raises(AttributeError):
             p.d = 1
-        assert calls == [(1, 2, (16, 2), (16, 2, 2), (16, 2, 2)),
-                         (2, 2, (16, 2), (16, 2, 2), (16, 2, 2))]
+        assert calls == [(1, 2, (9, 2), (9, 2, 2), (9, 2, 2)),
+                         (2, 2, (9, 2), (9, 2, 2), (9, 2, 2))]
 
     def test_index_bound_term_that_does_not_vanish_is_rejected(self):
         tree = Tree(N=4, T=1.0, m=1)
@@ -335,7 +355,7 @@ class TestSinglePass:
         assert fit < 1e-10
         worst = max(float(np.max(np.abs(sol.Y[i][:, 0] - Yd[i])))
                     for i in range(N + 1))
-        worst_z = max(float(np.max(np.abs(sol.Z.entry(i, j)[:, 0, 0]
+        worst_z = max(float(np.max(np.abs(sol.Z.entry(i, j)[:, 0]
                                           - Zd[(i, j)])))
                       for i in range(N + 1) for j in range(N))
         assert worst <= 1e-10 and worst_z <= 1e-10

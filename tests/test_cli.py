@@ -192,6 +192,37 @@ class TestBackwardCommand:
                        "--method", "block", "backward"])
         assert rc == 0
 
+    def test_nan_equation_residual_exits_one(self, tmp_path, monkeypatch,
+                                             capsys):
+        solve = cli.bwd.solve_bsvie
+
+        def nan_residual(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            sol.diagnostics["equation_residual"] = float("nan")
+            return sol
+
+        monkeypatch.setattr(cli.bwd, "solve_bsvie", nan_residual)
+        cfg = write_config(tmp_path, {
+            "tree": {"N": 4, "T": 1.0},
+            "backward": {"problem": "fractional_generator"}})
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "backward"])
+        assert rc == 1
+        assert "equation residual nan" in capsys.readouterr().out
+
+    def test_two_noise_coordinates_pass_both_checks(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "tree": {"N": 4, "T": 1.0, "m": 2},
+            "backward": {"problem": "fractional_generator"}})
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "backward"])
+        assert rc == 0
+        data = json.loads(
+            (tmp_path / "backward_fractional_generator.json").read_text())
+        assert data["residuals"]["m_condition"] <= 1e-12
+        assert data["residuals"]["equation"] <= 1e-12
+        rows = (tmp_path / "backward_fractional_generator_Y.csv"
+                ).read_text().count("\n") - 1
+        assert rows == sum(3 ** i for i in range(5))  # 121
+
 
 class TestForwardCommand:
     def test_convergence_study(self, tmp_path):
@@ -221,6 +252,32 @@ class TestForwardCommand:
         rc = cli.main(["--config", cfg, "--out", str(tmp_path), "forward"])
         assert rc == 1
         assert "equation residual nan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("last_row", float("nan"), "N=32: sup error nan"),
+        ("residual", 1e-9, "N=16: equation residual 1e-09"),
+        ("residual", float("nan"), "N=16: equation residual nan")])
+    def test_study_fails_on_a_bad_solve(self, tmp_path, monkeypatch, capsys,
+                                        field, value, message):
+        # a nan after the first row must not vanish in the sup error
+        solve = cli.fwd.solve_lattice
+
+        def spoiled(problem, tree):
+            sol = solve(problem, tree)
+            if field == "residual":
+                sol.diagnostics["residual"] = value
+            elif tree.N == 32:
+                sol.X[tree.N][:] = value
+            return sol
+
+        monkeypatch.setattr(cli.fwd, "solve_lattice", spoiled)
+        cfg = write_config(tmp_path, {
+            "tree": {"N": 8, "T": 1.0},
+            "forward": {"problem": "fractional_relaxation",
+                        "N_list": [16, 32]}})
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "forward"])
+        assert rc == 1
+        assert message in capsys.readouterr().out
 
 
 class TestDeterminism:

@@ -30,6 +30,24 @@ class TestTreeBasics:
             Tree(N=30, T=1.0, m=1)
         Tree(N=256, T=1.0, m=0)  # deterministic lattice is exempt
 
+    @pytest.mark.parametrize("m, largest", [(1, 22), (2, 13), (3, 11)])
+    def test_budget_counts_leaves(self, m, largest):
+        # (m + 1)**N <= 2**22 leaves; nothing is allocated here
+        assert Tree(N=largest, T=1.0, m=m).node_count(largest) <= 1 << 22
+        with pytest.raises(ValueError, match="storage budget"):
+            Tree(N=largest + 1, T=1.0, m=m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_branches_form_a_centred_simplex(self, m):
+        v = Tree(N=2, T=1.0, m=m).branches
+        assert v.shape == (m + 1, m)
+        assert np.max(np.abs(v.sum(axis=0))) <= 1e-15
+        assert np.max(np.abs(v.T @ v - (m + 1) * np.eye(m))) <= 1e-14
+        assert not np.tril(v, -2).any()  # branch b moves coordinates >= b
+        assert np.all(v[0] < 0)
+        if m == 1:
+            assert np.array_equal(v, [[-1.0], [1.0]])
+
     def test_increment_moments(self, tree):
         for j in range(tree.N):
             dw = tree.increments(j)
@@ -116,11 +134,30 @@ class TestMartingaleRepresentation:
 
     def test_multinoise_linear_field_exact(self):
         tree = Tree(N=3, T=1.0, m=2)
-        w = tree.brownian(3)  # (64, 2)
+        w = tree.brownian(3)  # (27, 2)
         x = (2.0 * w[:, :1] - 3.0 * w[:, 1:])
         mean, z = tree.martingale_representation(x, 3, 0)
         recon = tree.broadcast(mean, 0, 3) + tree.stochastic_integral(z, 0, 3)
         assert np.max(np.abs(recon - x)) < 1e-13
+
+    @pytest.mark.parametrize("m, N", [(2, 6), (3, 5)])
+    def test_multinoise_nonlinear_field_exact(self, m, N):
+        tree = Tree(N=N, T=1.0, m=m)
+        w = tree.brownian(N)
+        x = np.sin(w[:, 0] * w[:, 1])
+        mean, z = tree.martingale_representation(x, N, 0)
+        recon = tree.stochastic_integral(z, 0, N, start=mean)
+        assert np.max(np.abs(recon[:, 0] - x)) <= 1e-13
+
+    @pytest.mark.parametrize("m, N", [(2, 6), (3, 5)])
+    def test_multinoise_random_leaf_fields_exact(self, m, N):
+        tree = Tree(N=N, T=1.5, m=m)
+        rng = np.random.default_rng(m)
+        x = rng.normal(size=(tree.node_count(N), 3))
+        for lo in (0, 2):
+            mean, z = tree.martingale_representation(x, N, lo)
+            recon = tree.stochastic_integral(z, lo, N, start=mean)
+            assert np.max(np.abs(recon - x)) <= 1e-13
 
 
 def reference_representation(tree, values, from_depth, to_depth):
@@ -129,12 +166,12 @@ def reference_representation(tree, values, from_depth, to_depth):
     x = np.asarray(values, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    signs = tree.branch_signs
-    nb = 1 << tree.m
+    v = tree.branches
+    nb = tree.m + 1
     z = []
     for j in range(from_depth - 1, to_depth - 1, -1):
         resh = x.reshape(tree.node_count(j), nb, x.shape[1])
-        zj = np.einsum("nbd,bk->ndk", resh, signs) / (nb * tree.sqrt_dt) \
+        zj = np.einsum("nbd,bk->ndk", resh, v) / (nb * tree.sqrt_dt) \
             if tree.m > 0 else np.zeros((tree.node_count(j), x.shape[1], 0))
         z.append(zj)
         x = resh.mean(axis=1)
@@ -144,22 +181,22 @@ def reference_representation(tree, values, from_depth, to_depth):
 
 def reference_integral(tree, z_list, a, b):
     """Repeat/einsum form of the stochastic integral (reference copy)."""
-    signs = tree.branch_signs
+    v = tree.branches
     d = z_list[0].shape[1] if z_list else tree.d
     acc = np.zeros((tree.node_count(a), d))
     for offset, zj in enumerate(z_list):
         j = a + offset
-        contrib = tree.sqrt_dt * np.einsum("ndk,bk->nbd", zj, signs)
-        acc = (np.repeat(acc, 1 << tree.m, axis=0)
+        contrib = tree.sqrt_dt * np.einsum("ndk,bk->nbd", zj, v)
+        acc = (np.repeat(acc, tree.m + 1, axis=0)
                + contrib.reshape(tree.node_count(j + 1), d))
     return acc
 
 
 class TestStridedBranchForm:
-    """The strided branch slices x[b::2**m] reproduce the reshape/einsum
-    formulas: bit for bit at m <= 2, to the last bits at m = 3."""
+    """The strided branch slices x[b::m + 1] reproduce the reshape/einsum
+    formulas: bit for bit at m <= 1, to the last bits at m >= 2."""
 
-    DEPTHS = {0: 7, 1: 7, 2: 4, 3: 3}
+    DEPTHS = {0: 7, 1: 7, 2: 5, 3: 4}
     PAIRS = ((-1, 0), (-1, -2), (-2, 1), (2, 2), (2, 0))
 
     def cases(self):
@@ -173,7 +210,7 @@ class TestStridedBranchForm:
 
     @staticmethod
     def agree(m, got, want):
-        if m <= 2:
+        if m <= 1:
             return np.array_equal(got, want)
         return got.shape == want.shape and \
             float(np.max(np.abs(got - want), initial=0.0)) <= 1e-14
@@ -195,23 +232,6 @@ class TestStridedBranchForm:
             got = tree.stochastic_integral(z, lo, hi)
             assert self.agree(m, got, reference_integral(tree, z, lo, hi)), \
                 (m, d, hi, lo)
-
-    def test_signed_sum_every_sign_pattern(self):
-        from itertools import product
-        from svolterra.lattice import _signed_sum
-        x = np.random.default_rng(8).normal(size=(64, 1))
-        x0 = x.copy()
-        for count in range(4):
-            parts = [x[b::8] for b in range(count)]
-            for positive in product((True, False), repeat=count):
-                want = 0.0
-                for part, plus in zip(parts, positive):
-                    want = want + part if plus else want - part
-                out = np.empty((8, 1, 3))[:, :, 1]
-                got = _signed_sum(parts, positive, out)
-                assert np.array_equal(np.broadcast_to(got, (8, 1)),
-                                      np.broadcast_to(want, (8, 1)))
-        assert np.array_equal(x, x0)
 
     def test_inputs_left_unchanged(self):
         tree = Tree(N=4, T=1.0, m=2)
@@ -311,12 +331,18 @@ class TestItoIsometry:
         assert np.max(np.abs(back)) < 1e-14
 
     def test_residual_zero_for_two_noise_coordinates(self):
-        # orthogonality of coordinate increments makes the isometry exact
-        # for any m, not just the representation-exact m = 1
+        # the simplex columns are orthogonal, E[dW dW^T] = dt I
         tree = Tree(N=4, T=1.0, m=2)
         rng = np.random.default_rng(9)
         z = [rng.normal(size=(tree.node_count(j), 2, 2)) for j in range(4)]
         assert ito_isometry_check(tree, z, 0, 4) < 1e-13
+
+    @pytest.mark.parametrize("m, N", [(2, 6), (3, 5)])
+    def test_residual_at_rounding_on_the_simplex_tree(self, m, N):
+        tree = Tree(N=N, T=1.0, m=m)
+        rng = np.random.default_rng(20 + m)
+        z = [rng.normal(size=(tree.node_count(j), 2, m)) for j in range(N)]
+        assert ito_isometry_check(tree, z, 0, N) <= 1e-14
 
 
 class TestProcessContainers:
