@@ -111,6 +111,14 @@ def _tree_from_config(cfg, default_m=1):
         return Tree(N=N, T=T, m=int(m), d=int(d))
 
 
+def _match_noise(m, tree, what, where="tree.m"):
+    """A config error at ``where`` unless ``what``, whose noise has ``m``
+    coordinates, runs on a tree with the same m."""
+    if m != tree.m:
+        raise ConfigError(f"config.{where}: {what} has m = {m} noise "
+                          f"coordinates, the tree has m = {tree.m}")
+
+
 def _config_hash(cfg) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -204,9 +212,10 @@ def cmd_forward(cfg, args):
     budget = _Budget(args.budget_seconds)
 
     if n_list:
-        # resolution study on the deterministic lattice; every solve must
-        # pass its residual check, and the sup error against the
-        # Mittag-Leffler reference (nan without one) must be finite and fall
+        # resolution study on the deterministic m = 0 lattice, which has no
+        # noise for a diffusion; every solve must pass its residual check,
+        # and the sup error against the Mittag-Leffler reference (nan
+        # without one) must be finite and fall
         rows = []
         prev_err = None
         residuals, failures = [], []
@@ -217,6 +226,8 @@ def cmd_forward(cfg, args):
             tree = Tree(N=N, T=T, m=0)
             with _config_block("forward"):
                 problem = reg.FORWARD_PROBLEMS[name](**params)
+            if problem.has_diffusion:
+                _match_noise(problem.m, tree, name, "forward.N_list")
             sol = fwd.solve_lattice(problem, tree)
             res = sol.diagnostics["residual"]
             residuals.append(res)
@@ -248,6 +259,8 @@ def cmd_forward(cfg, args):
         tree = _tree_from_config(cfg)
         with _config_block("forward"):
             problem = reg.FORWARD_PROBLEMS[name](**params)
+        if problem.has_diffusion:
+            _match_noise(problem.m, tree, name)
         sol = fwd.solve_lattice(problem, tree)
         res = sol.diagnostics["residual"]
         report["residuals"]["equation"] = res
@@ -314,6 +327,7 @@ def cmd_control(cfg, args):
             cp = reg.lq_instance()
         else:
             dp = reg.delay_lq_instance(delta=float(block.get("delta", 0.25)))
+    _match_noise((cp if name == "lq" else dp).m, tree, name)
     report = _report_skeleton(cfg, args.seed)
     budget = _Budget(args.budget_seconds)
     rng = np.random.default_rng(args.seed)
@@ -323,7 +337,9 @@ def cmd_control(cfg, args):
     if name == "lq":
         v = ctl.AdaptedProcess(tree, [0.5 * rng.normal(
             size=(tree.node_count(i), 1)) for i in range(tree.N + 1)])
-        gap = ctl.duality_gap(cp, u, v, tree)
+        X = ctl.solve_state(cp, u, tree)
+        adj = ctl.solve_adjoint(cp, X, u, tree)
+        gap = ctl.duality_gap(cp, u, v, tree, state=X, adjoint=adj)
         u_bar, trace = ctl.projected_gradient_search(cp, u, tree, steps=steps,
                                                      rate=rate)
         margin = ctl.check_stationarity(cp, u_bar, tree, probe_count=probes,
@@ -334,7 +350,12 @@ def cmd_control(cfg, args):
             "final_cost": trace["cost"][-1],
             "gradient_norms": trace["grad_norm"][-5:],
         })
-        ok = gap <= 1e-10 and margin >= -1e-6
+        res = report["residuals"]
+        res["m_condition"] = adj.diagnostics["m_condition_residual"]
+        res["equation"] = adj.diagnostics["equation_residual"]
+        # false for a nan residual
+        ok = gap <= 1e-10 and margin >= -1e-6 \
+            and res["m_condition"] <= 1e-12 and res["equation"] <= 1e-9
     else:
         u_star, trace = dly.delay_projected_gradient_search(
             dp, u, tree, steps=steps, rate=rate)

@@ -202,9 +202,9 @@ def solve_state(cp: ControlProblem, u: AdaptedProcess,
                     np.asarray(cp.sigma(t[i], t[j], X[j], u[j]),
                                dtype=float))
 
-        acc = np.tile(np.asarray(cp.phi(t[i]), dtype=float).reshape(-1),
-                      (tree.node_count(i), 1))
-        X.append(_volterra_row(tree, i, acc, cell))
+        X.append(_volterra_row(
+            tree, i, np.asarray(cp.phi(t[i]), dtype=float).reshape(1, -1),
+            cell))
     return AdaptedProcess(tree, X)
 
 
@@ -289,14 +289,17 @@ def solve_adjoint(cp: ControlProblem, x_bar: AdaptedProcess,
 
 
 def duality_gap(cp: ControlProblem, u_bar: AdaptedProcess,
-                v: AdaptedProcess, tree: Tree) -> float:
+                v: AdaptedProcess, tree: Tree, state: AdaptedProcess = None,
+                adjoint: MSolution = None) -> float:
     """|E sum dt <forcing, Y> - E sum dt <X1, g_x>| for the pair of
     variational and adjoint solves (zero to machine precision under the
-    transposed discretization)."""
-    X = solve_state(cp, u_bar, tree)
+    transposed discretization); ``state`` and ``adjoint``, when given, are
+    the state and adjoint solves at u_bar."""
+    X = state if state is not None else solve_state(cp, u_bar, tree)
     X1 = solve_variational(cp, u_bar, v, tree, state=X)
     forcing = variational_forcing(cp, u_bar, v, tree, state=X)
-    adj = solve_adjoint(cp, X, u_bar, tree)
+    adj = adjoint if adjoint is not None else solve_adjoint(cp, X, u_bar,
+                                                            tree)
     t = tree.times
     lhs = rhs = 0.0
     for i in range(tree.N):

@@ -195,9 +195,7 @@ def solve_delay_state(dp: DelayProblem, u: AdaptedProcess,
             return (tree.dt * np.einsum("ab,nb->na", S[i - j], drifts[j]),
                     np.einsum("ab,nbk->nak", S[i - j], diffs[j]))
 
-        xs.append(_volterra_row(tree, i,
-                                np.tile(S[i] @ x0, (tree.node_count(i), 1)),
-                                cell))
+        xs.append(_volterra_row(tree, i, (S[i] @ x0)[None], cell))
         ys.append(_delayed(tree, xs, i, k, initial(dp.xi, i)))
         zs.append(window(i))
         mus.append(_delayed(tree, u, i, k, initial(dp.eta, i)))

@@ -90,11 +90,16 @@ class SVIEProblem:
     def has_diffusion(self):
         return self.diffusion is not None or self.diffusion_kernel is not None
 
-    def phi_field(self, tree: Tree, i: int) -> np.ndarray:
+    def free_term(self, tree: Tree, i: int) -> np.ndarray:
+        """phi(t_i) where it is measurable: the depth-i field of an adapted
+        phi, else one row."""
         if isinstance(self.phi, AdaptedProcess):
             return self.phi[i]
-        v = np.asarray(self.phi(tree.times[i]), dtype=float).reshape(-1)
-        return np.tile(v, (tree.node_count(i), 1))
+        return np.asarray(self.phi(tree.times[i]), dtype=float).reshape(1, -1)
+
+    def phi_field(self, tree: Tree, i: int) -> np.ndarray:
+        v = self.free_term(tree, i)
+        return np.tile(v, (tree.node_count(i) // len(v), 1))
 
     def _probe_zero_coefficients(self):
         # values at x = 0 must be finite strictly inside the domain
@@ -204,21 +209,31 @@ def _cell_map(problem: SVIEProblem, times: np.ndarray) -> Callable:
     return cell
 
 
-def _volterra_row(tree: Tree, i: int, acc: np.ndarray,
+def _volterra_row(tree: Tree, i: int, start: np.ndarray,
                   cell: Callable) -> np.ndarray:
-    """One forward Volterra row: acc + sum_{j<i} drift_j + sum_{j<i} z_j dW_j.
+    """One forward Volterra row: start + sum_{j<i} drift_j + sum_{j<i} z_j dW_j.
 
-    ``cell(j)`` returns ``(drift_j, z_j)`` for the depth-j cell, either of
-    which may be None; drifts are repeated onto depth i in j order, then the
-    integrands enter one stochastic integral.  ``acc`` is updated in place.
+    ``start`` is the free term at depth 0 (one row) or i; ``cell(j)``
+    returns ``(drift_j, z_j)`` for the depth-j cell, either may be None.
+    The drift sum is carried at the deepest depth added so far (a shallower
+    drift enters through ``Tree.ancestor_view``), so each node still sums
+    start, drift_0, ..., drift_{i-1} in order, at O((m+1)^i) per row; then
+    the carry goes onto depth i and the integrands enter one integral.
     """
+    acc = np.array(start, dtype=float)
+    depth = 0 if len(acc) == 1 else i
     z_list = []
     for j in range(i):
         drift, z = cell(j)
         if drift is not None:
-            acc += tree.broadcast(drift, j, i)
+            if j > depth:
+                acc, depth = tree.broadcast(acc, depth, j), j
+            view = tree.ancestor_view(acc, depth, j)
+            view += drift[:, None]
         if z is not None:
             z_list.append(z)
+    if depth < i:
+        acc = tree.broadcast(acc, depth, i)
     if z_list:
         acc += tree.stochastic_integral(z_list, 0, i)
     return acc
@@ -244,8 +259,7 @@ def _linear_rows(tree: Tree, d: int, coef_a: Optional[Callable],
                 s = np.einsum("namb,nb->nam", coef_c(i, j), X[j]) + s
             return tree.dt * b, s
 
-        X.append(_volterra_row(tree, i, np.zeros((tree.node_count(i), d)),
-                               cell))
+        X.append(_volterra_row(tree, i, np.zeros((1, d)), cell))
     return AdaptedProcess(tree, X)
 
 
@@ -256,7 +270,7 @@ def _rhs(problem: SVIEProblem, tree: Tree, cell: Callable, i: int, X,
     ``cell`` is ``_cell_map(problem, tree.times)``; ``factors`` carries the
     separable drift factor per depth across calls on the same X.
     """
-    return _volterra_row(tree, i, problem.phi_field(tree, i).copy(),
+    return _volterra_row(tree, i, problem.free_term(tree, i),
                          lambda j: cell(i, j, X[j], factors))
 
 
@@ -467,19 +481,21 @@ def stability_gap(p: SVIEProblem, p2: SVIEProblem, tree: Tree) -> float:
     for i in range(tree.N + 1):
         dphi = p.phi_field(tree, i) - p2.phi_field(tree, i)
         rhs_sq += tree.dt * float(tree.expectation((dphi ** 2).sum(axis=1)))
-        drift_gap = np.zeros(tree.node_count(i))
-        diff_gap = 0.0
-        for j in range(i):
+        diff_gaps = []
+
+        def gap(j):
             (a, z), (a2, z2) = (cell(i, j, X2[j], factors)
                                 for cell, factors in cells)
             da, dz = _difference(a, a2), _difference(z, z2)
-            if da is not None:
-                drift_gap += tree.broadcast(np.linalg.norm(da, axis=-1), j, i)
             if dz is not None:
-                diff_gap += tree.dt * float(tree.expectation(
-                    (dz ** 2).sum(axis=(1, 2))))
+                diff_gaps.append(tree.dt * float(tree.expectation(
+                    (dz ** 2).sum(axis=(1, 2)))))
+            return None if da is None else np.linalg.norm(da, axis=-1), None
+
+        # the drift gaps are summed on the forward rows' carry
+        drift_gap = _volterra_row(tree, i, np.zeros(1), gap)
         rhs_sq += tree.dt * float(tree.expectation(drift_gap ** 2))
-        rhs_sq += tree.dt * diff_gap
+        rhs_sq += tree.dt * sum(diff_gaps)
     if lhs_sq == 0.0:
         return 0.0
     if rhs_sq == 0.0:

@@ -181,7 +181,8 @@ class Tree:
         """Accumulate sum_j z_j dW_j along each path from depth a to b.
 
         The sum starts from the depth-``a`` field ``start`` (zero when
-        None), which is returned itself when there are no steps;
+        None), which is returned itself when there are no steps; each
+        integrand's last axis must have the tree's ``m`` coordinates;
         ``subtract`` gives ``start - sum_j z_j dW_j``.  With
         w_k = +-sqrt(dt) c_k z_k, branch ``br`` of the next depth is the
         parent value plus br w_br minus the suffix sum of w_k over k > br.
@@ -202,6 +203,10 @@ class Tree:
         # row 0 holds w_m and then the suffix sum, row 1 each w_k, k < m
         work = np.empty((min(self.m, 2), self.node_count(max(b - 1, a)), d))
         for zj in z_list:
+            if zj.shape[-1] != self.m:
+                raise ValueError(
+                    f"integrand noise dimension {zj.shape[-1]} does not "
+                    f"match the tree's m = {self.m}")
             n = acc.shape[0]
             out = np.empty((n * nb, d))
             suffix = 0.0  # sum of w_k over k > br, from k = m down

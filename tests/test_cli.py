@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -152,6 +153,38 @@ class TestConfigErrorsExitTwo:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "--out" in err
+
+
+    @pytest.mark.parametrize("command, tree, block, where", [
+        ("forward", {"N": 4, "T": 1.0, "m": 0},
+         {"problem": "linear_noisy"}, "tree.m"),
+        ("forward", {"N": 4, "T": 1.0, "m": 2},
+         {"problem": "linear_noisy"}, "tree.m"),
+        ("forward", {"N": 4, "T": 1.0},
+         {"problem": "linear_noisy", "N_list": [4, 8]}, "forward.N_list"),
+        ("control", {"N": 4, "T": 1.0, "m": 2}, {"instance": "lq"},
+         "tree.m"),
+        ("control", {"N": 4, "T": 1.0, "m": 0}, {"instance": "delay_lq"},
+         "tree.m"),
+    ], ids=["forward.m0", "forward.m2", "forward.N_list", "control.lq.m2",
+            "control.delay_lq.m0"])
+    def test_noise_dimension_mismatch(self, tmp_path, capsys, monkeypatch,
+                                      command, tree, block, where):
+        # the noise used to be dropped at m = 0 (exit 0) and to crash with
+        # an IndexError at m = 2; now no solve starts
+        def boom(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        for module, fn in [(cli.fwd, "solve_lattice"),
+                           (cli.ctl, "solve_state"),
+                           (cli.dly, "delay_projected_gradient_search")]:
+            monkeypatch.setattr(module, fn, boom)
+        rc, err = self.run(tmp_path, capsys, command,
+                           {"tree": tree, command: block})
+        assert rc == 2
+        assert err.startswith(f"config error: config.{where}:")
+        assert "has m = 1 noise coordinates" in err
+        assert not list(tmp_path.glob("*_*.json"))
 
 
 class TestKernelCommand:
@@ -311,6 +344,28 @@ class TestControlCommand:
         data = json.loads((tmp_path / "control_lq.json").read_text())
         assert data["outputs"]["duality_gap"] <= 1e-10
         assert data["outputs"]["stationarity_margin"] >= -1e-6
+        assert data["residuals"]["m_condition"] <= 1e-12
+        assert data["residuals"]["equation"] <= 1e-9
+
+    @pytest.mark.parametrize("key", ["m_condition_residual",
+                                     "equation_residual"])
+    def test_lq_nan_adjoint_residual_exits_one(self, tmp_path, monkeypatch,
+                                               key):
+        solve = cli.ctl.solve_adjoint
+
+        def nan_residual(*args, **kwargs):
+            adj = solve(*args, **kwargs)
+            adj.diagnostics[key] = float("nan")
+            return adj
+
+        monkeypatch.setattr(cli.ctl, "solve_adjoint", nan_residual)
+        cfg = write_config(tmp_path, {
+            "tree": {"N": 4, "T": 1.0},
+            "control": {"instance": "lq", "probes": 2}})
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "control"])
+        assert rc == 1  # 0 with the residual left alone
+        data = json.loads((tmp_path / "control_lq.json").read_text())
+        assert math.isnan(data["residuals"][key.rsplit("_", 1)[0]])
 
     def test_delay_report(self, tmp_path):
         cfg = write_config(tmp_path, {

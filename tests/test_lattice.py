@@ -260,6 +260,16 @@ class TestIntegralFromStartField:
         assert np.max(np.abs(taken - (base - plain))) <= 1e-14
         assert tree.stochastic_integral([], 1, 1, start=start) is start
 
+    @pytest.mark.parametrize("tree_m, z_m", [(0, 1), (2, 1), (1, 2)])
+    def test_noise_dimension_mismatch_names_both(self, tree_m, z_m):
+        # at m = 0 the noise was dropped silently, at m = 2 an m = 1
+        # integrand ran out of coordinates
+        tree = Tree(N=3, T=1.0, m=tree_m)
+        z = [np.ones((tree.node_count(j), 1, z_m)) for j in range(3)]
+        with pytest.raises(ValueError, match=rf"dimension {z_m} .* m = "
+                                             rf"{tree_m}"):
+            tree.stochastic_integral(z, 0, 3)
+
 
 class TestAncestorView:
     @pytest.mark.parametrize("m", [1, 2])

@@ -4,7 +4,10 @@ Each reference below spells out its recursion the way the solvers did before
 they shared ``forward._volterra_row``: per cell, repeat the drift onto the
 row's depth and collect the integrand, then add one stochastic integral.
 Forward recursions do no martingale representation, so the comparison is
-exact at m = 2 as well as at m = 1.
+exact at m = 2 as well as at m = 1.  The row itself carries its drift sum
+at the shallowest depth it can; the last tests compare it bit for bit, sign
+bits included, with a row that repeats every drift onto its depth, and
+bound the bytes it repeats.
 """
 import dataclasses
 
@@ -298,3 +301,79 @@ def test_augmented_delay_blocks_d2():
     gap = max(float(np.max(np.abs(X[i][:, 0:2] - direct[i])))
               for i in range(tree.N + 1))
     assert gap <= 1e-12
+
+
+# -- forward._volterra_row: the drift sum carried at the shallowest depth ----
+
+def ref_row(tree, i, start, cell):
+    """The row with the free term and every drift repeated onto depth i."""
+    acc = tree.broadcast(start, 0 if len(start) == 1 else i, i)
+    z_list = []
+    for j in range(i):
+        drift, z = cell(j)
+        if drift is not None:
+            acc += tree.broadcast(drift, j, i)
+        if z is not None:
+            z_list.append(z)
+    if z_list:
+        acc += tree.stochastic_integral(z_list, 0, i)
+    return acc
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and \
+        np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def signed_field(rng, shape):
+    """Normal draws with every third entry a zero of the draw's sign."""
+    x = rng.normal(size=shape).reshape(-1)
+    x[::3] = np.copysign(0.0, x[::3])
+    return x.reshape(shape)
+
+
+@pytest.mark.parametrize("cells", ["all", "odd_drifts", "no_noise",
+                                   "no_drift"])
+@pytest.mark.parametrize("start_at", ["depth_0", "depth_i"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_carried_row_is_the_broadcast_row(m, d, start_at, cells):
+    tree = Tree(N=5, T=1.0, m=m)
+    rng = np.random.default_rng(100 * m + d)
+    drifts = [signed_field(rng, (tree.node_count(j), d))
+              for j in range(tree.N)]
+    zs = [signed_field(rng, (tree.node_count(j), d, m))
+          for j in range(tree.N)]
+
+    def cell(j):
+        drift = None if cells == "no_drift" or \
+            (cells == "odd_drifts" and j % 2 == 0) else drifts[j]
+        return drift, None if cells == "no_noise" else zs[j]
+
+    for i in range(tree.N + 1):
+        rows = 1 if start_at == "depth_0" else tree.node_count(i)
+        start = signed_field(rng, (rows, d))
+        kept = start.copy()
+        row = F._volterra_row(tree, i, start, cell)
+        assert row.shape == (tree.node_count(i), d)
+        assert same_bits(row, ref_row(tree, i, start, cell))
+        assert same_bits(start, kept)  # the free term is not written to
+
+
+@pytest.mark.parametrize("N", [10, 14])
+def test_solve_state_broadcasts_four_leaf_fields(monkeypatch, N):
+    # each row repeats its carry one level at a time, about 2 (m+1)^i
+    # nodes; repeating every drift onto depth i read 18 and 26 leaf fields
+    tree, cp = Tree(N=N, T=1.0), R.lq_instance()
+    u = C.constant_control(tree, [0.3])
+    nbytes = []
+    broadcast = Tree.broadcast
+
+    def counted(self, *args):
+        out = broadcast(self, *args)
+        nbytes.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(Tree, "broadcast", counted)
+    C.solve_state(cp, u, tree)
+    assert sum(nbytes) <= 4 * tree.node_count(N) * cp.d * 8
