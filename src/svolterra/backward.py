@@ -679,7 +679,9 @@ def make_caputo_bsde(alpha: float, A: np.ndarray, f: Optional[Callable],
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 1:
         xi = xi[:, None]
-    psi = TerminalField(tree, [xi.copy() for _ in range(tree.N + 1)])
+    # one private array for every outer index: no code writes into a free
+    # term, and the caller's xi stays theirs
+    psi = TerminalField(tree, [xi.copy()] * (tree.N + 1))
     return BSVIEProblem(psi, [GeneratorTerm(fn, kernel=kern)],
                         L_y=kern, L_z1=kern, L_z2=None,
                         label=f"caputo_bsvie(alpha={alpha})")

@@ -264,7 +264,9 @@ def cmd_forward(cfg, args):
         sol = fwd.solve_lattice(problem, tree)
         res = sol.diagnostics["residual"]
         report["residuals"]["equation"] = res
+        t0 = time.perf_counter()
         sol.X.dump_csv(args.out / f"forward_{name}_solution.csv")
+        report["timings"]["tables_s"] = time.perf_counter() - t0
         ok = res <= 1e-10  # false for a nan residual
         failure = f"equation residual {res:.3g} fails the 1e-10 bound"
 
@@ -285,13 +287,16 @@ def cmd_backward(cfg, args):
         f"one of {list(METHODS)}", default="fixed_point")
     tol = args.tol or _require(cfg, "backward.tol", float, lambda v: v > 0,
                                "positive tolerance", default=1e-12)
-    with _config_block("backward"):
-        problem = reg.BACKWARD_PROBLEMS[name](tree, **params)
     report = _report_skeleton(cfg, args.seed)
     budget = _Budget(args.budget_seconds)
     t0 = time.perf_counter()
+    with _config_block("backward"):
+        problem = reg.BACKWARD_PROBLEMS[name](tree, **params)
+    t1 = time.perf_counter()
     sol = bwd.solve_bsvie(problem, tree, method=method, tol=tol)
-    report["timings"]["solve_s"] = time.perf_counter() - t0
+    t2 = time.perf_counter()
+    report["timings"]["build_s"] = t1 - t0
+    report["timings"]["solve_s"] = t2 - t1
     if budget.exceeded:
         report["outputs"]["partial"] = True
     report["residuals"]["m_condition"] = \
@@ -300,8 +305,10 @@ def cmd_backward(cfg, args):
     report["outputs"]["sweeps"] = sol.diagnostics["sweeps"]
     report["outputs"]["blocks"] = sol.diagnostics["blocks"]
     report["outputs"]["method"] = method
+    t0 = time.perf_counter()
     sol.Y.dump_csv(args.out / f"backward_{name}_Y.csv")
     sol.Z.dump_csv(args.out / f"backward_{name}_Z.csv")
+    report["timings"]["tables_s"] = time.perf_counter() - t0
     _write_report(report, args.out, f"backward_{name}.json")
     res = report["residuals"]
     # false for a nan residual

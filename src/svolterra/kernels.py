@@ -128,7 +128,10 @@ class Kernel:
     meta : dict
         Family parameters.  A kernel built from a lag profile keeps it
         under ``lag``, so k(t, s) and every hook depend on the lag
-        |t - s| alone (see :attr:`lag_only`).
+        |t - s| alone (see :attr:`lag_only`).  A power kernel
+        scale * lag**-a * x**-b, x the smaller time variable, keeps
+        ``(scale, a, b)`` under ``power``, which gives its triangle norm
+        in closed form (see :func:`triangle_l2_norm`).
 
     Batched evaluations (slice profiles, block masses, cell-weight tables)
     call a hook once on arrays: the slice hook (``slice_sq_fn``, or
@@ -388,7 +391,8 @@ def _power_kernel(label: str, orientation: str, horizon: float,
             return scale * np.power(r, q)
 
     return _lag_kernel(
-        label, orientation, horizon, h, (max(-q, 0.0), 0.0), meta,
+        label, orientation, horizon, h, (max(-q, 0.0), 0.0),
+        dict(meta, power=(scale, -q, 0.0)),
         int1=lambda lo, hi: scale * _power_integral(q, lo, hi),
         int2=lambda lo, hi: scale ** 2 * _power_integral(2.0 * q, lo, hi),
         moment1=lambda lo, hi: scale * _power_integral(q + 1.0, lo, hi))
@@ -465,7 +469,8 @@ def make_doubly_singular(alpha: float, beta: float,
         kwargs = dict(cell_fn=cell, cell_sq_fn=cell_sq)
 
     return Kernel(label, orientation, horizon, ev, (alpha, beta),
-                  slice_sq_fn=slice_sq, meta=meta, **kwargs)
+                  slice_sq_fn=slice_sq,
+                  meta=dict(meta, power=(1.0, alpha, beta)), **kwargs)
 
 
 def make_convolution(h: Callable, horizon: float = 1.0,
@@ -730,7 +735,26 @@ def script_norm(kernel: Kernel) -> float:
 
 
 def triangle_l2_norm(kernel: Kernel) -> float:
-    """L2 norm of the kernel over its whole triangle; inf on divergence."""
+    """L2 norm of the kernel over its whole triangle; inf on divergence.
+
+    A power kernel (``meta["power"]``) takes the Beta closed form
+    scale^2 T^(2-2a-2b) B(1-2b, 2-2a) / (1-2a) of the squared norm; every
+    other kernel goes to :func:`_quadrature_triangle_l2`.
+    """
+    if "power" not in kernel.meta:
+        return _quadrature_triangle_l2(kernel)
+    scale, a, b = kernel.meta["power"]
+    if 2.0 * a >= 1.0 or 2.0 * b >= 1.0:
+        return math.inf
+    return scale * math.sqrt(kernel.horizon ** (2.0 - 2.0 * a - 2.0 * b)
+                             * sps.beta(1.0 - 2.0 * b, 2.0 - 2.0 * a)
+                             / (1.0 - 2.0 * a))
+
+
+def _quadrature_triangle_l2(kernel: Kernel) -> float:
+    """Triangle L2 norm by adaptive quadrature of the slice profile;
+    inf on divergence.  :func:`classify` measures every kernel this way,
+    power kernels included, so its report checks their closed form."""
     T = kernel.horizon
     if 2.0 * kernel.diag_exponent >= 1.0:
         return math.inf
@@ -1172,7 +1196,7 @@ def classify(kernel: Kernel, eps_grid=DEFAULT_EPS_GRID,
     eps_grid = tuple(eps_grid)
     if not eps_grid:
         raise ValueError("eps_grid must be nonempty")
-    l2 = triangle_l2_norm(kernel)
+    l2 = _quadrature_triangle_l2(kernel)
     sup = script_norm(kernel)
     partitions = {}
     for eps in eps_grid:

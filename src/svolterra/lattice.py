@@ -359,33 +359,34 @@ def _write_table(path, header, blocks):
     leading indices, the scalar's index in the array and ``repr`` of its
     value, in C order, each ending in CR LF as ``csv.writer`` ends them.
     Each distinct bit pattern of a block is formatted once (so -0.0 stays
-    apart from 0.0), and each block is one write.
+    apart from 0.0), and each block is one ``%`` substitution into its
+    shape's row template, whose NUL marks take the leading indices, and
+    one write.
     """
-    index_text = {}
+    templates = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lead, a in blocks:
             a = np.ascontiguousarray(a, dtype=np.float64)
             if a.size == 0:
                 continue
-            if a.shape not in index_text:
-                index_text[a.shape] = _index_text(a.shape)
+            if a.shape not in templates:
+                templates[a.shape] = _row_template(a.shape)
             bits, inverse = np.unique(a.reshape(-1).view(np.uint64),
                                       return_inverse=True)
             text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
                             dtype=object)
-            prefix = "".join(f"{k}," for k in lead)
-            fh.write(prefix + ("\r\n" + prefix).join(
-                map(str.__add__, index_text[a.shape],
-                    text[inverse].tolist())) + "\r\n")
+            fh.write((templates[a.shape] % tuple(text[inverse].tolist()))
+                     .replace("\0", "".join(f"{k}," for k in lead)))
 
 
-def _index_text(shape):
-    """``"i,j,...,"`` for every index of an array of ``shape``, in C order."""
-    text = [""]
-    for n in shape:
-        digits = [f"{k}," for k in range(n)]
-        text = [head + tail for head in text for tail in digits]
+def _row_template(shape):
+    """``"\\0i,j,...,%s\\r\\n"`` for every index of an array of ``shape``, in
+    C order, as one string: each axis, innermost first, repeats the rows so
+    far once per index with that index put after every NUL mark."""
+    text = "\0%s\r\n"
+    for n in reversed(shape):
+        text = "".join(map(text.replace("\0", "\0{0},").format, range(n)))
     return text
 
 

@@ -652,6 +652,33 @@ class TestCaputoBSVIE:
             B.make_caputo_bsde(0.75, [[0.3]], lambda s, y, z: y + 1.0, xi,
                                tree)
 
+    def test_free_term_is_one_shared_array(self):
+        # the solve reads the free term and never writes into it, so one
+        # array serves every outer index and the solution matches a problem
+        # built on separate copies bit for bit
+        tree = Tree(N=5, T=1.0, m=2)
+        xi = np.tanh(tree.brownian(5)[:, :1] - tree.brownian(5)[:, 1:])
+        A = np.array([[0.3]])
+
+        def f(s, y, z):
+            return 0.25 * y + 0.15 * z[:, :, 0]
+
+        p = B.make_caputo_bsde(0.75, A, f, xi, tree)
+        assert all(p.psi[i] is p.psi[0] for i in range(tree.N + 1))
+        assert not np.shares_memory(p.psi[0], xi)
+        copies = B.BSVIEProblem(
+            TerminalField(tree, [p.psi[0].copy() for _ in range(6)]),
+            p.terms, L_y=p.L_y, L_z1=p.L_z1)
+        for method in ("fixed_point", "block"):
+            shared = B.solve_bsvie(p, tree, method=method)
+            apart = B.solve_bsvie(copies, tree, method=method)
+            for i in range(tree.N + 1):
+                assert np.array_equal(shared.Y[i], apart.Y[i])
+                for j in range(tree.N):
+                    assert np.array_equal(shared.Z.entry(i, j),
+                                          apart.Z.entry(i, j))
+        assert np.array_equal(p.psi[0], xi)
+
     def test_alpha_near_one_matches_plain_backward(self):
         tree = Tree(N=8, T=1.0, m=1)
         xi = np.cos(tree.brownian(8))

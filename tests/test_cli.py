@@ -213,6 +213,9 @@ class TestBackwardCommand:
         data = json.loads(
             (tmp_path / "backward_fractional_generator.json").read_text())
         assert data["residuals"]["m_condition"] < 1e-10
+        timings = data["timings"]
+        assert sorted(timings) == ["build_s", "solve_s", "tables_s"]
+        assert all(v >= 0.0 for v in timings.values())
         # one row per block, with the sweeps of each
         assert data["outputs"]["blocks"] == [[r, r + 1] for r in range(4)]
         assert len(data["outputs"]["sweeps"]) == 4
@@ -270,6 +273,15 @@ class TestForwardCommand:
                  ).read_text().strip().splitlines()
         assert lines[0] == "N,sup_error"
         assert len(lines) == 3
+
+    def test_single_tree_reports_table_time(self, tmp_path):
+        cfg = write_config(tmp_path, {"tree": {"N": 4, "T": 1.0},
+                                      "forward": {"problem": "linear_noisy"}})
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "forward"])
+        assert rc == 0
+        data = json.loads((tmp_path / "forward_linear_noisy.json").read_text())
+        assert list(data["timings"]) == ["tables_s"]
+        assert data["timings"]["tables_s"] >= 0.0
 
     def test_nan_residual_exits_one(self, tmp_path, monkeypatch, capsys):
         solve = cli.fwd.solve_lattice

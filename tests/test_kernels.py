@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,113 @@ class TestTriangleNorm:
         from scipy.special import beta as beta_fn
         closed = beta_fn(1 - 2 * beta, 2 - 2 * alpha) / (1 - 2 * alpha)
         assert got == pytest.approx(closed, rel=1e-8)
+
+
+def beta_triangle_sq(scale, a, b, T):
+    """Squared triangle norm of scale * lag^-a * x^-b on [0, T] (DLMF
+    5.12.1): scale^2 T^(2-2a-2b) B(1-2b, 2-2a) / (1-2a)."""
+    from scipy.special import beta as beta_fn
+    return scale ** 2 * T ** (2 - 2 * a - 2 * b) \
+        * beta_fn(1 - 2 * b, 2 - 2 * a) / (1 - 2 * a)
+
+
+def nested_triangle_sq(scale, a, b, T):
+    """Squared triangle norm of scale * lag^-a * x^-b on [0, T] by a tight
+    nested quad in (x, lag), each singularity an exact algebraic weight."""
+    def inner(x):
+        return integrate.quad(lambda r: scale ** 2, 0.0, T - x,
+                              weight="alg", wvar=(-2 * a, 0.0), epsabs=0.0,
+                              epsrel=1e-13)[0]
+
+    return integrate.quad(inner, 0.0, T, weight="alg", wvar=(-2 * b, 0.0),
+                          epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def assert_power_form(k, scale, a, b):
+    """k(t, s) = scale * lag^-a * x^-b at interior points of its triangle."""
+    T = k.horizon
+    for x, lag in [(0.1 * T, 0.3 * T), (0.45 * T, 0.5 * T),
+                   (0.7 * T, 0.05 * T)]:
+        t, s = (x + lag, x) if k.orientation == K.CAUSAL else (x, x + lag)
+        assert float(k(t, s)) == pytest.approx(
+            scale * abs(t - s) ** -a * x ** -b, rel=1e-13)
+
+
+class TestTriangleNormClosedForm:
+    """The power kernels take the Beta closed form, checked against an
+    independent nested quadrature and the Beta formula."""
+
+    @pytest.mark.parametrize("orientation", [K.CAUSAL, K.ANTICAUSAL])
+    @pytest.mark.parametrize("alpha, T, scale", [
+        (0.7, 1.0, 1.0), (0.55, 2.5, 0.4), (1.25, 1.0, 0.37),
+        (2.5, 2.5, 1.3)])
+    def test_fractional(self, orientation, alpha, T, scale):
+        k = K.make_fractional(alpha, orientation, T, scale=scale)
+        expected = nested_triangle_sq(scale, 1 - alpha, 0.0, T)
+        assert expected == pytest.approx(
+            beta_triangle_sq(scale, 1 - alpha, 0.0, T), rel=1e-12)
+        for kern in (k, K.mirror_kernel(k)):
+            assert_power_form(kern, scale, 1 - alpha, 0.0)
+            assert K.triangle_l2_norm(kern) ** 2 == pytest.approx(
+                expected, rel=1e-12)
+
+    @pytest.mark.parametrize("orientation", [K.CAUSAL, K.ANTICAUSAL])
+    @pytest.mark.parametrize("alpha, beta, T", [
+        (0.3, 0.2, 1.0), (0.45, 0.0, 2.5), (0.0, 0.4, 2.5),
+        (0.1, 0.45, 1.0)])
+    def test_doubly_singular(self, orientation, alpha, beta, T):
+        k = K.make_doubly_singular(alpha, beta, orientation, T)
+        expected = nested_triangle_sq(1.0, alpha, beta, T)
+        assert expected == pytest.approx(
+            beta_triangle_sq(1.0, alpha, beta, T), rel=1e-12)
+        for kern in (k, K.mirror_kernel(k)):
+            assert_power_form(kern, 1.0, alpha, beta)
+            assert K.triangle_l2_norm(kern) ** 2 == pytest.approx(
+                expected, rel=1e-12)
+
+    def test_fbm_rl(self):
+        H = 0.3
+        got = K.triangle_l2_norm(K.make_fbm_rl(H, 2.5)) ** 2
+        assert got == pytest.approx(beta_triangle_sq(
+            1.0 / gamma_fn(H + 0.5), 0.5 - H, 0.0, 2.5), rel=1e-14)
+
+    @pytest.mark.parametrize("make", [
+        lambda o: K.make_fractional(0.5, o), lambda o: K.make_fractional(0.3, o),
+        lambda o: K.make_doubly_singular(0.5, 0.1, o),
+        lambda o: K.make_doubly_singular(0.2, 0.5, o),
+        lambda o: K.mirror_kernel(K.make_fractional(0.45, o, 2.5))])
+    @pytest.mark.parametrize("orientation", [K.CAUSAL, K.ANTICAUSAL])
+    def test_divergent_exponents_are_infinite(self, make, orientation):
+        assert K.triangle_l2_norm(make(orientation)) == math.inf
+
+    @pytest.mark.parametrize("make", [
+        lambda: K.make_doubly_singular(0.3, 0.2, K.CAUSAL, 2.5),
+        lambda: K.make_doubly_singular(0.2, 0.0, K.ANTICAUSAL),
+        lambda: K.mirror_kernel(K.make_doubly_singular(0.1, 0.3)),
+        lambda: K.make_fractional(1.25, K.CAUSAL, scale=0.37)])
+    def test_classify_measures_the_closed_form(self, make):
+        # classify integrates the slice profile for every kernel, so its
+        # measured norm is an independent check of the closed form
+        kern = make()
+        rep = K.classify(kern, eps_grid=(1.0,))
+        assert rep.l2_triangle_norm == pytest.approx(
+            K.triangle_l2_norm(kern), rel=2e-10)
+
+    def test_registry_problems_build_without_quadrature(self, monkeypatch):
+        # every declared kernel of the three families has a closed form, so
+        # the kernel-class check on construction runs no adaptive quadrature
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("adaptive quadrature during the build")
+
+        monkeypatch.setattr(integrate, "quad", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", K.KernelClassWarning)
+            for build in R.BACKWARD_PROBLEMS.values():
+                build(Tree(N=8, T=1.0, m=1))
+        assert calls == []
 
 
 class TestFindPartition:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svolterra.lattice import (AdaptedProcess, TerminalField, Tree,
-                               TwoParameterProcess, constant_process,
-                               ito_isometry_check, terminal_from_function)
+                               TwoParameterProcess, _write_table,
+                               constant_process, ito_isometry_check,
+                               terminal_from_function)
 
 
 @pytest.fixture
@@ -413,6 +414,90 @@ def csv_writer_two_parameter(p, path):
                         for k in range(z.shape[2]):
                             writer.writerow([i, j, node, comp, k,
                                              repr(float(z[node, comp, k]))])
+
+
+def reference_write_table(path, header, blocks):
+    """The block writer that built one string per row, kept as the
+    reference for ``_write_table``'s template substitution."""
+    def index_text(shape):
+        text = [""]
+        for n in shape:
+            digits = [f"{k}," for k in range(n)]
+            text = [head + tail for head in text for tail in digits]
+        return text
+
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lead, a in blocks:
+            a = np.ascontiguousarray(a, dtype=np.float64)
+            if a.size == 0:
+                continue
+            bits, inverse = np.unique(a.reshape(-1).view(np.uint64),
+                                      return_inverse=True)
+            text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                            dtype=object)
+            prefix = "".join(f"{k}," for k in lead)
+            fh.write(prefix + ("\r\n" + prefix).join(
+                map(str.__add__, index_text(a.shape),
+                    text[inverse].tolist())) + "\r\n")
+
+
+class TestWriteTableTemplate:
+    """_write_table writes the bytes of the per-row reference writer."""
+
+    SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e16,
+                        1e-5, 0.1, 1.0 / 3.0, 1e16, 1e-5, 0.0, -0.0])
+
+    @staticmethod
+    def nan_payloads(n):
+        bits = np.uint64(0x7FF8000000000000) + np.arange(n, dtype=np.uint64)
+        bits[1::2] |= np.uint64(1 << 63)  # negative NaN payloads too
+        return bits.view(np.float64)
+
+    def assert_same_bytes(self, tmp_path, header, blocks):
+        _write_table(tmp_path / "table.csv", header, blocks)
+        reference_write_table(tmp_path / "reference.csv", header, blocks)
+        got = (tmp_path / "table.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
+        return got
+
+    def test_one_index_lead_and_special_values(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([self.SPECIAL, self.nan_payloads(4)])
+        blocks = [((depth,), rng.choice(values, (2 ** depth, 3)))
+                  for depth in range(5)]
+        blocks.insert(2, ((9,), np.empty((0, 3))))  # an empty block
+        got = self.assert_same_bytes(
+            tmp_path, ("depth", "node", "component", "value"), blocks)
+        text = got.decode()
+        for value in ("-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e+16",
+                      "1e-05"):
+            assert f",{value}\r\n" in text
+        assert "\r\n9," not in text
+
+    def test_two_index_lead_with_noise_and_state_axes(self, tmp_path):
+        rng = np.random.default_rng(12)
+        values = np.concatenate([self.SPECIAL, self.nan_payloads(3)])
+        blocks = [((i, j), rng.choice(values, (3 ** j, 2, 3)))
+                  for i in range(3) for j in range(3)]
+        blocks.append(((3, 0), np.full((1, 2, 3), 1e16)))  # one value
+        blocks.append(((3, 1), np.zeros((0, 2, 3))))
+        got = self.assert_same_bytes(
+            tmp_path, ("outer", "inner", "node", "component", "noise",
+                       "value"), blocks)
+        assert got.count(b"\r\n") == 1 + sum(
+            a.size for _, a in blocks)
+        assert b"\r\n2,1,2,1,2," in got
+
+    def test_repeated_shapes_with_different_leads(self, tmp_path):
+        # one template per shape, reused with a new lead every block
+        a = np.arange(12.0).reshape(4, 3)
+        blocks = [((k,), a * (-1) ** k) for k in range(12)]
+        got = self.assert_same_bytes(tmp_path, ("depth", "node",
+                                                "component", "value"),
+                                     blocks)
+        assert got.startswith(b"depth,node,component,value\r\n0,0,0,0.0")
+        assert got.endswith(b"11,3,2,-11.0\r\n")
 
 
 class TestCsvBytes:
