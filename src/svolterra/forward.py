@@ -297,9 +297,14 @@ def _solve_lattice_deterministic(problem: SVIEProblem,
                                  tree: Tree) -> SVIESolution:
     """Single-path recursion: the weighted history sum is one dot product.
 
-    The residual re-checks a separable drift through an independent history
-    sum (``kernels._history_sum``, an FFT convolution for a lag kernel);
-    a raw drift is re-evaluated, and without drift X is phi itself.
+    Each row reads phi(t_i) straight into P and, for a separable drift,
+    the drift factor straight into F, one call each; X[i] is P[i] plus the
+    row product ``w[i, :i] @ F[:i]``, added in place.  That product is the
+    O(N^2) part and keeps its order, so X is the row-by-row recursion bit
+    for bit.  The residual re-checks a separable drift through an
+    independent history sum (``kernels._history_sum``, an FFT convolution
+    for a lag kernel); a raw drift is re-evaluated, and without drift X is
+    phi itself.
     """
     N, t = tree.N, tree.times
     d = problem.d
@@ -307,12 +312,8 @@ def _solve_lattice_deterministic(problem: SVIEProblem,
     X = np.zeros((N + 1, d))
     F = np.zeros((N + 1, d))  # drift values along the path
     P = np.zeros((N + 1, d))  # phi(t_i), read once per row
-    for i in range(N + 1):
-        # a deterministic phi is read at t_i directly, not tiled onto a
-        # one-node field first
-        v = problem.phi[i] if isinstance(problem.phi, AdaptedProcess) \
-            else problem.phi(t[i])
-        P[i] = np.asarray(v, dtype=float).reshape(d)
+    adapted = isinstance(problem.phi, AdaptedProcess)
+    separable = problem.drift_kernel is not None
 
     def raw_history(i):
         return tree.dt * sum(
@@ -320,15 +321,18 @@ def _solve_lattice_deterministic(problem: SVIEProblem,
                        dtype=float).reshape(d) for j in range(i))
 
     for i in range(N + 1):
-        if problem.drift_kernel is not None:
-            X[i] = P[i] + w[i, :i] @ F[:i]
-            F[i] = np.asarray(problem.drift_factor(t[i], X[i][None, :]),
-                              dtype=float).reshape(d)
+        # a deterministic phi is read at t_i directly, not tiled onto a
+        # one-node field first
+        P[i] = problem.phi[i] if adapted else problem.phi(t[i])
+        if separable:
+            x = X[i]
+            np.add(P[i], w[i, :i] @ F[:i], out=x)
+            F[i] = problem.drift_factor(t[i], x[None, :])
         elif problem.drift is not None:
             X[i] = P[i] + raw_history(i)
         else:
             X[i] = P[i]
-    if problem.drift_kernel is not None:
+    if separable:
         H = _history_sum(problem.drift_kernel, w, F)
     else:
         H = np.zeros((N + 1, d))
@@ -336,7 +340,7 @@ def _solve_lattice_deterministic(problem: SVIEProblem,
             for i in range(N + 1):
                 H[i] = raw_history(i)
     res = float(np.max(np.abs(X - P - H)))
-    sol = AdaptedProcess(tree, [X[i][None, :] for i in range(N + 1)])
+    sol = AdaptedProcess(tree, list(X[:, None, :]))
     return SVIESolution(sol, {"method": "lattice", "residual": res})
 
 

@@ -54,16 +54,24 @@ def mittag_leffler(alpha: float, beta: float, z: float,
     Sums z^k / Gamma(alpha*k + beta) in log space (so large intermediate
     factorials never overflow) with Kahan compensation, stopping once the
     term magnitude falls below ``rel_tol`` relative to the partial sum.
+    Each lgamma table of :func:`_lgammas` (32, 64, ... terms) is fetched
+    once, and a term's sign is read from the parity of k.
 
     Raises
     ------
+    ValueError
+        If alpha or beta is not a finite positive number, or z is nan.
     MittagLefflerBudgetError
         If the largest term exceeds ``term_budget`` (the alternating sum
         would lose all precision) or ``max_terms`` is reached before the
-        tail becomes negligible.
+        tail becomes negligible; an infinite z ends here too.
     """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError("mittag_leffler requires alpha > 0 and beta > 0")
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 < v < math.inf:  # false for nan too
+            raise ValueError(
+                f"mittag_leffler requires a finite {name} > 0, got {name}={v}")
+    if math.isnan(z):
+        raise ValueError("mittag_leffler requires a number z, got z=nan")
     if z == 0.0:
         return 1.0 / gamma_fn(beta)
     if alpha == 1.0 and beta == 1.0:
@@ -71,36 +79,36 @@ def mittag_leffler(alpha: float, beta: float, z: float,
         # exp(|z|) * eps of absolute precision for strongly negative z
         return math.exp(z)
 
+    exp = math.exp
     log_abs_z = math.log(abs(z))
-    sign_z = 1.0 if z > 0 else -1.0
+    alternating = z < 0
 
     total = 0.0
     comp = 0.0  # Kahan compensation
-    sign = 1.0
     log_budget = math.log(term_budget)
-    prev_log_term = math.inf
-    passed_peak = False
-    lgammas = ()
-    for k in range(max_terms):
-        if k == len(lgammas):
-            lgammas = _lgammas(alpha, beta, max(32, 2 * k))
-        log_term = k * log_abs_z - lgammas[k]
-        if log_term > log_budget:
-            raise MittagLefflerBudgetError(
-                f"series term ~exp({log_term:.1f}) exceeds the cancellation "
-                f"budget at k={k}; reduce |z| (currently {abs(z):.3g})")
-        if log_term < prev_log_term:
-            passed_peak = True
-        magnitude = math.exp(log_term)
-        y = sign * magnitude - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if passed_peak and k > 0 and \
-                magnitude <= rel_tol * max(abs(total), 1e-300):
-            return total
-        prev_log_term = log_term
-        sign *= sign_z
+    lo = 0
+    while lo < max_terms:
+        lgammas = _lgammas(alpha, beta, max(32, 2 * lo))
+        hi = min(len(lgammas), max_terms)
+        for k in range(lo, hi):
+            log_term = k * log_abs_z - lgammas[k]
+            if log_term > log_budget:
+                raise MittagLefflerBudgetError(
+                    f"series term ~exp({log_term:.1f}) exceeds the "
+                    f"cancellation budget at k={k}; reduce |z| (currently "
+                    f"{abs(z):.3g})")
+            magnitude = exp(log_term)
+            y = (-magnitude if alternating and k & 1 else magnitude) - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            if k:
+                floor = abs(total)
+                if floor < 1e-300:
+                    floor = 1e-300
+                if magnitude <= rel_tol * floor:
+                    return total
+        lo = hi
     raise MittagLefflerBudgetError(
         f"series did not converge within {max_terms} terms for "
         f"alpha={alpha}, beta={beta}, z={z}")

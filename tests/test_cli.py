@@ -99,6 +99,9 @@ class TestConfigErrorsExitTwo:
             "problem": "fractional_generator", "bogus": 1}}),
         ("forward", {"tree": TREE, "forward": {
             "problem": "linear_noisy", "bogus": 1}}),
+        ("forward", {"tree": TREE, "forward": {
+            "problem": "fractional_relaxation", "alpha": math.inf,
+            "N_list": [8, 16]}}),
         ("backward", {"tree": TREE, "backward": {
             "problem": "fractional_generator", "tol": "abc"}}),
         ("backward", {"tree": TREE, "backward": {
@@ -116,6 +119,7 @@ class TestConfigErrorsExitTwo:
             "name": "doubly_singular", "alpha": 0.2, "beta": 0.0,
             "cap": "x"}}),
     ], ids=["backward.alpha", "backward.bogus", "forward.bogus",
+            "forward.alpha_inf",
             "backward.tol", "backward.method", "control.steps",
             "control.delta", "kernel.alpha", "kernel.eps_grid",
             "kernel.cap"])

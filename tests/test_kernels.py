@@ -861,6 +861,75 @@ class TestLagPartition:
         assert K.find_partition(kern, 0.5) == ref_find_partition(kern, 0.5)
 
 
+def _counted_block_sup(monkeypatch):
+    """Record how many intervals each ``_block_sup`` batch measures."""
+    sizes = []
+    block_sup = K._block_sup
+
+    def counted(kernel, a, b, fine=False):
+        sizes.append(np.size(a))
+        return block_sup(kernel, a, b, fine)
+
+    monkeypatch.setattr(K, "_block_sup", counted)
+    return sizes
+
+
+class TestPerWidthReverify:
+    """A lag kernel's partition is re-verified once per distinct width, with
+    the result of :func:`ref_reverify`, which measures every interval."""
+
+    @pytest.mark.parametrize("kern", CLOSED_FORM_KERNELS,
+                             ids=lambda k: f"{k.label}-{k.orientation}")
+    def test_closed_form_partitions(self, kern):
+        for eps in K.DEFAULT_EPS_GRID:
+            part = K.find_partition(kern, eps)
+            for e in (eps, 0.999 * eps):    # passes, then fails
+                assert K.reverify_partition(kern, part, e) \
+                    == ref_reverify(kern, part, e)
+
+    def test_uniform_lag_partition_measures_each_width_once(self,
+                                                            monkeypatch):
+        kern = K.make_doubly_singular(0.4, 0.0)
+        part = K.find_partition(kern, 1.0)
+        assert len(part) == 3129
+        sizes = _counted_block_sup(monkeypatch)
+        for e in (1.0, 0.999):
+            got = K.reverify_partition(kern, part, e)
+            assert got == ref_reverify(kern, part, e)
+        assert sizes and max(sizes) <= 20
+
+    @pytest.mark.parametrize("i", [29, 3100])
+    def test_widened_interval_with_a_width_of_its_own(self, i):
+        # near T the sup measured at the interval's own position differs
+        # in the last digits from the same width measured at 0
+        kern = K.make_doubly_singular(0.4, 0.0)
+        bp = list(K.find_partition(kern, 1.0).breakpoints)
+        bp[i + 1] = bp[i] + 0.999 * (bp[i + 2] - bp[i])   # widen interval i
+        part = K.Partition(tuple(bp))
+        widths = np.diff(bp)
+        assert np.count_nonzero(widths == widths[i]) == 1
+        got = K.reverify_partition(kern, part, 1.0)
+        assert got is not None and got[0] == i
+        assert got == ref_reverify(kern, part, 1.0)
+
+    def test_widened_intervals_sharing_a_width(self, monkeypatch):
+        # dyadic breakpoints make every width exact: 2^-12 passes at
+        # eps = 1, and merging two pairs gives two intervals of 2^-11,
+        # which fail; the first of them is measured, at its own position
+        kern = K.make_doubly_singular(0.4, 0.0)
+        bp = [k * 2.0 ** -12 for k in range(4097)]
+        del bp[30], bp[20]                  # merge 19 with 20, 28 with 29
+        part = K.Partition(tuple(bp))
+        widths = np.diff(bp)
+        assert np.count_nonzero(widths == 2.0 ** -11) == 2
+        assert len(np.unique(widths)) == 2
+        sizes = _counted_block_sup(monkeypatch)
+        got = K.reverify_partition(kern, part, 1.0)
+        assert got is not None and got[0] == 19
+        assert got == ref_reverify(kern, part, 1.0)
+        assert sizes == [2]
+
+
 # ---------------------------------------------------------------------------
 # one blocking rule: reference copies of the two former per-solver rules
 # ---------------------------------------------------------------------------

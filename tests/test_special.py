@@ -182,3 +182,57 @@ class TestLogGammaTable:
             assert_same_as_reference(0.5 + k / 200, 1.0, -0.5)
         info = _lgammas.cache_info()
         assert info.currsize <= info.maxsize == 32
+
+
+class TestTableBoundaries:
+    """The loop runs once per lgamma table (32, 64, 128, ... terms); a
+    term cap at or next to a table's end changes no value and no error."""
+
+    # (z, rel_tol, n): at alpha 0.6 the series stops at its n-th term, the
+    # last or the first of a table
+    AT_TABLE_ENDS = [(-1.0, 1e-16, 32), (-1.05, 1e-16, 33),
+                     (-2.7, 1e-16, 64), (-2.75, 1e-16, 65),
+                     (6.95, 1e-16, 129), (-1.35, 1e-12, 32),
+                     (-1.4, 1e-12, 33), (-3.15, 1e-12, 64),
+                     (-3.2, 1e-12, 65), (-6.0, 1e-12, 129)]
+    ARGS = [(0.6, 1.0, z) for z in (
+        -0.01, -0.5, -5.6, 2.0, 5.0, 7.85, 9.0)] \
+        + [(0.6, 1.0, z) for z, _, _ in AT_TABLE_ENDS] \
+        + [(0.75, 0.75, -3.0), (0.85, 1.85, -2.0), (2.0, 1.0, 30.0),
+           (0.3, 1.0, -40.0)]
+
+    @pytest.mark.parametrize("max_terms", [31, 32, 33, 63, 64, 65, 129])
+    @pytest.mark.parametrize("rel_tol", [1e-16, 1e-12])
+    def test_term_cap_at_table_ends(self, max_terms, rel_tol):
+        _lgammas.cache_clear()
+        for args in self.ARGS:
+            assert_same_as_reference(*args, max_terms=max_terms,
+                                     rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("z, rel_tol, n", AT_TABLE_ENDS)
+    def test_series_lengths_sit_at_table_ends(self, z, rel_tol, n):
+        # the caps above pin the boundaries only if these series need
+        # exactly n terms
+        mittag_leffler(0.6, 1.0, z, rel_tol=rel_tol, max_terms=n)
+        with pytest.raises(MittagLefflerBudgetError, match="converge"):
+            mittag_leffler(0.6, 1.0, z, rel_tol=rel_tol, max_terms=n - 1)
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("alpha, beta, z, name", [
+        (math.nan, 1.0, -0.5, "alpha"),
+        (math.inf, 1.0, -0.5, "alpha"),
+        (0.7, math.nan, -0.5, "beta"),
+        (0.7, math.inf, -0.5, "beta"),
+        (0.7, 1.0, math.nan, "z"),
+        (math.nan, 1.0, 0.0, "alpha"),    # before the z = 0 shortcut
+    ])
+    def test_value_error_names_the_argument(self, alpha, beta, z, name):
+        with pytest.raises(ValueError, match=rf"\b{name}="):
+            mittag_leffler(alpha, beta, z)
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf])
+    def test_infinite_z_stays_a_budget_error(self, z):
+        with pytest.raises(MittagLefflerBudgetError):
+            mittag_leffler(0.7, 1.0, z)
+        assert_same_as_reference(0.7, 1.0, z)
