@@ -883,7 +883,7 @@ class TestPerWidthReverify:
     def test_closed_form_partitions(self, kern):
         for eps in K.DEFAULT_EPS_GRID:
             part = K.find_partition(kern, eps)
-            for e in (eps, 0.999 * eps):    # passes, then fails
+            for e in (eps, 0.999 * eps):    # at eps and just under it
                 assert K.reverify_partition(kern, part, e) \
                     == ref_reverify(kern, part, e)
 
