@@ -61,8 +61,11 @@ class GeneratorTerm:
 
     ``fn(i, j, y, z1, z2)`` receives the grid indices of the outer time
     t_i and of the cell [t_j, t_{j+1}], node arrays ``y`` of shape (n, d)
-    and ``z1``, ``z2`` of shape (n, d, m) at depth j, and returns (n, d);
-    a term that needs times reads them from ``tree.times``.  It must be
+    and ``z1``, ``z2`` of shape (n, d, m) at depth j, and returns its value
+    (n, d) at depth j, or at the outer depth i (node_count(i) rows), which
+    the engine adds through :meth:`Tree.ancestor_view` without repeating
+    it onto depth j; a term that needs times reads them from
+    ``tree.times``.  It must be
     finite at j = i (the diagonal cell evaluates there).  The quadrature
     weight of cell j in row i is the exact cell integral of ``kernel``
     when given, the plain cell width when not, or the explicit
@@ -254,7 +257,8 @@ def _linear_adjoint(psi: TerminalField, coef_y: Callable, coef_z: Callable,
     are the coefficients of cell j in row r at the outer depth r, and are
     contracted there: against Y(t_j) through the ancestor view, and
     against Z(t_j, t_r), which is F_{t_r}-measurable, on the first
-    descendants of its depth-j repeat, the result repeated onto depth j.
+    descendants of its depth-j repeat, the z-term returning that depth-r
+    value for the engine to add through the ancestor view.
     """
     tree = psi.tree
 
@@ -263,8 +267,7 @@ def _linear_adjoint(psi: TerminalField, coef_y: Callable, coef_z: Callable,
 
     def fn_z(r, j, y, z1, z2):
         first = tree.ancestor_view(z2, j, r)[:, 0]
-        return tree.broadcast(np.einsum("namb,nam->nb", coef_z(j, r), first),
-                              r, j)
+        return np.einsum("namb,nam->nb", coef_z(j, r), first)
 
     weights = strictly_upper_weights(tree)
     return BSVIEProblem(psi, [GeneratorTerm(fn_y, weights=weights),
@@ -275,14 +278,22 @@ def _linear_adjoint(psi: TerminalField, coef_y: Callable, coef_z: Callable,
 def _cell_drift(tree: Tree, terms: list, tables, i: int, j: int, acc,
                 y: Optional[np.ndarray], z1: np.ndarray,
                 z2_below: Optional[Callable]):
-    """``acc`` plus the weighted generator drift of cell j in row i.
+    """The weighted generator drift of cell j in row i, summed in place.
 
     The generator reads y = Y(t_j), z1 = Z(t_i, t_j) and z2 = Z(t_j, t_i)
     at depth j: z1 itself on the diagonal cell, otherwise the depth-i field
     ``z2_below(j, i)`` repeated onto depth j (None when ``z2_below`` is
     None).  z2 is fetched once per cell, and only when some weight of the
-    cell is nonzero; terms are added to ``acc`` one at a time, so callers
-    that carry a running sum keep its summation order.
+    cell is nonzero.  The terms w * g are added one at a time into
+    ``acc``, a depth-j array the caller owns, so a caller that carries a
+    running sum keeps its summation order.  With ``acc`` None the sum
+    starts from the first live term's w * g, a fresh array, so it is
+    ((w_1 g_1 + w_2 g_2) + ...), and it is None when no weight of the cell
+    is nonzero; unlike a sum started from +0.0, it keeps a -0.0 that every
+    term gives.  A value with node_count(i) rows, at the outer depth i, is
+    added through :meth:`Tree.ancestor_view`, elementwise the arithmetic
+    of adding its repeat; any other row count than node_count(j) raises
+    ValueError naming the cell.
     """
     live = [(table[i, j], term) for table, term in zip(tables, terms)
             if table[i, j] != 0.0]
@@ -294,8 +305,22 @@ def _cell_drift(tree: Tree, terms: list, tables, i: int, j: int, acc,
         z2 = tree.broadcast(z2_below(j, i), i, j)
     else:
         z2 = None
+    deep, outer = tree.node_count(j), tree.node_count(i)
     for w, term in live:
-        acc = acc + w * np.asarray(term.fn(i, j, y, z1, z2), dtype=float)
+        g = np.asarray(term.fn(i, j, y, z1, z2), dtype=float)
+        rows = g.shape[0] if g.ndim else 0
+        if rows not in (deep, outer):
+            raise ValueError(
+                f"generator term returned shape {g.shape} on cell ({i}, {j}); "
+                f"expected {deep} rows (depth {j}) or {outer} (depth {i})")
+        wg = w * g
+        if acc is None:
+            acc = wg if rows == deep else tree.broadcast(wg, i, j)
+        elif rows == deep:
+            acc += wg
+        else:
+            view = tree.ancestor_view(acc, j, i)
+            view += wg[:, None]
     return acc
 
 
@@ -312,11 +337,12 @@ def _outer_pass(tree: Tree, terms: list, weight_tables, i: int,
     reaches ``free_depth`` (or, below ``stop_depth``, repeated onto
     ``stop_depth`` at the end).  This is exact: a field measurable at a
     shallower depth has zero integrands on the steps below it.  Each step
-    splits off the exact representation integrand mu_j, then adds the
-    weighted generator drift of :func:`_cell_drift` with z1 = mu_j (pinned
-    before the generator applies) and z2 read through ``z2_below``.
-    ``first_step`` is the (mean, mu) of the first step when the caller
-    already has it.
+    splits off the exact representation integrand mu_j, takes the weighted
+    generator drift of :func:`_cell_drift` with z1 = mu_j (pinned before
+    the generator applies) and z2 read through ``z2_below``, and adds the
+    conditional mean into that fresh drift in place; a cell with no live
+    weight passes the mean on.  ``first_step`` is the (mean, mu) of the
+    first step when the caller already has it; its mean is never written.
     """
     if free_depth == start_depth:
         lam = free
@@ -330,9 +356,9 @@ def _outer_pass(tree: Tree, terms: list, weight_tables, i: int,
         else:
             mean, zs = tree.martingale_representation(lam, j + 1, j)
             mu_j = zs[0]
-        drift = _cell_drift(tree, terms, weight_tables, i, j,
-                            np.zeros_like(mean), y_at(j), mu_j, z2_below)
-        lam = mean + drift
+        drift = _cell_drift(tree, terms, weight_tables, i, j, None, y_at(j),
+                            mu_j, z2_below)
+        lam = mean if drift is None else np.add(drift, mean, out=drift)
         if j == free_depth:
             lam = lam + free
         mu[j] = mu_j
@@ -384,14 +410,15 @@ def _block_fixed_point(terms: list, tree: Tree, weight_tables,
         update_sq = 0.0
         for i in outers:
             dy = new_y[i] - y[i]
-            update_sq += tree.dt * float(
-                tree.expectation((dy ** 2).sum(axis=1)))
+            dy *= dy
+            update_sq += tree.dt * float(tree.expectation(dy.sum(axis=1)))
             for j, m_val in new_mu[i].items():
                 # step hi - 1 keeps its integrand: an exact zero update
                 if j in mu[i] and j != hi - 1:
                     dz = m_val - mu[i][j]
+                    dz *= dz
                     update_sq += tree.dt ** 2 * float(
-                        tree.expectation((dz ** 2).sum(axis=(1, 2))))
+                        tree.expectation(dz.sum(axis=(1, 2))))
         y, mu = new_y, new_mu
         for i in range(lo + 1, hi):
             _, zs = tree.martingale_representation(y[i], i, lo)
@@ -586,10 +613,11 @@ def equation_residual(sol: MSolution, problem: BSVIEProblem, tree: Tree,
 
     For each outer index one field is carried from depth i to the leaves:
     it starts at psi(t_i) - Y(t_i) (or -Y(t_i), taking psi where the carry
-    reaches its depth), and each level adds the cell drift and then steps
-    down by minus the cell's stochastic integral, O((m+1)**N) node work per
-    outer index.  ``weight_tables`` reuses the tables of the solve being
-    checked; by default they are built from ``problem``.
+    reaches its depth), and each level adds the cell drift into it in place
+    and then steps down by minus the cell's stochastic integral,
+    O((m+1)**N) node work per outer index.  ``weight_tables`` reuses the
+    tables of the solve being checked; by default they are built from
+    ``problem``.
     """
     N = tree.N
     psi = problem.psi
@@ -606,7 +634,7 @@ def equation_residual(sol: MSolution, problem: BSVIEProblem, tree: Tree,
             carry = tree.stochastic_integral([z1], j, j + 1, start=carry,
                                              subtract=True)
             if j + 1 == depth:
-                carry = carry + psi[i]
+                carry += psi[i]
         worst = max(worst, float(np.max(np.abs(carry))))
     return worst
 
@@ -634,9 +662,9 @@ def stability_gap_bsvie(p: BSVIEProblem, p2: BSVIEProblem,
         rhs_sq += tree.dt * float(tree.expectation((dpsi ** 2).sum(axis=1)))
         gsum = np.zeros(tree.node_count(tree.N))
         for j in range(i, tree.N):
-            zero = np.zeros((tree.node_count(j), p.d))
-            g1, g2 = (_cell_drift(tree, q.terms, tables, i, j, zero, s2.Y[j],
-                                  s2.Z.entry(i, j), s2.Z.entry)
+            g1, g2 = (_cell_drift(tree, q.terms, tables, i, j,
+                                  np.zeros((tree.node_count(j), p.d)),
+                                  s2.Y[j], s2.Z.entry(i, j), s2.Z.entry)
                       for q, tables in ((p, tables1), (p2, tables2)))
             gsum = gsum + tree.broadcast(
                 np.linalg.norm(np.asarray(g1 - g2), axis=-1), j, tree.N)
@@ -670,10 +698,13 @@ def make_caputo_bsde(alpha: float, A: np.ndarray, f: Optional[Callable],
     t = tree.times
 
     def fn(i, j, y, z1, z2):
-        val = -np.einsum("ab,nb->na", A, y)
+        val = np.einsum("ab,nb->na", A, y)
+        np.negative(val, out=val)
         if f is not None:
-            val = val + np.asarray(
-                f(t[j], y, (t[j] - t[i]) ** (1.0 - alpha) * z1), dtype=float)
+            fz = np.asarray(f(t[j], y, (t[j] - t[i]) ** (1.0 - alpha) * z1),
+                            dtype=float)
+            # a (1, 1) A gives one column, which f's value broadcasts
+            val = np.add(val, fz, out=val if val.shape == fz.shape else None)
         return val
 
     xi = np.asarray(xi, dtype=float)

@@ -230,8 +230,8 @@ def cmd_forward(cfg, args):
                 _match_noise(problem.m, tree, name, "forward.N_list")
             ref = None
             if name == "fractional_relaxation":
-                # before the solve: the reference refuses a non-finite
-                # alpha, which the kernel builders accept
+                # before the solve, so an argument the reference refuses
+                # is a config error, not a failed study
                 alpha = params.get("alpha", 0.75)
                 lam = params.get("lam", -1.0)
                 with _config_block("forward"):

@@ -230,12 +230,16 @@ def _coefficient(deriv: Callable, X: AdaptedProcess, u: AdaptedProcess,
 
 def _bumps(cp: ControlProblem, X: AdaptedProcess, u_bar: AdaptedProcess,
            v: AdaptedProcess, tree: Tree) -> Callable:
-    """Forcing of cell (i, j): b_u (v - u_bar) and sigma_u (v - u_bar)."""
+    """Forcing of cell (i, j): b_u (v - u_bar) and sigma_u (v - u_bar), with
+    v - u_bar formed once per depth j."""
     b_u = _coefficient(cp.b_u, X, u_bar, tree)
     sigma_u = _coefficient(cp.sigma_u, X, u_bar, tree)
+    bumps = {}
 
     def forcing(i, j):
-        du = v[j] - u_bar[j]
+        if j not in bumps:
+            bumps[j] = v[j] - u_bar[j]
+        du = bumps[j]
         return (np.einsum("nau,nu->na", b_u(i, j), du),
                 np.einsum("namu,nu->nam", sigma_u(i, j), du))
 

@@ -248,16 +248,22 @@ def _linear_rows(tree: Tree, d: int, coef_a: Optional[Callable],
 
     ``coef_a(i, j)`` (nodes, d, d) and ``coef_c(i, j)`` (nodes, d, m, d)
     act at depth j; both are None for the forcing alone.  ``forcing(i, j)``
-    returns the pair (b, s) of cell j in row i.
+    returns the pair (b, s) of cell j in row i as fresh arrays, which the
+    row may write: the contractions take the forcing in place, and the
+    drift is scaled by dt in place.
     """
     X = []
     for i in range(tree.N + 1):
         def cell(j):
             b, s = forcing(i, j)
             if coef_a is not None:
-                b = np.einsum("nab,nb->na", coef_a(i, j), X[j]) + b
-                s = np.einsum("namb,nb->nam", coef_c(i, j), X[j]) + s
-            return tree.dt * b, s
+                ab = np.einsum("nab,nb->na", coef_a(i, j), X[j])
+                ab += b
+                cs = np.einsum("namb,nb->nam", coef_c(i, j), X[j])
+                cs += s
+                b, s = ab, cs
+            b *= tree.dt
+            return b, s
 
         X.append(_volterra_row(tree, i, np.zeros((1, d)), cell))
     return AdaptedProcess(tree, X)
@@ -340,7 +346,7 @@ def _solve_lattice_deterministic(problem: SVIEProblem,
             for i in range(N + 1):
                 H[i] = raw_history(i)
     res = float(np.max(np.abs(X - P - H)))
-    sol = AdaptedProcess(tree, list(X[:, None, :]))
+    sol = AdaptedProcess.single_path(tree, X)
     return SVIESolution(sol, {"method": "lattice", "residual": res})
 
 

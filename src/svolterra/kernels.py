@@ -405,10 +405,11 @@ def make_fractional(alpha: float, orientation: str = CAUSAL,
 
     ``alpha`` may exceed 1, in which case the kernel is bounded.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if scale < 0.0:
-        raise ValueError("scale must be nonnegative")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ValueError(f"scale must be nonnegative and finite, "
+                         f"got {scale!r}")
     return _power_kernel(label or f"fractional(alpha={alpha})", orientation,
                          horizon, scale, alpha - 1.0,
                          {"family": "fractional", "alpha": alpha,

@@ -275,6 +275,19 @@ class AdaptedProcess:
                     f"got {v.shape[0]}")
             self.values[i] = v
 
+    @classmethod
+    def single_path(cls, tree: Tree, X: np.ndarray) -> "AdaptedProcess":
+        """The process of an ``m = 0`` tree from its (N + 1, d) float path
+        array, whose rows become the (1, d) depth values as views; the
+        shape is checked once instead of depth by depth."""
+        if tree.m != 0 or X.dtype != float or X.ndim != 2 \
+                or X.shape[0] != tree.N + 1:
+            raise ValueError(f"need an (N + 1, d) float path on an m = 0 "
+                             f"tree, got {X.shape} with m = {tree.m}")
+        proc = cls.__new__(cls)
+        proc.tree, proc.values = tree, list(X[:, None, :])
+        return proc
+
     @property
     def d(self) -> int:
         return self.values[0].shape[1]

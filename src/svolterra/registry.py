@@ -51,8 +51,10 @@ FORWARD_PROBLEMS = {
 
 def _affine_term(kern, c_y, c_z1, c_z2):
     def fn(i, j, y, z1, z2):
-        return c_y * y + c_z1 * z1[:, :, 0:1].reshape(y.shape) \
-            + c_z2 * z2[:, :, 0:1].reshape(y.shape)
+        val = c_y * y
+        val += c_z1 * z1[:, :, 0:1].reshape(y.shape)
+        val += c_z2 * z2[:, :, 0:1].reshape(y.shape)
+        return val
     return bwd.GeneratorTerm(fn, kernel=kern)
 
 

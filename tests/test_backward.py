@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from svolterra import backward as B
+from svolterra import control as C
+from svolterra import delay as D
 from svolterra import kernels as K
+from svolterra import registry as R
 from svolterra.acceptance import dense_linear_bsvie_solve
-from svolterra.lattice import TerminalField, Tree, terminal_from_function
+from svolterra.lattice import (AdaptedProcess, TerminalField, Tree,
+                               terminal_from_function)
 from svolterra.special import gamma_fn, mittag_leffler
 
 
@@ -326,9 +330,217 @@ class TestLinearAdjointBuilder:
         assert np.array_equal(
             fn_y(r, j, y, None, None),
             np.einsum("nab,na->nb", tree.broadcast(coef_y[r], r, j), y))
+        # the z-term returns its depth-r contraction, which the engine adds
+        # through the ancestor view; repeated onto depth j it is the
+        # contraction of the repeated coefficient
+        got = fn_z(r, j, None, None, z2)
+        assert got.shape == (tree.node_count(r), d)
         assert np.array_equal(
-            fn_z(r, j, None, None, z2),
+            tree.broadcast(got, r, j),
             np.einsum("namb,nam->nb", tree.broadcast(coef_z[r], r, j), z2))
+
+
+def reference_cell_drift(tree, terms, tables, i, j, acc, y, z1, z2_below):
+    """The cell drift as it read before the in-place sum: ``acc + w * g``
+    per live term, a depth-i value repeated onto depth j first."""
+    live = [(table[i, j], term) for table, term in zip(tables, terms)
+            if table[i, j] != 0.0]
+    if not live:
+        return acc
+    if j == i:
+        z2 = z1
+    elif z2_below is not None:
+        z2 = tree.broadcast(z2_below(j, i), i, j)
+    else:
+        z2 = None
+    for w, term in live:
+        g = np.asarray(term.fn(i, j, y, z1, z2), dtype=float)
+        if g.shape[0] != tree.node_count(j):
+            g = tree.broadcast(g, i, j)
+        acc = acc + w * g
+    return acc
+
+
+def reference_outer_pass(tree, terms, weight_tables, i, free, free_depth,
+                         start_depth, stop_depth, y_at, z2_below,
+                         keep_levels=False, first_step=None):
+    """The outer pass as it read before the in-place sum: the drift starts
+    from zeros and the mean is added to it, ``mean + drift``."""
+    if free_depth == start_depth:
+        lam = free
+    else:
+        lam = np.zeros((tree.node_count(start_depth), free.shape[1]))
+    mu = {}
+    levels = {start_depth: lam} if keep_levels else None
+    for j in range(start_depth - 1, stop_depth - 1, -1):
+        if first_step is not None and j == start_depth - 1:
+            mean, mu_j = first_step
+        else:
+            mean, zs = tree.martingale_representation(lam, j + 1, j)
+            mu_j = zs[0]
+        drift = reference_cell_drift(tree, terms, weight_tables, i, j,
+                                     np.zeros_like(mean), y_at(j), mu_j,
+                                     z2_below)
+        lam = mean + drift
+        if j == free_depth:
+            lam = lam + free
+        mu[j] = mu_j
+        if keep_levels:
+            levels[j] = lam
+    if free_depth < stop_depth:
+        lam = lam + tree.broadcast(free, free_depth, stop_depth)
+    return lam, mu, levels
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def assert_same_msolution(a, b, tree):
+    for i in range(tree.N + 1):
+        assert_bits_equal(a.Y[i], b.Y[i])
+        for j in range(tree.N):
+            assert_bits_equal(a.Z.entry(i, j), b.Z.entry(i, j))
+    for key in ("m_condition_residual", "equation_residual", "sweeps",
+                "contraction_ratios"):
+        assert_bits_equal(a.diagnostics[key], b.diagnostics[key])
+
+
+def with_reference_engine(monkeypatch, run):
+    """``run()`` with the engine's drift sum, then with the reference."""
+    got = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(B, "_cell_drift", reference_cell_drift)
+        patch.setattr(B, "_outer_pass", reference_outer_pass)
+        want = run()
+    return got, want
+
+
+def two_term_problem(tree):
+    frac = R.bsvie_fractional(tree, 0.7)
+    caputo = R.bsvie_caputo(tree, 0.8)
+    return B.BSVIEProblem(frac.psi, frac.terms + caputo.terms,
+                          L_y=frac.L_y, L_z2=frac.L_z2, label="two_term")
+
+
+class TestInPlaceDriftSum:
+    """The drift sum allocates one array per cell and adds the remaining
+    terms, the conditional mean and the residual carry in place; every
+    output is the old out-of-place sum's bit for bit, signed zeros
+    included."""
+
+    @pytest.mark.parametrize("method", ["fixed_point", "block"])
+    @pytest.mark.parametrize("m, N", [(1, 7), (2, 4)])
+    @pytest.mark.parametrize("family", ["fractional_generator",
+                                        "fbm_rl_generator", "caputo",
+                                        "two_term"])
+    def test_solve_matches_reference_sum(self, monkeypatch, family, m, N,
+                                         method):
+        tree = Tree(N=N, T=1.0, m=m)
+        make = two_term_problem if family == "two_term" \
+            else R.BACKWARD_PROBLEMS[family]
+        p = make(tree)
+        got, want = with_reference_engine(
+            monkeypatch, lambda: B.solve_bsvie(p, tree, method=method))
+        assert_same_msolution(got, want, tree)
+
+    def test_stability_gap_matches_reference_sum(self, monkeypatch):
+        tree = Tree(N=6, T=1.0, m=1)
+        p1, p2 = R.bsvie_fractional(tree, 0.7), two_term_problem(tree)
+        got, want = with_reference_engine(
+            monkeypatch, lambda: B.stability_gap_bsvie(p1, p2, tree))
+        assert_bits_equal(got, want)
+
+    def test_control_adjoint_matches_reference_sum(self, monkeypatch):
+        tree = Tree(N=7, T=1.0, m=1)
+        rng = np.random.default_rng(3)
+        u, v = (AdaptedProcess(tree, [0.5 * rng.normal(
+            size=(tree.node_count(i), 1)) for i in range(tree.N + 1)])
+            for _ in range(2))
+        cp = R.lq_instance()
+
+        def run():
+            X = C.solve_state(cp, u, tree)
+            return (C.solve_adjoint(cp, X, u, tree),
+                    C.duality_gap(cp, u, v, tree))
+
+        (adj, gap), (adj_ref, gap_ref) = with_reference_engine(
+            monkeypatch, run)
+        assert_same_msolution(adj, adj_ref, tree)
+        assert_bits_equal(gap, gap_ref)
+
+    def test_delay_adjoint_matches_reference_sum(self, monkeypatch):
+        tree = Tree(N=8, T=1.0, m=1)
+        dp = R.delay_lq_instance(delta=0.25, lam=0.3)
+        traj = D.solve_delay_state(dp, C.constant_control(tree, [0.2]), tree)
+        got, want = with_reference_engine(
+            monkeypatch, lambda: D.solve_delay_adjoint(dp, traj, tree))
+        assert_same_msolution(got.solution, want.solution, tree)
+
+    @pytest.mark.parametrize("outer_first", [True, False])
+    @pytest.mark.parametrize("method", ["fixed_point", "block"])
+    def test_outer_depth_value_equals_its_broadcast(self, method,
+                                                    outer_first):
+        # a term reading E[Y(t_j) | F_{t_i}] may return it at depth i; the
+        # engine starts the sum from its repeat or adds it through the
+        # ancestor view, the same arithmetic as adding its repeat
+        tree = Tree(N=7, T=1.0, m=1)
+        kern = K.make_fractional(0.7, K.ANTICAUSAL, tree.T)
+        psi = terminal_from_function(tree, lambda t, w: np.cos(w[:, 0] + t))
+
+        def problem(repeat):
+            def fn(i, j, y, z1, z2):
+                val = -0.3 * tree.conditional_expectation(y, j, i)
+                return tree.broadcast(val, i, j) if repeat else val
+
+            terms = [linear_problem(tree, c_y=-0.2, c_z1=0.1,
+                                    c_z2=0.2).terms[0],
+                     B.GeneratorTerm(fn, kernel=kern)]
+            return B.BSVIEProblem(
+                psi, terms[::-1] if outer_first else terms,
+                L_y=K.make_fractional(0.7, K.ANTICAUSAL, tree.T, scale=0.5),
+                L_z2=K.make_fractional(0.7, K.ANTICAUSAL, tree.T, scale=0.2))
+
+        outer, repeated = problem(False), problem(True)
+        got = B.solve_bsvie(outer, tree, method=method)
+        want = B.solve_bsvie(repeated, tree, method=method)
+        assert_same_msolution(got, want, tree)
+        assert_bits_equal(B.equation_residual(want, outer, tree),
+                          B.equation_residual(want, repeated, tree))
+
+    def test_wrong_node_count_raises(self):
+        tree = Tree(N=5, T=1.0, m=1)
+        psi = TerminalField(tree, [np.ones((tree.node_count(tree.N), 1))]
+                            * (tree.N + 1))
+        # three rows match no depth of the binary tree; the zero probe
+        # does not look at shapes
+        p = B.BSVIEProblem(psi, [B.GeneratorTerm(
+            lambda i, j, y, z1, z2: np.zeros((3, 1)))])
+        with pytest.raises(ValueError,
+                           match=r"shape \(3, 1\) on cell \(4, 4\)"):
+            B.solve_bsvie(p, tree)
+
+    def test_generators_match_out_of_place_sums(self):
+        tree = Tree(N=4, T=1.0, m=2)
+        rng = np.random.default_rng(11)
+        y = rng.normal(size=(9, 2))
+        z1, z2 = rng.normal(size=(2, 9, 2, 2))
+        y[0, 0], z1[0, 0, 0], z2[0, 0, 0] = -0.0, -0.0, -0.0
+        term = R._affine_term(None, -0.4, 0.2, 0.7)
+        assert_bits_equal(term.fn(1, 2, y, z1, z2),
+                          -0.4 * y + 0.2 * z1[:, :, 0:1].reshape(y.shape)
+                          + 0.7 * z2[:, :, 0:1].reshape(y.shape))
+        # at m = 2 the caputo family's state has d = 2 against a (1, 1) A
+        caputo = R.bsvie_caputo(tree, 0.8)
+        t, alpha, A = tree.times, 0.8, np.array([[0.3]])
+        lagged = (t[2] - t[1]) ** (1.0 - alpha) * z1
+        assert_bits_equal(caputo.terms[0].fn(1, 2, y, z1, z2),
+                          -np.einsum("ab,nb->na", A, y)
+                          + (0.25 * y
+                             + 0.15 * lagged[:, :, 0:1].reshape(y.shape)))
 
 
 class TestSinglePass:

@@ -102,6 +102,10 @@ class TestConfigErrorsExitTwo:
         ("forward", {"tree": TREE, "forward": {
             "problem": "fractional_relaxation", "alpha": math.inf,
             "N_list": [8, 16]}}),
+        ("forward", {"tree": TREE, "forward": {
+            "problem": "fractional_relaxation", "alpha": math.inf}}),
+        ("forward", {"tree": TREE, "forward": {
+            "problem": "fractional_relaxation", "alpha": math.nan}}),
         ("backward", {"tree": TREE, "backward": {
             "problem": "fractional_generator", "tol": "abc"}}),
         ("backward", {"tree": TREE, "backward": {
@@ -119,7 +123,8 @@ class TestConfigErrorsExitTwo:
             "name": "doubly_singular", "alpha": 0.2, "beta": 0.0,
             "cap": "x"}}),
     ], ids=["backward.alpha", "backward.bogus", "forward.bogus",
-            "forward.alpha_inf",
+            "forward.alpha_inf", "forward.alpha_inf_one_tree",
+            "forward.alpha_nan_one_tree",
             "backward.tol", "backward.method", "control.steps",
             "control.delta", "kernel.alpha", "kernel.eps_grid",
             "kernel.cap"])

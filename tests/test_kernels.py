@@ -510,6 +510,24 @@ class TestConfigParsing:
             K.kernel_from_config({})
 
 
+class TestFractionalArguments:
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -0.5])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and "
+                                             "finite"):
+            K.make_fractional(alpha)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, -1.0])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale must be nonnegative and "
+                                             "finite"):
+            K.make_fractional(0.7, scale=scale)
+
+    def test_finite_edges_accepted(self):
+        assert K.make_fractional(1e-3, scale=0.0).meta["scale"] == 0.0
+        assert K.make_fractional(40.0).meta["alpha"] == 40.0
+
+
 class TestKernelInvariants:
     def test_negative_kernel_rejected(self):
         def ev(t, s):

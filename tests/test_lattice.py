@@ -361,6 +361,25 @@ class TestProcessContainers:
         with pytest.raises(ValueError):
             AdaptedProcess(tree, [np.zeros((5, 1))])
 
+    def test_single_path_rows_are_views(self):
+        tree = Tree(N=6, T=1.0, m=0)
+        X = np.arange(14.0).reshape(7, 2)
+        p = AdaptedProcess.single_path(tree, X)
+        ref = AdaptedProcess(tree, list(X[:, None, :]))
+        assert len(p) == 7 and p.d == 2
+        for i in range(7):
+            assert p[i].shape == (1, 2)
+            assert np.array_equal(p[i], ref[i])
+            assert np.shares_memory(p[i], X)
+
+    @pytest.mark.parametrize("m, shape, dtype", [
+        (1, (7, 1), float), (0, (6, 1), float), (0, (7,), float),
+        (0, (7, 1), int)])
+    def test_single_path_shape_guard(self, m, shape, dtype):
+        tree = Tree(N=6, T=1.0, m=m)
+        with pytest.raises(ValueError, match="path on an m = 0 tree"):
+            AdaptedProcess.single_path(tree, np.zeros(shape, dtype=dtype))
+
     def test_constant_process(self, tree):
         p = constant_process(tree, lambda t: [t ** 2])
         assert p[3][0, 0] == pytest.approx(tree.times[3] ** 2)
