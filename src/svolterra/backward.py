@@ -549,23 +549,23 @@ def solve_param_bsde_family(psi: TerminalField, h: Callable, tree: Tree,
     """
     if not 0 <= R_index <= S_index <= tree.N:
         raise ValueError("need 0 <= R_index <= S_index <= N")
-    terms = _h_terms(h, tree)
+    return _family_pass(psi, h, tree, range(S_index, tree.N + 1), R_index)
+
+
+def _family_pass(psi: TerminalField, h: Callable, tree: Tree, outers,
+                 stop: int) -> ParamBSDEFamily:
+    """One backward pass from the horizon to depth ``stop`` per outer index
+    in ``outers``, with the one generator term h(t_i, t_j, z1) on
+    cell-width weights, keeping every level."""
+    t = tree.times
+    terms = [GeneratorTerm(fn=lambda i, j, y, z1, z2: h(t[i], t[j], z1))]
     tables = _term_weights(terms, tree)
     lam_all, mu_all = {}, {}
-    for i in range(S_index, tree.N + 1):
-        lam, mu, levels = _outer_pass(
-            tree, terms, tables, i, psi.at(i, tree.N), tree.N, tree.N,
-            R_index,
+    for i in outers:
+        _, mu_all[i], lam_all[i] = _outer_pass(
+            tree, terms, tables, i, psi.at(i, tree.N), tree.N, tree.N, stop,
             y_at=lambda j: None, z2_below=None, keep_levels=True)
-        lam_all[i] = levels
-        mu_all[i] = mu
     return ParamBSDEFamily(lam_all, mu_all)
-
-
-def _h_terms(h, tree):
-    """The one generator term h(t_i, t_j, z1) with cell-width weights."""
-    t = tree.times
-    return [GeneratorTerm(fn=lambda i, j, y, z1, z2: h(t[i], t[j], z1))]
 
 
 def solve_sfie(psi: TerminalField, h: Callable, tree: Tree,
@@ -575,21 +575,13 @@ def solve_sfie(psi: TerminalField, h: Callable, tree: Tree,
     For outer indices i in [R_index, S_index] returns the window-start
     fields psi_S(t_i) (measurable at depth S_index) and the integrands
     Z(t_i, t_j) for cells j in [S_index, N); the unknown left endpoint is
-    only measurable at the window start, not adapted throughout.
+    only measurable at the window start, not adapted throughout.  Both are
+    read from the family of these outer indices at level S_index.
     """
     if not 0 <= R_index <= S_index <= tree.N:
         raise ValueError("need 0 <= R_index <= S_index <= N")
-    terms = _h_terms(h, tree)
-    tables = _term_weights(terms, tree)
-    psi_S, Z = {}, {}
-    for i in range(R_index, S_index + 1):
-        lam, mu, _ = _outer_pass(
-            tree, terms, tables, i, psi.at(i, tree.N), tree.N, tree.N,
-            S_index,
-            y_at=lambda j: None, z2_below=None)
-        psi_S[i] = lam
-        Z[i] = mu
-    return psi_S, Z
+    fam = _family_pass(psi, h, tree, range(R_index, S_index + 1), S_index)
+    return {i: levels[S_index] for i, levels in fam.lam.items()}, fam.mu
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +685,13 @@ def make_caputo_bsde(alpha: float, A: np.ndarray, f: Optional[Callable],
     if not 0.5 < alpha < 1.0:
         raise ValueError("alpha must lie in (1/2, 1)")
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim == 1:
+        xi = xi[:, None]
+    d = xi.shape[1]
+    if A.shape != (d, d):
+        raise ValueError(f"A has shape {A.shape}; the terminal value has "
+                         f"d = {d} columns, so A must be {(d, d)}")
     kern = make_fractional(alpha, ANTICAUSAL, tree.T,
                            scale=1.0 / gamma_fn(alpha))
     t = tree.times
@@ -701,15 +700,10 @@ def make_caputo_bsde(alpha: float, A: np.ndarray, f: Optional[Callable],
         val = np.einsum("ab,nb->na", A, y)
         np.negative(val, out=val)
         if f is not None:
-            fz = np.asarray(f(t[j], y, (t[j] - t[i]) ** (1.0 - alpha) * z1),
-                            dtype=float)
-            # a (1, 1) A gives one column, which f's value broadcasts
-            val = np.add(val, fz, out=val if val.shape == fz.shape else None)
+            val += np.asarray(f(t[j], y, (t[j] - t[i]) ** (1.0 - alpha) * z1),
+                              dtype=float)
         return val
 
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
     # one private array for every outer index: no code writes into a free
     # term, and the caller's xi stays theirs
     psi = TerminalField(tree, [xi.copy()] * (tree.N + 1))

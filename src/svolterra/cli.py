@@ -106,9 +106,8 @@ def _tree_from_config(cfg, default_m=1):
     N = _require(cfg, "tree.N", int, lambda v: v >= 1, "positive step count")
     T = _require(cfg, "tree.T", float, lambda v: v > 0, "positive horizon")
     m = cfg.get("tree", {}).get("m", default_m)
-    d = cfg.get("tree", {}).get("d", 1)
     with _config_block("tree"):
-        return Tree(N=N, T=T, m=int(m), d=int(d))
+        return Tree(N=N, T=T, m=int(m))
 
 
 def _match_noise(m, tree, what, where="tree.m"):

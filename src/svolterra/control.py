@@ -21,7 +21,7 @@ import numpy as np
 from .backward import MSolution, _linear_adjoint, solve_bsvie
 from .forward import _linear_rows, _volterra_row
 from .kernels import Kernel
-from .lattice import AdaptedProcess, TerminalField, Tree
+from .lattice import AdaptedProcess, TerminalField, Tree, constant_process
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +180,7 @@ class ControlProblem:
 
 
 def constant_control(tree: Tree, value) -> AdaptedProcess:
-    value = np.asarray(value, dtype=float).reshape(-1)
-    return AdaptedProcess(tree, [np.tile(value, (tree.node_count(i), 1))
-                                 for i in range(tree.N + 1)])
+    return constant_process(tree, lambda _t: value)
 
 
 # ---------------------------------------------------------------------------
@@ -352,24 +350,26 @@ def pair_with_direction(tree: Tree, grad: AdaptedProcess,
     return total
 
 
+def _stationarity_margin(tree: Tree, grad: AdaptedProcess,
+                         u_bar: AdaptedProcess, control_set,
+                         probe_count: int, seed: int) -> float:
+    """Min of :func:`pair_with_direction` over constant probe controls: all
+    extreme points of the control region plus ``probe_count`` interior
+    points drawn with ``seed``; a nonnegative minimum certifies discrete
+    first-order optimality at u_bar."""
+    rng = np.random.default_rng(seed)
+    probes = list(control_set.extreme_points())
+    probes.extend(control_set.sample_interior(rng, probe_count))
+    return min(pair_with_direction(tree, grad, constant_control(tree, point),
+                                   u_bar) for point in probes)
+
+
 def check_stationarity(cp: ControlProblem, u_bar: AdaptedProcess,
                        tree: Tree, probe_count: int = 16,
                        seed: int = 0) -> float:
-    """Min over probe controls of the first-order pairing.
-
-    Probes are all extreme points of the control region plus random
-    interior points (constant-in-time controls); a nonnegative minimum
-    certifies discrete first-order optimality at u_bar.
-    """
-    grad = mp_gradient(cp, u_bar, tree)
-    rng = np.random.default_rng(seed)
-    probes = [p for p in cp.control_set.extreme_points()]
-    probes.extend(cp.control_set.sample_interior(rng, probe_count))
-    margin = math.inf
-    for point in probes:
-        u = constant_control(tree, point)
-        margin = min(margin, pair_with_direction(tree, grad, u, u_bar))
-    return margin
+    """Stationarity margin of the variational-inequality gradient."""
+    return _stationarity_margin(tree, mp_gradient(cp, u_bar, tree), u_bar,
+                                cp.control_set, probe_count, seed)
 
 
 def fd_cost_derivative(cp: ControlProblem, u_bar: AdaptedProcess,
@@ -391,26 +391,33 @@ def fd_cost_derivative(cp: ControlProblem, u_bar: AdaptedProcess,
             "errors": errors}
 
 
+def _descend(step: Callable, control_set, u0: AdaptedProcess, tree: Tree,
+             steps: int, rate: float) -> tuple:
+    """Projected gradient descent u <- project(u - rate * grad), where
+    ``step(u)`` returns (gradient process, cost) at u; stops early once the
+    gradient's dt-weighted L2 norm falls below 1e-12.  Returns (control,
+    trace)."""
+    u = AdaptedProcess(tree, [u0[i].copy() for i in range(tree.N + 1)])
+    trace = {"cost": [], "grad_norm": []}
+    for _ in range(steps):
+        grad, value = step(u)
+        gnorm = math.sqrt(grad.l2_norm_sq())
+        trace["cost"].append(value)
+        trace["grad_norm"].append(gnorm)
+        u = AdaptedProcess(tree, [
+            np.asarray(control_set.project(u[i] - rate * grad[i]),
+                       dtype=float) for i in range(tree.N + 1)])
+        if gnorm < 1e-12:
+            break
+    return u, trace
+
+
 def projected_gradient_search(cp: ControlProblem, u0: AdaptedProcess,
                               tree: Tree, steps: int = 200,
                               rate: float = 0.5) -> tuple:
     """Plain projected gradient descent; returns (control, trace)."""
-    u = AdaptedProcess(tree, [u0[i].copy() for i in range(tree.N + 1)])
-    trace = {"cost": [], "grad_norm": []}
-    for _ in range(steps):
+    def step(u):
         X = solve_state(cp, u, tree)
-        grad = mp_gradient(cp, u, tree, state=X)
-        gnorm = math.sqrt(sum(
-            tree.dt * float(tree.expectation((grad[i] ** 2).sum(axis=1)))
-            for i in range(tree.N)))
-        trace["cost"].append(cost(cp, u, tree, state=X))
-        trace["grad_norm"].append(gnorm)
-        new_vals = []
-        for i in range(tree.N + 1):
-            stepped = u[i] - rate * grad[i]
-            new_vals.append(np.asarray(cp.control_set.project(stepped),
-                                       dtype=float))
-        u = AdaptedProcess(tree, new_vals)
-        if gnorm < 1e-12:
-            break
-    return u, trace
+        return mp_gradient(cp, u, tree, state=X), cost(cp, u, tree, state=X)
+
+    return _descend(step, cp.control_set, u0, tree, steps, rate)

@@ -14,7 +14,6 @@ uses the left-point rule with exact exponential cell weights.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,7 +22,7 @@ from scipy.linalg import expm
 
 from .backward import (MSolution, _ancestor_contract, _linear_adjoint,
                        solve_bsvie)
-from .control import _fd_probe
+from .control import _descend, _fd_probe, _stationarity_margin
 from .forward import _linear_rows, _volterra_row
 from .lattice import AdaptedProcess, TerminalField, Tree
 
@@ -503,31 +502,11 @@ def delay_mp_check(dp: DelayProblem, u_star: AdaptedProcess, tree: Tree,
 
     E int [<G_u, v - u*> + <G_mu, v(.-delta) - u*(.-delta)>] dt over probe
     controls that share the initial trajectory, so the delayed difference
-    vanishes before the delay horizon.
+    vanishes before the delay horizon; by the tower property this is the
+    pairing of v - u* with :func:`delay_gradient`.
     """
-    traj = solve_delay_state(dp, u_star, tree)
-    adjoint = solve_delay_adjoint(dp, traj, tree)
-    Gu, Gmu = hamiltonian_gradients(dp, traj, adjoint, tree)
-    k = dp.delay_steps(tree)
-    rng = np.random.default_rng(seed)
-    probes = [pt for pt in dp.control_set.extreme_points()]
-    probes.extend(dp.control_set.sample_interior(rng, probe_count))
-
-    def margin(point):
-        total = 0.0
-        for r in range(tree.N):
-            dv = np.tile(point, (tree.node_count(r), 1)) - u_star[r]
-            total += tree.dt * float(tree.expectation(
-                (Gu[r] * dv).sum(axis=1)))
-            if r >= k:
-                dmu = tree.broadcast(
-                    np.tile(point, (tree.node_count(r - k), 1))
-                    - u_star[r - k], r - k, r)
-                total += tree.dt * float(tree.expectation(
-                    (Gmu[r] * dmu).sum(axis=1)))
-        return total
-
-    return min(margin(pt) for pt in probes)
+    return _stationarity_margin(tree, delay_gradient(dp, u_star, tree),
+                                u_star, dp.control_set, probe_count, seed)
 
 
 def delay_gradient(dp: DelayProblem, u: AdaptedProcess, tree: Tree,
@@ -550,19 +529,9 @@ def delay_gradient(dp: DelayProblem, u: AdaptedProcess, tree: Tree,
 def delay_projected_gradient_search(dp: DelayProblem, u0: AdaptedProcess,
                                     tree: Tree, steps: int = 120,
                                     rate: float = 0.4) -> tuple:
-    u = AdaptedProcess(tree, [u0[i].copy() for i in range(tree.N + 1)])
-    trace = {"cost": [], "grad_norm": []}
-    for _ in range(steps):
+    def step(u):
         traj = solve_delay_state(dp, u, tree)
-        grad = delay_gradient(dp, u, tree, traj=traj)
-        gnorm = math.sqrt(sum(
-            tree.dt * float(tree.expectation((grad[i] ** 2).sum(axis=1)))
-            for i in range(tree.N)))
-        trace["cost"].append(cost_delay(dp, u, tree, traj=traj))
-        trace["grad_norm"].append(gnorm)
-        new_vals = [np.asarray(dp.control_set.project(u[i] - rate * grad[i]),
-                               dtype=float) for i in range(tree.N + 1)]
-        u = AdaptedProcess(tree, new_vals)
-        if gnorm < 1e-12:
-            break
-    return u, trace
+        return (delay_gradient(dp, u, tree, traj=traj),
+                cost_delay(dp, u, tree, traj=traj))
+
+    return _descend(step, dp.control_set, u0, tree, steps, rate)

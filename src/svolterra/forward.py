@@ -83,10 +83,6 @@ class SVIEProblem:
     # -- coefficient access ------------------------------------------------
 
     @property
-    def has_drift(self):
-        return self.drift is not None or self.drift_kernel is not None
-
-    @property
     def has_diffusion(self):
         return self.diffusion is not None or self.diffusion_kernel is not None
 

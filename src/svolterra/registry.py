@@ -97,7 +97,7 @@ def bsvie_fbm_rl(tree: Tree, H: float = 0.7):
 
 def bsvie_caputo(tree: Tree, alpha: float = 0.75):
     xi = np.tanh(tree.brownian(tree.N))
-    A = np.array([[0.3]])
+    A = 0.3 * np.eye(xi.shape[1])
 
     def f(s, y, z):
         return 0.25 * y + 0.15 * z[:, :, 0:1].reshape(y.shape)

@@ -422,7 +422,7 @@ def with_reference_engine(monkeypatch, run):
 def two_term_problem(tree):
     frac = R.bsvie_fractional(tree, 0.7)
     caputo = R.bsvie_caputo(tree, 0.8)
-    return B.BSVIEProblem(frac.psi, frac.terms + caputo.terms,
+    return B.BSVIEProblem(caputo.psi, frac.terms + caputo.terms,
                           L_y=frac.L_y, L_z2=frac.L_z2, label="two_term")
 
 
@@ -533,9 +533,9 @@ class TestInPlaceDriftSum:
         assert_bits_equal(term.fn(1, 2, y, z1, z2),
                           -0.4 * y + 0.2 * z1[:, :, 0:1].reshape(y.shape)
                           + 0.7 * z2[:, :, 0:1].reshape(y.shape))
-        # at m = 2 the caputo family's state has d = 2 against a (1, 1) A
+        # at m = 2 the caputo family's state has d = 2 and A = 0.3 I_2
         caputo = R.bsvie_caputo(tree, 0.8)
-        t, alpha, A = tree.times, 0.8, np.array([[0.3]])
+        t, alpha, A = tree.times, 0.8, 0.3 * np.eye(2)
         lagged = (t[2] - t[1]) ** (1.0 - alpha) * z1
         assert_bits_equal(caputo.terms[0].fn(1, 2, y, z1, z2),
                           -np.einsum("ab,nb->na", A, y)
@@ -922,6 +922,35 @@ class TestCaputoBSVIE:
         worst = max(float(np.max(np.abs(sol.Y[i][:, 0] - Yd[i])))
                     for i in range(6))
         assert worst < 1e-10
+
+
+class TestCaputoBSVIEMultiNoise:
+    """At m = 2 the registry's caputo problem has d = 2 and A = 0.3 I_2, so
+    -A y acts component by component."""
+
+    def test_term_value_per_component(self):
+        tree = Tree(N=4, T=1.0, m=2)
+        p = R.bsvie_caputo(tree)
+        y = np.tile([1.0, 2.0], (tree.node_count(2), 1))
+        z = np.zeros((tree.node_count(2), 2, 2))
+        val = p.terms[0].fn(1, 2, y, z, z)
+        assert np.allclose(val, [[-0.05, -0.10]] * tree.node_count(2),
+                           atol=1e-15)
+
+    @pytest.mark.parametrize("method", ["fixed_point", "block"])
+    def test_solve_residuals(self, method):
+        tree = Tree(N=4, T=1.0, m=2)
+        p = R.bsvie_caputo(tree)
+        assert p.d == 2
+        diag = B.solve_bsvie(p, tree, method=method).diagnostics
+        assert diag["m_condition_residual"] <= 1e-12
+        assert diag["equation_residual"] <= 1e-12
+
+    def test_mismatched_A_refused(self):
+        tree = Tree(N=4, T=1.0, m=2)
+        xi = np.tanh(tree.brownian(tree.N))
+        with pytest.raises(ValueError, match=r"\(1, 1\).*\(2, 2\)"):
+            B.make_caputo_bsde(0.75, [[0.3]], None, xi, tree)
 
 
 class TestLinearAdjointConstructor:

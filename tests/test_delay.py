@@ -220,3 +220,46 @@ class TestHamiltonFunction:
             + (adj.q[r] * np.asarray(dp.sigma(t, *traj.theta(r)))
                ).sum(axis=(1, 2))
         assert np.allclose(val, manual)
+
+
+def two_channel_margin(dp, u_star, tree, probe_count, seed):
+    """The maximum-condition margin summed channel by channel: G_u paired
+    with v - u* plus G_mu paired with the delayed difference, r >= k."""
+    traj = D.solve_delay_state(dp, u_star, tree)
+    adjoint = D.solve_delay_adjoint(dp, traj, tree)
+    Gu, Gmu = D.hamiltonian_gradients(dp, traj, adjoint, tree)
+    k = dp.delay_steps(tree)
+    rng = np.random.default_rng(seed)
+    probes = list(dp.control_set.extreme_points())
+    probes.extend(dp.control_set.sample_interior(rng, probe_count))
+
+    def margin(point):
+        total = 0.0
+        for r in range(tree.N):
+            dv = np.tile(point, (tree.node_count(r), 1)) - u_star[r]
+            total += tree.dt * float(tree.expectation(
+                (Gu[r] * dv).sum(axis=1)))
+            if r >= k:
+                dmu = tree.broadcast(
+                    np.tile(point, (tree.node_count(r - k), 1))
+                    - u_star[r - k], r - k, r)
+                total += tree.dt * float(tree.expectation(
+                    (Gmu[r] * dmu).sum(axis=1)))
+        return total
+
+    return min(margin(point) for point in probes)
+
+
+class TestDelayMargin:
+    """``delay_mp_check`` pairs v - u* with ``delay_gradient``, which by the
+    tower property is the two-channel sum up to rounding."""
+
+    @pytest.mark.parametrize("N, lam, seed", [(4, 0.3, 0), (8, 1.5, 1),
+                                              (8, 0.0, 2), (12, 0.3, 3)])
+    def test_matches_two_channel_sum(self, N, lam, seed):
+        tree = Tree(N=N, T=1.0, m=1)
+        dp = R.delay_lq_instance(delta=0.25, lam=lam, box=2.0)
+        u = random_control(tree, seed)
+        want = two_channel_margin(dp, u, tree, probe_count=4, seed=seed)
+        got = D.delay_mp_check(dp, u, tree, probe_count=4, seed=seed)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
