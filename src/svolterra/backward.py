@@ -167,7 +167,8 @@ def solve_bsde(xi: np.ndarray, g: Callable, tree: Tree,
     the exact one-step representation of Y(t_{j+1}).  The y input of the
     generator is the conditional mean ("explicit") or the current unknown
     resolved by a small fixed point, exact for affine generators
-    ("implicit").
+    ("implicit"); a fixed point whose 50th update exceeds its first, or is
+    nan, raises :class:`DivergenceError` naming the step.
     """
     if y_scheme not in ("explicit", "implicit"):
         raise ValueError(f"unknown y_scheme {y_scheme!r}")
@@ -185,14 +186,20 @@ def solve_bsde(xi: np.ndarray, g: Callable, tree: Tree,
         if y_scheme == "explicit":
             Y[j] = mean + tree.dt * np.asarray(g(t, mean, Z[j]), dtype=float)
         else:
-            y = mean.copy()
+            y, updates = mean.copy(), []
             for _ in range(50):
                 y_new = mean + tree.dt * np.asarray(g(t, y, Z[j]),
                                                     dtype=float)
-                if np.max(np.abs(y_new - y)) < 1e-15:
-                    y = y_new
-                    break
+                updates.append(float(np.max(np.abs(y_new - y))))
                 y = y_new
+                if updates[-1] < 1e-15:
+                    break
+            else:
+                if not updates[-1] <= updates[0]:
+                    raise DivergenceError(
+                        f"implicit step {j} diverges: 50 iterations took the "
+                        f"update {updates[0]:.3e} to {updates[-1]:.3e}",
+                        (j, j + 1))
             Y[j] = y
     return AdaptedProcess(tree, Y), Z
 
@@ -369,6 +376,34 @@ def _outer_pass(tree: Tree, terms: list, weight_tables, i: int,
     return lam, mu, levels
 
 
+def _sweep_to_tolerance(updates, tol: float, max_sweeps: int, block,
+                        error=DivergenceError):
+    """Draw one sweep per item of the iterator ``updates``, which yields each
+    sweep's update norm, until an update is at most ``tol``; returns (sweeps,
+    successive update ratios).  A non-finite update, three ratios >= 1 in a
+    row or ``max_sweeps`` sweeps raise ``error(message, block, ratios)``
+    naming the (lo, hi) ``block``.  A generator keeps each sweep's arrays
+    alive into the next, as a loop does (a function freeing them on return
+    doubled the page faults of an N = 16 block solve)."""
+    lo, hi = block
+    ratios, prev_update = [], math.nan
+    for sweeps, update in zip(range(1, max_sweeps + 1), updates):
+        if not math.isfinite(update):
+            raise error(f"sweep produced non-finite values on block [{lo}, "
+                        f"{hi}]; check the generator and its kernel weights",
+                        block, ratios)
+        if prev_update > 0.0:  # false before the second sweep
+            ratios.append(update / prev_update)
+            if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
+                raise error(f"sweep updates not contracting on block [{lo}, "
+                            f"{hi}]: ratios {ratios[-3:]}", block, ratios)
+        if update <= tol:
+            return sweeps, ratios
+        prev_update = update
+    raise error(f"no convergence on block [{lo}, {hi}] within {max_sweeps} "
+                f"sweeps (last update {prev_update:.3e})", block, ratios)
+
+
 def _block_fixed_point(terms: list, tree: Tree, weight_tables,
                        lo: int, hi: int, free: dict, outers,
                        tol: float, max_sweeps: int):
@@ -393,62 +428,45 @@ def _block_fixed_point(terms: list, tree: Tree, weight_tables,
             _, zs = tree.martingale_representation(mean, hi - 1, lo)
             below[i] = {l: zs[l - lo] for l in range(lo, i)}
     mu = {i: {} for i in outers}
-    sweeps = 0
-    ratios = []
-    prev_update = None
-    for sweep in range(max_sweeps):
-        sweeps = sweep + 1
-        new_y, new_mu = {}, {}
-        for i in outers:
-            lam, mu_i, _ = _outer_pass(
-                tree, terms, weight_tables, i, free[i], hi, hi, i,
-                y_at=lambda j: y[j],
-                z2_below=lambda j, ii: below[j][ii],
-                first_step=first.get(i))
-            new_y[i] = lam
-            new_mu[i] = mu_i
-        update_sq = 0.0
-        for i in outers:
-            dy = new_y[i] - y[i]
-            dy *= dy
-            update_sq += tree.dt * float(tree.expectation(dy.sum(axis=1)))
-            for j, m_val in new_mu[i].items():
-                # step hi - 1 keeps its integrand: an exact zero update
-                if j in mu[i] and j != hi - 1:
-                    dz = m_val - mu[i][j]
-                    dz *= dz
-                    update_sq += tree.dt ** 2 * float(
-                        tree.expectation(dz.sum(axis=(1, 2))))
-        y, mu = new_y, new_mu
-        for i in range(lo + 1, hi):
-            _, zs = tree.martingale_representation(y[i], i, lo)
-            below[i] = {l: zs[l - lo] for l in range(lo, i)}
-        update = math.sqrt(update_sq)
-        if not math.isfinite(update):
-            raise DivergenceError(
-                f"sweep produced non-finite values on block [{lo}, {hi}]; "
-                f"check the generator and its kernel weights",
-                (lo, hi), ratios)
-        if prev_update is not None and prev_update > 0.0:
-            ratios.append(update / prev_update)
-            if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
-                raise DivergenceError(
-                    f"sweep updates not contracting on block "
-                    f"[{lo}, {hi}]: ratios {ratios[-3:]}", (lo, hi), ratios)
-        if update <= tol:
-            break
-        prev_update = update
-    else:
-        raise DivergenceError(f"no convergence on block [{lo}, {hi}] within "
-                              f"{max_sweeps} sweeps (last update "
-                              f"{update:.3e})", (lo, hi), ratios)
+
+    def updates():
+        nonlocal y, mu
+        while True:
+            new_y, new_mu = {}, {}
+            for i in outers:
+                lam, mu_i, _ = _outer_pass(
+                    tree, terms, weight_tables, i, free[i], hi, hi, i,
+                    y_at=lambda j: y[j],
+                    z2_below=lambda j, ii: below[j][ii],
+                    first_step=first.get(i))
+                new_y[i] = lam
+                new_mu[i] = mu_i
+            update_sq = 0.0
+            for i in outers:
+                dy = new_y[i] - y[i]
+                dy *= dy
+                update_sq += tree.dt * float(tree.expectation(dy.sum(axis=1)))
+                for j, m_val in new_mu[i].items():
+                    # step hi - 1 keeps its integrand: an exact zero update
+                    if j in mu[i] and j != hi - 1:
+                        dz = m_val - mu[i][j]
+                        dz *= dz
+                        update_sq += tree.dt ** 2 * float(
+                            tree.expectation(dz.sum(axis=(1, 2))))
+            y, mu = new_y, new_mu
+            for i in range(lo + 1, hi):
+                _, zs = tree.martingale_representation(y[i], i, lo)
+                below[i] = {l: zs[l - lo] for l in range(lo, i)}
+            yield math.sqrt(update_sq)
+
+    sweeps, ratios = _sweep_to_tolerance(updates(), tol, max_sweeps,
+                                         (lo, hi))
     return y, mu, {"sweeps": sweeps, "ratios": ratios}
 
 
 def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
                 method: str = "fixed_point", tol: float = 1e-12,
-                max_sweeps: int = 500,
-                partition_budget: float = 0.5) -> MSolution:
+                max_sweeps: int = 500) -> MSolution:
     """Adapted M-solution of the backward Volterra equation.
 
     Both methods solve the terminal block first and fold each solved
@@ -457,7 +475,7 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
     each row's fixed point iterates only its diagonal cell, and a table
     without diagonal cells takes one sweep per row.  ``block`` partitions
     the horizon so the y/z2 coupling strength of each block stays below
-    ``partition_budget`` (split evenly between the two).  Both produce the
+    1/2 (split evenly between the two).  Both produce the
     same discrete solution.  ``max_sweeps`` caps the sweeps of each block;
     a block that does not converge raises :class:`DivergenceError` naming
     it.
@@ -475,7 +493,7 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
         if problem.L_z2 is None and problem.L_y is None:
             raise BlockPartitionError("the block method needs declared "
                                       "Lipschitz kernels (L_y, L_z2)")
-        blocks = grid_blocks(problem.L_z2, problem.L_y, partition_budget,
+        blocks = grid_blocks(problem.L_z2, problem.L_y, 0.5,
                              N, tree.T, BlockPartitionError)
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -71,9 +71,9 @@ def _require(cfg, path, typ, predicate=None, what="", default=_MISSING):
             return default
         raise ConfigError(f"config.{path}: missing ({what or typ.__name__})")
     val = node[key]
-    if typ is float and isinstance(val, int):
+    if typ is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, typ):
+    if not isinstance(val, typ) or isinstance(val, bool):
         raise ConfigError(f"config.{path}: expected {typ.__name__}, "
                           f"got {type(val).__name__}")
     if predicate is not None and not predicate(val):
@@ -102,12 +102,23 @@ def _out_dir(path):
     return out
 
 
-def _tree_from_config(cfg, default_m=1):
+def _known_keys(cfg, block, known=("N", "T", "m")):
+    """Refuse a key of the dict ``cfg[block]`` outside ``known``."""
+    node = cfg.get(block)
+    unknown = sorted(set(node) - set(known)) if isinstance(node, dict) else []
+    if unknown:
+        raise ConfigError(f"config.{block}: unknown field(s) {unknown}; "
+                          f"known: {sorted(known)}")
+
+
+def _tree_from_config(cfg):
+    _known_keys(cfg, "tree")
     N = _require(cfg, "tree.N", int, lambda v: v >= 1, "positive step count")
     T = _require(cfg, "tree.T", float, lambda v: v > 0, "positive horizon")
-    m = cfg.get("tree", {}).get("m", default_m)
+    m = _require(cfg, "tree.m", int, lambda v: v >= 0, "noise count >= 0",
+                 default=1)
     with _config_block("tree"):
-        return Tree(N=N, T=T, m=int(m))
+        return Tree(N=N, T=T, m=m)
 
 
 def _match_noise(m, tree, what, where="tree.m"):
@@ -147,8 +158,6 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "inf"
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -198,6 +207,7 @@ def cmd_forward(cfg, args):
     name = _require(cfg, "forward.problem", str,
                     lambda v: v in reg.FORWARD_PROBLEMS,
                     f"one of {sorted(reg.FORWARD_PROBLEMS)}")
+    _known_keys(cfg, "tree")  # the N_list study reads only tree.T
     T = _require(cfg, "tree.T", float, lambda v: v > 0, "positive horizon")
     params = {k: v for k, v in cfg["forward"].items() if k != "problem"}
     n_list = params.pop("N_list", None)
@@ -327,6 +337,8 @@ def cmd_control(cfg, args):
                     lambda v: v in reg.CONTROL_INSTANCES,
                     f"one of {sorted(reg.CONTROL_INSTANCES)}")
     tree = _tree_from_config(cfg)
+    _known_keys(cfg, "control", ("instance", "u0", "steps", "rate", "probes")
+                + (() if name == "lq" else ("delta",)))
     block = cfg["control"]
     steps, rate, probes = (200, 0.5, 16) if name == "lq" else (120, 0.4, 8)
     with _config_block("control"):
@@ -385,7 +397,8 @@ def cmd_control(cfg, args):
 
 
 def cmd_suite(cfg, args):
-    indices = cfg.get("suite", {}).get("criteria")
+    _known_keys(cfg, "suite", ("criteria",))
+    indices = _require(cfg, "suite.criteria", list, default=None)
     budget = _Budget(args.budget_seconds)
     results = []
     for crit in acc.ALL_CRITERIA:
@@ -447,9 +460,8 @@ _COMMANDS = {
 }
 
 
-# failures of a solver on a valid config: exit code 3
+# failures of a solver on a valid config, Picard's subclasses too: exit code 3
 SOLVER_ERRORS = (bwd.DivergenceError, bwd.BlockPartitionError,
-                 fwd.PartitionInfeasibleError, fwd.ContractionError,
                  K.QuadratureError, K.KernelEvalError, MittagLefflerBudgetError)
 
 

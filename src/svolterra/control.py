@@ -96,8 +96,9 @@ class BallControlSet:
 # problem data
 # ---------------------------------------------------------------------------
 
-def _fd_probe(fn, dfn, args, slot, out_contract, step=1e-5, rtol=1e-4):
-    """Central-difference consistency check of one derivative map."""
+def _fd_probe(fn, dfn, args, slot, step=1e-5, rtol=1e-4):
+    """Central-difference consistency check of one derivative map, whose
+    last axis differentiates along the last axis of ``args[slot]``."""
     base = list(args)
     x = np.asarray(base[slot], dtype=float)
     analytic = np.asarray(dfn(*base), dtype=float)
@@ -110,7 +111,7 @@ def _fd_probe(fn, dfn, args, slot, out_contract, step=1e-5, rtol=1e-4):
         dn = np.asarray(fn(*base), dtype=float)
         base[slot] = x
         fd = (up - dn) / (2.0 * step)
-        ana = out_contract(analytic, comp)
+        ana = analytic[..., comp]
         scale = max(float(np.max(np.abs(ana))), 1.0)
         if float(np.max(np.abs(fd - ana))) > rtol * scale:
             return False
@@ -161,19 +162,15 @@ class ControlProblem:
             u = np.atleast_2d(self.control_set.project(
                 rng.normal(size=self.du)))
             checks = [
-                (self.b, self.b_x, (t, s, x, u), 2,
-                 lambda a, c: a[..., c]),
-                (self.b, self.b_u, (t, s, x, u), 3,
-                 lambda a, c: a[..., c]),
-                (self.sigma, self.sigma_x, (t, s, x, u), 2,
-                 lambda a, c: a[..., c]),
-                (self.sigma, self.sigma_u, (t, s, x, u), 3,
-                 lambda a, c: a[..., c]),
-                (self.g, self.g_x, (t, x, u), 1, lambda a, c: a[..., c]),
-                (self.g, self.g_u, (t, x, u), 2, lambda a, c: a[..., c]),
+                (self.b, self.b_x, (t, s, x, u), 2),
+                (self.b, self.b_u, (t, s, x, u), 3),
+                (self.sigma, self.sigma_x, (t, s, x, u), 2),
+                (self.sigma, self.sigma_u, (t, s, x, u), 3),
+                (self.g, self.g_x, (t, x, u), 1),
+                (self.g, self.g_u, (t, x, u), 2),
             ]
-            for fn, dfn, args, slot, contract in checks:
-                if not _fd_probe(fn, dfn, args, slot, contract):
+            for row in checks:
+                if not _fd_probe(*row):
                     raise ValueError(
                         "a declared derivative map fails the finite-"
                         "difference consistency probe")

@@ -88,27 +88,16 @@ class DelayProblem:
             rng.normal(size=self.du)))
         mu = np.atleast_2d(self.control_set.project(
             rng.normal(size=self.du)))
+        # each map f against each argument v, through the derivative f_v
         args = (t, x, y, z, u, mu)
-        pick = lambda a, c: a[..., c]
-        checks = [(self.b, self.b_x, 1), (self.b, self.b_y, 2),
-                  (self.b, self.b_z, 3), (self.b, self.b_u, 4),
-                  (self.b, self.b_mu, 5),
-                  (self.sigma, self.sigma_x, 1),
-                  (self.sigma, self.sigma_y, 2),
-                  (self.sigma, self.sigma_z, 3),
-                  (self.sigma, self.sigma_u, 4),
-                  (self.sigma, self.sigma_mu, 5),
-                  (self.l, self.l_x, 1), (self.l, self.l_y, 2),
-                  (self.l, self.l_z, 3), (self.l, self.l_u, 4),
-                  (self.l, self.l_mu, 5)]
-        for fn, dfn, slot in checks:
-            if not _fd_probe(fn, dfn, args, slot, pick):
+        checks = [(getattr(self, f), getattr(self, f"{f}_{v}"), args, slot)
+                  for f in ("b", "sigma", "l")
+                  for slot, v in enumerate(("x", "y", "z", "u", "mu"), 1)]
+        checks += [(self.h, getattr(self, f"h_{v}"), (x, y, z), slot)
+                   for slot, v in enumerate(("x", "y", "z"))]
+        for row in checks:
+            if not _fd_probe(*row):
                 raise ValueError("a delay-problem derivative map fails the "
-                                 "finite-difference probe")
-        hargs = (x, y, z)
-        for dfn, slot in [(self.h_x, 0), (self.h_y, 1), (self.h_z, 2)]:
-            if not _fd_probe(self.h, dfn, hargs, slot, pick):
-                raise ValueError("a terminal-cost derivative map fails the "
                                  "finite-difference probe")
 
     def delay_steps(self, tree: Tree) -> int:

@@ -9,7 +9,8 @@ exactly over cells touching the diagonal.
 Every forward recursion on the tree, here and in ``control`` and ``delay``,
 computes its rows with ``_volterra_row``, the linear variational ones
 through ``_linear_rows``; the Picard blocks come from
-:func:`kernels.grid_blocks`, as the block BSVIE method's do.  Every cell's
+:func:`kernels.grid_blocks` and stop by ``backward._sweep_to_tolerance``,
+as the block BSVIE method's do.  Every cell's
 drift and diffusion, on the tree, the paths and in ``stability_gap``, come
 from one cell map, ``_cell_map``.
 """
@@ -23,18 +24,20 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg import expm
 
+from .backward import (BlockPartitionError, DivergenceError,
+                       _sweep_to_tolerance)
 from .kernels import (CAUSAL, Kernel, _cell_table, _history_sum, _on_arrays,
                       grid_blocks, make_convolution)
 from .lattice import AdaptedProcess, Tree
 from .special import mittag_leffler
 
 
-class PartitionInfeasibleError(RuntimeError):
+class PartitionInfeasibleError(BlockPartitionError):
     """The contraction partition required by the Picard solver does not exist."""
 
 
-class ContractionError(RuntimeError):
-    """Measured Picard iteration failed to contract."""
+class ContractionError(DivergenceError):
+    """Measured Picard iteration failed to contract on ``block``."""
 
 
 class LipschitzWarning(UserWarning):
@@ -365,49 +368,34 @@ def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
     The partition keeps, on every block, the drift kernel's triangle mass
     and the diffusion kernel's sliced sup below an even split of the 1/4
     contraction budget; earlier blocks are folded into the free term as
-    the iteration advances.
+    the iteration advances.  A block that does not converge raises
+    :class:`ContractionError` naming its (lo, hi) grid indices.
     """
     K1 = problem.lipschitz_K1 or problem.drift_kernel
     K2 = problem.lipschitz_K2 or problem.diffusion_kernel
     blocks = grid_blocks(K2, K1, 0.25, tree.N, tree.T,
                          PartitionInfeasibleError)
     t = tree.times
-    N = tree.N
     cell = _cell_map(problem, t)
-
-    X = [problem.phi_field(tree, i) for i in range(N + 1)]
-    ratios = []
-    sweeps_per_block = []
+    X = [problem.phi_field(tree, i) for i in range(tree.N + 1)]
+    ratios, sweeps_per_block = [], []
 
     for (lo, hi) in blocks:
-        prev_update = None
-        block_ratios = []
-        for sweep in range(max_sweeps):
-            update_sq = 0.0
-            new_vals = {}
-            for i in range(max(lo, 1), hi + 1):
-                new = _rhs(problem, tree, cell, i, X, {})
-                diff = new - X[i]
-                update_sq += tree.dt * float(
-                    tree.expectation((diff ** 2).sum(axis=1)))
-                new_vals[i] = new
-            for i, v in new_vals.items():
-                X[i] = v
-            update = math.sqrt(update_sq)
-            if prev_update is not None and prev_update > 0:
-                block_ratios.append(update / prev_update)
-                if len(block_ratios) >= 3 and \
-                        all(r >= 1.0 for r in block_ratios[-3:]):
-                    raise ContractionError(
-                        f"Picard iteration not contracting on block "
-                        f"[{t[lo]:.4g}, {t[hi]:.4g}]; ratios "
-                        f"{block_ratios[-3:]}")
-            if update <= tol * 1e-2 or update == 0.0:
-                sweeps_per_block.append(sweep + 1)
-                break
-            prev_update = update
-        else:
-            raise ContractionError("Picard sweep budget exhausted")
+        def updates():
+            while True:
+                update_sq, new_vals = 0.0, []
+                for i in range(max(lo, 1), hi + 1):
+                    new = _rhs(problem, tree, cell, i, X, {})
+                    diff = new - X[i]
+                    update_sq += tree.dt * float(
+                        tree.expectation((diff ** 2).sum(axis=1)))
+                    new_vals.append(new)
+                X[max(lo, 1):hi + 1] = new_vals
+                yield math.sqrt(update_sq)
+
+        sweeps, block_ratios = _sweep_to_tolerance(
+            updates(), tol * 1e-2, max_sweeps, (lo, hi), ContractionError)
+        sweeps_per_block.append(sweeps)
         ratios.append(max(block_ratios) if block_ratios else 0.0)
 
     sol = AdaptedProcess(tree, X)

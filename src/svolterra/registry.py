@@ -58,41 +58,35 @@ def _affine_term(kern, c_y, c_z1, c_z2):
     return bwd.GeneratorTerm(fn, kernel=kern)
 
 
-def bsvie_fractional(tree: Tree, alpha: float = 0.7):
-    """Affine generator weighted by the lag^(alpha-1) kernel."""
+def _affine_problem(tree, alpha, psi_fn, coefs, lip_scale, label):
+    """Affine generator with coefficients ``coefs`` = (c_y, c_z1, c_z2),
+    weighted by the lag^(alpha-1) / Gamma(alpha) kernel, on the free term
+    ``psi_fn(t, w)``; ``lip_scale(c)`` scales each Lipschitz kernel."""
     kern = K.make_fractional(alpha, K.ANTICAUSAL, tree.T,
                              scale=1.0 / gamma_fn(alpha))
-    psi = terminal_from_function(tree,
-                                 lambda t, w: np.cos(w[:, 0] + 2.0 * t))
-    c_y, c_z1, c_z2 = -0.4, 0.2, 0.7
-    return bwd.BSVIEProblem(
-        psi, [_affine_term(kern, c_y, c_z1, c_z2)],
-        L_y=K.make_fractional(alpha, K.ANTICAUSAL, tree.T,
-                              scale=abs(c_y) / gamma_fn(alpha)),
-        L_z1=K.make_fractional(alpha, K.ANTICAUSAL, tree.T,
-                               scale=abs(c_z1) / gamma_fn(alpha)),
-        L_z2=K.make_fractional(alpha, K.ANTICAUSAL, tree.T,
-                               scale=abs(c_z2) / gamma_fn(alpha)),
-        label=f"bsvie_fractional(alpha={alpha})")
+    L_y, L_z1, L_z2 = (K.make_fractional(alpha, K.ANTICAUSAL, tree.T,
+                                         scale=lip_scale(c)) for c in coefs)
+    return bwd.BSVIEProblem(terminal_from_function(tree, psi_fn),
+                            [_affine_term(kern, *coefs)], L_y=L_y,
+                            L_z1=L_z1, L_z2=L_z2, label=label)
+
+
+def bsvie_fractional(tree: Tree, alpha: float = 0.7):
+    """Affine generator weighted by the lag^(alpha-1) kernel."""
+    return _affine_problem(tree, alpha,
+                           lambda t, w: np.cos(w[:, 0] + 2.0 * t),
+                           (-0.4, 0.2, 0.7),
+                           lambda c: abs(c) / gamma_fn(alpha),
+                           f"bsvie_fractional(alpha={alpha})")
 
 
 def bsvie_fbm_rl(tree: Tree, H: float = 0.7):
     """Affine generator weighted by the lag^(H-1/2) kernel."""
-    kern = K.make_fractional(H + 0.5, K.ANTICAUSAL, tree.T,
-                             scale=1.0 / gamma_fn(H + 0.5))
-    psi = terminal_from_function(tree,
-                                 lambda t, w: np.sin(w[:, 0]) + 0.5 * t)
-    c_y, c_z1, c_z2 = -0.5, 0.25, 0.8
     scale = 1.0 / gamma_fn(H + 0.5)
-    return bwd.BSVIEProblem(
-        psi, [_affine_term(kern, c_y, c_z1, c_z2)],
-        L_y=K.make_fractional(H + 0.5, K.ANTICAUSAL, tree.T,
-                              scale=abs(c_y) * scale),
-        L_z1=K.make_fractional(H + 0.5, K.ANTICAUSAL, tree.T,
-                               scale=abs(c_z1) * scale),
-        L_z2=K.make_fractional(H + 0.5, K.ANTICAUSAL, tree.T,
-                               scale=abs(c_z2) * scale),
-        label=f"bsvie_fbm_rl(H={H})")
+    return _affine_problem(tree, H + 0.5,
+                           lambda t, w: np.sin(w[:, 0]) + 0.5 * t,
+                           (-0.5, 0.25, 0.8), lambda c: abs(c) * scale,
+                           f"bsvie_fbm_rl(H={H})")
 
 
 def bsvie_caputo(tree: Tree, alpha: float = 0.75):

@@ -59,6 +59,42 @@ class TestSolveBSDE:
         assert Y_expl[0][0, 0] == pytest.approx(
             (1.0 - c * tree.dt) ** 8, abs=1e-12)
 
+    def test_implicit_divergence_names_its_step(self):
+        # g = 10 y at dt = 1/4: the implicit map y -> mean + 2.5 y moves
+        # away from its fixed point mean / (1 - 2.5), so the 50 iterations
+        # end far above it
+        tree = Tree(N=4, T=1.0, m=1)
+        xi = np.sin(tree.brownian(4))
+        with pytest.raises(B.DivergenceError,
+                           match=r"implicit step 3 diverges") as info:
+            B.solve_bsde(xi, lambda s, y, z: 10.0 * y, tree,
+                         y_scheme="implicit")
+        assert info.value.block == (3, 4)
+
+    def test_implicit_rounding_stall_is_not_divergence(self):
+        # near 1e8 the fixed point stalls at rounding: its updates never
+        # reach 1e-15, but the last (~1e-8) is far below the first (~1e7),
+        # so the solve returns the 50th iterate of every step, as the
+        # plain iteration below does
+        tree = Tree(N=12, T=1.0, m=1)
+        xi = 1e8 + np.sin(tree.brownian(12))
+        g = lambda s, y, z: -3.0 * y
+        Y, Z = B.solve_bsde(xi, g, tree, y_scheme="implicit")
+        y_next, stalled = xi, 0
+        for j in range(11, -1, -1):
+            mean, zs = tree.martingale_representation(y_next, j + 1, j)
+            y = mean.copy()
+            for n in range(50):
+                y_new = mean + tree.dt * g(None, y, zs[0])
+                done = np.max(np.abs(y_new - y)) < 1e-15
+                y = y_new
+                if done:
+                    break
+            stalled += n == 49 and not done
+            assert np.array_equal(Y[j], y) and np.array_equal(Z[j], zs[0])
+            y_next = y
+        assert stalled
+
 
 class TestSolveBSVIETrivial:
     def test_zero_generator_deterministic_free_term(self):
@@ -662,6 +698,79 @@ class TestSinglePass:
             B.solve_bsvie(p, tree, max_sweeps=1)
         assert info.value.block == (3, 4)
         assert info.value.ratios == []
+
+
+class TestSweepExits:
+    """The one sweep rule behind the block fixed point and the forward
+    Picard blocks: it stops at the tolerance and raises, naming the block,
+    on a non-finite update, on three ratios >= 1 or on the budget."""
+
+    @pytest.mark.parametrize("updates, match, ratios", [
+        ([1.0, np.nan], r"non-finite values on block \[2, 5\]", []),
+        ([1.0, 1.0, 2.0, 2.0], r"not contracting on block \[2, 5\]",
+         [1.0, 2.0, 1.0]),
+        ([1.0, 0.9, 0.81, 0.9], r"block \[2, 5\] within 4 sweeps \(last "
+                                r"update 9.000e-01\)", [0.9, 0.9, 0.9 / 0.81]),
+    ], ids=["non_finite", "not_contracting", "budget"])
+    def test_each_failure_raises_the_given_error(self, updates, match,
+                                                 ratios):
+        class Failure(B.DivergenceError):
+            pass
+
+        with pytest.raises(Failure, match=match) as info:
+            B._sweep_to_tolerance(iter(updates), 1e-12, 4, (2, 5), Failure)
+        assert info.value.block == (2, 5)
+        assert info.value.ratios == ratios
+
+    def test_stops_at_the_tolerance_and_budget(self):
+        # no sweep is drawn past the one that converges, or past the budget
+        drawn = []
+
+        def updates(values):
+            for v in values:
+                drawn.append(v)
+                yield v
+
+        assert B._sweep_to_tolerance(updates([1.0, 0.5, 1e-13, 0.0]), 1e-12,
+                                     10, (0, 1)) == (3, [0.5, 2e-13])
+        assert drawn == [1.0, 0.5, 1e-13]
+        drawn.clear()
+        with pytest.raises(B.DivergenceError, match="within 2 sweeps"):
+            B._sweep_to_tolerance(updates([1.0, 0.5, 0.25]), 1e-12, 2,
+                                  (0, 1))
+        assert drawn == [1.0, 0.5]
+
+    def test_block_fixed_point_non_finite_sweep(self):
+        # nan only on row 3, so the zero-field probe at rows 1 and 2 passes
+        tree = Tree(N=4, T=1.0, m=1)
+        kern = K.make_fractional(0.7, K.ANTICAUSAL, tree.T)
+
+        def fn(i, j, y, z1, z2):
+            return (np.nan if i == 3 else -0.4) * y
+
+        psi = TerminalField(tree, [np.ones((16, 1))] * 5)
+        p = B.BSVIEProblem(psi, [B.GeneratorTerm(fn, kernel=kern)])
+        with pytest.raises(B.DivergenceError,
+                           match=r"non-finite values on block \[3, 4\]"
+                           ) as info:
+            B.solve_bsvie(p, tree)
+        assert info.value.block == (3, 4)
+        assert info.value.ratios == []
+
+    def test_block_fixed_point_growing_updates(self):
+        # the diagonal cell weight 0.25**0.7 / 0.7 = 0.54 times c_y = 5
+        # makes each sweep's update 2.7 times the last
+        tree = Tree(N=4, T=1.0, m=1)
+        p = linear_problem(tree, c_y=5.0, kernel=K.make_fractional(
+            0.7, K.ANTICAUSAL, tree.T))
+        with pytest.raises(B.DivergenceError,
+                           match=r"not contracting on block \[3, 4\]"
+                           ) as info:
+            B.solve_bsvie(p, tree)
+        assert info.value.block == (3, 4)
+        assert len(info.value.ratios) == 3
+        assert all(r == pytest.approx(5.0 * 0.25 ** 0.7 / 0.7)
+                   for r in info.value.ratios)
 
 
 class TestFreeTermDepth:

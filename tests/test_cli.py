@@ -134,6 +134,44 @@ class TestConfigErrorsExitTwo:
         assert err.startswith("config error:")
         assert f"config.{command}" in err
 
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("backward", {"tree": {"N": 4, "T": 1.0, "bogus": 1},
+                      "backward": {"problem": "fractional_generator"}},
+         "config.tree: unknown field(s) ['bogus']"),
+        ("forward", {"tree": {"N": 8, "T": 1.0, "bogus": 1},
+                     "forward": {"problem": "fractional_relaxation",
+                                 "N_list": [16, 32]}},
+         "config.tree: unknown field(s) ['bogus']"),
+        ("control", {"tree": TREE, "control": {
+            "instance": "lq", "probes": 4, "stepz": 5}},
+         "config.control: unknown field(s) ['stepz']"),
+        ("suite", {"suite": {"criteria": [4], "bogus": 1}},
+         "config.suite: unknown field(s) ['bogus']"),
+        ("backward", {"tree": {"N": 4, "T": 1.0, "m": 1.5},
+                      "backward": {"problem": "fractional_generator"}},
+         "config.tree.m: expected int, got float"),
+        ("backward", {"tree": {"N": 4, "T": 1.0, "m": -1},
+                      "backward": {"problem": "fractional_generator"}},
+         "config.tree.m: invalid value -1"),
+        ("backward", {"tree": {"N": True, "T": 1.0},
+                      "backward": {"problem": "fractional_generator"}},
+         "config.tree.N: expected int, got bool"),
+        ("control", {"tree": TREE, "control": {
+            "instance": "lq", "delta": 0.5}},
+         "config.control: unknown field(s) ['delta']"),
+        ("suite", {"suite": {"criteria": "x"}},
+         "config.suite.criteria: expected list, got str"),
+    ], ids=["tree.bogus", "tree.bogus_N_list", "control.stepz",
+            "suite.bogus", "tree.m_float", "tree.m_negative", "tree.N_bool",
+            "control.lq_delta", "suite.criteria_str"])
+    def test_unknown_or_invalid_block_field(self, tmp_path, capsys, command,
+                                            cfg, message):
+        # the tree, control and suite blocks refuse a key they do not
+        # read, and the error names the block, not the subcommand
+        rc, err = self.run(tmp_path, capsys, command, cfg)
+        assert rc == 2
+        assert err.startswith(f"config error: {message}")
+
     def test_out_naming_a_file(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("")

@@ -305,6 +305,63 @@ class TestSolvePicard:
         with pytest.raises(F.PartitionInfeasibleError):
             F.solve_picard(p, tree)
 
+    def test_errors_share_the_backward_classes(self):
+        from svolterra import backward as B
+        assert issubclass(F.ContractionError, B.DivergenceError)
+        assert issubclass(F.PartitionInfeasibleError, B.BlockPartitionError)
+
+    def test_non_finite_factor_stops_at_first_sweep(self):
+        # the factor turns nan past t = 0.4, after the construction probes
+        # (s = 0.1, 0.3); row 4 reads it at t_3 = 0.5, so block (3, 4)
+        # fails on its first sweep instead of running out of sweeps
+        calls = []
+
+        def factor(s, x):
+            calls.append(s)
+            return np.full_like(x, np.nan) if s > 0.4 else -0.8 * x
+
+        tree = Tree(N=6, T=1.0, m=1)
+        kern = K.make_fractional(0.7, K.CAUSAL)
+        p = F.SVIEProblem(1.0, lambda t: np.array([1.0]),
+                          drift_kernel=kern, drift_factor=factor,
+                          lipschitz_K1=kern)
+        calls.clear()
+        with pytest.raises(F.ContractionError,
+                           match=r"non-finite values on block \[3, 4\]"
+                           ) as info:
+            F.solve_picard(p, tree)
+        assert info.value.block == (3, 4)
+        assert info.value.ratios == []
+        assert len(calls) < 50  # 400 sweeps would make thousands
+
+    def test_growing_updates_name_their_block(self):
+        # a small declared kernel puts the whole horizon in one block, on
+        # which the drift 1000 * 0.01 x makes the early updates grow
+        tree = Tree(N=8, T=1.0, m=1)
+        p = F.SVIEProblem(1.0, lambda t: np.array([1.0]),
+                          drift_kernel=K.make_constant(0.01),
+                          drift_factor=lambda s, x: 1000.0 * x)
+        with pytest.raises(F.ContractionError,
+                           match=r"not contracting on block \[0, 8\]"
+                           ) as info:
+            F.solve_picard(p, tree)
+        assert info.value.block == (0, 8)
+        assert len(info.value.ratios) == 3
+        assert all(r >= 1.0 for r in info.value.ratios)
+
+    def test_sweep_budget_names_its_block(self):
+        tree = Tree(N=4, T=1.0, m=1)
+        kern = K.make_fractional(0.7, K.CAUSAL)
+        p = F.SVIEProblem(1.0, lambda t: np.array([1.0]),
+                          drift_kernel=kern,
+                          drift_factor=lambda s, x: -0.8 * x,
+                          lipschitz_K1=kern)
+        with pytest.raises(F.ContractionError,
+                           match=r"within 1 sweeps") as info:
+            F.solve_picard(p, tree, max_sweeps=1)
+        assert info.value.block[0] == 0
+        assert info.value.ratios == []
+
 
 class TestSolvePaths:
     def test_reproducible_under_seed(self):
