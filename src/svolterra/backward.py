@@ -343,7 +343,11 @@ def _outer_pass(tree: Tree, terms: list, weight_tables, i: int,
     otherwise it starts from a zero field and adds the free term where it
     reaches ``free_depth`` (or, below ``stop_depth``, repeated onto
     ``stop_depth`` at the end).  This is exact: a field measurable at a
-    shallower depth has zero integrands on the steps below it.  Each step
+    shallower depth has zero integrands on the steps below it.  A field
+    still zero is carried as the scalar 0.0, never represented: its step
+    mean is 0.0, its integrand a zero depth-j array (z1 to the generator),
+    and the first live drift plus 0.0 becomes the field; the returned
+    field and every kept level are arrays.  Each step
     splits off the exact representation integrand mu_j, takes the weighted
     generator drift of :func:`_cell_drift` with z1 = mu_j (pinned before
     the generator applies) and z2 read through ``z2_below``, and adds the
@@ -351,15 +355,20 @@ def _outer_pass(tree: Tree, terms: list, weight_tables, i: int,
     weight passes the mean on.  ``first_step`` is the (mean, mu) of the
     first step when the caller already has it; its mean is never written.
     """
-    if free_depth == start_depth:
-        lam = free
-    else:
-        lam = np.zeros((tree.node_count(start_depth), free.shape[1]))
+    d = free.shape[1]
+
+    def field(lam, depth):  # the scalar 0.0 stands for a zero field
+        return np.zeros((tree.node_count(depth), d)) if np.ndim(lam) == 0 \
+            else lam
+
+    lam = free if free_depth == start_depth else 0.0
     mu = {}
-    levels = {start_depth: lam} if keep_levels else None
+    levels = {start_depth: field(lam, start_depth)} if keep_levels else None
     for j in range(start_depth - 1, stop_depth - 1, -1):
         if first_step is not None and j == start_depth - 1:
             mean, mu_j = first_step
+        elif np.ndim(lam) == 0:
+            mean, mu_j = 0.0, np.zeros((tree.node_count(j), d, tree.m))
         else:
             mean, zs = tree.martingale_representation(lam, j + 1, j)
             mu_j = zs[0]
@@ -370,7 +379,7 @@ def _outer_pass(tree: Tree, terms: list, weight_tables, i: int,
             lam = lam + free
         mu[j] = mu_j
         if keep_levels:
-            levels[j] = lam
+            levels[j] = field(lam, j)
     if free_depth < stop_depth:
         lam = lam + tree.broadcast(free, free_depth, stop_depth)
     return lam, mu, levels
@@ -625,9 +634,11 @@ def equation_residual(sol: MSolution, problem: BSVIEProblem, tree: Tree,
     it starts at psi(t_i) - Y(t_i) (or -Y(t_i), taking psi where the carry
     reaches its depth), and each level adds the cell drift into it in place
     and then steps down by minus the cell's stochastic integral,
-    O((m+1)**N) node work per outer index.  ``weight_tables`` reuses the
-    tables of the solve being checked; by default they are built from
-    ``problem``.
+    O((m+1)**N) node work per outer index.  When psi(t_i) sits above the
+    leaves and the last integrand Z(t_i, t_{N-1}) is identically zero
+    (tested, never assumed), the carry stops at depth N - 1, as the leaves
+    would only repeat it.  ``weight_tables`` reuses the tables of the solve
+    being checked; by default they are built from ``problem``.
     """
     N = tree.N
     psi = problem.psi
@@ -641,6 +652,8 @@ def equation_residual(sol: MSolution, problem: BSVIEProblem, tree: Tree,
             z1 = sol.Z.entry(i, j)
             carry = _cell_drift(tree, problem.terms, tables, i, j, carry,
                                 sol.Y[j], z1, sol.Z.entry)
+            if j == N - 1 and depth < N and not z1.any():
+                break
             carry = tree.stochastic_integral([z1], j, j + 1, start=carry,
                                              subtract=True)
             if j + 1 == depth:

@@ -185,11 +185,15 @@ class _Budget:
 
 def cmd_kernel(cfg, args):
     spec = _require(cfg, "kernel.name", str)
+    eps_grid = tuple(float(eps) for eps in _require(
+        cfg, "kernel.eps_grid", list, lambda v: v and all(
+            isinstance(eps, (int, float)) and not isinstance(eps, bool)
+            and eps > 0 for eps in v),
+        "non-empty list of numbers > 0", default=K.DEFAULT_EPS_GRID))
+    cap = _require(cfg, "kernel.cap", int, lambda v: v >= 1, "int >= 1",
+                   default=K.DEFAULT_BREAKPOINT_CAP)
     with _config_block("kernel"):
         kern = K.kernel_from_config(cfg["kernel"])
-        eps_grid = tuple(float(eps) for eps in cfg["kernel"].get(
-            "eps_grid", K.DEFAULT_EPS_GRID))
-        cap = int(cfg["kernel"].get("cap", K.DEFAULT_BREAKPOINT_CAP))
     report = _report_skeleton(cfg, args.seed)
     budget = _Budget(args.budget_seconds)
     t0 = time.perf_counter()
@@ -339,17 +343,23 @@ def cmd_control(cfg, args):
     tree = _tree_from_config(cfg)
     _known_keys(cfg, "control", ("instance", "u0", "steps", "rate", "probes")
                 + (() if name == "lq" else ("delta",)))
-    block = cfg["control"]
     steps, rate, probes = (200, 0.5, 16) if name == "lq" else (120, 0.4, 8)
-    with _config_block("control"):
-        u0 = float(block.get("u0", 0.3))
-        steps = int(block.get("steps", steps))
-        rate = float(block.get("rate", rate))
-        probes = int(block.get("probes", probes))
-        if name == "lq":
-            cp = reg.lq_instance()
-        else:
-            dp = reg.delay_lq_instance(delta=float(block.get("delta", 0.25)))
+    u0 = _require(cfg, "control.u0", float, math.isfinite, "finite number",
+                  default=0.3)
+    steps = _require(cfg, "control.steps", int, lambda v: v >= 1, "int >= 1",
+                     default=steps)
+    rate = _require(cfg, "control.rate", float, lambda v: v > 0,
+                    "positive rate", default=rate)
+    probes = _require(cfg, "control.probes", int, lambda v: v >= 0,
+                      "int >= 0", default=probes)
+    if name == "lq":
+        cp = reg.lq_instance()
+    else:
+        delta = _require(cfg, "control.delta", float, lambda v: v > 0,
+                         "positive delay", default=0.25)
+        with _config_block("control"):
+            dp = reg.delay_lq_instance(delta=delta)
+            dp.delay_steps(tree)  # delta must sit on the time grid
     _match_noise((cp if name == "lq" else dp).m, tree, name)
     report = _report_skeleton(cfg, args.seed)
     budget = _Budget(args.budget_seconds)

@@ -824,6 +824,194 @@ class TestFreeTermDepth:
             1e-6, rel=0.1)
 
 
+def zeros_start_outer_pass(tree, terms, weight_tables, i, free, free_depth,
+                           start_depth, stop_depth, y_at, z2_below,
+                           keep_levels=False, first_step=None):
+    """The outer pass as it read before a zero field was carried as the
+    scalar 0.0: a shallow free term starts it from np.zeros, which each
+    step represents."""
+    if free_depth == start_depth:
+        lam = free
+    else:
+        lam = np.zeros((tree.node_count(start_depth), free.shape[1]))
+    mu = {}
+    levels = {start_depth: lam} if keep_levels else None
+    for j in range(start_depth - 1, stop_depth - 1, -1):
+        if first_step is not None and j == start_depth - 1:
+            mean, mu_j = first_step
+        else:
+            mean, zs = tree.martingale_representation(lam, j + 1, j)
+            mu_j = zs[0]
+        drift = B._cell_drift(tree, terms, weight_tables, i, j, None,
+                              y_at(j), mu_j, z2_below)
+        lam = mean if drift is None else np.add(drift, mean, out=drift)
+        if j == free_depth:
+            lam = lam + free
+        mu[j] = mu_j
+        if keep_levels:
+            levels[j] = lam
+    if free_depth < stop_depth:
+        lam = lam + tree.broadcast(free, free_depth, stop_depth)
+    return lam, mu, levels
+
+
+def leaf_expanding_equation_residual(sol, problem, tree):
+    """The residual check as it read before the depth-(N-1) stop: every
+    row's carry is stepped down onto the leaves."""
+    N, psi = tree.N, problem.psi
+    tables = B._term_weights(problem.terms, tree)
+    worst = 0.0
+    for i in range(N + 1):
+        depth = psi.depths[i]
+        carry = psi.at(i, i) - sol.Y[i] if depth <= i else -sol.Y[i]
+        for j in range(i, N):
+            z1 = sol.Z.entry(i, j)
+            carry = B._cell_drift(tree, problem.terms, tables, i, j, carry,
+                                  sol.Y[j], z1, sol.Z.entry)
+            carry = tree.stochastic_integral([z1], j, j + 1, start=carry,
+                                             subtract=True)
+            if j + 1 == depth:
+                carry += psi[i]
+        worst = max(worst, float(np.max(np.abs(carry))))
+    return worst
+
+
+def solved_adjoint(monkeypatch, cp, N, seed=3):
+    """(tree, problem, solution) of the adjoint of ``cp`` at a random
+    control on an N-step binary tree."""
+    tree = Tree(N=N, T=1.0, m=1)
+    rng = np.random.default_rng(seed)
+    u = AdaptedProcess(tree, [0.5 * rng.normal(size=(tree.node_count(i), 1))
+                              for i in range(N + 1)])
+    problems = []
+
+    def capture(problem, tree, **kwargs):
+        problems.append(problem)
+        return B.solve_bsvie(problem, tree, **kwargs)
+
+    X = C.solve_state(cp, u, tree)
+    with monkeypatch.context() as patch:
+        patch.setattr(C, "solve_bsvie", capture)
+        sol = C.solve_adjoint(cp, X, u, tree)
+    return tree, problems[0], sol
+
+
+def count_calls(monkeypatch, name, record=None):
+    """Wrap ``Tree.<name>``; returns the list each call appends
+    ``record(values)`` (by default None) to."""
+    calls, orig = [], getattr(Tree, name)
+
+    def spy(self, values, *args, **kwargs):
+        calls.append(record(values) if record else None)
+        return orig(self, values, *args, **kwargs)
+
+    monkeypatch.setattr(Tree, name, spy)
+    return calls
+
+
+class TestZeroFieldStart:
+    """A row whose free term sits above the leaves carries its still-zero
+    field as absent: it is never represented, and the pass returns the
+    zeros-start pass's arrays bit for bit."""
+
+    @pytest.mark.parametrize("keep_levels", [True, False])
+    @pytest.mark.parametrize("free_depth, stop_depth",
+                             [(1, 2), (3, 2), (4, 4), (5, 2)])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("generator", ["linear", "signed_zero"])
+    def test_matches_zeros_start_pass(self, generator, m, free_depth,
+                                      stop_depth, keep_levels):
+        tree, d, i = Tree(N=7, T=1.0, m=m), 2, 1
+        rng = np.random.default_rng(5)
+        cy, cz1, cz2 = rng.uniform(-0.6, 0.6, size=3)
+        if generator == "linear":
+            def fn(i, j, y, z1, z2):
+                return cy * y + cz1 * z1[:, :, 0] + cz2 * z2[:, :, 0]
+        else:  # -0.0 everywhere: the first live drift's zeros are signed
+            def fn(i, j, y, z1, z2):
+                return -0.0 * np.abs(y)
+        # the last two cells carry no weight, so the zero field passes
+        # two steps before the first live drift
+        weights = rng.uniform(0.5, 1.5, size=(tree.N + 1, tree.N)) * tree.dt
+        weights[:, tree.N - 2:] = 0.0
+        terms = [B.GeneratorTerm(fn, weights=weights)]
+        tables = B._term_weights(terms, tree)
+        ys = {j: rng.normal(size=(tree.node_count(j), d))
+              for j in range(tree.N + 1)}
+        z2s = {j: rng.normal(size=(tree.node_count(i), d, m))
+               for j in range(tree.N)}
+        free = rng.normal(size=(tree.node_count(free_depth), d))
+        args = (tree, terms, tables, i, free, free_depth, tree.N,
+                stop_depth, ys.get, lambda j, ii: z2s[j])
+        got = B._outer_pass(*args, keep_levels=keep_levels)
+        want = zeros_start_outer_pass(*args, keep_levels=keep_levels)
+        assert isinstance(got[0], np.ndarray)
+        assert_bits_equal(got[0], want[0])
+        assert got[1].keys() == want[1].keys()
+        for j, mu_j in got[1].items():
+            assert isinstance(mu_j, np.ndarray)
+            assert_bits_equal(mu_j, want[1][j])
+        if not keep_levels:
+            assert got[2] is None and want[2] is None
+            return
+        assert got[2].keys() == want[2].keys()
+        for j, level in got[2].items():
+            assert isinstance(level, np.ndarray)
+            assert_bits_equal(level, want[2][j])
+
+    def test_adjoint_represents_no_zero_field(self, monkeypatch):
+        cp, tree = R.lq_instance(), Tree(N=6, T=1.0, m=1)
+        u = C.constant_control(tree, [0.3])
+        X = C.solve_state(cp, u, tree)
+        with monkeypatch.context() as patch:
+            nonzero = count_calls(patch, "martingale_representation",
+                                  lambda values: bool(np.any(values)))
+            C.solve_adjoint(cp, X, u, tree)
+        assert nonzero and all(nonzero)
+
+    def test_adjoint_last_integrands_are_zero_arrays(self, monkeypatch):
+        tree, _, sol = solved_adjoint(monkeypatch, R.lq_instance(), 6)
+        for r in range(tree.N):
+            z = sol.Z.entry(r, tree.N - 1)
+            assert isinstance(z, np.ndarray)
+            assert z.shape == (tree.node_count(tree.N - 1), 1, tree.m)
+            assert not z.any()
+
+
+class TestResidualStopsAboveLeaves:
+    """With psi(t_i) above the leaves and a zero last integrand, the
+    residual carry stops at depth N - 1; the maximum is the leaf-expanding
+    check's bit for bit, and a nonzero last integrand is still expanded."""
+
+    @pytest.mark.parametrize("N", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("instance", ["lq", "random"])
+    def test_matches_leaf_expanding_residual(self, monkeypatch, instance, N):
+        cp = R.lq_instance() if instance == "lq" \
+            else R.random_linear_instance(11)
+        tree, problem, sol = solved_adjoint(monkeypatch, cp, N)
+        with monkeypatch.context() as patch:
+            integrals = count_calls(patch, "stochastic_integral")
+            got = B.equation_residual(sol, problem, tree)
+            steps = len(integrals)
+            want = leaf_expanding_equation_residual(sol, problem, tree)
+        assert_bits_equal(got, want)
+        assert_bits_equal(got, sol.diagnostics["equation_residual"])
+        # rows 0..N-1 each skip their last step onto the leaves
+        assert steps == N * (N - 1) // 2
+        assert len(integrals) - steps == N * (N + 1) // 2
+
+    def test_nonzero_last_integrand_is_expanded(self, monkeypatch):
+        tree, problem, sol = solved_adjoint(monkeypatch, R.lq_instance(), 6)
+        assert sol.diagnostics["equation_residual"] < 1e-12
+        z = np.zeros((tree.node_count(tree.N - 1), 1, 1))
+        z[3, 0, 0] = 1e-3
+        sol.Z.set_entry(2, tree.N - 1, z)
+        got = B.equation_residual(sol, problem, tree)
+        assert got == pytest.approx(1e-3 * tree.sqrt_dt, rel=1e-9)
+        assert_bits_equal(got, leaf_expanding_equation_residual(
+            sol, problem, tree))
+
+
 class TestMethodAgreement:
     def make_fractional_problem(self, tree, alpha=0.7, z2_coeff=0.7):
         kern = K.make_fractional(alpha, K.ANTICAUSAL, tree.T,

@@ -161,9 +161,59 @@ class TestConfigErrorsExitTwo:
          "config.control: unknown field(s) ['delta']"),
         ("suite", {"suite": {"criteria": "x"}},
          "config.suite.criteria: expected list, got str"),
+        ("control", {"tree": TREE, "control": {
+            "instance": "lq", "steps": 2.5, "probes": True}},
+         "config.control.steps: expected int, got float"),
+        ("control", {"tree": TREE, "control": {
+            "instance": "lq", "probes": True}},
+         "config.control.probes: expected int, got bool"),
+        ("control", {"tree": TREE, "control": {
+            "instance": "lq", "steps": 0}},
+         "config.control.steps: invalid value 0"),
+        ("control", {"tree": TREE, "control": {
+            "instance": "lq", "probes": -1}},
+         "config.control.probes: invalid value -1"),
+        ("control", {"tree": TREE, "control": {
+            "instance": "lq", "rate": 0}},
+         "config.control.rate: invalid value 0.0"),
+        ("control", {"tree": TREE, "control": {
+            "instance": "lq", "u0": math.inf}},
+         "config.control.u0: invalid value inf"),
+        ("control", {"tree": TREE, "control": {
+            "instance": "delay_lq", "delta": -0.25}},
+         "config.control.delta: invalid value -0.25"),
+        ("control", {"tree": TREE, "control": {
+            "instance": "delay_lq", "delta": 0.3}},
+         "config.control: delta = 0.3 is not a grid multiple"),
+        ("kernel", {"kernel": {
+            "name": "doubly_singular", "alpha": 0.2, "beta": 0.0,
+            "cap": 7.9}},
+         "config.kernel.cap: expected int, got float"),
+        ("kernel", {"kernel": {
+            "name": "doubly_singular", "alpha": 0.2, "beta": 0.0,
+            "cap": 0}},
+         "config.kernel.cap: invalid value 0"),
+        ("kernel", {"kernel": {
+            "name": "doubly_singular", "alpha": 0.2, "beta": 0.0,
+            "eps_grid": [-1.0]}},
+         "config.kernel.eps_grid: invalid value [-1.0]"),
+        ("kernel", {"kernel": {
+            "name": "doubly_singular", "alpha": 0.2, "beta": 0.0,
+            "eps_grid": []}},
+         "config.kernel.eps_grid: invalid value []"),
+        ("kernel", {"kernel": {
+            "name": "doubly_singular", "alpha": 0.2, "beta": 0.0,
+            "eps_grid": [1.0, True]}},
+         "config.kernel.eps_grid: invalid value [1.0, True]"),
     ], ids=["tree.bogus", "tree.bogus_N_list", "control.stepz",
             "suite.bogus", "tree.m_float", "tree.m_negative", "tree.N_bool",
-            "control.lq_delta", "suite.criteria_str"])
+            "control.lq_delta", "suite.criteria_str", "control.steps_float",
+            "control.probes_bool", "control.steps_zero",
+            "control.probes_negative", "control.rate_zero",
+            "control.u0_inf", "control.delta_negative",
+            "control.delta_off_grid", "kernel.cap_float",
+            "kernel.cap_zero", "kernel.eps_grid_negative",
+            "kernel.eps_grid_empty", "kernel.eps_grid_bool"])
     def test_unknown_or_invalid_block_field(self, tmp_path, capsys, command,
                                             cfg, message):
         # the tree, control and suite blocks refuse a key they do not
