@@ -8,6 +8,7 @@ forward   forward Volterra equation solvers (lattice, Picard, Monte Carlo)
 backward  backward Volterra equations and adapted M-solutions
 control   maximum-principle toolkit for controlled Volterra systems
 delay     maximum principle for controlled delay evolution systems
+registry  named example problems and the paper's example builders
 cli       experiment runner
 """
 

@@ -46,28 +46,20 @@ class CriterionResult:
                 f"({self.elapsed:.2f}s / budget {self.budget_seconds:.0f}s)")
 
 
-def _timed(budget):
-    def wrap(fn):
+def _c(index, name, budget):
+    """Criterion ``index``: ``fn() -> (passed, details)`` timed against
+    ``budget`` seconds into a :class:`CriterionResult`."""
+    def deco(fn):
         def run():
             t0 = time.perf_counter()
             passed, details = fn()
             elapsed = time.perf_counter() - t0
-            ok = passed and elapsed < budget
             if elapsed >= budget:
                 details["budget_exceeded"] = True
-            return CriterionResult(fn.index, fn.name, ok, elapsed, budget,
-                                   details)
-        run.index = fn.index
-        run.name = fn.name
+            return CriterionResult(index, name, passed and elapsed < budget,
+                                   elapsed, budget, details)
+        run.index, run.name = index, name
         return run
-    return wrap
-
-
-def _c(index, name, budget):
-    def deco(fn):
-        fn.index = index
-        fn.name = name
-        return _timed(budget)(fn)
     return deco
 
 

@@ -34,12 +34,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import (ANTICAUSAL, Kernel, KernelClassWarning, _cell_table,
-                      grid_blocks, make_fractional, script_norm,
-                      triangle_l2_norm)
+from .kernels import (Kernel, KernelClassWarning, _cell_table, grid_blocks,
+                      script_norm, triangle_l2_norm)
 from .lattice import (AdaptedProcess, TerminalField, Tree,
                       TwoParameterProcess)
-from .special import gamma_fn
 
 
 class DivergenceError(RuntimeError):
@@ -697,74 +695,3 @@ def stability_gap_bsvie(p: BSVIEProblem, p2: BSVIEProblem,
     if rhs_sq == 0.0:
         return math.inf
     return math.sqrt(lhs_sq / rhs_sq)
-
-
-# ---------------------------------------------------------------------------
-# named problem constructors
-# ---------------------------------------------------------------------------
-
-def make_caputo_bsde(alpha: float, A: np.ndarray, f: Optional[Callable],
-                     xi, tree: Tree) -> BSVIEProblem:
-    """Backward memory-derivative equation in Volterra form.
-
-    The transformation absorbs the lag kernel into the integrand: the
-    free term is the terminal value itself and the generator reads
-    (s-t)^(alpha-1) [f(s, y, (s-t)^(1-alpha) z1) - A y] / Gamma(alpha);
-    the rescaled z argument vanishes on the diagonal cell, where the
-    kernel weight is an exact cell integral.
-    """
-    if not 0.5 < alpha < 1.0:
-        raise ValueError("alpha must lie in (1/2, 1)")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
-    d = xi.shape[1]
-    if A.shape != (d, d):
-        raise ValueError(f"A has shape {A.shape}; the terminal value has "
-                         f"d = {d} columns, so A must be {(d, d)}")
-    kern = make_fractional(alpha, ANTICAUSAL, tree.T,
-                           scale=1.0 / gamma_fn(alpha))
-    t = tree.times
-
-    def fn(i, j, y, z1, z2):
-        val = np.einsum("ab,nb->na", A, y)
-        np.negative(val, out=val)
-        if f is not None:
-            val += np.asarray(f(t[j], y, (t[j] - t[i]) ** (1.0 - alpha) * z1),
-                              dtype=float)
-        return val
-
-    # one private array for every outer index: no code writes into a free
-    # term, and the caller's xi stays theirs
-    psi = TerminalField(tree, [xi.copy()] * (tree.N + 1))
-    return BSVIEProblem(psi, [GeneratorTerm(fn, kernel=kern)],
-                        L_y=kern, L_z1=kern, L_z2=None,
-                        label=f"caputo_bsvie(alpha={alpha})")
-
-
-def make_linear_adjoint(M1: Callable, M2: Callable, S_kernel: Callable,
-                        psi: TerminalField, kernel_y: Kernel = None,
-                        kernel_z2: Kernel = None,
-                        label: str = "linear_adjoint") -> BSVIEProblem:
-    """Linear adjoint-type equation with semigroup-shaped coefficients.
-
-    Generator M1(t)^T S(s-t)^T Y(s) + M2(t)^T S(s-t)^T Z(s, t); optional
-    scalar kernels multiply the two pieces separately (used for the
-    fractional-Brownian and memory-resolvent variants).
-    """
-    t = psi.tree.times
-
-    def fn_y(i, j, y, z1, z2):
-        P = (np.atleast_2d(S_kernel(t[j] - t[i])) @ np.atleast_2d(M1(t[i]))).T
-        return np.einsum("ab,nb->na", P, y)
-
-    def fn_z(i, j, y, z1, z2):
-        # noise columns are contracted after the adjoint operator acts
-        P = (np.atleast_2d(S_kernel(t[j] - t[i])) @ np.atleast_2d(M2(t[i]))).T
-        return np.einsum("ab,nbk->na", P, z2)
-
-    terms = [GeneratorTerm(fn_y, kernel=kernel_y),
-             GeneratorTerm(fn_z, kernel=kernel_z2)]
-    return BSVIEProblem(psi, terms, L_y=kernel_y, L_z2=kernel_z2,
-                        label=label)

@@ -14,7 +14,7 @@ uses the left-point rule with exact exponential cell weights.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -227,8 +227,6 @@ class AugmentedDelaySVIE:
     tree: Tree
     traj: DelayTrajectory
     du_field: list
-    S: list = field(default_factory=list)
-    gamma: np.ndarray = None
 
     def __post_init__(self):
         self.S = self.dp.semigroup(self.tree)
@@ -361,7 +359,7 @@ def solve_delay_variational_direct(dp: DelayProblem, u_bar: AdaptedProcess,
 
 
 # ---------------------------------------------------------------------------
-# adjoint system, p/q processes, Hamilton function
+# adjoint system, p/q processes, Hamiltonian gradients
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -456,14 +454,6 @@ def solve_delay_adjoint(dp: DelayProblem, traj: DelayTrajectory,
         q_fields.append(q)
     return DelayAdjoint(eta_bar, zeta, sol, AdaptedProcess(tree, p_fields),
                         q_fields, H_bar)
-
-
-def hamiltonian_G(dp: DelayProblem, t: float, x, y, z, u, mu, p, q):
-    """Hamilton function l + <p, b> + <q, sigma> on node arrays."""
-    lv = np.asarray(dp.l(t, x, y, z, u, mu), dtype=float).reshape(-1)
-    bv = np.asarray(dp.b(t, x, y, z, u, mu), dtype=float)
-    sv = np.asarray(dp.sigma(t, x, y, z, u, mu), dtype=float)
-    return lv + (p * bv).sum(axis=1) + (q * sv).sum(axis=(1, 2))
 
 
 def hamiltonian_gradients(dp: DelayProblem, traj: DelayTrajectory,

@@ -22,14 +22,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .backward import (BlockPartitionError, DivergenceError,
                        _sweep_to_tolerance)
 from .kernels import (CAUSAL, Kernel, _cell_table, _history_sum, _on_arrays,
-                      grid_blocks, make_convolution)
+                      grid_blocks)
 from .lattice import AdaptedProcess, Tree
-from .special import mittag_leffler
 
 
 class PartitionInfeasibleError(BlockPartitionError):
@@ -535,83 +533,3 @@ def resolvent_linear(kernel: Kernel, lam: float, grid) -> np.ndarray:
 def graded_grid(T: float, n: int, exponent: float) -> np.ndarray:
     """Mesh T * (i/n)**exponent, clustered at 0 for singular solutions."""
     return T * (np.arange(n + 1) / n) ** exponent
-
-
-# ---------------------------------------------------------------------------
-# named example constructors
-# ---------------------------------------------------------------------------
-
-def make_evolution_example(M: np.ndarray, Phi: Callable, Psi: Callable,
-                           x0, horizon: float = 1.0,
-                           m: int = 1) -> SVIEProblem:
-    """Semigroup-driven evolution problem.
-
-    X(t) = e^{tM} x0 + int_0^t e^{(t-s)M} Phi(s, X(s)) ds
-                     + int_0^t e^{(t-s)M} Psi(s, X(s)) dW(s).
-    """
-    M = np.asarray(M, dtype=float)
-    d = M.shape[0]
-    x0 = np.asarray(x0, dtype=float).reshape(d)
-    cache = {}
-
-    def S(lag):
-        key = round(float(lag), 14)
-        if key not in cache:
-            cache[key] = expm(key * M)
-        return cache[key]
-
-    def phi(t):
-        return S(t) @ x0
-
-    def drift(t, s, x):
-        return np.einsum("ab,nb->na", S(t - s), Phi(s, x))
-
-    def diffusion(t, s, x):
-        return np.einsum("ab,nbk->nak", S(t - s), Psi(s, x))
-
-    return SVIEProblem(horizon, phi, d=d, m=m, drift=drift,
-                       diffusion=diffusion, label="evolution_semigroup")
-
-
-def make_caputo_example(q: float, a: float, f: Optional[Callable],
-                        g: Optional[Callable], x0: float,
-                        horizon: float = 1.0, m: int = 1) -> SVIEProblem:
-    """Scalar memory-derivative evolution problem in mild form.
-
-    X(t) = E_q(a t^q) x0 + int_0^t (t-s)^{q-1} E_{q,q}(a (t-s)^q) f(s, X) ds
-                         + int_0^t (t-s)^{q-1} E_{q,q}(a (t-s)^q) g(s, X) dW.
-
-    The lag kernel has the closed antiderivative r^q E_{q,q+1}(a r^q), so
-    its diagonal cells carry exact product weights.
-    """
-    if not 0.5 < q < 1.0:
-        raise ValueError("q must lie in (1/2, 1)")
-
-    def h(lag):
-        lag = np.atleast_1d(np.asarray(lag, dtype=float))
-        out = np.array([l ** (q - 1.0) * mittag_leffler(q, q, a * l ** q)
-                        if l > 0 else math.inf for l in lag])
-        return out if out.size > 1 else out[0]
-
-    def H(r):
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.array([0.0 if x <= 0.0
-                        else x ** q * mittag_leffler(q, q + 1.0, a * x ** q)
-                        for x in arr])
-        return out if np.ndim(r) else float(out[0])
-
-    kern = make_convolution(h, horizon, CAUSAL, diag_exponent=1.0 - q,
-                            h_antiderivative=H,
-                            label=f"caputo_resolvent(q={q})")
-
-    def phi(t):
-        return np.array([mittag_leffler(q, 1.0, a * t ** q) * x0])
-
-    return SVIEProblem(
-        horizon, phi, d=1, m=m,
-        drift_kernel=kern if f is not None else None,
-        drift_factor=(lambda s, x: f(s, x)) if f is not None else None,
-        diffusion_kernel=kern if g is not None else None,
-        diffusion_factor=(lambda s, x: g(s, x)) if g is not None else None,
-        l2_matched_diffusion=g is not None,
-        label=f"caputo(q={q})")

@@ -156,8 +156,9 @@ class Kernel:
     def __post_init__(self):
         if self.orientation not in (CAUSAL, ANTICAUSAL):
             raise ValueError(f"unknown orientation {self.orientation!r}")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(
+                f"horizon must be positive and finite, got {self.horizon}")
         self._probe()
 
     def _probe(self):
@@ -269,7 +270,8 @@ class Kernel:
         return _quad_power_aware(f, a, b, left_exp, 0.0)
 
     def slice_l2_profile(self, xs: np.ndarray, b) -> np.ndarray:
-        """Slice L2 norms slice_l2(x, b) over x in xs, b broadcast against xs."""
+        """L2 norms of the slices at x over (x, b], one per x in xs, b
+        broadcast against xs; inf where divergent."""
         xs = np.asarray(xs, dtype=float)
         v = _on_arrays(self._slice_hook, self.slice_sq, xs, xs, b)
         v = np.where(np.isfinite(v), np.maximum(v, 0.0), np.inf)
@@ -506,6 +508,9 @@ def make_exp_sum(weights, rates, horizon: float = 1.0,
     lam = np.asarray(rates, dtype=float)
     if w.shape != lam.shape or w.ndim != 1:
         raise ValueError("weights and rates must be 1-d of equal length")
+    for name, v in (("weights", w), ("rates", lam)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite, got {v.tolist()}")
     if np.any(w < 0):
         raise ValueError("completely monotone representation needs w_i >= 0")
 
@@ -535,8 +540,8 @@ def make_exp_sum(weights, rates, horizon: float = 1.0,
 
 def make_constant(value: float, horizon: float = 1.0,
                   orientation: str = CAUSAL, label: str = None) -> Kernel:
-    if value < 0:
-        raise ValueError("constant kernels must be nonnegative")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"value must be nonnegative and finite, got {value}")
     return _lag_kernel(
         label or f"constant({value})", orientation, horizon,
         lambda r: np.full_like(np.asarray(r, dtype=float), value), (0.0, 0.0),
@@ -652,19 +657,6 @@ def make_fbm_full(H: float, horizon: float = 1.0) -> Kernel:
 # slice norms, sup estimation, triangle norms
 # ---------------------------------------------------------------------------
 
-def slice_l2(kernel: Kernel, t: float, b: float) -> float:
-    """L2 norm of the slice at t over (t, b]; inf when divergent."""
-    if not t < b <= kernel.horizon + 1e-12:
-        raise ValueError(f"invalid slice interval ({t}, {b}]")
-    val = kernel.slice_sq(t, t, b)
-    if not math.isfinite(val):
-        return math.inf
-    if val < 0:
-        raise KernelEvalError(
-            f"negative slice integral for kernel {kernel.label!r}")
-    return math.sqrt(val)
-
-
 def _grid_rows(a: np.ndarray, b: np.ndarray, n_uniform: int,
                n_cluster: int) -> np.ndarray:
     """One row of interior points on (a_r, b_r) per interval r, clustered
@@ -688,7 +680,8 @@ def _sup_grid(a: float, b: float, n_uniform: int, n_cluster: int) -> np.ndarray:
 
 def _sup_slice(kernel: Kernel, a, b, upper, base_uniform: int = 9,
                base_cluster: int = 9) -> np.ndarray:
-    """Estimated esssup over x in (a_r, b_r) of slice_l2(x, upper_r).
+    """Estimated esssup over x in (a_r, b_r) of the slice L2 norm on
+    (x, upper_r].
 
     ``a``, ``b`` and ``upper`` broadcast to one 1-d batch of intervals, and
     one estimate is returned per interval.  Each is the max over a
@@ -1240,25 +1233,6 @@ def classify(kernel: Kernel, eps_grid=DEFAULT_EPS_GRID,
 # ---------------------------------------------------------------------------
 # product-integration weights
 # ---------------------------------------------------------------------------
-
-def product_weights(kernel: Kernel, t: float, grid) -> np.ndarray:
-    """Exact cell integrals of k(t, .) over consecutive grid cells.
-
-    ``grid`` must be increasing and lie on the correct side of t for the
-    kernel's orientation (<= t causal, >= t anticausal); returns one weight
-    per cell, so ``len(grid) - 1`` values.
-    """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or len(g) < 2:
-        raise ValueError("grid must contain at least two points")
-    if np.any(np.diff(g) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    if kernel.orientation == CAUSAL and g[-1] > t + 1e-12:
-        raise ValueError("causal product weights need grid <= t")
-    if kernel.orientation == ANTICAUSAL and g[0] < t - 1e-12:
-        raise ValueError("anticausal product weights need grid >= t")
-    return _on_arrays(kernel.cell_fn, kernel.cell, t, g[:-1], g[1:])
-
 
 def _cell_table(kernel: Kernel, times, lower: bool,
                 square: bool = False) -> np.ndarray:

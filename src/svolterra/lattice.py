@@ -40,15 +40,14 @@ class Tree:
     N: int
     T: float
     m: int = 1
-    d: int = 1
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be at least 1")
         if self.T <= 0:
             raise ValueError("T must be positive")
-        if self.m < 0 or self.d < 1:
-            raise ValueError("need m >= 0 and d >= 1")
+        if self.m < 0:
+            raise ValueError("need m >= 0")
         if (self.m + 1) ** self.N > MAX_NODES:
             raise ValueError(
                 f"storage budget exceeded: (m+1)**N = {self.m + 1}**{self.N}"
@@ -181,7 +180,8 @@ class Tree:
         """Accumulate sum_j z_j dW_j along each path from depth a to b.
 
         The sum starts from the depth-``a`` field ``start`` (zero when
-        None), which is returned itself when there are no steps; each
+        None, one column wide when there are no steps either), which is
+        returned itself when there are no steps; each
         integrand's last axis must have the tree's ``m`` coordinates;
         ``subtract`` gives ``start - sum_j z_j dW_j``.  With
         w_k = +-sqrt(dt) c_k z_k, branch ``br`` of the next depth is the
@@ -193,7 +193,7 @@ class Tree:
             raise ValueError("need one integrand per step in [a, b)")
         nb = self.m + 1
         if start is None:
-            d = z_list[0].shape[1] if z_list else self.d
+            d = z_list[0].shape[1] if z_list else 1
             acc = np.zeros((self.node_count(a), d))
         else:
             acc = start
@@ -331,8 +331,7 @@ class TwoParameterProcess:
     values: list
 
     @classmethod
-    def zeros(cls, tree: Tree, d: int = None) -> "TwoParameterProcess":
-        d = d or tree.d
+    def zeros(cls, tree: Tree, d: int = 1) -> "TwoParameterProcess":
         vals = [[np.zeros((tree.node_count(j), d, tree.m))
                  for j in range(tree.N)] for _ in range(tree.N + 1)]
         return cls(tree, vals)
@@ -342,10 +341,6 @@ class TwoParameterProcess:
 
     def set_entry(self, i: int, j: int, value: np.ndarray):
         self.values[i][j] = np.asarray(value, dtype=float)
-
-    @staticmethod
-    def is_above_diagonal(i: int, j: int) -> bool:
-        return j >= i
 
     def norm_sq(self) -> float:
         """dt^2-weighted squared norm sum_{i,j} dt^2 E|Z_ij|^2."""

@@ -1,15 +1,33 @@
-"""Named example problems shared by the experiment runner and the tests."""
+"""Named example problems shared by the experiment runner and the tests;
+the ``make_*`` builders are examples that no table lists by name."""
 from __future__ import annotations
 
+import math
+from typing import Callable, Optional
+
 import numpy as np
+from scipy.linalg import expm
 
 from . import backward as bwd
 from . import control as ctl
 from . import delay as dly
 from . import forward as fwd
 from . import kernels as K
-from .lattice import Tree, terminal_from_function
-from .special import gamma_fn
+from .lattice import TerminalField, Tree, terminal_from_function
+from .special import gamma_fn, mittag_leffler
+
+
+def _semigroup(M: np.ndarray) -> Callable:
+    """lag -> e^{lag M}, each lag rounded to 12 digits and built once."""
+    cache = {}
+
+    def S(lag):
+        key = round(float(lag), 12)
+        if key not in cache:
+            cache[key] = expm(key * M)
+        return cache[key]
+
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +61,76 @@ FORWARD_PROBLEMS = {
     "fractional_relaxation": fractional_relaxation,
     "linear_noisy": linear_noisy,
 }
+
+
+def make_evolution_example(M: np.ndarray, Phi: Callable, Psi: Callable,
+                           x0, horizon: float = 1.0,
+                           m: int = 1) -> fwd.SVIEProblem:
+    """Semigroup-driven evolution problem.
+
+    X(t) = e^{tM} x0 + int_0^t e^{(t-s)M} Phi(s, X(s)) ds
+                     + int_0^t e^{(t-s)M} Psi(s, X(s)) dW(s).
+    """
+    M = np.asarray(M, dtype=float)
+    d = M.shape[0]
+    x0 = np.asarray(x0, dtype=float).reshape(d)
+    S = _semigroup(M)
+
+    def phi(t):
+        return S(t) @ x0
+
+    def drift(t, s, x):
+        return np.einsum("ab,nb->na", S(t - s), Phi(s, x))
+
+    def diffusion(t, s, x):
+        return np.einsum("ab,nbk->nak", S(t - s), Psi(s, x))
+
+    return fwd.SVIEProblem(horizon, phi, d=d, m=m, drift=drift,
+                           diffusion=diffusion, label="evolution_semigroup")
+
+
+def make_caputo_example(q: float, a: float, f: Optional[Callable],
+                        g: Optional[Callable], x0: float,
+                        horizon: float = 1.0, m: int = 1) -> fwd.SVIEProblem:
+    """Scalar memory-derivative evolution problem in mild form.
+
+    X(t) = E_q(a t^q) x0 + int_0^t (t-s)^{q-1} E_{q,q}(a (t-s)^q) f(s, X) ds
+                         + int_0^t (t-s)^{q-1} E_{q,q}(a (t-s)^q) g(s, X) dW.
+
+    The lag kernel has the closed antiderivative r^q E_{q,q+1}(a r^q), so
+    its diagonal cells carry exact product weights.
+    """
+    if not 0.5 < q < 1.0:
+        raise ValueError("q must lie in (1/2, 1)")
+
+    def h(lag):
+        lag = np.atleast_1d(np.asarray(lag, dtype=float))
+        out = np.array([l ** (q - 1.0) * mittag_leffler(q, q, a * l ** q)
+                        if l > 0 else math.inf for l in lag])
+        return out if out.size > 1 else out[0]
+
+    def H(r):
+        arr = np.atleast_1d(np.asarray(r, dtype=float))
+        out = np.array([0.0 if x <= 0.0
+                        else x ** q * mittag_leffler(q, q + 1.0, a * x ** q)
+                        for x in arr])
+        return out if np.ndim(r) else float(out[0])
+
+    kern = K.make_convolution(h, horizon, K.CAUSAL, diag_exponent=1.0 - q,
+                              h_antiderivative=H,
+                              label=f"caputo_resolvent(q={q})")
+
+    def phi(t):
+        return np.array([mittag_leffler(q, 1.0, a * t ** q) * x0])
+
+    return fwd.SVIEProblem(
+        horizon, phi, d=1, m=m,
+        drift_kernel=kern if f is not None else None,
+        drift_factor=(lambda s, x: f(s, x)) if f is not None else None,
+        diffusion_kernel=kern if g is not None else None,
+        diffusion_factor=(lambda s, x: g(s, x)) if g is not None else None,
+        l2_matched_diffusion=g is not None,
+        label=f"caputo(q={q})")
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +178,18 @@ def bsvie_fbm_rl(tree: Tree, H: float = 0.7):
 
 
 def bsvie_caputo(tree: Tree, alpha: float = 0.75):
+    """Memory-derivative BSDE with y- and z-Lipschitz kernels 1.2 and 0.15
+    times its generator kernel."""
     xi = np.tanh(tree.brownian(tree.N))
     A = 0.3 * np.eye(xi.shape[1])
 
     def f(s, y, z):
         return 0.25 * y + 0.15 * z[:, :, 0:1].reshape(y.shape)
 
-    p = bwd.make_caputo_bsde(alpha, A, f, xi, tree)
-    kern = K.make_fractional(alpha, K.ANTICAUSAL, tree.T,
-                             scale=1.2 / gamma_fn(alpha))
-    p.L_y = kern
-    p.L_z2 = K.make_fractional(alpha, K.ANTICAUSAL, tree.T,
-                               scale=0.15 / gamma_fn(alpha))
-    return p
+    L_y, L_z2 = (K.make_fractional(alpha, K.ANTICAUSAL, tree.T,
+                                   scale=c / gamma_fn(alpha))
+                 for c in (1.2, 0.15))
+    return _caputo_problem(alpha, A, f, xi, tree, L_y, L_z2)
 
 
 BACKWARD_PROBLEMS = {
@@ -110,6 +197,79 @@ BACKWARD_PROBLEMS = {
     "fbm_rl_generator": bsvie_fbm_rl,
     "caputo": bsvie_caputo,
 }
+
+
+def _caputo_problem(alpha, A, f, xi, tree, L_y=None, L_z2=None):
+    """The problem of :func:`make_caputo_bsde`; its L_y defaults to the
+    generator kernel, which is also L_z1."""
+    if not 0.5 < alpha < 1.0:
+        raise ValueError("alpha must lie in (1/2, 1)")
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim == 1:
+        xi = xi[:, None]
+    d = xi.shape[1]
+    if A.shape != (d, d):
+        raise ValueError(f"A has shape {A.shape}; the terminal value has "
+                         f"d = {d} columns, so A must be {(d, d)}")
+    kern = K.make_fractional(alpha, K.ANTICAUSAL, tree.T,
+                             scale=1.0 / gamma_fn(alpha))
+    t = tree.times
+
+    def fn(i, j, y, z1, z2):
+        val = np.einsum("ab,nb->na", A, y)
+        np.negative(val, out=val)
+        if f is not None:
+            val += np.asarray(f(t[j], y, (t[j] - t[i]) ** (1.0 - alpha) * z1),
+                              dtype=float)
+        return val
+
+    # one private array for every outer index: no code writes into a free
+    # term, and the caller's xi stays theirs
+    psi = TerminalField(tree, [xi.copy()] * (tree.N + 1))
+    return bwd.BSVIEProblem(psi, [bwd.GeneratorTerm(fn, kernel=kern)],
+                            L_y=L_y or kern, L_z1=kern, L_z2=L_z2,
+                            label=f"caputo_bsvie(alpha={alpha})")
+
+
+def make_caputo_bsde(alpha: float, A: np.ndarray, f: Optional[Callable],
+                     xi, tree: Tree) -> bwd.BSVIEProblem:
+    """Backward memory-derivative equation in Volterra form.
+
+    The transformation absorbs the lag kernel into the integrand: the
+    free term is the terminal value itself and the generator reads
+    (s-t)^(alpha-1) [f(s, y, (s-t)^(1-alpha) z1) - A y] / Gamma(alpha);
+    the rescaled z argument vanishes on the diagonal cell, where the
+    kernel weight is an exact cell integral.
+    """
+    return _caputo_problem(alpha, A, f, xi, tree)
+
+
+def make_linear_adjoint(M1: Callable, M2: Callable, S_kernel: Callable,
+                        psi: TerminalField, kernel_y: K.Kernel = None,
+                        kernel_z2: K.Kernel = None,
+                        label: str = "linear_adjoint") -> bwd.BSVIEProblem:
+    """Linear adjoint-type equation with semigroup-shaped coefficients.
+
+    Generator M1(t)^T S(s-t)^T Y(s) + M2(t)^T S(s-t)^T Z(s, t); optional
+    scalar kernels multiply the two pieces separately (used for the
+    fractional-Brownian and memory-resolvent variants).
+    """
+    t = psi.tree.times
+
+    def fn_y(i, j, y, z1, z2):
+        P = (np.atleast_2d(S_kernel(t[j] - t[i])) @ np.atleast_2d(M1(t[i]))).T
+        return np.einsum("ab,nb->na", P, y)
+
+    def fn_z(i, j, y, z1, z2):
+        # noise columns are contracted after the adjoint operator acts
+        P = (np.atleast_2d(S_kernel(t[j] - t[i])) @ np.atleast_2d(M2(t[i]))).T
+        return np.einsum("ab,nbk->na", P, z2)
+
+    terms = [bwd.GeneratorTerm(fn_y, kernel=kernel_y),
+             bwd.GeneratorTerm(fn_z, kernel=kernel_z2)]
+    return bwd.BSVIEProblem(psi, terms, L_y=kernel_y, L_z2=kernel_z2,
+                            label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +398,7 @@ def matched_volterra_instance(dp: dly.DelayProblem, horizon: float = 1.0):
     plain controlled Volterra problem; used to cross-check the two
     maximum conditions on identical data.
     """
-    from scipy.linalg import expm
-    M = dp.M
-    cache = {}
-
-    def S(lag):
-        key = round(float(lag), 12)
-        if key not in cache:
-            cache[key] = expm(key * M)
-        return cache[key]
+    S = _semigroup(dp.M)
 
     def frozen(fn):
         # fn(t, x, u) with the delayed state, window and control at zero

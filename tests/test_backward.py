@@ -277,7 +277,7 @@ class TestBSDEReduction:
 class TestVectorState:
     def test_vector_reduction_to_plain_backward(self):
         # 2-state system with a full coupling matrix
-        tree = Tree(N=6, T=1.0, m=1, d=2)
+        tree = Tree(N=6, T=1.0, m=1)
         A = np.array([[-0.4, 0.2], [0.1, -0.3]])
         w = tree.brownian(6)
         xi = np.stack([np.sin(w[:, 0]), np.cos(w[:, 0])], axis=1)
@@ -1147,7 +1147,7 @@ class TestCaputoBSVIE:
     def test_zero_data_gives_conditional_expectations(self):
         tree = Tree(N=6, T=1.0, m=1)
         xi = np.sin(tree.brownian(6))
-        p = B.make_caputo_bsde(0.75, np.zeros((1, 1)), None, xi, tree)
+        p = R.make_caputo_bsde(0.75, np.zeros((1, 1)), None, xi, tree)
         sol = B.solve_bsvie(p, tree)
         for i in range(7):
             expected = tree.conditional_expectation(xi, 6, i)
@@ -1158,7 +1158,7 @@ class TestCaputoBSVIE:
         tree = Tree(N=4, T=1.0, m=1)
         xi = np.sin(tree.brownian(4))
         with pytest.raises(ValueError, match="does not vanish"):
-            B.make_caputo_bsde(0.75, [[0.3]], lambda s, y, z: y + 1.0, xi,
+            R.make_caputo_bsde(0.75, [[0.3]], lambda s, y, z: y + 1.0, xi,
                                tree)
 
     def test_free_term_is_one_shared_array(self):
@@ -1172,7 +1172,7 @@ class TestCaputoBSVIE:
         def f(s, y, z):
             return 0.25 * y + 0.15 * z[:, :, 0]
 
-        p = B.make_caputo_bsde(0.75, A, f, xi, tree)
+        p = R.make_caputo_bsde(0.75, A, f, xi, tree)
         assert all(p.psi[i] is p.psi[0] for i in range(tree.N + 1))
         assert not np.shares_memory(p.psi[0], xi)
         copies = B.BSVIEProblem(
@@ -1193,7 +1193,7 @@ class TestCaputoBSVIE:
         xi = np.cos(tree.brownian(8))
         A = np.array([[0.4]])
         alpha = 0.999
-        p = B.make_caputo_bsde(alpha, A, None, xi, tree)
+        p = R.make_caputo_bsde(alpha, A, None, xi, tree)
         sol = B.solve_bsvie(p, tree, tol=1e-13)
         Yb, _ = B.solve_bsde(xi, lambda s, y, z: -0.4 * y, tree,
                              y_scheme="implicit")
@@ -1210,7 +1210,7 @@ class TestCaputoBSVIE:
         def f(s, y, z):
             return 0.25 * y + 0.15 * z[:, :, 0]
 
-        p = B.make_caputo_bsde(alpha, A, f, xi, tree)
+        p = R.make_caputo_bsde(alpha, A, f, xi, tree)
         sol = B.solve_bsvie(p, tree, tol=1e-13)
         # the z1 rescaling (s-t)^(1-alpha) makes coefficients time-paired
         # but still linear, which the dense assembler probes pointwise
@@ -1219,6 +1219,26 @@ class TestCaputoBSVIE:
         worst = max(float(np.max(np.abs(sol.Y[i][:, 0] - Yd[i])))
                     for i in range(6))
         assert worst < 1e-10
+
+    def test_registry_problem_checks_its_declared_kernels(self, monkeypatch):
+        # bsvie_caputo declares L_y and L_z2 at 1.2 and 0.15 times the
+        # generator kernel; the kernel-class check must measure those, the
+        # kernels grid_blocks partitions with
+        measured = []
+
+        def recording(norm):
+            def measure(kernel):
+                measured.append(kernel.meta["power"][0])
+                return norm(kernel)
+            return measure
+
+        for name in ("triangle_l2_norm", "script_norm"):
+            monkeypatch.setattr(B, name, recording(getattr(B, name)))
+        p = R.bsvie_caputo(Tree(N=6, T=1.0, m=1), 0.75)
+        scales = [1.2 / gamma_fn(0.75), 0.15 / gamma_fn(0.75)]
+        assert [p.L_y.meta["power"][0], p.L_z2.meta["power"][0]] == scales
+        for scale in scales:
+            assert scale in measured
 
 
 class TestCaputoBSVIEMultiNoise:
@@ -1247,7 +1267,7 @@ class TestCaputoBSVIEMultiNoise:
         tree = Tree(N=4, T=1.0, m=2)
         xi = np.tanh(tree.brownian(tree.N))
         with pytest.raises(ValueError, match=r"\(1, 1\).*\(2, 2\)"):
-            B.make_caputo_bsde(0.75, [[0.3]], None, xi, tree)
+            R.make_caputo_bsde(0.75, [[0.3]], None, xi, tree)
 
 
 class TestLinearAdjointConstructor:
@@ -1256,7 +1276,7 @@ class TestLinearAdjointConstructor:
         psi = terminal_from_function(tree, lambda t, w: w[:, 0] + 1.0)
         M = np.array([[-0.5]])
         from scipy.linalg import expm
-        p = B.make_linear_adjoint(
+        p = R.make_linear_adjoint(
             lambda t: np.array([[0.3]]), lambda t: np.array([[0.2]]),
             lambda lag: expm(lag * M), psi)
         sol = B.solve_bsvie(p, tree, tol=1e-12)
@@ -1268,7 +1288,7 @@ class TestLinearAdjointConstructor:
         psi = terminal_from_function(tree, lambda t, w: np.cos(w[:, 0]))
         kern_y = K.make_fractional(1.2, K.ANTICAUSAL)  # bounded lag^0.2
         kern_z = K.make_fractional(0.8, K.ANTICAUSAL)  # singular lag^-0.2
-        p = B.make_linear_adjoint(
+        p = R.make_linear_adjoint(
             lambda t: np.array([[0.4]]), lambda t: np.array([[0.3]]),
             lambda lag: np.eye(1), psi, kernel_y=kern_y, kernel_z2=kern_z)
         sol = B.solve_bsvie(p, tree, tol=1e-12)
@@ -1321,7 +1341,7 @@ class TestLinearAdjointConstructor:
         a = -0.6
         psi = terminal_from_function(tree, lambda t, w: np.sin(w[:, 0]) + 1)
         kern = K.make_fractional(q, K.ANTICAUSAL, scale=1.0 / gamma_fn(q))
-        p = B.make_linear_adjoint(
+        p = R.make_linear_adjoint(
             lambda t: np.array([[0.5]]), lambda t: np.array([[0.3]]),
             lambda lag: np.array([[mittag_leffler(q, q, a * lag ** q)]])
             if lag > 0 else np.array([[1.0 / gamma_fn(q)]]),

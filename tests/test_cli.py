@@ -205,6 +205,19 @@ class TestConfigErrorsExitTwo:
             "name": "doubly_singular", "alpha": 0.2, "beta": 0.0,
             "eps_grid": [1.0, True]}},
          "config.kernel.eps_grid: invalid value [1.0, True]"),
+        ("kernel", {"kernel": {
+            "name": "exp_sum", "weights": [1.0], "rates": [math.nan]}},
+         "config.kernel: rates must be finite, got [nan]"),
+        ("kernel", {"kernel": {
+            "name": "exp_sum", "weights": [math.inf], "rates": [1.0]}},
+         "config.kernel: weights must be finite, got [inf]"),
+        ("kernel", {"kernel": {"name": "constant", "value": math.nan}},
+         "config.kernel: value must be nonnegative and finite, got nan"),
+        ("kernel", {"kernel": {"name": "constant", "value": math.inf}},
+         "config.kernel: value must be nonnegative and finite, got inf"),
+        ("kernel", {"kernel": {
+            "name": "fractional", "alpha": 0.6, "T": math.inf}},
+         "config.kernel: horizon must be positive and finite, got inf"),
     ], ids=["tree.bogus", "tree.bogus_N_list", "control.stepz",
             "suite.bogus", "tree.m_float", "tree.m_negative", "tree.N_bool",
             "control.lq_delta", "suite.criteria_str", "control.steps_float",
@@ -213,7 +226,10 @@ class TestConfigErrorsExitTwo:
             "control.u0_inf", "control.delta_negative",
             "control.delta_off_grid", "kernel.cap_float",
             "kernel.cap_zero", "kernel.eps_grid_negative",
-            "kernel.eps_grid_empty", "kernel.eps_grid_bool"])
+            "kernel.eps_grid_empty", "kernel.eps_grid_bool",
+            "kernel.exp_sum_rate_nan", "kernel.exp_sum_weight_inf",
+            "kernel.constant_nan", "kernel.constant_inf",
+            "kernel.fractional_T_inf"])
     def test_unknown_or_invalid_block_field(self, tmp_path, capsys, command,
                                             cfg, message):
         # the tree, control and suite blocks refuse a key they do not

@@ -230,14 +230,14 @@ def vector_linear_instance(seed=0, d=2, du=2):
 
 class TestVectorState:
     def test_duality_gap_vector_case(self):
-        tree = Tree(N=5, T=1.0, m=1, d=2)
+        tree = Tree(N=5, T=1.0, m=1)
         cp = vector_linear_instance(3)
         u = random_control(tree, 31, du=2)
         v = random_control(tree, 32, du=2)
         assert C.duality_gap(cp, u, v, tree) <= 1e-10
 
     def test_fd_consistency_vector_case(self):
-        tree = Tree(N=5, T=1.0, m=1, d=2)
+        tree = Tree(N=5, T=1.0, m=1)
         cp = vector_linear_instance(4)
         u = C.constant_control(tree, [0.2, -0.1])
         v = C.constant_control(tree, [-0.4, 0.3])

@@ -206,22 +206,6 @@ class TestPQAccessor:
         assert adj.q[0].shape == (1, dp.d, dp.m)
 
 
-class TestHamiltonFunction:
-    def test_matches_componentwise_formula(self, dp, tree):
-        u = C.constant_control(tree, [0.2])
-        traj = D.solve_delay_state(dp, u, tree)
-        adj = D.solve_delay_adjoint(dp, traj, tree)
-        r = 3
-        t = tree.times[r]
-        val = D.hamiltonian_G(dp, t, *traj.theta(r), adj.p[r], adj.q[r])
-        lv = np.asarray(dp.l(t, *traj.theta(r)))
-        bv = np.asarray(dp.b(t, *traj.theta(r)))
-        manual = lv + (adj.p[r] * bv).sum(axis=1) \
-            + (adj.q[r] * np.asarray(dp.sigma(t, *traj.theta(r)))
-               ).sum(axis=(1, 2))
-        assert np.allclose(val, manual)
-
-
 def two_channel_margin(dp, u_star, tree, probe_count, seed):
     """The maximum-condition margin summed channel by channel: G_u paired
     with v - u* plus G_mu paired with the delayed difference, r >= k."""

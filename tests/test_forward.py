@@ -6,6 +6,7 @@ import pytest
 
 from svolterra import forward as F
 from svolterra import kernels as K
+from svolterra import registry as R
 from svolterra.lattice import Tree
 from svolterra.special import gamma_fn, mittag_leffler
 
@@ -406,7 +407,7 @@ class TestSolvePaths:
 
 
 def caputo_l2_example():
-    return F.make_caputo_example(0.75, -1.0, lambda s, x: -0.5 * x,
+    return R.make_caputo_example(0.75, -1.0, lambda s, x: -0.5 * x,
                                  lambda s, x: (0.5 * x)[:, :, None], 1.0,
                                  m=1)
 
@@ -490,10 +491,10 @@ class TestResolventLinear:
 class TestNamedExamples:
     def test_evolution_example_zero_coefficients(self):
         M = np.array([[-1.0, 0.3], [0.0, -0.5]])
-        p = F.make_evolution_example(
+        p = R.make_evolution_example(
             M, lambda s, x: np.zeros_like(x),
             lambda s, x: np.zeros(x.shape + (1,)), x0=[1.0, 2.0])
-        tree = Tree(N=6, T=1.0, m=1, d=2)
+        tree = Tree(N=6, T=1.0, m=1)
         sol = F.solve_lattice(p, tree)
         from scipy.linalg import expm
         for i in (0, 3, 6):
@@ -502,7 +503,7 @@ class TestNamedExamples:
 
     def test_caputo_example_zero_coefficients_is_mittag_leffler(self):
         q, a = 0.75, -0.8
-        p = F.make_caputo_example(q, a, None, None, x0=2.0)
+        p = R.make_caputo_example(q, a, None, None, x0=2.0)
         tree = Tree(N=16, T=1.0, m=0)
         sol = F.solve_lattice(p, tree)
         for i in (0, 8, 16):
@@ -511,7 +512,7 @@ class TestNamedExamples:
 
     def test_caputo_example_linear_drift_converges(self):
         q, a = 0.75, -0.5
-        p = F.make_caputo_example(q, a, lambda s, x: 0.5 * x, None, x0=1.0,
+        p = R.make_caputo_example(q, a, lambda s, x: 0.5 * x, None, x0=1.0,
                                   m=0)
         tree = Tree(N=128, T=1.0, m=0)
         sol = F.solve_lattice(p, tree)
@@ -524,7 +525,7 @@ class TestNamedExamples:
         # the L2-matched coefficients come from one squared-cell table per
         # solve, which the residual reads again: a lag kernel takes one
         # cell_sq quadrature per lag, not one per cell and pass
-        p = F.make_caputo_example(0.75, -1.0, lambda s, x: -0.5 * x,
+        p = R.make_caputo_example(0.75, -1.0, lambda s, x: -0.5 * x,
                                   lambda s, x: (0.2 * x)[:, :, None],
                                   x0=1.0, m=1)
         kern, tree = p.diffusion_kernel, Tree(N=N, T=1.0, m=1)

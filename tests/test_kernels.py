@@ -20,6 +20,11 @@ def doubly_slice_sq_exact(alpha, beta, t, T):
     return (T - t) ** (1 - 2 * alpha) / ((1 - 2 * alpha) * t ** (2 * beta))
 
 
+def slice_norm(kernel, t, b):
+    """The slice L2 norm over (t, b] at the one point t."""
+    return float(kernel.slice_l2_profile(np.array([t]), b)[0])
+
+
 class TestSliceL2:
     def test_doubly_singular_closed_form(self):
         T = 1.0
@@ -27,28 +32,23 @@ class TestSliceL2:
             k = K.make_doubly_singular(alpha, beta, horizon=T)
             for t in (0.2, 0.5, 0.9):
                 expected = doubly_slice_sq_exact(alpha, beta, t, T)
-                assert K.slice_l2(k, t, T) ** 2 == pytest.approx(expected,
+                assert slice_norm(k, t, T) ** 2 == pytest.approx(expected,
                                                                  rel=1e-12)
 
     def test_constant_kernel_full_slice(self):
         k = K.make_constant(1.0, horizon=1.0, orientation=K.ANTICAUSAL)
-        assert K.slice_l2(k, 0.0, 1.0) == pytest.approx(math.sqrt(1.0),
+        assert slice_norm(k, 0.0, 1.0) == pytest.approx(math.sqrt(1.0),
                                                         rel=1e-14)
 
     def test_counterexample_sup_slice_is_sqrt_two(self):
         k = K.make_counterexample_sup(1.0)
         for t in (0.0, 0.3, 0.99):
-            assert K.slice_l2(k, t, 1.0) ** 2 == pytest.approx(2.0, rel=1e-13)
-
-    def test_invalid_interval(self):
-        k = K.make_constant(1.0)
-        with pytest.raises(ValueError):
-            K.slice_l2(k, 0.5, 0.5)
+            assert slice_norm(k, t, 1.0) ** 2 == pytest.approx(2.0, rel=1e-13)
 
     def test_divergent_slice_flagged(self):
         # squared fractional exponent -1.2 is not integrable at the diagonal
         k = K.make_fractional(0.4, K.ANTICAUSAL)
-        assert K.slice_l2(k, 0.2, 1.0) == math.inf
+        assert slice_norm(k, 0.2, 1.0) == math.inf
 
 
 class TestTriangleNorm:
@@ -459,28 +459,32 @@ class TestFbmKernels:
             assert ours == pytest.approx(reference(t, s), rel=1e-7)
 
 
+def cell_row(kernel, t, grid):
+    """Exact cell integrals of k(t, .) over consecutive grid cells, as one
+    ``_cell_table`` row reads them."""
+    return K._on_arrays(kernel.cell_fn, kernel.cell, t, grid[:-1], grid[1:])
+
+
 class TestProductWeights:
     def test_fractional_weights_sum_exact(self):
         alpha = 0.6
         k = K.make_fractional(alpha, K.CAUSAL)
         t = 0.875
         grid = np.linspace(0.0, t, 17)
-        w = K.product_weights(k, t, grid)
+        w = cell_row(k, t, grid)
         assert w.sum() == pytest.approx(t ** alpha / alpha, rel=1e-12)
 
     def test_exp_sum_weights_sum_exact(self):
         k = K.make_exp_sum([1.0, 0.5], [2.0, 0.0])
         t = 0.75
         grid = np.linspace(0.0, t, 13)
-        w = K.product_weights(k, t, grid)
+        w = cell_row(k, t, grid)
         expected = (1.0 - math.exp(-2 * t)) / 2.0 + 0.5 * t
         assert w.sum() == pytest.approx(expected, rel=1e-12)
 
     def test_anticausal_orientation_guard(self):
         k = K.make_fractional(0.75, K.ANTICAUSAL)
-        with pytest.raises(ValueError):
-            K.product_weights(k, 0.5, np.linspace(0.0, 0.4, 5))
-        w = K.product_weights(k, 0.5, np.linspace(0.5, 1.0, 6))
+        w = cell_row(k, 0.5, np.linspace(0.5, 1.0, 6))
         assert w.sum() == pytest.approx(0.5 ** 0.75 / 0.75, rel=1e-12)
 
     @pytest.mark.parametrize("kernel", [
@@ -489,7 +493,7 @@ class TestProductWeights:
         K.make_exp_sum([1.0, 0.5], [2.0, 0.0])])
     def test_one_row_equals_scalar_cells(self, kernel):
         t, grid = 0.875, np.linspace(0.0, 0.875, 9)
-        w = K.product_weights(kernel, t, grid)
+        w = cell_row(kernel, t, grid)
         ref = [kernel.cell(t, a, b) for a, b in zip(grid[:-1], grid[1:])]
         assert w.shape == (8,)
         assert np.allclose(w, ref, rtol=1e-13, atol=0.0)
@@ -1291,5 +1295,5 @@ class TestVectorTriangleMass:
         # a hook that takes scalars only is called point by point
         kern = _scalar_hook_kernel()
         xs = np.linspace(0.0, 0.5, 33)[:-1]
-        assert np.array_equal(kern.slice_l2_profile(xs, 0.5),
-                              [K.slice_l2(kern, float(x), 0.5) for x in xs])
+        assert np.array_equal(kern.slice_l2_profile(xs, 0.5), np.sqrt(
+            [kern.slice_sq(float(x), float(x), 0.5) for x in xs]))

@@ -12,7 +12,7 @@ from svolterra.lattice import (AdaptedProcess, TerminalField, Tree,
 
 @pytest.fixture
 def tree():
-    return Tree(N=6, T=1.0, m=1, d=1)
+    return Tree(N=6, T=1.0, m=1)
 
 
 class TestTreeBasics:
@@ -126,7 +126,7 @@ class TestMartingaleRepresentation:
         assert np.max(np.abs(recon - x)) < 1e-14
 
     def test_reconstruction_random_leaf_fields(self):
-        tree = Tree(N=7, T=1.5, m=1, d=2)
+        tree = Tree(N=7, T=1.5, m=1)
         rng = np.random.default_rng(7)
         x = rng.normal(size=(tree.node_count(7), 2))
         mean, z = tree.martingale_representation(x, 7, 0)
@@ -183,7 +183,7 @@ def reference_representation(tree, values, from_depth, to_depth):
 def reference_integral(tree, z_list, a, b):
     """Repeat/einsum form of the stochastic integral (reference copy)."""
     v = tree.branches
-    d = z_list[0].shape[1] if z_list else tree.d
+    d = z_list[0].shape[1] if z_list else 1
     acc = np.zeros((tree.node_count(a), d))
     for offset, zj in enumerate(z_list):
         j = a + offset
@@ -393,8 +393,6 @@ class TestProcessContainers:
     def test_two_parameter_zeros(self, tree):
         z = TwoParameterProcess.zeros(tree)
         assert z.entry(2, 4).shape == (tree.node_count(4), 1, 1)
-        assert z.is_above_diagonal(2, 4)
-        assert not z.is_above_diagonal(4, 2)
 
     def test_csv_dump(self, tree, tmp_path):
         p = constant_process(tree, lambda t: [1.0])
@@ -541,11 +539,11 @@ class TestCsvBytes:
         self.assert_same_bytes(sol.Z, csv_writer_two_parameter, tmp_path)
 
     def test_special_values_and_missing_entry(self, tmp_path):
-        tree = Tree(N=3, T=1.0, m=2, d=2)
+        tree = Tree(N=3, T=1.0, m=2)
         special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324,
                             -5e-324, 1e-300, 0.1, 1.0 / 3.0])
         rng = np.random.default_rng(3)
-        z = TwoParameterProcess.zeros(tree)
+        z = TwoParameterProcess.zeros(tree, 2)
         for i, row in enumerate(z.values):
             for j, cell in enumerate(row):
                 z.set_entry(i, j, rng.choice(special, cell.shape))
