@@ -343,9 +343,11 @@ def _outer_pass(tree: Tree, terms: list, weight_tables, i: int,
     ``stop_depth`` at the end).  This is exact: a field measurable at a
     shallower depth has zero integrands on the steps below it.  A field
     still zero is carried as the scalar 0.0, never represented: its step
-    mean is 0.0, its integrand a zero depth-j array (z1 to the generator),
-    and the first live drift plus 0.0 becomes the field; the returned
-    field and every kept level are arrays.  Each step
+    mean is 0.0, its integrand (z1 to the generator, and the returned
+    mu_j) a read-only view ``np.broadcast_to(0.0, (nodes_j, d, m))`` of one
+    +0.0 that holds no node bytes and raises on a write, and the first
+    live drift plus 0.0 becomes the field; the returned field and every
+    kept level are arrays.  Each step
     splits off the exact representation integrand mu_j, takes the weighted
     generator drift of :func:`_cell_drift` with z1 = mu_j (pinned before
     the generator applies) and z2 read through ``z2_below``, and adds the
@@ -366,7 +368,8 @@ def _outer_pass(tree: Tree, terms: list, weight_tables, i: int,
         if first_step is not None and j == start_depth - 1:
             mean, mu_j = first_step
         elif np.ndim(lam) == 0:
-            mean, mu_j = 0.0, np.zeros((tree.node_count(j), d, tree.m))
+            mean = 0.0
+            mu_j = np.broadcast_to(0.0, (tree.node_count(j), d, tree.m))
         else:
             mean, zs = tree.martingale_representation(lam, j + 1, j)
             mu_j = zs[0]

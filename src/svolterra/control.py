@@ -293,17 +293,22 @@ def duality_gap(cp: ControlProblem, u_bar: AdaptedProcess,
     """|E sum dt <forcing, Y> - E sum dt <X1, g_x>| for the pair of
     variational and adjoint solves (zero to machine precision under the
     transposed discretization); ``state`` and ``adjoint``, when given, are
-    the state and adjoint solves at u_bar."""
+    the state and adjoint solves at u_bar.
+
+    The gap reads only the adjoint's Y, so the adjoint is solved first and
+    only Y is kept: its Z table is released before X1 and the forcing are
+    built, and those are not held during the adjoint solve.
+    """
     X = state if state is not None else solve_state(cp, u_bar, tree)
+    Y = (adjoint if adjoint is not None
+         else solve_adjoint(cp, X, u_bar, tree)).Y
     X1 = solve_variational(cp, u_bar, v, tree, state=X)
     forcing = variational_forcing(cp, u_bar, v, tree, state=X)
-    adj = adjoint if adjoint is not None else solve_adjoint(cp, X, u_bar,
-                                                            tree)
     t = tree.times
     lhs = rhs = 0.0
     for i in range(tree.N):
         lhs += tree.dt * float(tree.expectation(
-            (forcing[i] * adj.Y[i]).sum(axis=1)))
+            (forcing[i] * Y[i]).sum(axis=1)))
         gx = np.asarray(cp.g_x(t[i], X[i], u_bar[i]), dtype=float)
         rhs += tree.dt * float(tree.expectation((X1[i] * gx).sum(axis=1)))
     return abs(lhs - rhs)

@@ -511,8 +511,9 @@ def make_exp_sum(weights, rates, horizon: float = 1.0,
     for name, v in (("weights", w), ("rates", lam)):
         if not np.all(np.isfinite(v)):
             raise ValueError(f"{name} must be finite, got {v.tolist()}")
-    if np.any(w < 0):
-        raise ValueError("completely monotone representation needs w_i >= 0")
+        if np.any(v < 0):
+            raise ValueError(f"a completely monotone sum needs nonnegative "
+                             f"{name}, got {v.tolist()}")
 
     def h(lag):
         lag = np.asarray(lag, dtype=float)

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -970,12 +971,147 @@ class TestZeroFieldStart:
         assert nonzero and all(nonzero)
 
     def test_adjoint_last_integrands_are_zero_arrays(self, monkeypatch):
+        # rows r < N - 1 take step N - 1 from the zero field, so their
+        # integrand there is the read-only zero view, which holds no node
+        # bytes; row N - 1 takes it from its block's representation of the
+        # repeated free term, a computed +0.0 array
         tree, _, sol = solved_adjoint(monkeypatch, R.lq_instance(), 6)
         for r in range(tree.N):
             z = sol.Z.entry(r, tree.N - 1)
             assert isinstance(z, np.ndarray)
             assert z.shape == (tree.node_count(tree.N - 1), 1, tree.m)
-            assert not z.any()
+            assert not z.any() and not np.signbit(z).any()
+            if r == tree.N - 1:
+                continue
+            assert z.strides == (0, 0, 0)
+            assert not z.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                z[0, 0, 0] = 1.0
+
+
+def zero_arrays_outer_pass(tree, terms, weight_tables, i, free, free_depth,
+                           start_depth, stop_depth, y_at, z2_below,
+                           keep_levels=False, first_step=None):
+    """The outer pass as it read before a zero integrand was a read-only
+    view: each step of the scalar-0.0 field gets a fresh np.zeros array."""
+    d = free.shape[1]
+
+    def field(lam, depth):
+        return np.zeros((tree.node_count(depth), d)) if np.ndim(lam) == 0 \
+            else lam
+
+    lam = free if free_depth == start_depth else 0.0
+    mu = {}
+    levels = {start_depth: field(lam, start_depth)} if keep_levels else None
+    for j in range(start_depth - 1, stop_depth - 1, -1):
+        if first_step is not None and j == start_depth - 1:
+            mean, mu_j = first_step
+        elif np.ndim(lam) == 0:
+            mean, mu_j = 0.0, np.zeros((tree.node_count(j), d, tree.m))
+        else:
+            mean, zs = tree.martingale_representation(lam, j + 1, j)
+            mu_j = zs[0]
+        drift = B._cell_drift(tree, terms, weight_tables, i, j, None,
+                              y_at(j), mu_j, z2_below)
+        lam = mean if drift is None else np.add(drift, mean, out=drift)
+        if j == free_depth:
+            lam = lam + free
+        mu[j] = mu_j
+        if keep_levels:
+            levels[j] = field(lam, j)
+    if free_depth < stop_depth:
+        lam = lam + tree.broadcast(free, free_depth, stop_depth)
+    return lam, mu, levels
+
+
+def adjoint_last_duality_gap(cp, u_bar, v, tree):
+    """(gap, adjoint) with the duality gap as it read before the adjoint
+    was solved first: X1 and the forcing are built, then the adjoint, and
+    its whole solution is held to the end."""
+    X = C.solve_state(cp, u_bar, tree)
+    X1 = C.solve_variational(cp, u_bar, v, tree, state=X)
+    forcing = C.variational_forcing(cp, u_bar, v, tree, state=X)
+    adj = C.solve_adjoint(cp, X, u_bar, tree)
+    t = tree.times
+    lhs = rhs = 0.0
+    for i in range(tree.N):
+        lhs += tree.dt * float(tree.expectation(
+            (forcing[i] * adj.Y[i]).sum(axis=1)))
+        gx = np.asarray(cp.g_x(t[i], X[i], u_bar[i]), dtype=float)
+        rhs += tree.dt * float(tree.expectation((X1[i] * gx).sum(axis=1)))
+    return abs(lhs - rhs), adj
+
+
+class TestAdjointFirstDualityGap:
+    """duality_gap solves the adjoint first and keeps only its Y; the gap
+    and the adjoint are those of the adjoint-last order on zero arrays,
+    sign bits included."""
+
+    def controls(self, tree, seed):
+        rng = np.random.default_rng(seed)
+        return [AdaptedProcess(tree, [0.5 * rng.normal(
+            size=(tree.node_count(i), 1)) for i in range(tree.N + 1)])
+            for _ in range(2)]
+
+    @pytest.mark.parametrize("N", [6, 7, 8, 9, 10])
+    @pytest.mark.parametrize("instance", ["lq", "random"])
+    def test_matches_adjoint_last_order_on_zero_arrays(self, monkeypatch,
+                                                       instance, N):
+        cp = R.lq_instance() if instance == "lq" \
+            else R.random_linear_instance(11)
+        tree = Tree(N=N, T=1.0, m=1)
+        u, v = self.controls(tree, N)
+        adjoints, solve_adjoint = [], C.solve_adjoint
+
+        def keep(*args, **kwargs):
+            adjoints.append(solve_adjoint(*args, **kwargs))
+            return adjoints[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "solve_adjoint", keep)
+            got = C.duality_gap(cp, u, v, tree)
+        with monkeypatch.context() as patch:
+            patch.setattr(B, "_outer_pass", zero_arrays_outer_pass)
+            want, ref = adjoint_last_duality_gap(cp, u, v, tree)
+        assert got <= 1e-12
+        assert_bits_equal(got, want)
+        assert_same_msolution(adjoints[0], ref, tree)
+        last = (adjoints[0].Z.entry(0, N - 1), ref.Z.entry(0, N - 1))
+        assert [z.flags.writeable for z in last] == [False, True]
+
+    def test_adjoint_z_released_before_variational_solve(self, monkeypatch):
+        tree = Tree(N=6, T=1.0, m=1)
+        u, v = self.controls(tree, 0)
+        refs, alive = [], []
+        solve_adjoint, solve_variational = (C.solve_adjoint,
+                                            C.solve_variational)
+
+        def adjoint(*args, **kwargs):
+            sol = solve_adjoint(*args, **kwargs)
+            refs.extend([weakref.ref(sol), weakref.ref(sol.Z)])
+            return sol
+
+        def variational(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return solve_variational(*args, **kwargs)
+
+        monkeypatch.setattr(C, "solve_adjoint", adjoint)
+        monkeypatch.setattr(C, "solve_variational", variational)
+        C.duality_gap(R.lq_instance(), u, v, tree)
+        assert alive == [[False, False]]
+
+    def test_given_adjoint_is_read_as_passed(self):
+        tree = Tree(N=6, T=1.0, m=1)
+        u, v = self.controls(tree, 1)
+        cp = R.lq_instance()
+        X = C.solve_state(cp, u, tree)
+        adj = C.solve_adjoint(cp, X, u, tree)
+        assert_bits_equal(C.duality_gap(cp, u, v, tree, state=X,
+                                        adjoint=adj),
+                          C.duality_gap(cp, u, v, tree))
+        shifted = dataclasses.replace(adj, Y=AdaptedProcess(
+            tree, [y + 1.0 for y in adj.Y.values]))
+        assert C.duality_gap(cp, u, v, tree, state=X, adjoint=shifted) > 1e-3
 
 
 class TestResidualStopsAboveLeaves:

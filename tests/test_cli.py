@@ -211,6 +211,10 @@ class TestConfigErrorsExitTwo:
         ("kernel", {"kernel": {
             "name": "exp_sum", "weights": [math.inf], "rates": [1.0]}},
          "config.kernel: weights must be finite, got [inf]"),
+        ("kernel", {"kernel": {
+            "name": "exp_sum", "weights": [1.0], "rates": [-800]}},
+         "config.kernel: a completely monotone sum needs nonnegative "
+         "rates, got [-800.0]"),
         ("kernel", {"kernel": {"name": "constant", "value": math.nan}},
          "config.kernel: value must be nonnegative and finite, got nan"),
         ("kernel", {"kernel": {"name": "constant", "value": math.inf}},
@@ -228,6 +232,7 @@ class TestConfigErrorsExitTwo:
             "kernel.cap_zero", "kernel.eps_grid_negative",
             "kernel.eps_grid_empty", "kernel.eps_grid_bool",
             "kernel.exp_sum_rate_nan", "kernel.exp_sum_weight_inf",
+            "kernel.exp_sum_rate_negative",
             "kernel.constant_nan", "kernel.constant_inf",
             "kernel.fractional_T_inf"])
     def test_unknown_or_invalid_block_field(self, tmp_path, capsys, command,

@@ -532,6 +532,18 @@ class TestFractionalArguments:
         assert K.make_fractional(40.0).meta["alpha"] == 40.0
 
 
+class TestExpSumArguments:
+    @pytest.mark.parametrize("weights, rates, name", [
+        ([1.0], [-800.0], "rates"),
+        ([1.0, 0.5], [2.0, -1e-12], "rates"),
+        ([-0.5, 1.0], [2.0, 0.0], "weights")])
+    def test_negative_weight_or_rate_rejected(self, weights, rates, name):
+        # a completely monotone sum needs both nonnegative, and a negative
+        # rate would overflow the cell integrals
+        with pytest.raises(ValueError, match=f"nonnegative {name}"):
+            K.make_exp_sum(weights, rates)
+
+
 class TestKernelInvariants:
     def test_negative_kernel_rejected(self):
         def ev(t, s):
