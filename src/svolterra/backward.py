@@ -37,7 +37,7 @@ import numpy as np
 from .kernels import (Kernel, KernelClassWarning, _cell_table, grid_blocks,
                       script_norm, triangle_l2_norm)
 from .lattice import (AdaptedProcess, TerminalField, Tree,
-                      TwoParameterProcess)
+                      TwoParameterProcess, _mean_square)
 
 
 class DivergenceError(RuntimeError):
@@ -453,16 +453,12 @@ def _block_fixed_point(terms: list, tree: Tree, weight_tables,
                 new_mu[i] = mu_i
             update_sq = 0.0
             for i in outers:
-                dy = new_y[i] - y[i]
-                dy *= dy
-                update_sq += tree.dt * float(tree.expectation(dy.sum(axis=1)))
+                update_sq += tree.dt * _mean_square(new_y[i], y[i])
                 for j, m_val in new_mu[i].items():
                     # step hi - 1 keeps its integrand: an exact zero update
                     if j in mu[i] and j != hi - 1:
-                        dz = m_val - mu[i][j]
-                        dz *= dz
-                        update_sq += tree.dt ** 2 * float(
-                            tree.expectation(dz.sum(axis=(1, 2))))
+                        update_sq += tree.dt ** 2 * _mean_square(m_val,
+                                                                 mu[i][j])
             y, mu = new_y, new_mu
             for i in range(lo + 1, hi):
                 _, zs = tree.martingale_representation(y[i], i, lo)
@@ -659,7 +655,7 @@ def equation_residual(sol: MSolution, problem: BSVIEProblem, tree: Tree,
                                              subtract=True)
             if j + 1 == depth:
                 carry += psi[i]
-        worst = max(worst, float(np.max(np.abs(carry))))
+        worst = max(worst, float(np.max(np.abs(carry, out=carry))))
     return worst
 
 
@@ -670,20 +666,18 @@ def stability_gap_bsvie(p: BSVIEProblem, p2: BSVIEProblem,
     s2 = solve_bsvie(p2, tree)
     lhs_sq = 0.0
     for i in range(tree.N + 1):
-        dy = s1.Y[i] - s2.Y[i]
-        lhs_sq += tree.dt * float(tree.expectation((dy ** 2).sum(axis=1)))
+        lhs_sq += tree.dt * _mean_square(s1.Y[i], s2.Y[i])
         for j in range(tree.N):
-            dz = s1.Z.entry(i, j) - s2.Z.entry(i, j)
-            lhs_sq += tree.dt ** 2 * float(
-                tree.expectation((dz ** 2).sum(axis=(1, 2))))
+            lhs_sq += tree.dt ** 2 * _mean_square(s1.Z.entry(i, j),
+                                                  s2.Z.entry(i, j))
 
     tables1 = _term_weights(p.terms, tree)
     tables2 = _term_weights(p2.terms, tree)
     rhs_sq = 0.0
     for i in range(tree.N + 1):
         depth = max(p.psi.depths[i], p2.psi.depths[i])
-        dpsi = p.psi.at(i, depth) - p2.psi.at(i, depth)
-        rhs_sq += tree.dt * float(tree.expectation((dpsi ** 2).sum(axis=1)))
+        rhs_sq += tree.dt * _mean_square(p.psi.at(i, depth),
+                                         p2.psi.at(i, depth))
         gsum = np.zeros(tree.node_count(tree.N))
         for j in range(i, tree.N):
             g1, g2 = (_cell_drift(tree, q.terms, tables, i, j,
@@ -692,7 +686,7 @@ def stability_gap_bsvie(p: BSVIEProblem, p2: BSVIEProblem,
                       for q, tables in ((p, tables1), (p2, tables2)))
             gsum = gsum + tree.broadcast(
                 np.linalg.norm(np.asarray(g1 - g2), axis=-1), j, tree.N)
-        rhs_sq += tree.dt * float(tree.expectation(gsum ** 2))
+        rhs_sq += tree.dt * _mean_square(gsum)
     if lhs_sq == 0.0:
         return 0.0
     if rhs_sq == 0.0:

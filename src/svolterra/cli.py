@@ -373,6 +373,12 @@ def cmd_control(cfg, args):
         X = ctl.solve_state(cp, u, tree)
         adj = ctl.solve_adjoint(cp, X, u, tree)
         gap = ctl.duality_gap(cp, u, v, tree, state=X, adjoint=adj)
+        # only the residuals are read from here on: release the adjoint's
+        # Z table before the descent
+        res = report["residuals"]
+        res["m_condition"] = adj.diagnostics["m_condition_residual"]
+        res["equation"] = adj.diagnostics["equation_residual"]
+        del adj
         u_bar, trace = ctl.projected_gradient_search(cp, u, tree, steps=steps,
                                                      rate=rate)
         margin = ctl.check_stationarity(cp, u_bar, tree, probe_count=probes,
@@ -383,9 +389,6 @@ def cmd_control(cfg, args):
             "final_cost": trace["cost"][-1],
             "gradient_norms": trace["grad_norm"][-5:],
         })
-        res = report["residuals"]
-        res["m_condition"] = adj.diagnostics["m_condition_residual"]
-        res["equation"] = adj.diagnostics["equation_residual"]
         # false for a nan residual
         ok = gap <= 1e-10 and margin >= -1e-6 \
             and res["m_condition"] <= 1e-12 and res["equation"] <= 1e-9

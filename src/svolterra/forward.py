@@ -27,7 +27,7 @@ from .backward import (BlockPartitionError, DivergenceError,
                        _sweep_to_tolerance)
 from .kernels import (CAUSAL, Kernel, _cell_table, _history_sum, _on_arrays,
                       grid_blocks)
-from .lattice import AdaptedProcess, Tree
+from .lattice import AdaptedProcess, Tree, _mean_square
 
 
 class PartitionInfeasibleError(BlockPartitionError):
@@ -384,9 +384,7 @@ def solve_picard(problem: SVIEProblem, tree: Tree, tol: float = 1e-10,
                 update_sq, new_vals = 0.0, []
                 for i in range(max(lo, 1), hi + 1):
                     new = _rhs(problem, tree, cell, i, X, {})
-                    diff = new - X[i]
-                    update_sq += tree.dt * float(
-                        tree.expectation((diff ** 2).sum(axis=1)))
+                    update_sq += tree.dt * _mean_square(new, X[i])
                     new_vals.append(new)
                 X[max(lo, 1):hi + 1] = new_vals
                 yield math.sqrt(update_sq)
@@ -465,14 +463,14 @@ def stability_gap(p: SVIEProblem, p2: SVIEProblem, tree: Tree) -> float:
     """
     X = solve_lattice(p, tree).X
     X2 = solve_lattice(p2, tree).X
-    lhs_sq = sum(tree.dt * float(tree.expectation(
-        ((X[i] - X2[i]) ** 2).sum(axis=1))) for i in range(tree.N + 1))
+    lhs_sq = sum(tree.dt * _mean_square(X[i], X2[i])
+                 for i in range(tree.N + 1))
 
     cells = [(_cell_map(q, tree.times), {}) for q in (p, p2)]
     rhs_sq = 0.0
     for i in range(tree.N + 1):
-        dphi = p.phi_field(tree, i) - p2.phi_field(tree, i)
-        rhs_sq += tree.dt * float(tree.expectation((dphi ** 2).sum(axis=1)))
+        rhs_sq += tree.dt * _mean_square(p.phi_field(tree, i),
+                                         p2.phi_field(tree, i))
         diff_gaps = []
 
         def gap(j):
@@ -480,13 +478,12 @@ def stability_gap(p: SVIEProblem, p2: SVIEProblem, tree: Tree) -> float:
                                 for cell, factors in cells)
             da, dz = _difference(a, a2), _difference(z, z2)
             if dz is not None:
-                diff_gaps.append(tree.dt * float(tree.expectation(
-                    (dz ** 2).sum(axis=(1, 2)))))
+                diff_gaps.append(tree.dt * _mean_square(dz))
             return None if da is None else np.linalg.norm(da, axis=-1), None
 
         # the drift gaps are summed on the forward rows' carry
         drift_gap = _volterra_row(tree, i, np.zeros(1), gap)
-        rhs_sq += tree.dt * float(tree.expectation(drift_gap ** 2))
+        rhs_sq += tree.dt * _mean_square(drift_gap)
         rhs_sq += tree.dt * sum(diff_gaps)
     if lhs_sq == 0.0:
         return 0.0

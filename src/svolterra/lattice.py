@@ -35,7 +35,15 @@ MAX_NODES = 1 << 22  # storage budget: trees with more leaves are refused
 
 @dataclass(frozen=True)
 class Tree:
-    """Scenario tree parameters: N steps on [0, T], m noise coordinates."""
+    """Scenario tree parameters: N steps on [0, T], m noise coordinates.
+
+    The tree is frozen, so its step constants (``dt``, ``sqrt_dt``, the
+    representation divisors and the integral's signed steps) and ``times``
+    are ``cached_property`` values, computed once per tree on first read;
+    equality and hashing still read only the fields.  Mean squares
+    E|x|^2 of node fields come from the module's one helper
+    ``_mean_square``, bit for bit :meth:`expectation` of the per-node sums.
+    """
 
     N: int
     T: float
@@ -53,13 +61,28 @@ class Tree:
                 f"storage budget exceeded: (m+1)**N = {self.m + 1}**{self.N}"
                 f" > {MAX_NODES} leaves")
 
-    @property
+    @cached_property
     def dt(self) -> float:
         return self.T / self.N
 
-    @property
+    @cached_property
     def sqrt_dt(self) -> float:
         return math.sqrt(self.dt)
+
+    @cached_property
+    def _representation_divisors(self) -> tuple:
+        """(m + 1) sqrt(dt) / c_k for k = 1..m: the divisor of coordinate k
+        in :meth:`martingale_representation`."""
+        scale = (self.m + 1) * self.sqrt_dt
+        return tuple(scale / c for c in (-self.branches[0]).tolist())
+
+    @cached_property
+    def _integral_steps(self) -> tuple:
+        """The signed steps -+sqrt(dt) v_0 of :meth:`stochastic_integral`,
+        indexed by ``subtract`` (row 0 of the simplex is -c)."""
+        row = self.branches[0].tolist()
+        return tuple(tuple(sign * self.sqrt_dt * v for v in row)
+                     for sign in (-1.0, 1.0))
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -158,8 +181,7 @@ class Tree:
         if x.ndim == 1:
             x = x[:, None]
         nb = self.m + 1
-        scale = nb * self.sqrt_dt
-        c = -self.branches[0]
+        divisors = self._representation_divisors
         z = []
         for _ in range(from_depth - to_depth):
             total = x[0::nb]
@@ -168,7 +190,7 @@ class Tree:
                 xk, zk = x[k::nb], zj[:, :, k - 1]
                 np.subtract(xk if k == 1 else np.multiply(xk, k, out=zk),
                             total, out=zk)
-                np.divide(zk, scale / c[k - 1], out=zk)
+                np.divide(zk, divisors[k - 1], out=zk)
                 total = np.add(total, xk, out=total if k > 1 else None)
             z.append(zj)
             x = np.divide(total, nb, out=total if nb > 1 else None)
@@ -198,8 +220,7 @@ class Tree:
         else:
             acc = start
             d = acc.shape[1]
-        sign = 1.0 if subtract else -1.0  # row 0 of the simplex is -c
-        steps = sign * self.sqrt_dt * self.branches[0]
+        steps = self._integral_steps[1 if subtract else 0]
         # row 0 holds w_m and then the suffix sum, row 1 each w_k, k < m
         work = np.empty((min(self.m, 2), self.node_count(max(b - 1, a)), d))
         for zj in z_list:
@@ -243,13 +264,33 @@ def _simplex(m: int) -> np.ndarray:
     return v
 
 
+def _mean_square(a: np.ndarray, b: np.ndarray = None) -> float:
+    """E|a|^2, or E|a - b|^2 when ``b`` is given, under the uniform node
+    measure, |.|^2 summing over every axis after the node axis.
+
+    One temporary is made and squared in place; numpy's pairwise sum over
+    the nodes (of the per-node sums when a node holds more than one scalar)
+    is divided by the node count, so the value is bit for bit
+    ``tree.expectation((x ** 2).sum(axis=tail))``, and a nan or inf input
+    gives a non-finite value.
+    """
+    if b is None:
+        x = np.multiply(a, a)
+    else:
+        x = np.subtract(a, b)
+        np.multiply(x, x, out=x)
+    n = x.shape[0]
+    if x.size != n:
+        x = np.add.reduce(x, axis=tuple(range(1, x.ndim)))
+    return float(np.add.reduce(x.reshape(-1))) / n
+
+
 def ito_isometry_check(tree: Tree, z_list, a: int, b: int) -> float:
     """Residual of E[(int z dW)^2] = E[sum |z_j|^2 dt]; exactly 0 on the tree."""
-    integral = tree.stochastic_integral(z_list, a, b)
-    lhs = float(tree.expectation((integral ** 2).sum(axis=1)))
+    lhs = _mean_square(tree.stochastic_integral(z_list, a, b))
     rhs = 0.0
     for zj in z_list:
-        rhs += tree.dt * float(tree.expectation((zj ** 2).sum(axis=(1, 2))))
+        rhs += tree.dt * _mean_square(zj)
     return abs(lhs - rhs)
 
 
@@ -300,9 +341,7 @@ class AdaptedProcess:
 
     def l2_norm_sq(self) -> float:
         """dt-weighted squared norm sum_i dt E|Y_i|^2 (all stored depths)."""
-        return sum(self.tree.dt
-                   * float(self.tree.expectation((v ** 2).sum(axis=1)))
-                   for v in self.values)
+        return sum(self.tree.dt * _mean_square(v) for v in self.values)
 
     def dump_csv(self, path):
         _write_table(path, ("depth", "node", "component", "value"),
@@ -349,8 +388,7 @@ class TwoParameterProcess:
         for row in self.values:
             for z in row:
                 if z is not None:
-                    total += tree.dt ** 2 * float(
-                        tree.expectation((z ** 2).sum(axis=(1, 2))))
+                    total += tree.dt ** 2 * _mean_square(z)
         return total
 
     def dump_csv(self, path):

@@ -140,8 +140,9 @@ def make_caputo_example(q: float, a: float, f: Optional[Callable],
 def _affine_term(kern, c_y, c_z1, c_z2):
     def fn(i, j, y, z1, z2):
         val = c_y * y
-        val += c_z1 * z1[:, :, 0:1].reshape(y.shape)
-        val += c_z2 * z2[:, :, 0:1].reshape(y.shape)
+        term = np.multiply(c_z1, z1[:, :, 0:1].reshape(y.shape))
+        val += term
+        val += np.multiply(c_z2, z2[:, :, 0:1].reshape(y.shape), out=term)
         return val
     return bwd.GeneratorTerm(fn, kernel=kern)
 

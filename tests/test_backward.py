@@ -1148,6 +1148,63 @@ class TestResidualStopsAboveLeaves:
             sol, problem, tree))
 
 
+def reference_update_norm(a, b):
+    """One term of the block sweep's update norm as it read before the
+    shared helper: the difference squared in place, summed per node, then
+    ``tree.expectation`` (reference copy)."""
+    diff = a - b
+    diff *= diff
+    tail = tuple(range(1, diff.ndim))
+    return float(Tree(N=1, T=1.0).expectation(diff.sum(axis=tail)))
+
+
+class TestSharedUpdateNorm:
+    """The block sweep's update norm goes through the shared mean-square
+    helper; sweeps, ratios, Y, Z and both residuals are those of the old
+    norm bit for bit, and the residual check leaves its inputs alone."""
+
+    @pytest.mark.parametrize("method", ["fixed_point", "block"])
+    @pytest.mark.parametrize("m, N", [(1, 6), (1, 9), (2, 4)])
+    @pytest.mark.parametrize("family", sorted(R.BACKWARD_PROBLEMS))
+    def test_solve_matches_old_update_norm(self, monkeypatch, family, m, N,
+                                           method):
+        tree = Tree(N=N, T=1.0, m=m)
+        p = R.BACKWARD_PROBLEMS[family](tree)
+        got = B.solve_bsvie(p, tree, method=method)
+        helper, calls = B._mean_square, []
+
+        def reference(a, b):
+            want = reference_update_norm(a, b)
+            calls.append((a.ndim, want.hex() == helper(a, b).hex()))
+            return want
+
+        with monkeypatch.context() as patch:
+            patch.setattr(B, "_mean_square", reference)
+            want = B.solve_bsvie(p, tree, method=method)
+        assert len(calls) >= sum(want.diagnostics["sweeps"])
+        # one-step blocks skip the kept step hi - 1, so only Y differences
+        ndims = {ndim for ndim, _ in calls}
+        assert 2 in ndims and ndims <= {2, 3}
+        assert all(same for _, same in calls)
+        assert_same_msolution(got, want, tree)
+
+    def test_equation_residual_leaves_inputs_alone(self):
+        tree = Tree(N=5, T=1.0, m=2)
+        p = R.bsvie_fbm_rl(tree)
+        sol = B.solve_bsvie(p, tree, method="block")
+        before = ([y.copy() for y in sol.Y.values],
+                  [[z.copy() for z in row] for row in sol.Z.values],
+                  [v.copy() for v in p.psi.values])
+        assert_bits_equal(B.equation_residual(sol, p, tree),
+                          sol.diagnostics["equation_residual"])
+        after = (sol.Y.values, sol.Z.values, p.psi.values)
+        for old, new in zip(before[0] + before[2], after[0] + after[2]):
+            assert_bits_equal(old, new)
+        for old_row, new_row in zip(before[1], after[1]):
+            for old, new in zip(old_row, new_row):
+                assert_bits_equal(old, new)
+
+
 class TestMethodAgreement:
     def make_fractional_problem(self, tree, alpha=0.7, z2_coeff=0.7):
         kern = K.make_fractional(alpha, K.ANTICAUSAL, tree.T,

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import pytest
 
@@ -496,6 +497,36 @@ class TestControlCommand:
         assert rc == 1  # 0 with the residual left alone
         data = json.loads((tmp_path / "control_lq.json").read_text())
         assert math.isnan(data["residuals"][key.rsplit("_", 1)[0]])
+
+    def test_lq_adjoint_released_before_descent(self, tmp_path,
+                                                monkeypatch):
+        # after duality_gap the report reads only the adjoint's two
+        # residuals, so its Z table is not held through the descent
+        solve, search = cli.ctl.solve_adjoint, \
+            cli.ctl.projected_gradient_search
+        refs, residuals, alive = [], [], []
+
+        def adjoint(*args, **kwargs):
+            adj = solve(*args, **kwargs)
+            refs.extend([weakref.ref(adj), weakref.ref(adj.Z)])
+            residuals.append([adj.diagnostics["m_condition_residual"],
+                              adj.diagnostics["equation_residual"]])
+            return adj
+
+        def descent(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(cli.ctl, "solve_adjoint", adjoint)
+        monkeypatch.setattr(cli.ctl, "projected_gradient_search", descent)
+        cfg = write_config(tmp_path, {
+            "tree": {"N": 6, "T": 1.0},
+            "control": {"instance": "lq", "steps": 20, "probes": 2}})
+        cli.main(["--config", cfg, "--out", str(tmp_path), "control"])
+        assert alive == [[False, False]]
+        data = json.loads((tmp_path / "control_lq.json").read_text())
+        assert [data["residuals"]["m_condition"],
+                data["residuals"]["equation"]] == residuals[0]
 
     def test_delay_report(self, tmp_path):
         cfg = write_config(tmp_path, {

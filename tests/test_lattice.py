@@ -1,13 +1,16 @@
 import csv
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svolterra.backward import DivergenceError, _sweep_to_tolerance
 from svolterra.lattice import (AdaptedProcess, TerminalField, Tree,
-                               TwoParameterProcess, _write_table,
-                               constant_process, ito_isometry_check,
-                               terminal_from_function)
+                               TwoParameterProcess, _mean_square,
+                               _write_table, constant_process,
+                               ito_isometry_check, terminal_from_function)
 
 
 @pytest.fixture
@@ -244,6 +247,189 @@ class TestStridedBranchForm:
         tree.stochastic_integral(z, 0, 4)
         assert np.array_equal(x, x0)
         assert all(np.array_equal(a, b) for a, b in zip(z, z0))
+
+
+def per_call_representation(tree, values, from_depth, to_depth):
+    """The strided representation with its constants computed on every
+    call, as it read before the tree cached them (reference copy)."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    nb = tree.m + 1
+    scale = nb * math.sqrt(tree.T / tree.N)
+    c = -tree.branches[0]
+    z = []
+    for _ in range(from_depth - to_depth):
+        total = x[0::nb]
+        zj = np.empty(total.shape + (tree.m,))
+        for k in range(1, nb):
+            xk, zk = x[k::nb], zj[:, :, k - 1]
+            np.subtract(xk if k == 1 else np.multiply(xk, k, out=zk),
+                        total, out=zk)
+            np.divide(zk, scale / c[k - 1], out=zk)
+            total = np.add(total, xk, out=total if k > 1 else None)
+        z.append(zj)
+        x = np.divide(total, nb, out=total if nb > 1 else None)
+    z.reverse()
+    return x, z
+
+
+def per_call_integral(tree, z_list, a, b, start=None, subtract=False):
+    """The strided stochastic integral with its signed steps computed on
+    every call, as it read before the tree cached them (reference copy)."""
+    nb = tree.m + 1
+    if start is None:
+        d = z_list[0].shape[1] if z_list else 1
+        acc = np.zeros((tree.node_count(a), d))
+    else:
+        acc = start
+        d = acc.shape[1]
+    sign = 1.0 if subtract else -1.0
+    steps = sign * math.sqrt(tree.T / tree.N) * tree.branches[0]
+    work = np.empty((min(tree.m, 2), tree.node_count(max(b - 1, a)), d))
+    for zj in z_list:
+        n = acc.shape[0]
+        out = np.empty((n * nb, d))
+        suffix = 0.0
+        for k in range(tree.m, 0, -1):
+            ok = out[k::nb]
+            w = np.multiply(zj[:, :, k - 1], steps[k - 1],
+                            out=work[0 if k == tree.m else 1, :n])
+            np.add(acc, w if k == 1 else np.multiply(w, k, out=ok), out=ok)
+            if k == tree.m:
+                suffix = w
+            else:
+                np.subtract(ok, suffix, out=ok)
+                np.add(suffix, w, out=suffix)
+        np.subtract(acc, suffix, out=out[0::nb])
+        acc = out
+    return acc
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestStepConstantsOncePerTree:
+    """The step constants are computed once per tree; the primitives that
+    read them give the per-call computation's outputs bit for bit, and a
+    tree that has computed them still compares and hashes by its fields."""
+
+    @pytest.mark.parametrize("m, N, T", [(0, 6, 1.0), (1, 6, 0.7),
+                                         (2, 4, 1.3), (3, 3, 2.0)])
+    def test_primitives_match_per_call_constants(self, m, N, T):
+        tree = Tree(N=N, T=T, m=m)
+        rng = np.random.default_rng(40 + m)
+        for d in (1, 2):
+            x = rng.normal(size=(tree.node_count(N), d))
+            x[0, 0] = -0.0
+            mean, z = tree.martingale_representation(x, N, 1)
+            ref_mean, ref_z = per_call_representation(tree, x, N, 1)
+            assert_same_bits(mean, ref_mean)
+            assert len(z) == len(ref_z) == N - 1
+            for zj, rj in zip(z, ref_z):
+                assert_same_bits(zj, rj)
+            zs = [rng.normal(size=(tree.node_count(j), d, m))
+                  for j in range(1, N)]
+            start = rng.normal(size=(tree.node_count(1), d))
+            for subtract in (False, True):
+                assert_same_bits(
+                    tree.stochastic_integral(zs, 1, N, start=start.copy(),
+                                             subtract=subtract),
+                    per_call_integral(tree, zs, 1, N, start=start.copy(),
+                                      subtract=subtract))
+            assert_same_bits(tree.stochastic_integral(zs, 1, N),
+                             per_call_integral(tree, zs, 1, N))
+
+    def test_cached_constants_are_the_per_call_values(self):
+        tree = Tree(N=7, T=1.3, m=3)
+        dt = 1.3 / 7
+        c = -tree.branches[0]
+        assert tree.dt == dt and tree.sqrt_dt == math.sqrt(dt)
+        assert tree._representation_divisors == tuple(
+            4 * math.sqrt(dt) / c)
+        assert tree._integral_steps == (
+            tuple(-1.0 * math.sqrt(dt) * tree.branches[0]),
+            tuple(1.0 * math.sqrt(dt) * tree.branches[0]))
+        assert Tree(N=5, T=1.0, m=0)._integral_steps == ((), ())
+
+    def test_tree_equal_and_hashable_after_reads(self):
+        read, fresh = Tree(N=6, T=1.5, m=2), Tree(N=6, T=1.5, m=2)
+        for name in ("dt", "sqrt_dt", "times", "_representation_divisors",
+                     "_integral_steps"):
+            getattr(read, name)
+        assert "_integral_steps" in vars(read)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert {fresh: 1}[read] == 1
+        assert read != Tree(N=6, T=1.5, m=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            read.N = 7
+
+
+def old_mean_square(x):
+    """E|x|^2 as every site computed it before the shared helper."""
+    tail = tuple(range(1, np.ndim(x)))
+    return float(Tree(N=1, T=1.0).expectation((x ** 2).sum(axis=tail)))
+
+
+class TestMeanSquare:
+    """One helper for E|x|^2 and E|a - b|^2 under the uniform node measure:
+    bit for bit the per-node sums' ``tree.expectation``, and non-finite
+    whenever an input is."""
+
+    SHAPES = [(1,), (2,), (6,), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3),
+              (6, 1)]
+
+    @pytest.mark.parametrize("tail", SHAPES)
+    @pytest.mark.parametrize("n", [1, 2, 4096])
+    def test_matches_expectation_of_node_sums(self, n, tail):
+        rng = np.random.default_rng(n + len(tail))
+        a = rng.normal(size=(n,) + tail) * rng.lognormal(size=(n,) + tail)
+        b = a + rng.normal(size=a.shape)
+        flat_a, flat_b = a.reshape(-1), b.reshape(-1)
+        flat_a[::3] = -0.0
+        flat_b[1::5] = 0.0
+        flat_b[2::7] = flat_a[2::7]   # some exact zero differences
+        got = _mean_square(a)
+        assert got.hex() == old_mean_square(a).hex()
+        diff = a - b
+        diff *= diff
+        tail_axes = tuple(range(1, a.ndim))
+        want = float(Tree(N=1, T=1.0).expectation(diff.sum(axis=tail_axes)))
+        assert _mean_square(a, b).hex() == want.hex()
+        assert _mean_square(a, b).hex() == old_mean_square(a - b).hex()
+
+    def test_views_and_inputs_left_alone(self):
+        rng = np.random.default_rng(8)
+        base = rng.normal(size=(64, 5, 2))
+        strided = base[::2, 1:4]
+        zero = np.broadcast_to(0.0, (32, 3, 2))
+        for x in (strided, zero, base[:, 2:3, 0]):
+            assert _mean_square(x).hex() == old_mean_square(x).hex()
+        before = base.copy()
+        _mean_square(strided, base[1::2, 1:4])
+        assert np.array_equal(base, before)
+        assert _mean_square(zero) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("tail", [(1,), (2, 3)])
+    def test_non_finite_input_gives_non_finite_norm(self, bad, tail):
+        # numpy warns on the overflow as the old sites did; only the value
+        # is checked here
+        x = np.ones((8,) + tail)
+        x[3].flat[0] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = [_mean_square(x), _mean_square(x, np.zeros_like(x)),
+                      _mean_square(np.zeros_like(x), x)]
+            if np.isinf(bad):   # inf - inf is nan
+                values.append(_mean_square(x, x))
+                assert math.isnan(values[-1])
+        for value in values:
+            assert not math.isfinite(value)
+            with pytest.raises(DivergenceError, match="non-finite"):
+                _sweep_to_tolerance(iter([1.0, math.sqrt(0.1 * value)]),
+                                    1e-12, 10, (0, 1))
 
 
 class TestIntegralFromStartField:
