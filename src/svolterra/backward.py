@@ -438,6 +438,19 @@ def _block_fixed_point(terms: list, tree: Tree, weight_tables,
             _, zs = tree.martingale_representation(mean, hi - 1, lo)
             below[i] = {l: zs[l - lo] for l in range(lo, i)}
     mu = {i: {} for i in outers}
+    # The update differences of every sweep go to one scratch array per
+    # field shape, alive until the block is solved.  A difference freed
+    # right after its norm leaves the heap top free, glibc trims it, and
+    # the next outer pass faults the pages back in: N = 16 fixed-point
+    # solves then took 2-4x the minor faults in some benchmark passes and
+    # none in others, and their time followed.
+    scratch = {}
+
+    def update_sq_of(new, old):
+        out = scratch.get(new.shape)
+        if out is None:
+            out = scratch[new.shape] = np.empty_like(new)
+        return _mean_square(new, old, out=out)
 
     def updates():
         nonlocal y, mu
@@ -453,11 +466,11 @@ def _block_fixed_point(terms: list, tree: Tree, weight_tables,
                 new_mu[i] = mu_i
             update_sq = 0.0
             for i in outers:
-                update_sq += tree.dt * _mean_square(new_y[i], y[i])
+                update_sq += tree.dt * update_sq_of(new_y[i], y[i])
                 for j, m_val in new_mu[i].items():
                     # step hi - 1 keeps its integrand: an exact zero update
                     if j in mu[i] and j != hi - 1:
-                        update_sq += tree.dt ** 2 * _mean_square(m_val,
+                        update_sq += tree.dt ** 2 * update_sq_of(m_val,
                                                                  mu[i][j])
             y, mu = new_y, new_mu
             for i in range(lo + 1, hi):

@@ -264,7 +264,8 @@ def _simplex(m: int) -> np.ndarray:
     return v
 
 
-def _mean_square(a: np.ndarray, b: np.ndarray = None) -> float:
+def _mean_square(a: np.ndarray, b: np.ndarray = None,
+                 out: np.ndarray = None) -> float:
     """E|a|^2, or E|a - b|^2 when ``b`` is given, under the uniform node
     measure, |.|^2 summing over every axis after the node axis.
 
@@ -272,12 +273,14 @@ def _mean_square(a: np.ndarray, b: np.ndarray = None) -> float:
     the nodes (of the per-node sums when a node holds more than one scalar)
     is divided by the node count, so the value is bit for bit
     ``tree.expectation((x ** 2).sum(axis=tail))``, and a nan or inf input
-    gives a non-finite value.
+    gives a non-finite value.  ``out``, an array made by
+    ``np.empty_like(a)``, takes the place of the temporary, so a caller
+    that takes many norms of one shape can keep a single scratch array.
     """
     if b is None:
-        x = np.multiply(a, a)
+        x = np.multiply(a, a, out=out)
     else:
-        x = np.subtract(a, b)
+        x = np.subtract(a, b, out=out)
         np.multiply(x, x, out=x)
     n = x.shape[0]
     if x.size != n:

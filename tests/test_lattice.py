@@ -399,6 +399,12 @@ class TestMeanSquare:
         want = float(Tree(N=1, T=1.0).expectation(diff.sum(axis=tail_axes)))
         assert _mean_square(a, b).hex() == want.hex()
         assert _mean_square(a, b).hex() == old_mean_square(a - b).hex()
+        # a caller's scratch array, stale contents and all, gives the
+        # same bits and ends holding the squared difference
+        out = np.full_like(a, np.nan)
+        assert _mean_square(a, b, out=out).hex() == want.hex()
+        assert np.array_equal(out, diff)
+        assert _mean_square(a, out=out).hex() == got.hex()
 
     def test_views_and_inputs_left_alone(self):
         rng = np.random.default_rng(8)
