@@ -310,7 +310,10 @@ def _cell_drift(tree: Tree, terms: list, tables, i: int, j: int, acc,
         z2 = tree.broadcast(z2_below(j, i), i, j)
     else:
         z2 = None
-    deep, outer = tree.node_count(j), tree.node_count(i)
+    if not (0 <= i <= tree.N and 0 <= j <= tree.N):
+        raise ValueError(f"cell ({i}, {j}) has a depth outside [0, {tree.N}]")
+    counts = tree._node_counts
+    deep, outer = counts[j], counts[i]
     for w, term in live:
         g = np.asarray(term.fn(i, j, y, z1, z2), dtype=float)
         rows = g.shape[0] if g.ndim else 0

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .backward import (MSolution, _ancestor_contract, _linear_adjoint,
                        solve_bsvie)
@@ -110,6 +109,8 @@ class DelayProblem:
 
     def semigroup(self, tree: Tree):
         """S(l * dt) for l = 0..N."""
+        from scipy.linalg import expm
+
         return [expm(l * tree.dt * self.M) for l in range(tree.N + 1)]
 
     def window_weights(self, tree: Tree) -> np.ndarray:

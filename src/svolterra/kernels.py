@@ -40,8 +40,6 @@ from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy import special as sps
 
 from .special import gamma_fn, mittag_leffler  # noqa: F401 (re-export)
 
@@ -307,6 +305,8 @@ def _quad_power_aware(f, a, b, left_exp=0.0, right_exp=0.0):
     Negative exponents describe algebraically *vanishing* factors, which
     the weighted rule also integrates exactly.
     """
+    from scipy import integrate
+
     if left_exp >= 1.0 or right_exp >= 1.0:
         return math.inf
     if left_exp <= -1.0 or right_exp <= -1.0:
@@ -457,6 +457,8 @@ def make_doubly_singular(alpha: float, beta: float,
         kwargs = dict(cell_fn=cell, cell_sq_fn=slice_sq)
     elif max(2.0 * alpha, 2.0 * beta) < 1.0:
         # incomplete-Beta closed forms for the causal variant
+        from scipy import special as sps
+
         def cell(t, a, b):
             base = t ** (1.0 - alpha - beta) * sps.beta(1.0 - beta, 1.0 - alpha)
             return base * (sps.betainc(1.0 - beta, 1.0 - alpha, min(b / t, 1.0))
@@ -590,6 +592,8 @@ def _fbm_F(u: float, H: float, method: str = "product") -> float:
     "substitution" method maps r = 1 + x^2 and integrates adaptively,
     serving as the independent cross-check.
     """
+    from scipy import integrate
+
     if u < 1.0:
         raise ValueError("F is defined for u >= 1")
     if u == 1.0 or H == 0.5:
@@ -733,17 +737,25 @@ def triangle_l2_norm(kernel: Kernel) -> float:
     """L2 norm of the kernel over its whole triangle; inf on divergence.
 
     A power kernel (``meta["power"]``) takes the Beta closed form
-    scale^2 T^(2-2a-2b) B(1-2b, 2-2a) / (1-2a) of the squared norm; every
-    other kernel goes to :func:`_quadrature_triangle_l2`.
+    scale^2 T^(2-2a-2b) B(1-2b, 2-2a) / (1-2a) of the squared norm, with
+    B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y), taken through log-gamma
+    where Gamma(x + y) overflows; every other kernel goes to
+    :func:`_quadrature_triangle_l2`.
     """
     if "power" not in kernel.meta:
         return _quadrature_triangle_l2(kernel)
     scale, a, b = kernel.meta["power"]
     if 2.0 * a >= 1.0 or 2.0 * b >= 1.0:
         return math.inf
+    x, y = 1.0 - 2.0 * b, 2.0 - 2.0 * a
+    gamma_xy = gamma_fn(x + y)
+    if math.isinf(gamma_xy):  # past 171.6; a fractional alpha above ~86
+        beta_xy = math.exp(math.lgamma(x) + math.lgamma(y)
+                           - math.lgamma(x + y))
+    else:
+        beta_xy = gamma_fn(x) * gamma_fn(y) / gamma_xy
     return scale * math.sqrt(kernel.horizon ** (2.0 - 2.0 * a - 2.0 * b)
-                             * sps.beta(1.0 - 2.0 * b, 2.0 - 2.0 * a)
-                             / (1.0 - 2.0 * a))
+                             * beta_xy / (1.0 - 2.0 * a))
 
 
 def _quadrature_triangle_l2(kernel: Kernel) -> float:

@@ -38,10 +38,10 @@ class Tree:
     """Scenario tree parameters: N steps on [0, T], m noise coordinates.
 
     The tree is frozen, so its step constants (``dt``, ``sqrt_dt``, the
-    representation divisors and the integral's signed steps) and ``times``
-    are ``cached_property`` values, computed once per tree on first read;
-    equality and hashing still read only the fields.  Mean squares
-    E|x|^2 of node fields come from the module's one helper
+    representation divisors and the integral's signed steps), the node
+    counts and ``times`` are ``cached_property`` values, computed once per
+    tree on first read; equality and hashing still read only the fields.
+    Mean squares E|x|^2 of node fields come from the module's one helper
     ``_mean_square``, bit for bit :meth:`expectation` of the per-node sums.
     """
 
@@ -91,9 +91,15 @@ class Tree:
         t.setflags(write=False)
         return t
 
+    @cached_property
+    def _node_counts(self) -> tuple:
+        """(m + 1) ** k for k = 0..N; read only after a depth check, since a
+        negative index would wrap to the end of the tuple."""
+        return tuple((self.m + 1) ** k for k in range(self.N + 1))
+
     def node_count(self, depth: int) -> int:
         self._check_depth(depth)
-        return (self.m + 1) ** depth
+        return self._node_counts[depth]
 
     def _check_depth(self, depth):
         if not 0 <= depth <= self.N:
@@ -113,8 +119,8 @@ class Tree:
         self._check_depth(to_depth)
         if to_depth < from_depth:
             raise ValueError("broadcast goes from shallow to deep")
-        reps = (self.m + 1) ** (to_depth - from_depth)
-        return np.repeat(np.asarray(values), reps, axis=0)
+        reps = self._node_counts[to_depth - from_depth]
+        return np.asarray(values).repeat(reps, axis=0)
 
     def conditional_expectation(self, values: np.ndarray, from_depth: int,
                                 to_depth: int) -> np.ndarray:
@@ -141,8 +147,9 @@ class Tree:
         if shallow > deep:
             raise ValueError("ancestors sit at a shallower depth")
         x = np.asarray(values)
-        return x.reshape((self.node_count(shallow),
-                          (self.m + 1) ** (deep - shallow)) + x.shape[1:])
+        counts = self._node_counts
+        return x.reshape((counts[shallow], counts[deep - shallow])
+                         + x.shape[1:])
 
     def increments(self, step: int) -> np.ndarray:
         """Brownian increment of the given step as a depth-(step+1) field."""
@@ -216,13 +223,13 @@ class Tree:
         nb = self.m + 1
         if start is None:
             d = z_list[0].shape[1] if z_list else 1
-            acc = np.zeros((self.node_count(a), d))
+            acc = np.zeros((self._node_counts[a], d))
         else:
             acc = start
             d = acc.shape[1]
         steps = self._integral_steps[1 if subtract else 0]
         # row 0 holds w_m and then the suffix sum, row 1 each w_k, k < m
-        work = np.empty((min(self.m, 2), self.node_count(max(b - 1, a)), d))
+        work = np.empty((min(self.m, 2), self._node_counts[max(b - 1, a)], d))
         for zj in z_list:
             if zj.shape[-1] != self.m:
                 raise ValueError(

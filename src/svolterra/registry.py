@@ -6,7 +6,6 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import backward as bwd
 from . import control as ctl
@@ -19,6 +18,8 @@ from .special import gamma_fn, mittag_leffler
 
 def _semigroup(M: np.ndarray) -> Callable:
     """lag -> e^{lag M}, each lag rounded to 12 digits and built once."""
+    from scipy.linalg import expm
+
     cache = {}
 
     def S(lag):

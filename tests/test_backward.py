@@ -560,6 +560,17 @@ class TestInPlaceDriftSum:
                            match=r"shape \(3, 1\) on cell \(4, 4\)"):
             B.solve_bsvie(p, tree)
 
+    @pytest.mark.parametrize("i, j", [(-1, 2), (1, -1), (5, 2), (1, 5)])
+    def test_cell_outside_the_tree_raises(self, i, j):
+        # the node counts come from a table, so a negative depth must be
+        # refused before it wraps to the table's end
+        tree = Tree(N=4, T=1.0, m=1)
+        term = B.GeneratorTerm(lambda i, j, y, z1, z2: np.zeros_like(y))
+        table = np.ones((tree.N + 2, tree.N + 2))
+        y, z1 = np.zeros((4, 1)), np.zeros((4, 1, 1))
+        with pytest.raises(ValueError, match=r"depth outside \[0, 4\]"):
+            B._cell_drift(tree, [term], [table], i, j, None, y, z1, None)
+
     def test_generators_match_out_of_place_sums(self):
         tree = Tree(N=4, T=1.0, m=2)
         rng = np.random.default_rng(11)

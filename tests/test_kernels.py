@@ -150,6 +150,32 @@ class TestTriangleNormClosedForm:
             assert K.triangle_l2_norm(kern) ** 2 == pytest.approx(
                 expected, rel=1e-12)
 
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("orientation", [K.CAUSAL, K.ANTICAUSAL])
+    def test_gamma_ratio_matches_scipy_beta(self, orientation, T):
+        # the closed form takes B(x, y) as a ratio of gamma_fn values; on
+        # every power kernel with a finite norm (lag exponent a in
+        # [-0.9, 0.5), edge exponent b in [0, 0.5)) it stays within a few
+        # ulp of the scipy.special.beta form
+        cases = [(K.make_fractional(1.0 - a, orientation, T, scale=0.8),
+                  0.8, a, 0.0) for a in np.linspace(-0.9, 0.45, 28)]
+        cases += [(K.make_doubly_singular(a, b, orientation, T), 1.0, a, b)
+                  for a in np.linspace(0.0, 0.45, 10)
+                  for b in np.linspace(0.05, 0.45, 9)]
+        for k, *power in cases:
+            assert k.meta["power"] == pytest.approx(power, abs=1e-15)
+            want = math.sqrt(beta_triangle_sq(*k.meta["power"], T))
+            assert K.triangle_l2_norm(k) == pytest.approx(
+                want, rel=5e-15, abs=0.0), power
+
+    @pytest.mark.parametrize("alpha", [85.0, 86.0, 200.0])
+    def test_beta_past_gamma_overflow(self, alpha):
+        # Gamma(3 - 2a) overflows a double for alpha above ~86
+        k = K.make_fractional(alpha, K.ANTICAUSAL, 1.0)
+        assert K.triangle_l2_norm(k) == pytest.approx(
+            math.sqrt(beta_triangle_sq(1.0, 1.0 - alpha, 0.0, 1.0)),
+            rel=1e-12)
+
     def test_fbm_rl(self):
         H = 0.3
         got = K.triangle_l2_norm(K.make_fbm_rl(H, 2.5)) ** 2

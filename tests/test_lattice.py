@@ -354,10 +354,40 @@ class TestStepConstantsOncePerTree:
             tuple(1.0 * math.sqrt(dt) * tree.branches[0]))
         assert Tree(N=5, T=1.0, m=0)._integral_steps == ((), ())
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_node_counts_from_the_table(self, m):
+        N = {0: 9, 1: 9, 2: 6, 3: 5}[m]
+        tree = Tree(N=N, T=1.0, m=m)
+        assert tree._node_counts == tuple((m + 1) ** k for k in range(N + 1))
+        assert [tree.node_count(k) for k in range(N + 1)] == [
+            (m + 1) ** k for k in range(N + 1)]
+        # a negative depth must not wrap to the end of the table
+        for depth in (-1, -N, N + 1):
+            with pytest.raises(ValueError, match="outside"):
+                tree.node_count(depth)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_broadcast_is_the_repeat(self, m):
+        tree = Tree(N=3, T=1.0, m=m)
+        rng = np.random.default_rng(m)
+        for shape in ((1, 2), (1, 2, m + 1)):
+            x = rng.normal(size=shape)
+            x[0, 0] = -0.0
+            for to_depth in range(tree.N + 1):
+                want = np.repeat(x, (m + 1) ** to_depth, axis=0)
+                assert_same_bits(tree.broadcast(x, 0, to_depth), want)
+            # a nested list goes through np.asarray, as before
+            assert_same_bits(tree.broadcast(x.tolist(), 0, tree.N),
+                             np.repeat(x, (m + 1) ** tree.N, axis=0))
+        with pytest.raises(ValueError, match="outside"):
+            tree.broadcast(np.zeros((1, 1)), -1, 1)
+        with pytest.raises(ValueError, match="shallow to deep"):
+            tree.broadcast(np.zeros((m + 1, 1)), 1, 0)
+
     def test_tree_equal_and_hashable_after_reads(self):
         read, fresh = Tree(N=6, T=1.5, m=2), Tree(N=6, T=1.5, m=2)
         for name in ("dt", "sqrt_dt", "times", "_representation_divisors",
-                     "_integral_steps"):
+                     "_integral_steps", "_node_counts"):
             getattr(read, name)
         assert "_integral_steps" in vars(read)
         assert read == fresh and hash(read) == hash(fresh)
