@@ -24,6 +24,7 @@ from .backward import (MSolution, _ancestor_contract, _linear_adjoint,
 from .control import _descend, _fd_probe, _stationarity_margin
 from .forward import _linear_rows, _volterra_row
 from .lattice import AdaptedProcess, TerminalField, Tree
+from .special import _expm
 
 
 @dataclass
@@ -109,9 +110,7 @@ class DelayProblem:
 
     def semigroup(self, tree: Tree):
         """S(l * dt) for l = 0..N."""
-        from scipy.linalg import expm
-
-        return [expm(l * tree.dt * self.M) for l in range(tree.N + 1)]
+        return [_expm(l * tree.dt * self.M) for l in range(tree.N + 1)]
 
     def window_weights(self, tree: Tree) -> np.ndarray:
         """Exact cell integrals of e^{lam * theta} over the window cells."""

@@ -105,6 +105,14 @@ class Tree:
         if not 0 <= depth <= self.N:
             raise ValueError(f"depth {depth} outside [0, {self.N}]")
 
+    def _depth_pair_error(self, first, second, message):
+        """Raise for a depth pair that failed a primitive's chained check:
+        the range error of ``first``, else of ``second``, else ``message``
+        for their order."""
+        self._check_depth(first)
+        self._check_depth(second)
+        raise ValueError(message)
+
     @property
     def branches(self) -> np.ndarray:
         """(m + 1, m) simplex: unit increment of coordinate k on branch b."""
@@ -115,20 +123,18 @@ class Tree:
     def broadcast(self, values: np.ndarray, from_depth: int,
                   to_depth: int) -> np.ndarray:
         """Repeat an adapted field onto its descendants at a deeper level."""
-        self._check_depth(from_depth)
-        self._check_depth(to_depth)
-        if to_depth < from_depth:
-            raise ValueError("broadcast goes from shallow to deep")
+        if not 0 <= from_depth <= to_depth <= self.N:
+            self._depth_pair_error(from_depth, to_depth,
+                                   "broadcast goes from shallow to deep")
         reps = self._node_counts[to_depth - from_depth]
         return np.asarray(values).repeat(reps, axis=0)
 
     def conditional_expectation(self, values: np.ndarray, from_depth: int,
                                 to_depth: int) -> np.ndarray:
         """Average over descendants: exact E[. | F_{t_a}] on the tree."""
-        self._check_depth(from_depth)
-        self._check_depth(to_depth)
-        if to_depth > from_depth:
-            raise ValueError("conditioning goes from deep to shallow")
+        if not 0 <= to_depth <= from_depth <= self.N:
+            self._depth_pair_error(from_depth, to_depth,
+                                   "conditioning goes from deep to shallow")
         return self.ancestor_view(np.asarray(values, dtype=float),
                                   from_depth, to_depth).mean(axis=1)
 
@@ -142,10 +148,9 @@ class Tree:
         depth-``shallow`` coefficient against it gives what contracting
         the coefficient's :meth:`broadcast` would, without the copy.
         """
-        self._check_depth(deep)
-        self._check_depth(shallow)
-        if shallow > deep:
-            raise ValueError("ancestors sit at a shallower depth")
+        if not 0 <= shallow <= deep <= self.N:
+            self._depth_pair_error(deep, shallow,
+                                   "ancestors sit at a shallower depth")
         x = np.asarray(values)
         counts = self._node_counts
         return x.reshape((counts[shallow], counts[deep - shallow])
@@ -180,10 +185,9 @@ class Tree:
         (k x_k - P_k) c_k / ((m + 1) sqrt(dt)) and the step mean as
         P_{m+1} / (m + 1).
         """
-        self._check_depth(from_depth)
-        self._check_depth(to_depth)
-        if to_depth > from_depth:
-            raise ValueError("representation goes from deep to shallow")
+        if not 0 <= to_depth <= from_depth <= self.N:
+            self._depth_pair_error(from_depth, to_depth,
+                                   "representation goes from deep to shallow")
         x = np.asarray(values, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
@@ -216,10 +220,11 @@ class Tree:
         w_k = +-sqrt(dt) c_k z_k, branch ``br`` of the next depth is the
         parent value plus br w_br minus the suffix sum of w_k over k > br.
         """
-        self._check_depth(a)
-        self._check_depth(b)
+        message = "need one integrand per step in [a, b)"
+        if not 0 <= a <= b <= self.N:
+            self._depth_pair_error(a, b, message)
         if len(z_list) != b - a:
-            raise ValueError("need one integrand per step in [a, b)")
+            raise ValueError(message)
         nb = self.m + 1
         if start is None:
             d = z_list[0].shape[1] if z_list else 1

@@ -13,19 +13,17 @@ from . import delay as dly
 from . import forward as fwd
 from . import kernels as K
 from .lattice import TerminalField, Tree, terminal_from_function
-from .special import gamma_fn, mittag_leffler
+from .special import _expm, gamma_fn, mittag_leffler
 
 
 def _semigroup(M: np.ndarray) -> Callable:
     """lag -> e^{lag M}, each lag rounded to 12 digits and built once."""
-    from scipy.linalg import expm
-
     cache = {}
 
     def S(lag):
         key = round(float(lag), 12)
         if key not in cache:
-            cache[key] = expm(key * M)
+            cache[key] = _expm(key * M)
         return cache[key]
 
     return S

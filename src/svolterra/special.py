@@ -1,14 +1,17 @@
-"""Scalar special functions used as oracles by the kernel and solver modules.
+"""Special functions used as oracles by the kernel and solver modules.
 
-Only two functions live here: the Gamma function (wrapping the platform
-implementation behind a validated interface) and the two-parameter
+Three functions live here: the Gamma function (wrapping the platform
+implementation behind a validated interface), the two-parameter
 Mittag-Leffler function evaluated by its defining power series with
-compensated summation.
+compensated summation, and the matrix exponential of the semigroup
+builders, which loads ``scipy.linalg`` only for a non-diagonal argument.
 """
 from __future__ import annotations
 
 import functools
 import math
+
+import numpy as np
 
 
 class MittagLefflerBudgetError(RuntimeError):
@@ -112,3 +115,20 @@ def mittag_leffler(alpha: float, beta: float, z: float,
     raise MittagLefflerBudgetError(
         f"series did not converge within {max_terms} terms for "
         f"alpha={alpha}, beta={beta}, z={z}")
+
+
+def _expm(A) -> np.ndarray:
+    """e^A of a real square matrix, bit for bit ``scipy.linalg.expm(A)``.
+
+    An A with no nonzero entry off its diagonal takes scipy's own branch
+    for a diagonal argument, the exponential of the diagonal, without
+    loading scipy; every other A, a nan off the diagonal included, goes to
+    ``scipy.linalg.expm``, imported here on first use.
+    """
+    a = np.asarray(A, dtype=float)
+    if (a.ndim == 2 and a.shape[0] == a.shape[1]
+            and np.count_nonzero(a) == np.count_nonzero(a.diagonal())):
+        return np.diag(np.exp(np.diag(a)))
+    from scipy.linalg import expm
+
+    return expm(a)

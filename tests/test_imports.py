@@ -1,11 +1,13 @@
 """Which scipy submodules each entry point loads.
 
-``import svolterra``, a BSVIE solve and ``svolterra backward`` load none
-of ``scipy.integrate``, ``scipy.special`` and ``scipy.linalg``.  The
-quadrature, the causal doubly singular cells and the matrix exponentials
-load theirs on first call, and give the values they give with all three
-loaded up front.  Each check runs in a fresh interpreter, since this test
-process has loaded scipy already.
+``import svolterra``, a BSVIE solve, ``svolterra backward`` and the
+delay problems of the registry, whose semigroup generators are diagonal,
+load none of ``scipy.integrate``, ``scipy.special`` and ``scipy.linalg``.
+The quadrature, the causal doubly singular cells and the exponential of a
+non-diagonal matrix load theirs on first call.  Every case gives the
+values it gives with all three loaded up front and every matrix
+exponential taken by ``scipy.linalg.expm``.  Each check runs in a fresh
+interpreter, since this test process has loaded scipy already.
 """
 import hashlib
 import inspect
@@ -19,7 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 SCIPY_PARTS = ("scipy.integrate", "scipy.special", "scipy.linalg")
 
 
@@ -82,9 +85,10 @@ def test_bsvie_solves_and_backward_command_load_no_scipy(tmp_path):
     assert got == {"rc": 0, "import": [], "solves": [], "cli": []}
 
 
-# Each case: the submodule it needs, and code that sets ``values`` to the
-# arrays (or strings) it returns.  The same code runs here, with all three
-# submodules loaded first, as the package used to load them on import.
+# Each case: the submodule it needs (None for none), and code that sets
+# ``values`` to the arrays (or strings) it returns.  The same code runs
+# here, with all three submodules loaded first and both semigroup builders
+# calling ``scipy.linalg.expm`` itself.
 CASES = {
     "classify": ("scipy.integrate", """
         from svolterra import kernels as K
@@ -107,11 +111,28 @@ CASES = {
         tree = Tree(N=6, T=1.0, m=1)
         values = F.solve_lattice(p, tree).X.values
     """),
-    "delay_adjoint": ("scipy.linalg", """
+    "delay_adjoint": (None, """
         from svolterra import control as C, delay as D, registry as R
         from svolterra.lattice import Tree
         tree = Tree(N=8, T=1.0, m=1)
         dp = R.delay_lq_instance(delta=0.25, lam=0.3)
+        traj = D.solve_delay_state(dp, C.constant_control(tree, [0.2]), tree)
+        adj = D.solve_delay_adjoint(dp, traj, tree)
+        Gu, Gmu = D.hamiltonian_gradients(dp, traj, adj, tree)
+        gap = C.duality_gap(R.lq_instance(), C.constant_control(tree, [0.2]),
+                            C.constant_control(tree, [-0.1]), tree)
+        values = (dp.semigroup(tree) + adj.solution.Y.values
+                  + [z for row in adj.solution.Z.values for z in row]
+                  + Gu.values + Gmu.values + [gap])
+    """),
+    "delay_adjoint_full_M": ("scipy.linalg", f"""
+        import sys
+        sys.path.insert(0, {str(TESTS)!r})
+        from test_row_engine import linear_delay_problem
+        from svolterra import control as C, delay as D
+        from svolterra.lattice import Tree
+        tree = Tree(N=6, T=1.0, m=1)
+        dp = linear_delay_problem()
         traj = D.solve_delay_state(dp, C.constant_control(tree, [0.2]), tree)
         adj = D.solve_delay_adjoint(dp, traj, tree)
         values = (dp.semigroup(tree) + adj.solution.Y.values
@@ -121,7 +142,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_scipy_loaded_on_first_call_with_unchanged_values(case):
+def test_scipy_loaded_on_first_call_with_unchanged_values(case, monkeypatch):
     needed, body = CASES[case]
     got = run_fresh(f"""
         import svolterra
@@ -131,9 +152,17 @@ def test_scipy_loaded_on_first_call_with_unchanged_values(case):
                           "digest": digest(values)}}))
     """)
     assert got["before"] == []
-    assert needed in got["after"]
+    if needed is None:
+        assert got["after"] == []
+    else:
+        assert needed in got["after"]
     for name in SCIPY_PARTS:
         __import__(name)
+    from scipy.linalg import expm
+    from svolterra import delay, registry
+
+    monkeypatch.setattr(delay, "_expm", expm)
+    monkeypatch.setattr(registry, "_expm", expm)
     scope = {"np": np}
     exec(textwrap.dedent(body), scope)
     assert got["digest"] == digest(scope["values"])

@@ -311,6 +311,39 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+class TestDepthPairChecks:
+    """Each primitive checks its two depths with one chained comparison and
+    raises what two per-depth checks and an order check raised: the range
+    error of the first depth, then of the second, then the order error."""
+
+    # primitive, its first and second depth arguments in a misordered pair,
+    # order message
+    PRIMITIVES = [
+        ("broadcast", (2, 1), "broadcast goes from shallow to deep"),
+        ("conditional_expectation", (1, 2),
+         "conditioning goes from deep to shallow"),
+        ("ancestor_view", (1, 2), "ancestors sit at a shallower depth"),
+        ("martingale_representation", (1, 2),
+         "representation goes from deep to shallow"),
+        ("stochastic_integral", (2, 1),
+         "need one integrand per step in [a, b)"),
+    ]
+
+    @pytest.mark.parametrize("name, misordered, order_message", PRIMITIVES)
+    def test_messages(self, name, misordered, order_message):
+        tree = Tree(N=3, T=1.0, m=1)
+        call = getattr(tree, name)
+        first = [] if name == "stochastic_integral" else np.zeros((2, 1))
+        for pair, message in [((-1, 5), "depth -1 outside [0, 3]"),
+                              ((2, 4), "depth 4 outside [0, 3]"),
+                              ((5, 1), "depth 5 outside [0, 3]"),
+                              ((0, -1), "depth -1 outside [0, 3]"),
+                              (misordered, order_message)]:
+            with pytest.raises(ValueError) as err:
+                call(first, *pair)
+            assert str(err.value) == message
+
+
 class TestStepConstantsOncePerTree:
     """The step constants are computed once per tree; the primitives that
     read them give the per-call computation's outputs bit for bit, and a

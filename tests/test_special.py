@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 from scipy import special as sps
 
-from svolterra.special import (MittagLefflerBudgetError, _lgammas, gamma_fn,
-                               mittag_leffler)
+from svolterra.lattice import Tree
+from svolterra.registry import delay_lq_instance
+from svolterra.special import (MittagLefflerBudgetError, _expm, _lgammas,
+                               gamma_fn, mittag_leffler)
 
 
 class TestGamma:
@@ -236,3 +239,53 @@ class TestNonFiniteArguments:
         with pytest.raises(MittagLefflerBudgetError):
             mittag_leffler(0.7, 1.0, z)
         assert_same_as_reference(0.7, 1.0, z)
+
+
+class TestExpm:
+    """``_expm`` gives ``scipy.linalg.expm``'s bits, and calls it only for
+    an argument with a nonzero (or nan) entry off the diagonal."""
+
+    DIAGONAL = [np.array([[-0.5]]), np.diag([-1.25, 0.0, 0.7]),
+                np.zeros((3, 3)), -0.0 * np.eye(2), np.array([[np.nan]])]
+    FULL = [np.array([[-1.0, 0.3], [0.0, -0.5]]),
+            np.array([[-0.5, 0.2], [0.1, -0.3]]),
+            np.array([[-0.5, np.nan], [0.0, -0.3]])]
+
+    @pytest.fixture
+    def scipy_calls(self, monkeypatch):
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counted(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        return calls
+
+    @staticmethod
+    def assert_scipy_bits(A, got):
+        want = scipy.linalg.expm(A)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("A", DIAGONAL)
+    def test_diagonal_skips_scipy(self, A, scipy_calls):
+        got = _expm(A)
+        assert scipy_calls == []
+        self.assert_scipy_bits(A, got)
+
+    @pytest.mark.parametrize("A", FULL)
+    def test_off_diagonal_entry_calls_scipy(self, A, scipy_calls):
+        got = _expm(A)
+        assert len(scipy_calls) == 1
+        self.assert_scipy_bits(A, got)
+
+    def test_delay_semigroup_at_every_lag(self, scipy_calls):
+        tree = Tree(N=12, T=1.0, m=1)
+        dp = delay_lq_instance()
+        S = dp.semigroup(tree)
+        assert len(S) == tree.N + 1 and scipy_calls == []
+        for lag, got in enumerate(S):
+            self.assert_scipy_bits(lag * tree.dt * dp.M, got)
