@@ -455,27 +455,27 @@ def _block_fixed_point(terms: list, tree: Tree, weight_tables,
             out = scratch[new.shape] = np.empty_like(new)
         return _mean_square(new, old, out=out)
 
+    # One generation is kept: row i's pass reads only rows j >= i of y and
+    # the ``below`` table of the sweep's start, so with the rows in
+    # ascending order, replacing y[i] and mu[i] right after row i's pass and
+    # its update norm is still the Jacobi sweep, with the norm summed in
+    # the same order.
     def updates():
-        nonlocal y, mu
         while True:
-            new_y, new_mu = {}, {}
+            update_sq = 0.0
             for i in outers:
                 lam, mu_i, _ = _outer_pass(
                     tree, terms, weight_tables, i, free[i], hi, hi, i,
                     y_at=lambda j: y[j],
                     z2_below=lambda j, ii: below[j][ii],
                     first_step=first.get(i))
-                new_y[i] = lam
-                new_mu[i] = mu_i
-            update_sq = 0.0
-            for i in outers:
-                update_sq += tree.dt * update_sq_of(new_y[i], y[i])
-                for j, m_val in new_mu[i].items():
+                update_sq += tree.dt * update_sq_of(lam, y[i])
+                for j, m_val in mu_i.items():
                     # step hi - 1 keeps its integrand: an exact zero update
                     if j in mu[i] and j != hi - 1:
                         update_sq += tree.dt ** 2 * update_sq_of(m_val,
                                                                  mu[i][j])
-            y, mu = new_y, new_mu
+                y[i], mu[i] = lam, mu_i
             for i in range(lo + 1, hi):
                 _, zs = tree.martingale_representation(y[i], i, lo)
                 below[i] = {l: zs[l - lo] for l in range(lo, i)}
@@ -522,7 +522,10 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
     diag["blocks"] = blocks
 
     Y_fields = [None] * (N + 1)
-    Z = TwoParameterProcess.zeros(tree, problem.d)
+    # Z is filled as it is computed: the Fredholm pass sets j >= hi, the
+    # block fixed point i <= j < hi and the M-condition representation
+    # j < i, so every entry is an array when the solution is returned
+    Z = TwoParameterProcess(tree, [[None] * N for _ in range(N + 1)])
     sweep_info = []
     psi = problem.psi
 
@@ -556,6 +559,9 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
     diag["sweeps"] = [s["sweeps"] for s in sweep_info]
     diag["contraction_ratios"] = [max(s["ratios"]) if s["ratios"] else 0.0
                                   for s in sweep_info]
+    # the read-only zero views of a still-zero field hold no node bytes
+    diag["bytes"] = sum(y.nbytes for y in Y_fields) + sum(
+        z.nbytes for row in Z.values for z in row if z.flags.owndata)
     diag["m_condition_residual"] = m_condition_residual(sol, tree)
     diag["equation_residual"] = equation_residual(sol, problem, tree,
                                                   weight_tables)

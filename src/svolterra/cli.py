@@ -323,6 +323,7 @@ def cmd_backward(cfg, args):
     report["outputs"]["sweeps"] = sol.diagnostics["sweeps"]
     report["outputs"]["blocks"] = sol.diagnostics["blocks"]
     report["outputs"]["method"] = method
+    report["outputs"]["bytes"] = sol.diagnostics["bytes"]
     t0 = time.perf_counter()
     sol.Y.dump_csv(args.out / f"backward_{name}_Y.csv")
     sol.Z.dump_csv(args.out / f"backward_{name}_Z.csv")

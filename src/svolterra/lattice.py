@@ -378,7 +378,9 @@ class TwoParameterProcess:
     """Z(t_i, t_j) fields: values[i][j] adapted at depth j, shape (nodes_j, d, m).
 
     Outer index i runs over [0, N] and inner cell index j over [0, N); the
-    entry (i, j) is tagged above-diagonal when j >= i, below otherwise.
+    entry (i, j) is tagged above-diagonal when j >= i, below otherwise.  An
+    entry is None until it is set; :meth:`norm_sq` and :meth:`dump_csv`
+    skip it.
     """
 
     tree: Tree

@@ -146,10 +146,18 @@ def _affine_term(kern, c_y, c_z1, c_z2):
     return bwd.GeneratorTerm(fn, kernel=kern)
 
 
+def _need_noise(tree, label):
+    """The registry generators read noise coordinate 0: refuse m < 1."""
+    if tree.m < 1:
+        raise ValueError(f"{label} reads noise coordinate 0, so it needs "
+                         f"m >= 1; the tree has m = {tree.m}")
+
+
 def _affine_problem(tree, alpha, psi_fn, coefs, lip_scale, label):
     """Affine generator with coefficients ``coefs`` = (c_y, c_z1, c_z2),
     weighted by the lag^(alpha-1) / Gamma(alpha) kernel, on the free term
     ``psi_fn(t, w)``; ``lip_scale(c)`` scales each Lipschitz kernel."""
+    _need_noise(tree, label)
     kern = K.make_fractional(alpha, K.ANTICAUSAL, tree.T,
                              scale=1.0 / gamma_fn(alpha))
     L_y, L_z1, L_z2 = (K.make_fractional(alpha, K.ANTICAUSAL, tree.T,
@@ -180,6 +188,7 @@ def bsvie_fbm_rl(tree: Tree, H: float = 0.7):
 def bsvie_caputo(tree: Tree, alpha: float = 0.75):
     """Memory-derivative BSDE with y- and z-Lipschitz kernels 1.2 and 0.15
     times its generator kernel."""
+    _need_noise(tree, f"caputo_bsvie(alpha={alpha})")
     xi = np.tanh(tree.brownian(tree.N))
     A = 0.3 * np.eye(xi.shape[1])
 

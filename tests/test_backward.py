@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -1216,6 +1219,170 @@ class TestSharedUpdateNorm:
         for old_row, new_row in zip(before[1], after[1]):
             for old, new in zip(old_row, new_row):
                 assert_bits_equal(old, new)
+
+
+def reference_block_fixed_point(terms, tree, weight_tables, lo, hi, free,
+                                outers, tol, max_sweeps):
+    """The block sweep as it read before it kept one generation: every row's
+    pass of a sweep goes into ``new_y`` / ``new_mu``, then the update norm
+    is summed and the old generation replaced (reference copy)."""
+    y, first, below = {}, {}, {}
+    for i in outers:
+        y[i] = tree.conditional_expectation(free[i], hi, i)
+        if i < hi:
+            mean, zs = tree.martingale_representation(free[i], hi, hi - 1)
+            first[i] = (mean, zs[0])
+        if lo < i < hi:
+            _, zs = tree.martingale_representation(mean, hi - 1, lo)
+            below[i] = {l: zs[l - lo] for l in range(lo, i)}
+    mu = {i: {} for i in outers}
+    scratch = {}
+
+    def update_sq_of(new, old):
+        out = scratch.get(new.shape)
+        if out is None:
+            out = scratch[new.shape] = np.empty_like(new)
+        return B._mean_square(new, old, out=out)
+
+    def updates():
+        nonlocal y, mu
+        while True:
+            new_y, new_mu = {}, {}
+            for i in outers:
+                lam, mu_i, _ = B._outer_pass(
+                    tree, terms, weight_tables, i, free[i], hi, hi, i,
+                    y_at=lambda j: y[j],
+                    z2_below=lambda j, ii: below[j][ii],
+                    first_step=first.get(i))
+                new_y[i] = lam
+                new_mu[i] = mu_i
+            update_sq = 0.0
+            for i in outers:
+                update_sq += tree.dt * update_sq_of(new_y[i], y[i])
+                for j, m_val in new_mu[i].items():
+                    if j in mu[i] and j != hi - 1:
+                        update_sq += tree.dt ** 2 * update_sq_of(m_val,
+                                                                 mu[i][j])
+            y, mu = new_y, new_mu
+            for i in range(lo + 1, hi):
+                _, zs = tree.martingale_representation(y[i], i, lo)
+                below[i] = {l: zs[l - lo] for l in range(lo, i)}
+            yield math.sqrt(update_sq)
+
+    sweeps, ratios = B._sweep_to_tolerance(updates(), tol, max_sweeps,
+                                           (lo, hi))
+    return y, mu, {"sweeps": sweeps, "ratios": ratios}
+
+
+def solution_digest(sol, tree):
+    """sha256 of Y, Z (shapes, bits and signs), sweeps, contraction ratios
+    and both residuals, so two large solutions need not be held at once."""
+    h = hashlib.sha256()
+    arrays = list(sol.Y.values) + [sol.Z.entry(i, j)
+                                   for i in range(tree.N + 1)
+                                   for j in range(tree.N)]
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    for key in ("m_condition_residual", "equation_residual", "sweeps",
+                "contraction_ratios"):
+        h.update(repr(sol.diagnostics[key]).encode())
+    return h.hexdigest()
+
+
+class TestOneGenerationSweep:
+    """The block sweep replaces each row as soon as its pass and update norm
+    are taken; every sweep is still the two-generation Jacobi sweep, so the
+    solution is the old one bit for bit."""
+
+    @pytest.mark.parametrize("method", ["fixed_point", "block"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("N", [6, 9, 12])
+    @pytest.mark.parametrize("family", sorted(R.BACKWARD_PROBLEMS))
+    def test_solve_matches_two_generation_sweep(self, monkeypatch, family, N,
+                                                m, method):
+        tree = Tree(N=N, T=1.0, m=m)
+        p = R.BACKWARD_PROBLEMS[family](tree)
+        got = solution_digest(B.solve_bsvie(p, tree, method=method), tree)
+        with monkeypatch.context() as patch:
+            patch.setattr(B, "_block_fixed_point",
+                          reference_block_fixed_point)
+            want = solution_digest(B.solve_bsvie(p, tree, method=method),
+                                   tree)
+        assert got == want
+
+    @pytest.mark.parametrize("family", ["caputo", "fbm_rl_generator"])
+    def test_block_method_has_multi_row_blocks(self, family):
+        # the case the ordering argument is about: rows of one block read
+        # each other within a sweep
+        tree = Tree(N=12, T=1.0, m=1)
+        p = R.BACKWARD_PROBLEMS[family](tree)
+        blocks = B.solve_bsvie(p, tree, method="block").diagnostics["blocks"]
+        assert max(hi - lo for lo, hi in blocks) >= 3
+
+
+def owned_bytes(sol):
+    """Bytes of Y and of the Z entries that own their data; a read-only
+    zero view holds no node bytes."""
+    return sum(y.nbytes for y in sol.Y.values) + sum(
+        z.nbytes for row in sol.Z.values for z in row if z.flags.owndata)
+
+
+def traced_solve(problem, tree, **kwargs):
+    """``solve_bsvie(problem, tree, **kwargs)`` and its traced peak over the
+    bytes its solution owns."""
+    tracemalloc.start()
+    try:
+        sol = B.solve_bsvie(problem, tree, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return sol, peak / owned_bytes(sol)
+
+
+class TestSolutionBytes:
+    """A solve holds little more than the pair it returns: Z is filled as it
+    is computed, and the block sweep keeps one generation.  With a zero Z
+    table and two generations, the block method peaked at up to 2.05 times
+    the solution's bytes at N = 12, and the lq adjoint at 2.0."""
+
+    @pytest.mark.parametrize("method", ["fixed_point", "block"])
+    @pytest.mark.parametrize("family", sorted(R.BACKWARD_PROBLEMS))
+    def test_registry_peak_near_solution_bytes(self, family, method):
+        tree = Tree(N=12, T=1.0, m=1)
+        p = R.BACKWARD_PROBLEMS[family](tree)
+        sol, ratio = traced_solve(p, tree, method=method)
+        assert ratio <= 1.3
+        assert sol.diagnostics["bytes"] == owned_bytes(sol)
+
+    def test_adjoint_peak_near_solution_bytes(self, monkeypatch):
+        # solve_adjoint's own tolerance
+        tree, problem, _ = solved_adjoint(monkeypatch, R.lq_instance(), 12)
+        _, ratio = traced_solve(problem, tree, tol=1e-14)
+        assert ratio <= 1.7
+
+    @pytest.mark.parametrize("method", ["fixed_point", "block"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("family", sorted(R.BACKWARD_PROBLEMS))
+    def test_every_z_entry_is_an_array(self, family, m, method):
+        tree = Tree(N=6, T=1.0, m=m)
+        sol = B.solve_bsvie(R.BACKWARD_PROBLEMS[family](tree), tree,
+                            method=method)
+        for row in sol.Z.values:
+            assert len(row) == tree.N
+            assert all(isinstance(z, np.ndarray) for z in row)
+
+    def test_bytes_count_adjoint_zero_views_as_nothing(self, monkeypatch):
+        _, _, sol = solved_adjoint(monkeypatch, R.lq_instance(), 8)
+        zs = [z for row in sol.Z.values for z in row]
+        assert all(isinstance(z, np.ndarray) for z in zs)
+        views = [z for z in zs if z.strides == (0, 0, 0)]
+        assert views and all(not z.flags.writeable and not z.any()
+                             for z in views)
+        want = sum(y.nbytes for y in sol.Y.values) + sum(
+            z.nbytes for z in zs if z.strides != (0, 0, 0))
+        assert sol.diagnostics["bytes"] == want
 
 
 class TestMethodAgreement:

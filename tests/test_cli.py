@@ -306,6 +306,21 @@ class TestConfigErrorsExitTwo:
         assert not list(tmp_path.glob("*_*.json"))
 
 
+    @pytest.mark.parametrize("problem", ["fractional_generator",
+                                         "fbm_rl_generator", "caputo"])
+    def test_backward_on_noiseless_tree(self, tmp_path, capsys, problem):
+        # the generators read noise coordinate 0: at m = 0 an IndexError or
+        # a zero-size reduction used to escape as a traceback
+        rc, err = self.run(tmp_path, capsys, "backward", {
+            "tree": {"N": 4, "T": 1.0, "m": 0},
+            "backward": {"problem": problem}})
+        assert rc == 2
+        assert err.startswith("config error: config.backward:")
+        assert "needs m >= 1; the tree has m = 0" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*_*.json"))
+
+
 class TestKernelCommand:
     def test_report_written(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -338,6 +353,25 @@ class TestBackwardCommand:
         # one row per block, with the sweeps of each
         assert data["outputs"]["blocks"] == [[r, r + 1] for r in range(4)]
         assert len(data["outputs"]["sweeps"]) == 4
+
+    def test_report_records_solution_bytes(self, tmp_path, monkeypatch):
+        solve, sols = cli.bwd.solve_bsvie, []
+
+        def keep(*args, **kwargs):
+            sols.append(solve(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(cli.bwd, "solve_bsvie", keep)
+        cfg = write_config(tmp_path, {
+            "tree": {"N": 5, "T": 1.0, "m": 2},
+            "backward": {"problem": "caputo", "method": "block"}})
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "backward"])
+        assert rc == 0
+        data = json.loads((tmp_path / "backward_caputo.json").read_text())
+        sol = sols[0]
+        want = sum(y.nbytes for y in sol.Y.values) + sum(
+            z.nbytes for row in sol.Z.values for z in row)
+        assert data["outputs"]["bytes"] == want
 
     def test_method_flag(self, tmp_path):
         cfg = write_config(tmp_path, {
