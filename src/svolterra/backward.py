@@ -488,7 +488,7 @@ def _block_fixed_point(terms: list, tree: Tree, weight_tables,
 
 def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
                 method: str = "fixed_point", tol: float = 1e-12,
-                max_sweeps: int = 500) -> MSolution:
+                max_sweeps: int = 500, keep_above: bool = True) -> MSolution:
     """Adapted M-solution of the backward Volterra equation.
 
     Both methods solve the terminal block first and fold each solved
@@ -501,6 +501,17 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
     same discrete solution.  ``max_sweeps`` caps the sweeps of each block;
     a block that does not converge raises :class:`DivergenceError` naming
     it.
+
+    The rows are checked by :func:`m_condition_residual` and
+    :func:`equation_residual`; the diagnostics hold the maxima.  Nothing
+    reads row i's Z(t_i, t_j), j >= i, after its check, so with
+    ``keep_above`` false each block's rows are checked as soon as they and
+    every later row are final, and those entries are released (set to
+    None) right after; the returned Z then holds the below-diagonal
+    integrands only.  Otherwise every row is checked once, at the end
+    (checks between blocks cost registry solves 3-6 % and release
+    nothing).  Y(t_N) is a read-only view of psi(t_N) when the last row
+    solves to the free term itself.
     """
     tree = tree or problem.tree
     if tree is not problem.tree:
@@ -524,10 +535,17 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
     Y_fields = [None] * (N + 1)
     # Z is filled as it is computed: the Fredholm pass sets j >= hi, the
     # block fixed point i <= j < hi and the M-condition representation
-    # j < i, so every entry is an array when the solution is returned
+    # j < i, so every entry is an array once its row is solved
     Z = TwoParameterProcess(tree, [[None] * N for _ in range(N + 1)])
-    sweep_info = []
+    sweep_info, checks = [], []
     psi = problem.psi
+    # the row checks read Y as this list until the solve returns
+    sol = MSolution(Y_fields, Z, diag)
+
+    def check(rows):
+        checks.append((m_condition_residual(sol, tree, rows),
+                       equation_residual(sol, problem, tree, weight_tables,
+                                         rows)))
 
     for (lo, hi) in reversed(blocks):
         outers = list(range(lo, N + 1)) if hi == N else list(range(lo, hi))
@@ -553,18 +571,30 @@ def solve_bsvie(problem: BSVIEProblem, tree: Tree = None,
             _, zs = tree.martingale_representation(y[i], i, 0)
             for j in range(i):
                 Z.set_entry(i, j, zs[j])
+        if not keep_above:
+            # rows lo..N are final now: check the block's, then drop what
+            # no later pass reads (Y(t_j) and Z(t_j, t_i), j > i, only)
+            check(outers)
+            for i in outers:
+                Z.values[i][i:] = [None] * (N - i)
+    if keep_above:
+        check(range(N + 1))
 
-    Y = AdaptedProcess(tree, Y_fields)
-    sol = MSolution(Y, Z, diag)
+    if Y_fields[N] is psi[N]:  # the free term's own array: lend a view
+        Y_fields[N] = psi[N].view()
+        Y_fields[N].flags.writeable = False
+    sol.Y = AdaptedProcess(tree, Y_fields)
     diag["sweeps"] = [s["sweeps"] for s in sweep_info]
     diag["contraction_ratios"] = [max(s["ratios"]) if s["ratios"] else 0.0
                                   for s in sweep_info]
-    # the read-only zero views of a still-zero field hold no node bytes
-    diag["bytes"] = sum(y.nbytes for y in Y_fields) + sum(
-        z.nbytes for row in Z.values for z in row if z.flags.owndata)
-    diag["m_condition_residual"] = m_condition_residual(sol, tree)
-    diag["equation_residual"] = equation_residual(sol, problem, tree,
-                                                  weight_tables)
+    # read-only arrays (the zero views of a still-zero field, the view of
+    # psi(t_N)) hold none of the solution's bytes, nor do released entries
+    diag["bytes"] = sum(y.nbytes for y in Y_fields if y.flags.writeable) \
+        + sum(z.nbytes for row in Z.values for z in row
+              if z is not None and z.flags.owndata)
+    # the maxima in ascending row order
+    diag["m_condition_residual"] = _worst([m for m, _ in checks[::-1]])
+    diag["equation_residual"] = _worst([eq for _, eq in checks[::-1]])
     return sol
 
 
@@ -634,20 +664,54 @@ def solve_sfie(psi: TerminalField, h: Callable, tree: Tree,
 # residuals and stability
 # ---------------------------------------------------------------------------
 
-def m_condition_residual(sol: MSolution, tree: Tree) -> float:
+def _worst(defects) -> float:
+    """The largest row defect, nan when any is nan (``max`` alone drops a
+    nan that is not its first argument)."""
+    return math.nan if any(map(math.isnan, defects)) else max(defects)
+
+
+def _m_condition_row(tree: Tree, Y, Z: TwoParameterProcess, i: int) -> float:
     """Max node defect of Y(t_i) = E Y(t_i) + sum_{j<i} Z(t_i,t_j) dW_j."""
-    worst = 0.0
-    for i in range(tree.N + 1):
-        mean = tree.conditional_expectation(sol.Y[i], i, 0)
-        recon = tree.stochastic_integral(
-            [sol.Z.entry(i, j) for j in range(i)], 0, i, start=mean)
-        worst = max(worst, float(np.max(np.abs(sol.Y[i] - recon))))
-    return worst
+    mean = tree.conditional_expectation(Y[i], i, 0)
+    recon = tree.stochastic_integral([Z.entry(i, j) for j in range(i)], 0,
+                                     i, start=mean)
+    return float(np.max(np.abs(Y[i] - recon)))
+
+
+def _equation_row(tree: Tree, problem: BSVIEProblem, tables, Y,
+                  Z: TwoParameterProcess, i: int) -> float:
+    """Max leaf defect of row i of the discrete backward equation; it
+    reads Y(t_j), j >= i, row i's Z(t_i, t_j), j >= i, and Z(t_j, t_i),
+    j > i."""
+    N, psi = tree.N, problem.psi
+    depth = psi.depths[i]
+    carry = psi.at(i, i) - Y[i] if depth <= i else -Y[i]
+    for j in range(i, N):
+        z1 = Z.entry(i, j)
+        carry = _cell_drift(tree, problem.terms, tables, i, j, carry, Y[j],
+                            z1, Z.entry)
+        if j == N - 1 and depth < N and not z1.any():
+            break
+        carry = tree.stochastic_integral([z1], j, j + 1, start=carry,
+                                         subtract=True)
+        if j + 1 == depth:
+            carry += psi[i]
+    return float(np.max(np.abs(carry, out=carry)))
+
+
+def m_condition_residual(sol: MSolution, tree: Tree, rows=None) -> float:
+    """Max node defect of Y(t_i) = E Y(t_i) + sum_{j<i} Z(t_i,t_j) dW_j
+    over ``rows`` (default all), nan when any row's is."""
+    rows = range(tree.N + 1) if rows is None else rows
+    return _worst([_m_condition_row(tree, sol.Y, sol.Z, i) for i in rows])
 
 
 def equation_residual(sol: MSolution, problem: BSVIEProblem, tree: Tree,
-                      weight_tables=None) -> float:
-    """Max leaf defect of the discrete backward equation.
+                      weight_tables=None, rows=None) -> float:
+    """Max leaf defect of the discrete backward equation over ``rows``
+    (default all), nan when any row's is.  A row's check needs its entries
+    on and above the diagonal, which a solve with ``keep_above`` false
+    releases (its diagnostics hold the value).
 
     For each outer index one field is carried from depth i to the leaves:
     it starts at psi(t_i) - Y(t_i) (or -Y(t_i), taking psi where the carry
@@ -659,26 +723,14 @@ def equation_residual(sol: MSolution, problem: BSVIEProblem, tree: Tree,
     would only repeat it.  ``weight_tables`` reuses the tables of the solve
     being checked; by default they are built from ``problem``.
     """
-    N = tree.N
-    psi = problem.psi
+    rows = range(tree.N + 1) if rows is None else rows
+    if any(z is None for i in rows for z in sol.Z.values[i][i:]):
+        raise ValueError("the solution's Z table has released entries; "
+                         "solve with keep_above=True to check it again")
     tables = _term_weights(problem.terms, tree) if weight_tables is None \
         else weight_tables
-    worst = 0.0
-    for i in range(N + 1):
-        depth = psi.depths[i]
-        carry = psi.at(i, i) - sol.Y[i] if depth <= i else -sol.Y[i]
-        for j in range(i, N):
-            z1 = sol.Z.entry(i, j)
-            carry = _cell_drift(tree, problem.terms, tables, i, j, carry,
-                                sol.Y[j], z1, sol.Z.entry)
-            if j == N - 1 and depth < N and not z1.any():
-                break
-            carry = tree.stochastic_integral([z1], j, j + 1, start=carry,
-                                             subtract=True)
-            if j + 1 == depth:
-                carry += psi[i]
-        worst = max(worst, float(np.max(np.abs(carry, out=carry))))
-    return worst
+    return _worst([_equation_row(tree, problem, tables, sol.Y, sol.Z, i)
+                   for i in rows])
 
 
 def stability_gap_bsvie(p: BSVIEProblem, p2: BSVIEProblem,

@@ -337,6 +337,14 @@ def cmd_backward(cfg, args):
     return 0 if ok else 1
 
 
+def _adjoint_checks(report, diag):
+    """Copy an adjoint solve's two residuals and its bytes into the
+    control report."""
+    report["residuals"]["m_condition"] = diag["m_condition_residual"]
+    report["residuals"]["equation"] = diag["equation_residual"]
+    report["outputs"]["adjoint_bytes"] = diag["bytes"]
+
+
 def cmd_control(cfg, args):
     name = _require(cfg, "control.instance", str,
                     lambda v: v in reg.CONTROL_INSTANCES,
@@ -374,11 +382,9 @@ def cmd_control(cfg, args):
         X = ctl.solve_state(cp, u, tree)
         adj = ctl.solve_adjoint(cp, X, u, tree)
         gap = ctl.duality_gap(cp, u, v, tree, state=X, adjoint=adj)
-        # only the residuals are read from here on: release the adjoint's
-        # Z table before the descent
-        res = report["residuals"]
-        res["m_condition"] = adj.diagnostics["m_condition_residual"]
-        res["equation"] = adj.diagnostics["equation_residual"]
+        # only the residuals and bytes are read from here on: release the
+        # adjoint before the descent
+        _adjoint_checks(report, adj.diagnostics)
         del adj
         u_bar, trace = ctl.projected_gradient_search(cp, u, tree, steps=steps,
                                                      rate=rate)
@@ -390,19 +396,23 @@ def cmd_control(cfg, args):
             "final_cost": trace["cost"][-1],
             "gradient_norms": trace["grad_norm"][-5:],
         })
-        # false for a nan residual
-        ok = gap <= 1e-10 and margin >= -1e-6 \
-            and res["m_condition"] <= 1e-12 and res["equation"] <= 1e-9
+        ok = gap <= 1e-10 and margin >= -1e-6
     else:
         u_star, trace = dly.delay_projected_gradient_search(
             dp, u, tree, steps=steps, rate=rate)
         margin = dly.delay_mp_check(dp, u_star, tree, probe_count=probes,
                                     seed=args.seed)
+        traj = dly.solve_delay_state(dp, u_star, tree)
+        _adjoint_checks(report, dly.solve_delay_adjoint(
+            dp, traj, tree).solution.diagnostics)
         report["outputs"].update({
             "stationarity_margin": margin,
             "final_cost": trace["cost"][-1],
         })
         ok = margin >= -1e-6
+    res = report["residuals"]
+    # false for a nan residual
+    ok = ok and res["m_condition"] <= 1e-12 and res["equation"] <= 1e-9
     if budget.exceeded:
         report["outputs"]["partial"] = True
     _write_report(report, args.out, f"control_{name}.json")

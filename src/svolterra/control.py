@@ -226,15 +226,12 @@ def _coefficient(deriv: Callable, X: AdaptedProcess, u: AdaptedProcess,
 def _bumps(cp: ControlProblem, X: AdaptedProcess, u_bar: AdaptedProcess,
            v: AdaptedProcess, tree: Tree) -> Callable:
     """Forcing of cell (i, j): b_u (v - u_bar) and sigma_u (v - u_bar), with
-    v - u_bar formed once per depth j."""
+    v - u_bar formed per cell, so no depth's difference outlives its cell."""
     b_u = _coefficient(cp.b_u, X, u_bar, tree)
     sigma_u = _coefficient(cp.sigma_u, X, u_bar, tree)
-    bumps = {}
 
     def forcing(i, j):
-        if j not in bumps:
-            bumps[j] = v[j] - u_bar[j]
-        du = bumps[j]
+        du = v[j] - u_bar[j]
         return (np.einsum("nau,nu->na", b_u(i, j), du),
                 np.einsum("namu,nu->nam", sigma_u(i, j), du))
 
@@ -276,6 +273,10 @@ def solve_adjoint(cp: ControlProblem, x_bar: AdaptedProcess,
     by squaring tree increments.  Every field stays at the depth where it
     is measurable: the free term g_x(t_r) at depth r, and the coefficients
     of cell (j, r) on the depth-r state and control, contracted there.
+    The returned Z holds the below-diagonal integrands Z(t_j, t_r), j > r,
+    the only ones the maximum principle reads (``mp_gradient``); the
+    entries on and above the diagonal are released (None) once each row's
+    residuals are checked.
     """
     N, t = tree.N, tree.times
     psi = TerminalField(
@@ -284,7 +285,7 @@ def solve_adjoint(cp: ControlProblem, x_bar: AdaptedProcess,
     problem = _linear_adjoint(psi, _coefficient(cp.b_x, x_bar, u_bar, tree),
                               _coefficient(cp.sigma_x, x_bar, u_bar, tree),
                               "adjoint")
-    return solve_bsvie(problem, tree, tol=tol)
+    return solve_bsvie(problem, tree, tol=tol, keep_above=False)
 
 
 def duality_gap(cp: ControlProblem, u_bar: AdaptedProcess,

@@ -379,7 +379,10 @@ def solve_delay_adjoint(dp: DelayProblem, traj: DelayTrajectory,
     The terminal field is represented first (its integrands feed the free
     term), then the tripled backward Volterra system is solved, and the
     (p, q) aggregates are assembled from semigroup-weighted sums of the
-    components.
+    components.  Those sums read Y and the below-diagonal Z(t_i, t_r),
+    i > r, only, so the solution's Z holds just those integrands: the
+    entries on and above the diagonal are released (None) once each row's
+    residuals are checked.
     """
     N, t, dt = tree.N, tree.times, tree.dt
     d = dp.d
@@ -422,7 +425,7 @@ def solve_delay_adjoint(dp: DelayProblem, traj: DelayTrajectory,
     psi = TerminalField(tree, psi_fields)
 
     problem = _linear_adjoint(psi, aug.A, aug.C, "delay_adjoint")
-    sol = solve_bsvie(problem, tree, tol=tol)
+    sol = solve_bsvie(problem, tree, tol=tol, keep_above=False)
 
     # assemble p and q from the component aggregates
     hx, hy = H_bar[:, 0:d], H_bar[:, d:2 * d]

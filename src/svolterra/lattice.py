@@ -379,7 +379,9 @@ class TwoParameterProcess:
 
     Outer index i runs over [0, N] and inner cell index j over [0, N); the
     entry (i, j) is tagged above-diagonal when j >= i, below otherwise.  An
-    entry is None until it is set; :meth:`norm_sq` and :meth:`dump_csv`
+    entry is None until it is set, and again once released (the adjoint
+    solves release the entries on and above the diagonal, which the
+    maximum principles never read); :meth:`norm_sq` and :meth:`dump_csv`
     skip it.
     """
 

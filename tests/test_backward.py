@@ -15,7 +15,7 @@ from svolterra import kernels as K
 from svolterra import registry as R
 from svolterra.acceptance import dense_linear_bsvie_solve
 from svolterra.lattice import (AdaptedProcess, TerminalField, Tree,
-                               terminal_from_function)
+                               TwoParameterProcess, terminal_from_function)
 from svolterra.special import gamma_fn, mittag_leffler
 
 
@@ -449,6 +449,41 @@ def assert_same_msolution(a, b, tree):
         assert_bits_equal(a.diagnostics[key], b.diagnostics[key])
 
 
+def assert_same_kept(a, b, tree):
+    """What an adjoint solve returns: Y, the below-diagonal Z and the
+    diagnostics bit for bit, and nothing on or above the diagonal."""
+    for i in range(tree.N + 1):
+        assert_bits_equal(a.Y[i], b.Y[i])
+        for j in range(tree.N):
+            if j < i:
+                assert_bits_equal(a.Z.entry(i, j), b.Z.entry(i, j))
+            else:
+                assert a.Z.entry(i, j) is None and b.Z.entry(i, j) is None
+    for key in ("m_condition_residual", "equation_residual", "sweeps",
+                "contraction_ratios", "bytes"):
+        assert_bits_equal(a.diagnostics[key], b.diagnostics[key])
+
+
+def capture_bsvie(monkeypatch, module):
+    """Wrap ``module.solve_bsvie``; returns the list each call appends its
+    (problem, tree, keyword arguments) to."""
+    calls, solve = [], B.solve_bsvie
+
+    def capture(problem, tree, **kwargs):
+        calls.append((problem, tree, kwargs))
+        return solve(problem, tree, **kwargs)
+
+    monkeypatch.setattr(module, "solve_bsvie", capture)
+    return calls
+
+
+def solve_whole(call):
+    """Solve a captured (problem, tree, kwargs) again, keeping every Z
+    entry."""
+    problem, tree, kwargs = call
+    return B.solve_bsvie(problem, tree, **dict(kwargs, keep_above=True))
+
+
 def with_reference_engine(monkeypatch, run):
     """``run()`` with the engine's drift sum, then with the reference."""
     got = run()
@@ -495,6 +530,8 @@ class TestInPlaceDriftSum:
         assert_bits_equal(got, want)
 
     def test_control_adjoint_matches_reference_sum(self, monkeypatch):
+        # the adjoint returns its below-diagonal Z; the engine is pinned on
+        # its whole table, solving the captured problem again
         tree = Tree(N=7, T=1.0, m=1)
         rng = np.random.default_rng(3)
         u, v = (AdaptedProcess(tree, [0.5 * rng.normal(
@@ -503,22 +540,34 @@ class TestInPlaceDriftSum:
         cp = R.lq_instance()
 
         def run():
-            X = C.solve_state(cp, u, tree)
-            return (C.solve_adjoint(cp, X, u, tree),
+            with monkeypatch.context() as patch:
+                calls = capture_bsvie(patch, C)
+                X = C.solve_state(cp, u, tree)
+                adj = C.solve_adjoint(cp, X, u, tree)
+            return (adj, solve_whole(calls[0]),
                     C.duality_gap(cp, u, v, tree))
 
-        (adj, gap), (adj_ref, gap_ref) = with_reference_engine(
-            monkeypatch, run)
-        assert_same_msolution(adj, adj_ref, tree)
+        (adj, whole, gap), (adj_ref, whole_ref, gap_ref) = \
+            with_reference_engine(monkeypatch, run)
+        assert_same_kept(adj, adj_ref, tree)
+        assert_same_msolution(whole, whole_ref, tree)
         assert_bits_equal(gap, gap_ref)
 
     def test_delay_adjoint_matches_reference_sum(self, monkeypatch):
         tree = Tree(N=8, T=1.0, m=1)
         dp = R.delay_lq_instance(delta=0.25, lam=0.3)
         traj = D.solve_delay_state(dp, C.constant_control(tree, [0.2]), tree)
-        got, want = with_reference_engine(
-            monkeypatch, lambda: D.solve_delay_adjoint(dp, traj, tree))
-        assert_same_msolution(got.solution, want.solution, tree)
+
+        def run():
+            with monkeypatch.context() as patch:
+                calls = capture_bsvie(patch, D)
+                adj = D.solve_delay_adjoint(dp, traj, tree)
+            return adj, solve_whole(calls[0])
+
+        (got, whole), (want, whole_ref) = with_reference_engine(
+            monkeypatch, run)
+        assert_same_kept(got.solution, want.solution, tree)
+        assert_same_msolution(whole, whole_ref, tree)
 
     @pytest.mark.parametrize("outer_first", [True, False])
     @pytest.mark.parametrize("method", ["fixed_point", "block"])
@@ -891,24 +940,20 @@ def leaf_expanding_equation_residual(sol, problem, tree):
     return worst
 
 
-def solved_adjoint(monkeypatch, cp, N, seed=3):
+def solved_adjoint(monkeypatch, cp, N, seed=3, whole=False):
     """(tree, problem, solution) of the adjoint of ``cp`` at a random
-    control on an N-step binary tree."""
+    control on an N-step binary tree: the solution ``solve_adjoint``
+    returns, or with ``whole`` its problem solved again with every Z
+    entry kept."""
     tree = Tree(N=N, T=1.0, m=1)
     rng = np.random.default_rng(seed)
     u = AdaptedProcess(tree, [0.5 * rng.normal(size=(tree.node_count(i), 1))
                               for i in range(N + 1)])
-    problems = []
-
-    def capture(problem, tree, **kwargs):
-        problems.append(problem)
-        return B.solve_bsvie(problem, tree, **kwargs)
-
     X = C.solve_state(cp, u, tree)
     with monkeypatch.context() as patch:
-        patch.setattr(C, "solve_bsvie", capture)
+        calls = capture_bsvie(patch, C)
         sol = C.solve_adjoint(cp, X, u, tree)
-    return tree, problems[0], sol
+    return tree, calls[0][0], solve_whole(calls[0]) if whole else sol
 
 
 def count_calls(monkeypatch, name, record=None):
@@ -989,7 +1034,8 @@ class TestZeroFieldStart:
         # integrand there is the read-only zero view, which holds no node
         # bytes; row N - 1 takes it from its block's representation of the
         # repeated free term, a computed +0.0 array
-        tree, _, sol = solved_adjoint(monkeypatch, R.lq_instance(), 6)
+        tree, _, sol = solved_adjoint(monkeypatch, R.lq_instance(), 6,
+                                      whole=True)
         for r in range(tree.N):
             z = sol.Z.entry(r, tree.N - 1)
             assert isinstance(z, np.ndarray)
@@ -1089,9 +1135,7 @@ class TestAdjointFirstDualityGap:
             want, ref = adjoint_last_duality_gap(cp, u, v, tree)
         assert got <= 1e-12
         assert_bits_equal(got, want)
-        assert_same_msolution(adjoints[0], ref, tree)
-        last = (adjoints[0].Z.entry(0, N - 1), ref.Z.entry(0, N - 1))
-        assert [z.flags.writeable for z in last] == [False, True]
+        assert_same_kept(adjoints[0], ref, tree)
 
     def test_adjoint_z_released_before_variational_solve(self, monkeypatch):
         tree = Tree(N=6, T=1.0, m=1)
@@ -1113,6 +1157,20 @@ class TestAdjointFirstDualityGap:
         monkeypatch.setattr(C, "solve_variational", variational)
         C.duality_gap(R.lq_instance(), u, v, tree)
         assert alive == [[False, False]]
+
+    def test_traced_peak_at_n14(self):
+        # the adjoint's entries on and above the diagonal held through its
+        # residual checks put this at 2.2 MB; released, the forcing rows
+        # (1.6 MB) set the peak
+        tree = Tree(N=14, T=1.0, m=1)
+        u, v = self.controls(tree, 14)
+        tracemalloc.start()
+        try:
+            C.duality_gap(R.lq_instance(), u, v, tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8e6
 
     def test_given_adjoint_is_read_as_passed(self):
         tree = Tree(N=6, T=1.0, m=1)
@@ -1138,7 +1196,7 @@ class TestResidualStopsAboveLeaves:
     def test_matches_leaf_expanding_residual(self, monkeypatch, instance, N):
         cp = R.lq_instance() if instance == "lq" \
             else R.random_linear_instance(11)
-        tree, problem, sol = solved_adjoint(monkeypatch, cp, N)
+        tree, problem, sol = solved_adjoint(monkeypatch, cp, N, whole=True)
         with monkeypatch.context() as patch:
             integrals = count_calls(patch, "stochastic_integral")
             got = B.equation_residual(sol, problem, tree)
@@ -1151,7 +1209,8 @@ class TestResidualStopsAboveLeaves:
         assert len(integrals) - steps == N * (N + 1) // 2
 
     def test_nonzero_last_integrand_is_expanded(self, monkeypatch):
-        tree, problem, sol = solved_adjoint(monkeypatch, R.lq_instance(), 6)
+        tree, problem, sol = solved_adjoint(monkeypatch, R.lq_instance(), 6,
+                                            whole=True)
         assert sol.diagnostics["equation_residual"] < 1e-12
         z = np.zeros((tree.node_count(tree.N - 1), 1, 1))
         z[3, 0, 0] = 1e-3
@@ -1323,22 +1382,27 @@ class TestOneGenerationSweep:
 
 
 def owned_bytes(sol):
-    """Bytes of Y and of the Z entries that own their data; a read-only
-    zero view holds no node bytes."""
-    return sum(y.nbytes for y in sol.Y.values) + sum(
-        z.nbytes for row in sol.Z.values for z in row if z.flags.owndata)
+    """Bytes of the writeable Y fields and of the Z entries that own their
+    data; a read-only zero view holds no node bytes, and a read-only Y(t_N)
+    is the free term's."""
+    return sum(y.nbytes for y in sol.Y.values if y.flags.writeable) + sum(
+        z.nbytes for row in sol.Z.values for z in row
+        if z is not None and z.flags.owndata)
 
 
 def traced_solve(problem, tree, **kwargs):
     """``solve_bsvie(problem, tree, **kwargs)`` and its traced peak over the
-    bytes its solution owns."""
+    bytes its solution reaches: :func:`owned_bytes` plus a read-only Y(t_N)
+    (the ratio these bounds were set on)."""
     tracemalloc.start()
     try:
         sol = B.solve_bsvie(problem, tree, **kwargs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return sol, peak / owned_bytes(sol)
+    y = sol.Y[tree.N]
+    return sol, peak / (owned_bytes(sol) + (0 if y.flags.writeable
+                                            else y.nbytes))
 
 
 class TestSolutionBytes:
@@ -1374,14 +1438,157 @@ class TestSolutionBytes:
             assert all(isinstance(z, np.ndarray) for z in row)
 
     def test_bytes_count_adjoint_zero_views_as_nothing(self, monkeypatch):
-        _, _, sol = solved_adjoint(monkeypatch, R.lq_instance(), 8)
+        _, _, sol = solved_adjoint(monkeypatch, R.lq_instance(), 8,
+                                   whole=True)
         zs = [z for row in sol.Z.values for z in row]
         assert all(isinstance(z, np.ndarray) for z in zs)
         views = [z for z in zs if z.strides == (0, 0, 0)]
         assert views and all(not z.flags.writeable and not z.any()
                              for z in views)
-        want = sum(y.nbytes for y in sol.Y.values) + sum(
+        assert not sol.Y[-1].flags.writeable  # the free term's g_x(t_N)
+        want = sum(y.nbytes for y in sol.Y.values[:-1]) + sum(
             z.nbytes for z in zs if z.strides != (0, 0, 0))
+        assert sol.diagnostics["bytes"] == want
+
+    @pytest.mark.parametrize("instance", ["lq", "random"])
+    def test_adjoint_bytes_count_held_entries(self, monkeypatch, instance):
+        # Y(t_r) at depth r for r < N (Y(t_N) is the free term's) and the
+        # below-diagonal integrands Z(t_i, t_j), j < i, at depth j
+        cp = R.lq_instance() if instance == "lq" \
+            else R.random_linear_instance(11)
+        tree, _, sol = solved_adjoint(monkeypatch, cp, 8)
+        N = tree.N
+        nodes = sum(tree.node_count(r) for r in range(N)) + sum(
+            tree.node_count(j) for i in range(N + 1) for j in range(i))
+        assert sol.diagnostics["bytes"] == 8 * nodes == owned_bytes(sol)
+
+
+def plant_nan(Y, Z, where):
+    """Copies of the Y fields and of the Z table with a nan at node 0 of
+    ``where``, ("Y", i) or ("Z", i, j), when that entry is set."""
+    Y = list(Y)
+    Z = TwoParameterProcess(Z.tree, [list(row) for row in Z.values])
+    kind, i, *j = where
+    field = Y[i] if kind == "Y" else Z.entry(i, j[0])
+    if field is not None:
+        field = field.copy()
+        field.flat[0] = np.nan
+        if kind == "Y":
+            Y[i] = field
+        else:
+            Z.set_entry(i, j[0], field)
+    return Y, Z
+
+
+# a nan in Y reaches both checks; Z(t_2, t_4) is above the diagonal, so
+# only the equation check reads it
+PLANTS = {("Y", 0): (True, True), ("Y", 3): (True, True),
+          ("Z", 2, 4): (False, True)}
+
+
+class TestRowChecks:
+    """``solve_bsvie`` checks each row once it and every later row are
+    final, through the per-row helpers the public residuals loop over; the
+    maxima are the standalone functions' bit for bit, a nan in any row
+    makes them nan, and ``keep_above=False`` releases each row's entries
+    on and above the diagonal after its check and changes nothing else."""
+
+    @pytest.mark.parametrize("method", ["fixed_point", "block"])
+    @pytest.mark.parametrize("m, N", [(1, 5), (1, 9), (2, 4), (2, 6)])
+    @pytest.mark.parametrize("family", sorted(R.BACKWARD_PROBLEMS))
+    def test_inline_checks_equal_standalone(self, family, m, N, method):
+        tree = Tree(N=N, T=1.0, m=m)
+        p = R.BACKWARD_PROBLEMS[family](tree)
+        sol = B.solve_bsvie(p, tree, method=method)
+        assert_bits_equal(sol.diagnostics["m_condition_residual"],
+                          B.m_condition_residual(sol, tree))
+        assert_bits_equal(sol.diagnostics["equation_residual"],
+                          B.equation_residual(sol, p, tree))
+
+    @pytest.mark.parametrize("method", ["fixed_point", "block"])
+    @pytest.mark.parametrize("m, N", [(1, 5), (1, 9), (2, 4), (2, 6)])
+    @pytest.mark.parametrize("family", sorted(R.BACKWARD_PROBLEMS))
+    def test_released_rows_keep_every_other_output(self, family, m, N,
+                                                   method):
+        tree = Tree(N=N, T=1.0, m=m)
+        p = R.BACKWARD_PROBLEMS[family](tree)
+        kept = B.solve_bsvie(p, tree, method=method)
+        lean = B.solve_bsvie(p, tree, method=method, keep_above=False)
+        for i in range(N + 1):
+            assert_bits_equal(lean.Y[i], kept.Y[i])
+            for j in range(N):
+                if j < i:
+                    assert_bits_equal(lean.Z.entry(i, j), kept.Z.entry(i, j))
+                else:
+                    assert lean.Z.entry(i, j) is None
+                    assert isinstance(kept.Z.entry(i, j), np.ndarray)
+        for key in ("m_condition_residual", "equation_residual", "sweeps",
+                    "contraction_ratios", "blocks"):
+            assert_bits_equal(lean.diagnostics[key], kept.diagnostics[key])
+        assert lean.diagnostics["bytes"] == owned_bytes(lean)
+        assert lean.diagnostics["bytes"] < kept.diagnostics["bytes"]
+        assert_bits_equal(B.m_condition_residual(lean, tree),
+                          lean.diagnostics["m_condition_residual"])
+        with pytest.raises(ValueError, match="keep_above=True"):
+            B.equation_residual(lean, p, tree)
+
+    @pytest.mark.parametrize("where", sorted(PLANTS))
+    @pytest.mark.parametrize("family", sorted(R.BACKWARD_PROBLEMS))
+    def test_standalone_residuals_keep_a_nan(self, family, where):
+        tree = Tree(N=6, T=1.0, m=1)
+        p = R.BACKWARD_PROBLEMS[family](tree)
+        sol = B.solve_bsvie(p, tree)
+        Y, Z = plant_nan(sol.Y.values, sol.Z, where)
+        bad = dataclasses.replace(sol, Y=AdaptedProcess(tree, Y), Z=Z)
+        got = (B.m_condition_residual(bad, tree),
+               B.equation_residual(bad, p, tree))
+        assert [math.isnan(v) for v in got] == list(PLANTS[where])
+        assert all(v < 1e-12 for v in got if not math.isnan(v))
+
+    @pytest.mark.parametrize("keep_above", [True, False])
+    @pytest.mark.parametrize("where", sorted(PLANTS))
+    @pytest.mark.parametrize("family", sorted(R.BACKWARD_PROBLEMS))
+    def test_inline_residuals_keep_a_nan(self, monkeypatch, family, where,
+                                         keep_above):
+        # the nan goes into what each row's check reads, not into the
+        # solve, so it reaches the checks and nothing else
+        tree = Tree(N=6, T=1.0, m=1)
+        p = R.BACKWARD_PROBLEMS[family](tree)
+        m_row, eq_row = B._m_condition_row, B._equation_row
+        monkeypatch.setattr(B, "_m_condition_row", lambda tree, Y, Z, i:
+                            m_row(tree, *plant_nan(Y, Z, where), i))
+        monkeypatch.setattr(B, "_equation_row",
+                            lambda tree, problem, tables, Y, Z, i: eq_row(
+                                tree, problem, tables,
+                                *plant_nan(Y, Z, where), i))
+        diag = B.solve_bsvie(p, tree, keep_above=keep_above).diagnostics
+        got = (diag["m_condition_residual"], diag["equation_residual"])
+        assert [math.isnan(v) for v in got] == list(PLANTS[where])
+
+
+class TestFreeTermView:
+    """When the last row solves to the free term's own array, Y(t_N) is a
+    read-only view of it: the same memory and bits, no copy, not counted
+    in the solution's bytes, and a write raises instead of changing the
+    problem."""
+
+    @pytest.mark.parametrize("method", ["fixed_point", "block"])
+    @pytest.mark.parametrize("family", sorted(R.BACKWARD_PROBLEMS))
+    def test_last_row_is_a_read_only_view(self, family, method):
+        tree = Tree(N=5, T=1.0, m=1)
+        p = R.BACKWARD_PROBLEMS[family](tree)
+        free = p.psi[tree.N]
+        before = free.copy()
+        sol = B.solve_bsvie(p, tree, method=method)
+        y = sol.Y[tree.N]
+        assert y is not free and np.shares_memory(y, free)
+        assert_bits_equal(y, free)
+        assert not y.flags.writeable and free.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            y[0, 0] = 1.0
+        assert_bits_equal(free, before)
+        want = sum(sol.Y[i].nbytes for i in range(tree.N)) + sum(
+            z.nbytes for row in sol.Z.values for z in row if z.flags.owndata)
         assert sol.diagnostics["bytes"] == want
 
 

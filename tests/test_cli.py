@@ -2,6 +2,7 @@ import json
 import math
 import weakref
 
+import numpy as np
 import pytest
 
 from svolterra import cli
@@ -369,7 +370,9 @@ class TestBackwardCommand:
         assert rc == 0
         data = json.loads((tmp_path / "backward_caputo.json").read_text())
         sol = sols[0]
-        want = sum(y.nbytes for y in sol.Y.values) + sum(
+        # Y(t_N) is a read-only view of the free term, not the solution's
+        assert not sol.Y[-1].flags.writeable
+        want = sum(y.nbytes for y in sol.Y.values[:-1]) + sum(
             z.nbytes for row in sol.Z.values for z in row)
         assert data["outputs"]["bytes"] == want
 
@@ -511,6 +514,10 @@ class TestControlCommand:
         assert data["outputs"]["stationarity_margin"] >= -1e-6
         assert data["residuals"]["m_condition"] <= 1e-12
         assert data["residuals"]["equation"] <= 1e-9
+        # Y(t_r), r < N, and the below-diagonal Z(t_i, t_j) at depth j
+        N = 5
+        nodes = (2 ** N - 1) + sum(2 ** i - 1 for i in range(N + 1))
+        assert data["outputs"]["adjoint_bytes"] == 8 * nodes
 
     @pytest.mark.parametrize("key", ["m_condition_residual",
                                      "equation_residual"])
@@ -571,6 +578,62 @@ class TestControlCommand:
         assert rc == 0
         data = json.loads((tmp_path / "control_delay_lq.json").read_text())
         assert data["outputs"]["stationarity_margin"] >= -1e-6
+        assert data["residuals"]["m_condition"] <= 1e-12
+        assert data["residuals"]["equation"] <= 1e-9
+        assert data["outputs"]["adjoint_bytes"] > 0
+
+    def test_delay_reports_the_adjoint_at_the_descent_end(self, tmp_path,
+                                                          monkeypatch):
+        solve, search = cli.dly.solve_delay_adjoint, \
+            cli.dly.delay_projected_gradient_search
+        found, adjoints = [], []
+
+        def descent(*args, **kwargs):
+            found.append(search(*args, **kwargs)[0])
+            return found[-1], {"cost": [0.0]}
+
+        def adjoint(dp, traj, tree, **kwargs):
+            adjoints.append((traj, solve(dp, traj, tree, **kwargs)))
+            return adjoints[-1][1]
+
+        monkeypatch.setattr(cli.dly, "delay_projected_gradient_search",
+                            descent)
+        monkeypatch.setattr(cli.dly, "solve_delay_adjoint", adjoint)
+        cfg = write_config(tmp_path, {
+            "tree": {"N": 4, "T": 1.0},
+            "control": {"instance": "delay_lq", "steps": 5, "probes": 2}})
+        # five steps stop short of the optimum: exit 1 on the margin
+        cli.main(["--config", cfg, "--out", str(tmp_path), "control"])
+        data = json.loads((tmp_path / "control_delay_lq.json").read_text())
+        # the last solve is the reported one, at the descent's control
+        traj, adj = adjoints[-1]
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(traj.u.values, found[0].values))
+        diag = adj.solution.diagnostics
+        assert data["residuals"] == {
+            "m_condition": diag["m_condition_residual"],
+            "equation": diag["equation_residual"]}
+        assert data["outputs"]["adjoint_bytes"] == diag["bytes"]
+
+    @pytest.mark.parametrize("key", ["m_condition_residual",
+                                     "equation_residual"])
+    def test_delay_nan_adjoint_residual_exits_one(self, tmp_path,
+                                                  monkeypatch, key):
+        solve = cli.dly.solve_delay_adjoint
+
+        def nan_residual(*args, **kwargs):
+            adj = solve(*args, **kwargs)
+            adj.solution.diagnostics[key] = float("nan")
+            return adj
+
+        monkeypatch.setattr(cli.dly, "solve_delay_adjoint", nan_residual)
+        cfg = write_config(tmp_path, {
+            "tree": {"N": 4, "T": 1.0},
+            "control": {"instance": "delay_lq", "steps": 5, "probes": 2}})
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "control"])
+        assert rc == 1  # 0 with the residual left alone
+        data = json.loads((tmp_path / "control_delay_lq.json").read_text())
+        assert math.isnan(data["residuals"][key.rsplit("_", 1)[0]])
 
 
 class TestSuiteCommand:

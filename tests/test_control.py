@@ -130,11 +130,15 @@ class TestAdjointDepths:
 
         monkeypatch.setattr(C, "TerminalField", leaf_field)
         ref = C.solve_adjoint(cp, X, u, tree)
+        # the adjoint returns Y and the below-diagonal Z
         for i in range(tree.N + 1):
             assert np.max(np.abs(adj.Y[i] - ref.Y[i])) <= 1e-14
-            for j in range(tree.N):
+            for j in range(i):
                 assert np.max(np.abs(adj.Z.entry(i, j)
                                      - ref.Z.entry(i, j))) <= 1e-14
+        for key in ("m_condition_residual", "equation_residual"):
+            assert adj.diagnostics[key] <= 1e-14
+            assert ref.diagnostics[key] <= 1e-14
 
     def test_traced_peak_at_n14(self, lq):
         # leaf copies of the free term and depth-j copies of the state put

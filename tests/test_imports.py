@@ -122,7 +122,8 @@ CASES = {
         gap = C.duality_gap(R.lq_instance(), C.constant_control(tree, [0.2]),
                             C.constant_control(tree, [-0.1]), tree)
         values = (dp.semigroup(tree) + adj.solution.Y.values
-                  + [z for row in adj.solution.Z.values for z in row]
+                  + [adj.solution.Z.entry(i, j)
+                     for i in range(tree.N + 1) for j in range(i)]
                   + Gu.values + Gmu.values + [gap])
     """),
     "delay_adjoint_full_M": ("scipy.linalg", f"""
@@ -136,7 +137,8 @@ CASES = {
         traj = D.solve_delay_state(dp, C.constant_control(tree, [0.2]), tree)
         adj = D.solve_delay_adjoint(dp, traj, tree)
         values = (dp.semigroup(tree) + adj.solution.Y.values
-                  + [z for row in adj.solution.Z.values for z in row])
+                  + [adj.solution.Z.entry(i, j)
+                     for i in range(tree.N + 1) for j in range(i)])
     """),
 }
 
