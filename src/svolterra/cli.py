@@ -400,11 +400,11 @@ def cmd_control(cfg, args):
     else:
         u_star, trace = dly.delay_projected_gradient_search(
             dp, u, tree, steps=steps, rate=rate)
-        margin = dly.delay_mp_check(dp, u_star, tree, probe_count=probes,
-                                    seed=args.seed)
         traj = dly.solve_delay_state(dp, u_star, tree)
-        _adjoint_checks(report, dly.solve_delay_adjoint(
-            dp, traj, tree).solution.diagnostics)
+        adj = dly.solve_delay_adjoint(dp, traj, tree)
+        margin = dly.delay_mp_check(dp, u_star, tree, probe_count=probes,
+                                    seed=args.seed, traj=traj, adjoint=adj)
+        _adjoint_checks(report, adj.solution.diagnostics)
         report["outputs"].update({
             "stationarity_margin": margin,
             "final_cost": trace["cost"][-1],

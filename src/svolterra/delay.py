@@ -217,10 +217,12 @@ class AugmentedDelaySVIE:
 
     ``A(i, j)`` maps the depth-j tripled state through a (3d, 3d) block
     matrix per node; ``C(i, j)`` adds the noise axis; the forcing pair
-    ``(Bvec, Dmat)`` carries the control variation.  Solving is a plain
-    forward recursion; the second block component coincides with the
-    delayed first one and the third with the window average, cell by
-    cell.
+    ``(Bvec, Dmat)`` carries the control variation ``du_field`` (None in
+    the adjoint, which reads no forcing).  Solving is a plain forward
+    recursion; the second block component coincides with the delayed
+    first one and the third with the window average, cell by cell.  The
+    adjoint's (p, q) is :meth:`_add_rows_transpose`, the transpose of
+    :meth:`_rows`.
     """
 
     dp: DelayProblem
@@ -232,39 +234,51 @@ class AugmentedDelaySVIE:
         self.S = self.dp.semigroup(self.tree)
         self.gamma = self.dp.window_weights(self.tree)
         self.k = self.dp.delay_steps(self.tree)
-        dp, t = self.dp, self.tree.times
-        self._coef = {}
-        for j in range(self.tree.N + 1):
-            theta = (t[j],) + self.traj.theta(j)
+        dp = self.dp
+        # per depth, (b, sigma) with their (x, y, z) blocks side by side in
+        # the last axis
+        self._coef = [tuple(np.concatenate(self._at(j, *fns), axis=-1)
+                            for fns in ((dp.b_x, dp.b_y, dp.b_z),
+                                        (dp.sigma_x, dp.sigma_y, dp.sigma_z)))
+                      for j in range(self.tree.N + 1)]
+        self._forcing = {}
 
-            def ev(fn):
-                return np.asarray(fn(*theta), dtype=float)
+    def _at(self, j, *fns):
+        """The maps ``fns`` evaluated along the trajectory at depth j."""
+        theta = (self.tree.times[j],) + self.traj.theta(j)
+        return [np.asarray(fn(*theta), dtype=float) for fn in fns]
 
-            self._coef[j] = {
-                # the (x, y, z) blocks side by side in the last axis
-                "b": np.concatenate([ev(dp.b_x), ev(dp.b_y), ev(dp.b_z)],
-                                    axis=-1),
-                "s": np.concatenate([ev(dp.sigma_x), ev(dp.sigma_y),
-                                     ev(dp.sigma_z)], axis=-1),
-                "bu": ev(dp.b_u), "bmu": ev(dp.b_mu),
-                "su": ev(dp.sigma_u), "smu": ev(dp.sigma_mu),
-            }
+    def _lags(self, i, j):
+        """(block row, semigroup) pairs of row i for a depth-j cell: the x
+        part through S(t_i - t_j) and, past the delay (i - j > k), the
+        delayed part through S(t_i - t_j - delta)."""
+        return [(0, self.S[i - j])] + (
+            [(1, self.S[i - j - self.k])] if i - j > self.k else [])
 
     def _rows(self, i, j, value):
-        """The tripled rows of a depth-j cell value: S(t_i - t_j) value in
-        the x part and, past the delay (i - j > k), the lagged semigroup
-        S(t_i - t_j - delta) value in the delayed part."""
+        """The tripled rows of a depth-j cell value."""
         d = self.dp.d
         out = np.zeros(value.shape[:1] + (3 * d,) + value.shape[2:])
-        out[:, 0:d] = np.einsum("ab,nb...->na...", self.S[i - j], value)
-        if i - j > self.k:
-            out[:, d:2 * d] = np.einsum("ab,nb...->na...",
-                                        self.S[i - j - self.k], value)
+        for row, S in self._lags(i, j):
+            out[:, row * d:(row + 1) * d] = np.einsum("ab,nb...->na...", S,
+                                                      value)
         return out
+
+    def _add_rows_transpose(self, acc, i, j, value, weight=1.0,
+                            depth=None):
+        """acc += weight * (transpose of :meth:`_rows`) value, one lag at a
+        time; a ``value`` at a deeper ``depth`` has each block row it reads
+        conditioned down to depth j on its own."""
+        d = self.dp.d
+        for row, S in self._lags(i, j):
+            part = value[:, row * d:(row + 1) * d]
+            if depth is not None:
+                part = self.tree.conditional_expectation(part, depth, j)
+            acc += weight * np.einsum("ba,nb...->na...", S, part)
 
     def A(self, i: int, j: int) -> np.ndarray:
         d, tree = self.dp.d, self.tree
-        out = self._rows(i, j, self._coef[j]["b"])
+        out = self._rows(i, j, self._coef[j][0])
         # window row: exact cell weight over [t_j, t_{j+1}], scaled to a
         # dt-weighted Volterra entry
         if 0 < i - j <= self.k:
@@ -273,23 +287,25 @@ class AugmentedDelaySVIE:
         return out
 
     def C(self, i: int, j: int) -> np.ndarray:
-        return self._rows(i, j, self._coef[j]["s"])
+        return self._rows(i, j, self._coef[j][1])
 
     def forcing(self, i: int, j: int):
-        c = self._coef[j]
-        du = self.du_field[j]
-        dmu = self.dmu_field(j)
-        db = np.einsum("nau,nu->na", c["bu"], du) \
-            + np.einsum("nau,nu->na", c["bmu"], dmu)
-        ds = np.einsum("namu,nu->nam", c["su"], du) \
-            + np.einsum("namu,nu->nam", c["smu"], dmu)
+        if j not in self._forcing:
+            # b_u du + b_mu dmu and sigma_u du + sigma_mu dmu once per
+            # depth, dmu the variation arriving through the delayed channel
+            dp, du = self.dp, self.du_field[j]
+            dmu = _delayed(self.tree, self.du_field, j, self.k,
+                           lambda: np.zeros((self.tree.node_count(j),
+                                             dp.du)))
+            bu, bmu, su, smu = self._at(j, dp.b_u, dp.b_mu, dp.sigma_u,
+                                        dp.sigma_mu)
+            self._forcing[j] = (
+                np.einsum("nau,nu->na", bu, du)
+                + np.einsum("nau,nu->na", bmu, dmu),
+                np.einsum("namu,nu->nam", su, du)
+                + np.einsum("namu,nu->nam", smu, dmu))
+        db, ds = self._forcing[j]
         return self._rows(i, j, db), self._rows(i, j, ds)
-
-    def dmu_field(self, j):
-        # control variation arriving through the delayed channel
-        return _delayed(self.tree, self.du_field, j, self.k,
-                        lambda: np.zeros((self.tree.node_count(j),
-                                          self.dp.du)))
 
     def solve(self) -> AdaptedProcess:
         return _linear_rows(self.tree, 3 * self.dp.d, self.A, self.C,
@@ -384,75 +400,50 @@ def solve_delay_adjoint(dp: DelayProblem, traj: DelayTrajectory,
     entries on and above the diagonal are released (None) once each row's
     residuals are checked.
     """
-    N, t, dt = tree.N, tree.times, tree.dt
-    d = dp.d
-    k = dp.delay_steps(tree)
-    aug = AugmentedDelaySVIE(dp, tree, traj,
-                             [np.zeros((tree.node_count(i), dp.du))
-                              for i in range(N + 1)])
-    S = aug.S
+    N, dt, d = tree.N, tree.dt, dp.d
+    aug = AugmentedDelaySVIE(dp, tree, traj, None)
 
     H_bar = np.concatenate([
-        np.asarray(dp.h_x(traj.x[N], traj.y[N], traj.z[N]), dtype=float),
-        np.asarray(dp.h_y(traj.x[N], traj.y[N], traj.z[N]), dtype=float),
-        np.asarray(dp.h_z(traj.x[N], traj.y[N], traj.z[N]), dtype=float),
-    ], axis=1)
+        np.asarray(fn(traj.x[N], traj.y[N], traj.z[N]), dtype=float)
+        for fn in (dp.h_x, dp.h_y, dp.h_z)], axis=1)
     mean0, zeta = tree.martingale_representation(H_bar, N, 0)
     eta_bar = AdaptedProcess(
         tree, [tree.conditional_expectation(H_bar, N, r)
                for r in range(N + 1)])
 
-    def L_bar(r):
-        theta = (t[r],) + traj.theta(r)
-        return np.concatenate([
-            np.asarray(dp.l_x(*theta), dtype=float),
-            np.asarray(dp.l_y(*theta), dtype=float),
-            np.asarray(dp.l_z(*theta), dtype=float)], axis=1)
-
     # block coefficients of cell (N, r) stay at depth r and are contracted
     # there, as ``_linear_adjoint`` does for every cell: against H_bar
     # through the ancestor view, against zeta[r] itself
     psi_fields = []
-    for r in range(N + 1):
-        base = tree.broadcast(L_bar(r), r, N) if r < N \
-            else np.zeros((tree.node_count(N), 3 * d))
-        if r < N:
-            base = base + _ancestor_contract(tree, "nab,nka->nkb",
-                                             aug.A(N, r), H_bar, N, r)
-            base = base + tree.broadcast(
-                np.einsum("namb,nam->nb", aug.C(N, r), zeta[r]), r, N)
+    for r in range(N):
+        L_bar = np.concatenate(aug._at(r, dp.l_x, dp.l_y, dp.l_z), axis=1)
+        base = tree.broadcast(L_bar, r, N)
+        base = base + _ancestor_contract(tree, "nab,nka->nkb", aug.A(N, r),
+                                         H_bar, N, r)
+        base = base + tree.broadcast(
+            np.einsum("namb,nam->nb", aug.C(N, r), zeta[r]), r, N)
         psi_fields.append(base)
+    psi_fields.append(np.zeros((tree.node_count(N), 3 * d)))
     psi = TerminalField(tree, psi_fields)
 
     problem = _linear_adjoint(psi, aug.A, aug.C, "delay_adjoint")
     sol = solve_bsvie(problem, tree, tol=tol, keep_above=False)
 
-    # assemble p and q from the component aggregates
-    hx, hy = H_bar[:, 0:d], H_bar[:, d:2 * d]
+    # (p, q) is the transpose of the tripled rows applied to the adjoint:
+    # the terminal pair (E[H_bar | F_r], zeta_r) is row N without its dt,
+    # and each row i in (r, N) adds dt (E[Y(t_i) | F_r], Z(t_i, t_r)).
+    # The sums start at -0.0, to which adding any float x gives x.
     p_fields, q_fields = [], []
     for r in range(N + 1):
-        p = np.einsum("ba,nb->na", S[N - r],
-                      tree.conditional_expectation(hx, N, r))
-        if r < N - k:
-            p += np.einsum("ba,nb->na", S[N - k - r],
-                           tree.conditional_expectation(hy, N, r))
-        zeta_r = zeta[r] if r < N else None
-        q = np.einsum("ba,nbm->nam", S[N - r],
-                      zeta_r[:, 0:d]) if zeta_r is not None \
-            else np.zeros((tree.node_count(r), d, dp.m))
-        if r < N - k and zeta_r is not None:
-            q += np.einsum("ba,nbm->nam", S[N - k - r], zeta_r[:, d:2 * d])
+        n = tree.node_count(r)
+        p = np.full((n, d), -0.0)
+        aug._add_rows_transpose(p, N, r, H_bar, depth=N)
+        q = np.full((n, d, dp.m), -0.0 if r < N else 0.0)
+        if r < N:
+            aug._add_rows_transpose(q, N, r, zeta[r])
         for i in range(r + 1, N):
-            y0 = tree.conditional_expectation(sol.Y[i][:, 0:d], i, r)
-            p += dt * np.einsum("ba,nb->na", S[i - r], y0)
-            z0 = sol.Z.entry(i, r)[:, 0:d]
-            q += dt * np.einsum("ba,nbm->nam", S[i - r], z0)
-            if i > r + k:
-                y1 = tree.conditional_expectation(sol.Y[i][:, d:2 * d],
-                                                  i, r)
-                p += dt * np.einsum("ba,nb->na", S[i - k - r], y1)
-                z1 = sol.Z.entry(i, r)[:, d:2 * d]
-                q += dt * np.einsum("ba,nbm->nam", S[i - k - r], z1)
+            aug._add_rows_transpose(p, i, r, sol.Y[i], dt, depth=i)
+            aug._add_rows_transpose(q, i, r, sol.Z.entry(i, r), dt)
         p_fields.append(p)
         q_fields.append(q)
     return DelayAdjoint(eta_bar, zeta, sol, AdaptedProcess(tree, p_fields),
@@ -479,24 +470,30 @@ def hamiltonian_gradients(dp: DelayProblem, traj: DelayTrajectory,
 
 
 def delay_mp_check(dp: DelayProblem, u_star: AdaptedProcess, tree: Tree,
-                   probe_count: int = 16, seed: int = 0) -> float:
+                   probe_count: int = 16, seed: int = 0,
+                   traj: DelayTrajectory = None,
+                   adjoint: DelayAdjoint = None) -> float:
     """Min over probes of the maximum-condition pairing.
 
     E int [<G_u, v - u*> + <G_mu, v(.-delta) - u*(.-delta)>] dt over probe
     controls that share the initial trajectory, so the delayed difference
     vanishes before the delay horizon; by the tower property this is the
-    pairing of v - u* with :func:`delay_gradient`.
+    pairing of v - u* with :func:`delay_gradient`, to which ``traj`` and
+    ``adjoint`` are passed.
     """
-    return _stationarity_margin(tree, delay_gradient(dp, u_star, tree),
-                                u_star, dp.control_set, probe_count, seed)
+    return _stationarity_margin(
+        tree, delay_gradient(dp, u_star, tree, traj=traj, adjoint=adjoint),
+        u_star, dp.control_set, probe_count, seed)
 
 
 def delay_gradient(dp: DelayProblem, u: AdaptedProcess, tree: Tree,
-                   traj: DelayTrajectory = None) -> AdaptedProcess:
+                   traj: DelayTrajectory = None,
+                   adjoint: DelayAdjoint = None) -> AdaptedProcess:
     """Cost gradient in the control: the direct channel plus the delayed
-    channel conditioned back to the decision time."""
+    channel conditioned back to the decision time.  ``traj`` and
+    ``adjoint``, when given, are the state and adjoint solves at u."""
     traj = traj or solve_delay_state(dp, u, tree)
-    adjoint = solve_delay_adjoint(dp, traj, tree)
+    adjoint = adjoint or solve_delay_adjoint(dp, traj, tree)
     Gu, Gmu = hamiltonian_gradients(dp, traj, adjoint, tree)
     k = dp.delay_steps(tree)
     grads = []

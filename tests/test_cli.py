@@ -615,6 +615,40 @@ class TestControlCommand:
             "equation": diag["equation_residual"]}
         assert data["outputs"]["adjoint_bytes"] == diag["bytes"]
 
+    def test_delay_solves_once_after_the_descent(self, tmp_path,
+                                                 monkeypatch):
+        # the margin and the report's adjoint checks read one solve at u*
+        counts = {"solve_delay_state": 0, "solve_delay_adjoint": 0}
+        after = []
+
+        def counting(name):
+            solve = getattr(cli.dly, name)
+
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return solve(*args, **kwargs)
+            return wrapped
+
+        search = cli.dly.delay_projected_gradient_search
+
+        def descent(*args, **kwargs):
+            found = search(*args, **kwargs)
+            after.append(dict(counts))
+            return found
+
+        for name in counts:
+            monkeypatch.setattr(cli.dly, name, counting(name))
+        monkeypatch.setattr(cli.dly, "delay_projected_gradient_search",
+                            descent)
+        cfg = write_config(tmp_path, {
+            "tree": {"N": 4, "T": 1.0},
+            "control": {"instance": "delay_lq", "steps": 60,
+                        "rate": 0.4, "probes": 4}})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path),
+                         "control"]) == 0
+        assert {name: counts[name] - after[0][name] for name in counts} \
+            == {"solve_delay_state": 1, "solve_delay_adjoint": 1}
+
     @pytest.mark.parametrize("key", ["m_condition_residual",
                                      "equation_residual"])
     def test_delay_nan_adjoint_residual_exits_one(self, tmp_path,

@@ -5,6 +5,7 @@ from svolterra import control as C
 from svolterra import delay as D
 from svolterra import registry as R
 from svolterra.lattice import AdaptedProcess, Tree
+from test_row_engine import linear_delay_problem
 
 
 @pytest.fixture
@@ -247,3 +248,130 @@ class TestDelayMargin:
         want = two_channel_margin(dp, u, tree, probe_count=4, seed=seed)
         got = D.delay_mp_check(dp, u, tree, probe_count=4, seed=seed)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+# the 11 instances the (p, q) assembly is pinned on: delay_lq on three grids
+# and three window rates, the zero-delay instance, and the d = 2 linear
+# problem with a full M
+def pq_instances():
+    cases = [(f"delay_lq N={N} lam={lam}",
+              lambda lam=lam: R.delay_lq_instance(lam=lam, box=2.0), N)
+             for N in (4, 8, 12) for lam in (0.0, 0.3, 1.5)]
+    cases.append(("zero_delay N=8",
+                  lambda: R.delay_lq_instance(with_delay_terms=False), 8))
+    cases.append(("linear_d2 N=6", linear_delay_problem, 6))
+    return [pytest.param(make, N, id=name) for name, make, N in cases]
+
+
+def ref_pq(dp, tree, adjoint):
+    """(p, q) as the four semigroup-weighted sums over the x and delayed
+    parts, written out term by term."""
+    N, dt, d = tree.N, tree.dt, dp.d
+    k, S = dp.delay_steps(tree), dp.semigroup(tree)
+    sol, zeta, H_bar = adjoint.solution, adjoint.zeta, adjoint.H_bar
+    hx, hy = H_bar[:, 0:d], H_bar[:, d:2 * d]
+    p_fields, q_fields = [], []
+    for r in range(N + 1):
+        p = np.einsum("ba,nb->na", S[N - r],
+                      tree.conditional_expectation(hx, N, r))
+        if r < N - k:
+            p += np.einsum("ba,nb->na", S[N - k - r],
+                           tree.conditional_expectation(hy, N, r))
+        zeta_r = zeta[r] if r < N else None
+        q = np.einsum("ba,nbm->nam", S[N - r],
+                      zeta_r[:, 0:d]) if zeta_r is not None \
+            else np.zeros((tree.node_count(r), d, dp.m))
+        if r < N - k and zeta_r is not None:
+            q += np.einsum("ba,nbm->nam", S[N - k - r], zeta_r[:, d:2 * d])
+        for i in range(r + 1, N):
+            y0 = tree.conditional_expectation(sol.Y[i][:, 0:d], i, r)
+            p += dt * np.einsum("ba,nb->na", S[i - r], y0)
+            z0 = sol.Z.entry(i, r)[:, 0:d]
+            q += dt * np.einsum("ba,nbm->nam", S[i - r], z0)
+            if i > r + k:
+                y1 = tree.conditional_expectation(sol.Y[i][:, d:2 * d],
+                                                  i, r)
+                p += dt * np.einsum("ba,nb->na", S[i - k - r], y1)
+                z1 = sol.Z.entry(i, r)[:, d:2 * d]
+                q += dt * np.einsum("ba,nbm->nam", S[i - k - r], z1)
+        p_fields.append(p)
+        q_fields.append(q)
+    return AdaptedProcess(tree, p_fields), q_fields
+
+
+def same_bits(xs, ys):
+    return len(xs) == len(ys) and all(
+        np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        for x, y in zip(xs, ys))
+
+
+class TestPQReference:
+    @pytest.mark.parametrize("make, N", pq_instances())
+    def test_pq_and_gradients_match_reference(self, make, N):
+        import dataclasses
+        dp, tree = make(), Tree(N=N, T=1.0, m=1)
+        traj = D.solve_delay_state(dp, random_control(tree, 1), tree)
+        adj = D.solve_delay_adjoint(dp, traj, tree)
+        p, q = ref_pq(dp, tree, adj)
+        assert same_bits(adj.p.values, p.values)
+        assert same_bits(adj.q, q)
+        got = D.hamiltonian_gradients(dp, traj, adj, tree)
+        want = D.hamiltonian_gradients(
+            dp, traj, dataclasses.replace(adj, p=p, q=q), tree)
+        for g, w in zip(got, want):
+            assert same_bits(g.values, w.values)
+
+
+class TestDelayGradientIsCostDerivative:
+    """The delay gradient paired with v - u is the derivative of the
+    discrete cost along v - u; the costs here are quadratic in the
+    control, so the central difference has no truncation error."""
+
+    @pytest.mark.parametrize("make, N", [
+        pytest.param(lambda: R.delay_lq_instance(lam=0.3), 4,
+                     id="delay_lq N=4 lam=0.3"),
+        pytest.param(lambda: R.delay_lq_instance(lam=1.5), 8,
+                     id="delay_lq N=8 lam=1.5"),
+        pytest.param(lambda: R.delay_lq_instance(lam=0.0), 12,
+                     id="delay_lq N=12 lam=0"),
+        pytest.param(linear_delay_problem, 6, id="linear_d2"),
+    ])
+    def test_central_difference(self, make, N):
+        dp, tree, eps = make(), Tree(N=N, T=1.0, m=1), 1e-2
+        u, v = random_control(tree, 5), random_control(tree, 6)
+
+        def cost_at(s):
+            return D.cost_delay(dp, AdaptedProcess(tree, [
+                u[i] + s * (v[i] - u[i]) for i in range(tree.N + 1)]), tree)
+
+        fd = (cost_at(eps) - cost_at(-eps)) / (2 * eps)
+        pairing = C.pair_with_direction(tree, D.delay_gradient(dp, u, tree),
+                                        v, u)
+        assert abs(fd - pairing) <= 1e-12 * max(1.0, abs(pairing))
+
+
+class TestControlDerivativeReads:
+    MAPS = ("b_u", "b_mu", "sigma_u", "sigma_mu")
+
+    def counted(self, dp):
+        calls = dict.fromkeys(self.MAPS, 0)
+        for name in self.MAPS:
+            def wrapped(*args, _fn=getattr(dp, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            setattr(dp, name, wrapped)
+        return calls
+
+    def test_adjoint_reads_none(self, dp, tree):
+        traj = D.solve_delay_state(dp, random_control(tree, 2), tree)
+        calls = self.counted(dp)
+        D.solve_delay_adjoint(dp, traj, tree)
+        assert calls == dict.fromkeys(self.MAPS, 0)
+
+    def test_variational_solve_reads_each_once_per_depth(self, dp, tree):
+        u, v = random_control(tree, 2), random_control(tree, 3)
+        calls = self.counted(dp)
+        D.delay_to_svie(dp, u, v, tree).solve()
+        # the forcing of cells (i, j), j < i <= N, is formed at depths
+        # 0..N-1, once each
+        assert calls == dict.fromkeys(self.MAPS, tree.N)
