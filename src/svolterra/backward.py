@@ -69,11 +69,23 @@ class GeneratorTerm:
     when given, the plain cell width when not, or the explicit
     ``weights[i, j]`` override (used by adjoint constructions that
     transpose a forward discretization).
+
+    ``z2`` = Z(t_j, t_i) is F_{t_i}-measurable.  With ``outer_z2`` set,
+    off the diagonal ``fn`` gets it as stored, at the outer depth i
+    (node_count(i) rows), with no copy; a term that never reads z2 sets it
+    too, so the engine repeats nothing for it.  On the diagonal z2 is z1
+    either way.
     """
 
     fn: Callable
     kernel: Optional[Kernel] = None
     weights: Optional[np.ndarray] = None
+    outer_z2: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.outer_z2, bool):
+            raise TypeError(f"outer_z2 must be a bool, got "
+                            f"{type(self.outer_z2).__name__}")
 
 
 @dataclass
@@ -105,13 +117,29 @@ class BSVIEProblem:
 
     def _probe_zero(self):
         """Evaluate every term on zero fields at two grid cells of depth at
-        most N // 2; a term that does not vanish there is rejected."""
+        most N // 2, z2 at the depth the term declares; a term that does not
+        vanish there is rejected.  An ``outer_z2`` term that raises a
+        ValueError or IndexError on the depth-i z2 of the off-diagonal cell
+        reads it at depth j, and is rejected naming the field (the probe
+        sees this where depths N // 4 and N // 2 differ in node count and
+        the first has more than one node, so N >= 4 and m >= 1)."""
         tree = self.psi.tree
         for (i, j) in [(tree.N // 4, tree.N // 2), (tree.N // 2, tree.N // 2)]:
             y = np.zeros((tree.node_count(j), self.d))
             z = np.zeros((tree.node_count(j), self.d, self.m))
+            z_outer = z if j == i else np.zeros((tree.node_count(i), self.d,
+                                                 self.m))
             for term in self.terms:
-                v = np.asarray(term.fn(i, j, y, z, z), dtype=float)
+                z2 = z_outer if term.outer_z2 else z
+                try:
+                    v = np.asarray(term.fn(i, j, y, z, z2), dtype=float)
+                except (ValueError, IndexError) as exc:
+                    if z2 is z:
+                        raise
+                    raise ValueError(
+                        f"generator term declares outer_z2 but fails on z2 "
+                        f"at the outer depth {i} of cell ({i}, {j}): {exc}"
+                    ) from exc
                 if not np.allclose(v, 0.0, atol=1e-12):
                     raise ValueError(
                         "generator does not vanish at (y, z1, z2) = 0; "
@@ -261,8 +289,8 @@ def _linear_adjoint(psi: TerminalField, coef_y: Callable, coef_z: Callable,
     ``coef_y(j, r)`` (nodes, d, d) and ``coef_z(j, r)`` (nodes, d, m, d)
     are the coefficients of cell j in row r at the outer depth r, and are
     contracted there: against Y(t_j) through the ancestor view, and
-    against Z(t_j, t_r), which is F_{t_r}-measurable, on the first
-    descendants of its depth-j repeat, the z-term returning that depth-r
+    against Z(t_j, t_r), which is F_{t_r}-measurable, as stored at depth r
+    (both terms declare ``outer_z2``), the z-term returning that depth-r
     value for the engine to add through the ancestor view.
     """
     tree = psi.tree
@@ -271,13 +299,12 @@ def _linear_adjoint(psi: TerminalField, coef_y: Callable, coef_z: Callable,
         return _ancestor_contract(tree, "nab,nka->nkb", coef_y(j, r), y, j, r)
 
     def fn_z(r, j, y, z1, z2):
-        first = tree.ancestor_view(z2, j, r)[:, 0]
-        return np.einsum("namb,nam->nb", coef_z(j, r), first)
+        return np.einsum("namb,nam->nb", coef_z(j, r), z2)
 
     weights = strictly_upper_weights(tree)
-    return BSVIEProblem(psi, [GeneratorTerm(fn_y, weights=weights),
-                              GeneratorTerm(fn_z, weights=weights)],
-                        label=label)
+    return BSVIEProblem(psi, [
+        GeneratorTerm(fn_y, weights=weights, outer_z2=True),
+        GeneratorTerm(fn_z, weights=weights, outer_z2=True)], label=label)
 
 
 def _cell_drift(tree: Tree, terms: list, tables, i: int, j: int, acc,
@@ -285,11 +312,14 @@ def _cell_drift(tree: Tree, terms: list, tables, i: int, j: int, acc,
                 z2_below: Optional[Callable]):
     """The weighted generator drift of cell j in row i, summed in place.
 
-    The generator reads y = Y(t_j), z1 = Z(t_i, t_j) and z2 = Z(t_j, t_i)
-    at depth j: z1 itself on the diagonal cell, otherwise the depth-i field
-    ``z2_below(j, i)`` repeated onto depth j (None when ``z2_below`` is
-    None).  z2 is fetched once per cell, and only when some weight of the
-    cell is nonzero.  The terms w * g are added one at a time into
+    The generator reads y = Y(t_j), z1 = Z(t_i, t_j) and z2 = Z(t_j, t_i):
+    z1 itself on the diagonal cell, otherwise the depth-i field
+    ``z2_below(j, i)`` (None when ``z2_below`` is None), as stored for a
+    term that declares ``outer_z2`` and repeated onto depth j for one that
+    does not.  z2 is fetched once per cell, and only when some weight of
+    the cell is nonzero; it is repeated at most once per cell, and only
+    when some live term does not declare ``outer_z2``.  The terms w * g
+    are added one at a time into
     ``acc``, a depth-j array the caller owns, so a caller that carries a
     running sum keeps its summation order.  With ``acc`` None the sum
     starts from the first live term's w * g, a fresh array, so it is
@@ -305,17 +335,20 @@ def _cell_drift(tree: Tree, terms: list, tables, i: int, j: int, acc,
     if not live:
         return acc
     if j == i:
-        z2 = z1
+        z2 = z2_outer = z1
     elif z2_below is not None:
-        z2 = tree.broadcast(z2_below(j, i), i, j)
+        z2_outer = z2_below(j, i)
+        z2 = None if all(term.outer_z2 for _, term in live) \
+            else tree.broadcast(z2_outer, i, j)
     else:
-        z2 = None
+        z2 = z2_outer = None
     if not (0 <= i <= tree.N and 0 <= j <= tree.N):
         raise ValueError(f"cell ({i}, {j}) has a depth outside [0, {tree.N}]")
     counts = tree._node_counts
     deep, outer = counts[j], counts[i]
     for w, term in live:
-        g = np.asarray(term.fn(i, j, y, z1, z2), dtype=float)
+        g = np.asarray(term.fn(i, j, y, z1, z2_outer if term.outer_z2 else z2),
+                       dtype=float)
         rows = g.shape[0] if g.ndim else 0
         if rows not in (deep, outer):
             raise ValueError(
@@ -428,7 +461,25 @@ def _block_fixed_point(terms: list, tree: Tree, weight_tables,
     free terms are fixed, so the first step of each row's outer pass (their
     representation from hi to hi - 1) is taken once per block, and its
     integrand is the same array on every sweep.
+
+    A block with no nonzero weight on its own cells (i, j), i <= j < hi
+    (every block of a :func:`strictly_upper_weights` table), reads neither
+    Y nor Z inside itself, so each row's outer pass is exact: it is
+    returned as one sweep, with no initial guess, ``below`` table or update
+    norm, and a non-finite row raises as a non-finite update would.
     """
+    if not any(table[i, i:hi].any() for table in weight_tables
+               for i in outers):
+        y, mu = {}, {}
+        for i in outers:
+            y[i], mu[i], _ = _outer_pass(
+                tree, terms, weight_tables, i, free[i], hi, hi, i,
+                y_at=lambda j: None, z2_below=None)
+        update = 0.0 if all(np.isfinite(y[i]).all() for i in outers) \
+            else math.nan
+        sweeps, ratios = _sweep_to_tolerance(iter([update]), tol, max_sweeps,
+                                             (lo, hi))
+        return y, mu, {"sweeps": sweeps, "ratios": ratios}
     # initial guess: conditional expectations of the free terms and their
     # representation integrands
     y, first, below = {}, {}, {}
@@ -634,7 +685,8 @@ def _family_pass(psi: TerminalField, h: Callable, tree: Tree, outers,
     in ``outers``, with the one generator term h(t_i, t_j, z1) on
     cell-width weights, keeping every level."""
     t = tree.times
-    terms = [GeneratorTerm(fn=lambda i, j, y, z1, z2: h(t[i], t[j], z1))]
+    terms = [GeneratorTerm(fn=lambda i, j, y, z1, z2: h(t[i], t[j], z1),
+                           outer_z2=True)]
     tables = _term_weights(terms, tree)
     lam_all, mu_all = {}, {}
     for i in outers:

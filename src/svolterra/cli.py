@@ -338,11 +338,13 @@ def cmd_backward(cfg, args):
 
 
 def _adjoint_checks(report, diag):
-    """Copy an adjoint solve's two residuals and its bytes into the
-    control report."""
+    """Copy an adjoint solve's two residuals, its bytes and its per-block
+    sweeps (all ones: the adjoint takes one pass) into the control
+    report."""
     report["residuals"]["m_condition"] = diag["m_condition_residual"]
     report["residuals"]["equation"] = diag["equation_residual"]
     report["outputs"]["adjoint_bytes"] = diag["bytes"]
+    report["outputs"]["adjoint_sweeps"] = diag["sweeps"]
 
 
 def cmd_control(cfg, args):

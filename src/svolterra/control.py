@@ -269,10 +269,13 @@ def solve_adjoint(cp: ControlProblem, x_bar: AdaptedProcess,
     frozen at the outer time's state, built by ``backward._linear_adjoint``:
     the weight table excludes the diagonal cell because the discrete
     variational operator has no diagonal entry (so ``solve_bsvie`` takes
-    one backward pass), and the diffusion weight matches the dt produced
-    by squaring tree increments.  Every field stays at the depth where it
-    is measurable: the free term g_x(t_r) at depth r, and the coefficients
-    of cell (j, r) on the depth-r state and control, contracted there.
+    one backward pass: each one-step block returns its row's outer pass
+    as one sweep, and ``diagnostics["sweeps"]`` is all ones), and the
+    diffusion weight matches the dt produced by squaring tree increments.
+    Every field stays at the depth where it is measurable: the free term
+    g_x(t_r) at depth r, the coefficients of cell (j, r) on the depth-r
+    state and control, contracted there, and Z(t_j, t_r), read as stored
+    at depth r.
     The returned Z holds the below-diagonal integrands Z(t_j, t_r), j > r,
     the only ones the maximum principle reads (``mp_gradient``); the
     entries on and above the diagonal are released (None) once each row's

@@ -380,8 +380,7 @@ def solve_delay_variational_direct(dp: DelayProblem, u_bar: AdaptedProcess,
 
 @dataclass
 class DelayAdjoint:
-    eta_bar: AdaptedProcess     # conditional expectations of the terminal
-    zeta: list                  # its representation integrands per step
+    zeta: list                  # representation integrands of H_bar per step
     solution: MSolution         # tripled (Y, Z)
     p: AdaptedProcess
     q: list                     # per depth: (nodes, d, m) arrays
@@ -406,10 +405,7 @@ def solve_delay_adjoint(dp: DelayProblem, traj: DelayTrajectory,
     H_bar = np.concatenate([
         np.asarray(fn(traj.x[N], traj.y[N], traj.z[N]), dtype=float)
         for fn in (dp.h_x, dp.h_y, dp.h_z)], axis=1)
-    mean0, zeta = tree.martingale_representation(H_bar, N, 0)
-    eta_bar = AdaptedProcess(
-        tree, [tree.conditional_expectation(H_bar, N, r)
-               for r in range(N + 1)])
+    _, zeta = tree.martingale_representation(H_bar, N, 0)
 
     # block coefficients of cell (N, r) stay at depth r and are contracted
     # there, as ``_linear_adjoint`` does for every cell: against H_bar
@@ -446,7 +442,7 @@ def solve_delay_adjoint(dp: DelayProblem, traj: DelayTrajectory,
             aug._add_rows_transpose(q, i, r, sol.Z.entry(i, r), dt)
         p_fields.append(p)
         q_fields.append(q)
-    return DelayAdjoint(eta_bar, zeta, sol, AdaptedProcess(tree, p_fields),
+    return DelayAdjoint(zeta, sol, AdaptedProcess(tree, p_fields),
                         q_fields, H_bar)
 
 

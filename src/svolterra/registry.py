@@ -143,7 +143,8 @@ def _affine_term(kern, c_y, c_z1, c_z2):
         val += term
         val += np.multiply(c_z2, z2[:, :, 0:1].reshape(y.shape), out=term)
         return val
-    return bwd.GeneratorTerm(fn, kernel=kern)
+    # z2 is read at depth j, beside y and z1
+    return bwd.GeneratorTerm(fn, kernel=kern, outer_z2=False)
 
 
 def _need_noise(tree, label):
@@ -236,7 +237,9 @@ def _caputo_problem(alpha, A, f, xi, tree, L_y=None, L_z2=None):
     # one private array for every outer index: no code writes into a free
     # term, and the caller's xi stays theirs
     psi = TerminalField(tree, [xi.copy()] * (tree.N + 1))
-    return bwd.BSVIEProblem(psi, [bwd.GeneratorTerm(fn, kernel=kern)],
+    # fn never reads z2, so the engine need not repeat it onto depth j
+    return bwd.BSVIEProblem(psi, [bwd.GeneratorTerm(fn, kernel=kern,
+                                                    outer_z2=True)],
                             L_y=L_y or kern, L_z1=kern, L_z2=L_z2,
                             label=f"caputo_bsvie(alpha={alpha})")
 
@@ -276,7 +279,7 @@ def make_linear_adjoint(M1: Callable, M2: Callable, S_kernel: Callable,
         return np.einsum("ab,nbk->na", P, z2)
 
     terms = [bwd.GeneratorTerm(fn_y, kernel=kernel_y),
-             bwd.GeneratorTerm(fn_z, kernel=kernel_z2)]
+             bwd.GeneratorTerm(fn_z, kernel=kernel_z2, outer_z2=False)]
     return bwd.BSVIEProblem(psi, terms, L_y=kernel_y, L_z2=kernel_z2,
                             label=label)
 

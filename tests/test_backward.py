@@ -351,49 +351,62 @@ class TestLinearAdjointBuilder:
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_contractions_equal_broadcast_contractions(self, d):
-        tree = Tree(N=6, T=1.0, m=1)
-        rng = np.random.default_rng(d)
-        j, r = 5, 2
+        for m in (1, 2):
+            self.check_contractions(d, m)
+
+    def check_contractions(self, d, m):
+        tree = Tree(N=6, T=1.0, m=m)
+        rng = np.random.default_rng(10 * d + m)
         coef_y = [rng.normal(size=(tree.node_count(q), d, d))
                   for q in range(tree.N + 1)]
-        coef_z = [rng.normal(size=(tree.node_count(q), d, 1, d))
+        coef_z = [rng.normal(size=(tree.node_count(q), d, m, d))
                   for q in range(tree.N + 1)]
-        y = rng.normal(size=(tree.node_count(j), d))
-        z2 = tree.broadcast(rng.normal(size=(tree.node_count(r), d, 1)), r, j)
         psi = TerminalField(tree, [np.zeros((tree.node_count(tree.N), d))]
                             * (tree.N + 1))
         p = B._linear_adjoint(psi, lambda jj, rr: coef_y[rr],
                               lambda jj, rr: coef_z[rr], "contractions")
         assert all(np.array_equal(term.weights, B.strictly_upper_weights(tree))
                    for term in p.terms)
+        # neither term reads z2 at depth j: the engine hands it over as
+        # stored, at the outer depth r
+        assert all(term.outer_z2 for term in p.terms)
         fn_y, fn_z = (term.fn for term in p.terms)
-        assert np.array_equal(
-            fn_y(r, j, y, None, None),
-            np.einsum("nab,na->nb", tree.broadcast(coef_y[r], r, j), y))
-        # the z-term returns its depth-r contraction, which the engine adds
-        # through the ancestor view; repeated onto depth j it is the
-        # contraction of the repeated coefficient
-        got = fn_z(r, j, None, None, z2)
-        assert got.shape == (tree.node_count(r), d)
-        assert np.array_equal(
-            tree.broadcast(got, r, j),
-            np.einsum("namb,nam->nb", tree.broadcast(coef_z[r], r, j), z2))
+        for r, j in [(0, 1), (0, 5), (2, 3), (2, 5), (4, 5)]:
+            y = rng.normal(size=(tree.node_count(j), d))
+            z2 = rng.normal(size=(tree.node_count(r), d, m))
+            assert_bits_equal(
+                fn_y(r, j, y, None, None),
+                np.einsum("nab,na->nb", tree.broadcast(coef_y[r], r, j), y))
+            # the z-term returns its depth-r contraction, which the engine
+            # adds through the ancestor view; repeated onto depth j it is
+            # the contraction of the repeated coefficient and z2
+            got = fn_z(r, j, None, None, z2)
+            assert got.shape == (tree.node_count(r), d)
+            assert_bits_equal(
+                tree.broadcast(got, r, j),
+                np.einsum("namb,nam->nb", tree.broadcast(coef_z[r], r, j),
+                          tree.broadcast(z2, r, j)))
 
 
 def reference_cell_drift(tree, terms, tables, i, j, acc, y, z1, z2_below):
     """The cell drift as it read before the in-place sum: ``acc + w * g``
-    per live term, a depth-i value repeated onto depth j first."""
+    per live term, a depth-i value repeated onto depth j first.  Each term
+    gets z2 as it declares: z1 on the diagonal, otherwise ``z2_below(j, i)``
+    as stored for an ``outer_z2`` term and its repeat onto depth j for any
+    other."""
     live = [(table[i, j], term) for table, term in zip(tables, terms)
             if table[i, j] != 0.0]
     if not live:
         return acc
-    if j == i:
-        z2 = z1
-    elif z2_below is not None:
-        z2 = tree.broadcast(z2_below(j, i), i, j)
-    else:
-        z2 = None
     for w, term in live:
+        if j == i:
+            z2 = z1
+        elif z2_below is None:
+            z2 = None
+        elif term.outer_z2:
+            z2 = z2_below(j, i)
+        else:
+            z2 = tree.broadcast(z2_below(j, i), i, j)
         g = np.asarray(term.fn(i, j, y, z1, z2), dtype=float)
         if g.shape[0] != tree.node_count(j):
             g = tree.broadcast(g, i, j)
@@ -1379,6 +1392,158 @@ class TestOneGenerationSweep:
         p = R.BACKWARD_PROBLEMS[family](tree)
         blocks = B.solve_bsvie(p, tree, method="block").diagnostics["blocks"]
         assert max(hi - lo for lo, hi in blocks) >= 3
+
+
+def count_calls_within(monkeypatch, outer, inner):
+    """Patch ``outer`` = (owner, name) and every (owner, name) of ``inner``
+    so that the inner calls made while the outer one runs are counted;
+    returns the counts by inner name."""
+    counts = {name: 0 for _, name in inner}
+    running = [0]
+    owner, name = outer
+    wrapped = getattr(owner, name)
+
+    def outer_fn(*args, **kwargs):
+        running[0] += 1
+        try:
+            return wrapped(*args, **kwargs)
+        finally:
+            running[0] -= 1
+
+    monkeypatch.setattr(owner, name, outer_fn)
+    for inner_owner, inner_name in inner:
+        def counted(*args, _original=getattr(inner_owner, inner_name),
+                    _name=inner_name, **kwargs):
+            counts[_name] += running[0] > 0
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(inner_owner, inner_name, counted)
+    return counts
+
+
+def adjoint_runs(N):
+    """Zero-argument solves of the lq control adjoint and the delay
+    adjoint at depth N, each returning its MSolution."""
+    tree = Tree(N=N, T=1.0, m=1)
+    rng = np.random.default_rng(5)
+    u = AdaptedProcess(tree, [0.5 * rng.normal(size=(tree.node_count(i), 1))
+                              for i in range(N + 1)])
+    cp = R.lq_instance()
+    X = C.solve_state(cp, u, tree)
+    dp = R.delay_lq_instance(delta=0.25, lam=0.3)
+    traj = D.solve_delay_state(dp, C.constant_control(tree, [0.2]), tree)
+    return {"control": lambda: C.solve_adjoint(cp, X, u, tree),
+            "delay": lambda: D.solve_delay_adjoint(dp, traj, tree).solution}
+
+
+class TestDeclaredReads:
+    """A term that declares ``outer_z2`` gets Z(t_j, t_i) as stored, at
+    the outer depth i.  Both adjoint terms and the caputo term declare it,
+    so no cell of theirs repeats z2 onto depth j, and a block with no
+    weighted cell of its own (every adjoint block) returns its rows' outer
+    passes as one sweep."""
+
+    @pytest.mark.parametrize("run", ["control", "delay", "caputo_fixed_point",
+                                     "caputo_block"])
+    def test_cell_drift_repeats_nothing(self, monkeypatch, run):
+        if run.startswith("caputo"):
+            tree = Tree(N=8, T=1.0, m=1)
+            p = R.bsvie_caputo(tree)
+            solve = lambda: B.solve_bsvie(  # noqa: E731
+                p, tree, method=run.split("_", 1)[1])
+        else:
+            solve = adjoint_runs(8)[run]
+        counts = count_calls_within(monkeypatch, (B, "_cell_drift"),
+                                    [(Tree, "broadcast")])
+        assert solve().diagnostics["equation_residual"] <= 1e-12
+        assert counts == {"broadcast": 0}
+
+    def test_undeclared_term_is_repeated(self, monkeypatch):
+        # the counter sees the repeats of a term that reads z2 at depth j
+        tree = Tree(N=8, T=1.0, m=1)
+        p = R.bsvie_fractional(tree)
+        counts = count_calls_within(monkeypatch, (B, "_cell_drift"),
+                                    [(Tree, "broadcast")])
+        B.solve_bsvie(p, tree)
+        assert counts["broadcast"] > 0
+
+    @pytest.mark.parametrize("run", ["control", "delay"])
+    def test_adjoint_blocks_take_one_pass(self, monkeypatch, run):
+        solve = adjoint_runs(8)[run]
+        counts = count_calls_within(
+            monkeypatch, (B, "_block_fixed_point"),
+            [(Tree, "conditional_expectation"), (B, "_mean_square")])
+        sol = solve()
+        assert counts == {"conditional_expectation": 0, "_mean_square": 0}
+        assert sol.diagnostics["sweeps"] == [1] * 8
+        assert sol.diagnostics["contraction_ratios"] == [0.0] * 8
+
+    def test_coupled_blocks_still_sweep(self, monkeypatch):
+        tree = Tree(N=8, T=1.0, m=1)
+        p = R.bsvie_caputo(tree)
+        counts = count_calls_within(
+            monkeypatch, (B, "_block_fixed_point"),
+            [(Tree, "conditional_expectation"), (B, "_mean_square")])
+        sol = B.solve_bsvie(p, tree)
+        assert counts["conditional_expectation"] > 0
+        assert counts["_mean_square"] > 0
+        assert min(sol.diagnostics["sweeps"]) > 1
+
+    @pytest.mark.parametrize("run", ["control", "delay"])
+    def test_one_pass_equals_the_sweep(self, monkeypatch, run):
+        # the two-generation reference sweeps every block: same bits
+        calls = capture_bsvie(monkeypatch, C if run == "control" else D)
+        got = adjoint_runs(8)[run]()
+        problem, tree, kwargs = calls[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(B, "_block_fixed_point",
+                          reference_block_fixed_point)
+            want = B.solve_bsvie(problem, tree, **kwargs)
+        assert_same_kept(got, want, tree)
+
+    def test_non_finite_row_names_its_block(self):
+        tree = Tree(N=5, T=1.0, m=1)
+        psi = terminal_from_function(tree, lambda t, w: np.tanh(w[:, 0]) + t)
+        fields = list(psi.values)
+        fields[2] = np.full_like(fields[2], np.nan)
+        p = B.BSVIEProblem(
+            TerminalField(tree, fields),
+            [B.GeneratorTerm(lambda i, j, y, z1, z2: -0.4 * y,
+                             weights=B.strictly_upper_weights(tree),
+                             outer_z2=True)])
+        with pytest.raises(B.DivergenceError,
+                           match=r"non-finite values on block \[2, 3\]"
+                           ) as info:
+            B.solve_bsvie(p, tree)
+        assert info.value.ratios == []
+
+    @pytest.mark.parametrize("value", [1, 0, "yes", None, np.True_])
+    def test_outer_z2_must_be_a_bool(self, value):
+        with pytest.raises(TypeError, match="outer_z2 must be a bool"):
+            B.GeneratorTerm(lambda i, j, y, z1, z2: y, outer_z2=value)
+
+    def test_probe_hands_z2_at_the_declared_depth(self):
+        tree = Tree(N=4, T=1.0, m=2)
+        psi = TerminalField(tree, [np.zeros((tree.node_count(4), 2))] * 5)
+        calls = []
+
+        def fn(i, j, y, z1, z2):
+            calls.append((i, j, y.shape, z1.shape, z2.shape))
+            return -0.5 * y
+
+        B.BSVIEProblem(psi, [B.GeneratorTerm(fn, outer_z2=True)])
+        assert calls == [(1, 2, (9, 2), (9, 2, 2), (3, 2, 2)),
+                         (2, 2, (9, 2), (9, 2, 2), (9, 2, 2))]
+
+    def test_depth_j_read_is_rejected_naming_the_field(self):
+        # the registry's affine term reads z2 beside y at depth j
+        tree = Tree(N=4, T=1.0, m=1)
+        psi = TerminalField(tree, [np.ones((16, 1))] * 5)
+        term = R._affine_term(None, -0.4, 0.2, 0.7)
+        B.BSVIEProblem(psi, [term])
+        with pytest.raises(ValueError, match=r"declares outer_z2 .* outer "
+                                             r"depth 1 of cell \(1, 2\)"):
+            B.BSVIEProblem(psi, [dataclasses.replace(term, outer_z2=True)])
 
 
 def owned_bytes(sol):

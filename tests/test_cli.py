@@ -518,6 +518,8 @@ class TestControlCommand:
         N = 5
         nodes = (2 ** N - 1) + sum(2 ** i - 1 for i in range(N + 1))
         assert data["outputs"]["adjoint_bytes"] == 8 * nodes
+        # one pass per one-step block
+        assert data["outputs"]["adjoint_sweeps"] == [1] * N
 
     @pytest.mark.parametrize("key", ["m_condition_residual",
                                      "equation_residual"])
@@ -581,6 +583,7 @@ class TestControlCommand:
         assert data["residuals"]["m_condition"] <= 1e-12
         assert data["residuals"]["equation"] <= 1e-9
         assert data["outputs"]["adjoint_bytes"] > 0
+        assert data["outputs"]["adjoint_sweeps"] == [1] * 4
 
     def test_delay_reports_the_adjoint_at_the_descent_end(self, tmp_path,
                                                           monkeypatch):
@@ -614,6 +617,7 @@ class TestControlCommand:
             "m_condition": diag["m_condition_residual"],
             "equation": diag["equation_residual"]}
         assert data["outputs"]["adjoint_bytes"] == diag["bytes"]
+        assert data["outputs"]["adjoint_sweeps"] == diag["sweeps"]
 
     def test_delay_solves_once_after_the_descent(self, tmp_path,
                                                  monkeypatch):

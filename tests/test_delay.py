@@ -119,7 +119,8 @@ class TestDelayAdjoint:
         u = C.constant_control(tree, [0.2])
         traj = D.solve_delay_state(dp, u, tree)
         adj = D.solve_delay_adjoint(dp, traj, tree)
-        recon = tree.broadcast(adj.eta_bar[0], 0, tree.N) \
+        mean = tree.conditional_expectation(adj.H_bar, tree.N, 0)
+        recon = tree.broadcast(mean, 0, tree.N) \
             + tree.stochastic_integral(adj.zeta, 0, tree.N)
         assert np.max(np.abs(recon - adj.H_bar)) < 1e-13
 
